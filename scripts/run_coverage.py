@@ -21,6 +21,8 @@ def main():
     parser.add_argument("--noise-sd", type=float, default=0.25)
     parser.add_argument("--workers", type=int, default=1)
     args = parser.parse_args()
+    if args.workers < 1:
+        parser.error("--workers must be at least 1")
 
     model = pure_step_model(
         (0.5,),

@@ -59,6 +59,8 @@ def main():
     parser.add_argument("--scale", type=float, default=1.0)
     parser.add_argument("--workers", type=int, default=1)
     args = parser.parse_args()
+    if args.workers < 1:
+        parser.error("--workers must be at least 1")
 
     config = build_config(args.seed, args.scale)
     out = Path(args.out)

@@ -213,6 +213,9 @@ def build_parser():
 def run(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.workers < 1:
+        print("error: --workers must be at least 1", file=sys.stderr)
+        return EXIT_INPUT
     try:
         return args.func(args)
     except DatasetFormatError as exc:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from stepargmin.argmin import argmin_set, contained_in_open, hits, largmin, sargmin
+from stepargmin.argmin import INF, BoxUnion, box1
 from stepargmin.rng import child_seed, run_chunks, substream
 from stepargmin.stepfun import StepFunction1D
 
@@ -190,53 +190,145 @@ def _proportion(flags, n):
     return FunctionalEstimate(value, math.sqrt(value * (1.0 - value) / n), n)
 
 
-_GAP_BLOCK = 64
+# --- block simulation kernel ----------------------------------------------
+#
+# Replications are simulated in blocks of _BLOCK rows, and block b draws
+# everything from substream(seed, b), so the draw of replication r depends
+# on (spec, seed, r) only: not on the replication count, nor on how the
+# replications are split between workers.
+
+_BLOCK = 64
 
 
-def _arrivals_and_jumps(rate, law, horizon, gap_rng, jump_rng):
-    # Gaps come in fixed-size blocks so the drawn sequence is a prefix of one
-    # infinite stream regardless of how far the horizon reaches.
-    gaps = gap_rng.standard_exponential(_GAP_BLOCK) / rate
-    times = np.cumsum(gaps)
-    while times[-1] <= horizon:
-        more = gap_rng.standard_exponential(_GAP_BLOCK) / rate
-        times = np.concatenate([times, times[-1] + np.cumsum(more)])
-    times = times[times <= horizon]
-    count = times.size
-    jumps = law.sample(jump_rng, _GAP_BLOCK)
-    while jumps.size < count:
-        jumps = np.concatenate([jumps, law.sample(jump_rng, _GAP_BLOCK)])
-    return times, jumps[:count]
+def _gap_count(rate, horizon):
+    """Gaps drawn per row and side before any top-up: the mean arrival count
+    over the horizon plus four standard deviations."""
+    mean = rate * horizon
+    return math.ceil(mean + 4.0 * math.sqrt(mean)) + 4
 
 
-def _dedupe(times, jumps):
-    if times.size < 2 or np.all(np.diff(times) > 0):
-        return times, jumps
-    uniq, inverse = np.unique(times, return_inverse=True)
-    summed = np.zeros(uniq.size)
-    np.add.at(summed, inverse, jumps)
-    return uniq, summed
+def _arrivals(rng, rows, rate, law, horizon):
+    """Arrival times and running jump sums of one side, both (rows, width).
+
+    While some row's last arrival does not pass the horizon, every row is
+    topped up from the same generator; arrival times beyond the horizon
+    read +inf."""
+    width = _gap_count(rate, horizon)
+    times = np.cumsum(rng.standard_exponential((rows, width)), axis=1) / rate
+    jumps = law.sample(rng, (rows, width))
+    while np.any(times[:, -1] <= horizon):
+        more = np.cumsum(rng.standard_exponential((rows, width)), axis=1) / rate
+        times = np.hstack([times, times[:, -1:] + more])
+        jumps = np.hstack([jumps, law.sample(rng, (rows, width))])
+    times[times > horizon] = INF
+    return times, np.cumsum(jumps, axis=1)
+
+
+def _draw_block(spec, rng, rows):
+    """``rows`` trajectories on [-max_window, max_window] as cell edges
+    (rows, n + 2) and cell values (rows, n + 1); cell j of a row spans
+    [edges[j], edges[j + 1]).
+
+    Left cells hold the partial sums of jumps strictly beyond the cell, the
+    center cell spanning zero holds 0, right cells the running sums.  Cells
+    of zero width, from arrivals beyond the horizon or coinciding arrival
+    times, are not part of the trajectory."""
+    t_right, c_right = _arrivals(rng, rows, spec.rate_right, spec.jump_right, spec.max_window)
+    t_left, c_left = _arrivals(rng, rows, spec.rate_left, spec.jump_left, spec.max_window)
+    n_left = t_left.shape[1]
+    edges = np.empty((rows, n_left + t_right.shape[1] + 2))
+    edges[:, 0] = -INF
+    edges[:, 1 : n_left + 1] = -t_left[:, ::-1]
+    edges[:, n_left + 1 : -1] = t_right
+    edges[:, -1] = INF
+    values = np.empty((rows, edges.shape[1] - 1))
+    values[:, :n_left] = c_left[:, ::-1]
+    values[:, n_left] = 0.0
+    values[:, n_left + 1 :] = c_right
+    return edges, values
+
+
+def _argmin_cells(edges, values):
+    """Argmin set of every row as flat closed intervals (row, lo, hi), in
+    row order and increasing within a row: the closures of the minimal
+    cells of positive width, touching closures merged."""
+    lo_edges, hi_edges = edges[:, :-1], edges[:, 1:]
+    masked = np.where(lo_edges < hi_edges, values, INF)
+    row, col = np.nonzero(masked == masked.min(axis=1, keepdims=True))
+    lo = lo_edges[row, col]
+    hi = hi_edges[row, col]
+    first = np.ones(row.size, dtype=bool)
+    first[1:] = (row[1:] != row[:-1]) | (lo[1:] != hi[:-1])
+    last = np.append(first[1:], True)
+    return row[first], lo[first], hi[last]
+
+
+def _row_function(edges, values):
+    """Breakpoints and values of one block row with its zero-width cells
+    dropped, as a StepFunction1D takes them."""
+    real = edges[:-1] < edges[1:]
+    return edges[:-1][real][1:], values[real]
+
+
+def _open_components(g):
+    """Connected components of an open 1-D union as endpoint arrays; open
+    intervals that only touch leave their common end uncovered."""
+    comps = []
+    for lo, hi in sorted((b.lo[0], b.hi[0]) for b in g.boxes):
+        if comps and lo < comps[-1][1]:
+            comps[-1][1] = max(comps[-1][1], hi)
+        else:
+            comps.append([lo, hi])
+    ends = np.array(comps, dtype=float).reshape(-1, 2)
+    return ends[:, 0], ends[:, 1]
+
+
+@dataclass(frozen=True)
+class _ArgminRows:
+    """Argmin sets of consecutive replications as flat closed intervals:
+    replication i owns entries starts[i] up to starts[i + 1] of lo and hi,
+    increasing and pairwise disjoint, and was redrawn redraws[i] times."""
+
+    lo: np.ndarray
+    hi: np.ndarray
+    starts: np.ndarray
+    redraws: np.ndarray
+
+    @classmethod
+    def from_cells(cls, rep, lo, hi, redraws=None):
+        """From intervals sorted by replication, every replication present."""
+        return cls(lo, hi, np.flatnonzero(np.diff(rep, prepend=-1)), redraws)
+
+    def smallest(self):
+        return self.lo[self.starts]
+
+    def largest(self):
+        return self.hi[np.append(self.starts[1:], self.hi.size) - 1]
+
+    def hits(self, e):
+        """Per replication: the argmin set meets the closed 1-D union e."""
+        a = np.array([b.lo[0] for b in e.boxes])
+        b = np.array([b.hi[0] for b in e.boxes])
+        meet = np.maximum(self.lo[:, None], a) <= np.minimum(self.hi[:, None], b)
+        return np.logical_or.reduceat(meet.any(axis=1), self.starts)
+
+    def within(self, g):
+        """Per replication: the argmin set lies inside the open 1-D union g.
+        An infinite end of an interval is inside a component that is
+        infinite on the same side."""
+        a, b = _open_components(g)
+        lo = self.lo[:, None]
+        hi = self.hi[:, None]
+        inside = ((a < lo) | (a == -INF)) & ((hi < b) | (b == INF))
+        return np.logical_and.reduceat(inside.any(axis=1), self.starts)
 
 
 def _build_trajectory(spec, seed):
     """Full-horizon trajectory on [-max_window, max_window] as breakpoint
-    and value arrays.  Pure in (spec, seed)."""
-    horizon = spec.max_window
-    t_r, j_r = _arrivals_and_jumps(
-        spec.rate_right, spec.jump_right, horizon, substream(seed, 0), substream(seed, 2)
-    )
-    t_l, j_l = _arrivals_and_jumps(
-        spec.rate_left, spec.jump_left, horizon, substream(seed, 1), substream(seed, 3)
-    )
-    t_r, j_r = _dedupe(t_r, j_r)
-    t_l, j_l = _dedupe(t_l, j_l)
-    cum_r = np.cumsum(j_r)
-    cum_l = np.cumsum(j_l)
-    breaks = np.concatenate([-t_l[::-1], t_r])
-    # left cells hold the partial sums of jumps strictly beyond the cell,
-    # the center cell spanning zero holds 0, right cells the running sums
-    values = np.concatenate([cum_l[::-1], [0.0], cum_r])
-    return breaks, values
+    and value arrays: the one-row case of the block kernel.  Pure in
+    (spec, seed)."""
+    edges, values = _draw_block(spec, substream(seed), 1)
+    return _row_function(edges[0], values[0])
 
 
 def _window_grid(spec):
@@ -264,18 +356,13 @@ def _simulate(spec, seed):
     draw.
     """
     breaks, values = _build_trajectory(spec, seed)
-    a_full = argmin_set(StepFunction1D(breaks, values))
-    strict_inside = None
-    if a_full.bounded:
-        lo = min(b.lo[0] for b in a_full.boxes)
-        hi = max(b.hi[0] for b in a_full.boxes)
-        for w in _window_grid(spec):
-            if -w < lo and hi < w:
-                strict_inside = w
-                break
-    if strict_inside is None:
-        return _truncate(breaks, values, spec.max_window), a_full, True
-    return _truncate(breaks, values, strict_inside), a_full, False
+    edges = np.concatenate(([-INF], breaks, [INF]))
+    _, lo, hi = _argmin_cells(edges[None], values[None])
+    a_full = BoxUnion(1, tuple(box1(a, b) for a, b in zip(lo.tolist(), hi.tolist())))
+    for w in _window_grid(spec):
+        if -w < lo[0] and hi[-1] < w:
+            return _truncate(breaks, values, w), a_full, False
+    return _truncate(breaks, values, spec.max_window), a_full, True
 
 
 def simulate_trajectory(spec, seed):
@@ -289,38 +376,59 @@ _MAX_ATTEMPTS = 10_000
 
 
 def _draw_accepted(spec, master_seed, rep):
-    """Redraw on boundary contact with fresh substreams; returns
-    (argmin BoxUnion, redraw count)."""
-    for attempt in range(_MAX_ATTEMPTS):
-        seed = child_seed(master_seed, rep, attempt)
-        _, a, boundary = _simulate(spec, seed)
+    """Redraws a boundary replication from fresh one-row streams, attempt 1
+    onward (attempt 0 is its row in its block); returns (argmin BoxUnion,
+    redraw count)."""
+    for attempt in range(1, _MAX_ATTEMPTS):
+        _, a, boundary = _simulate(spec, child_seed(master_seed, rep, attempt))
         if not boundary:
             return a, attempt
     raise TooManyRedrawsError(f"replication {rep} exhausted {_MAX_ATTEMPTS} attempts")
 
 
+def _accepted_rows(spec, seed, lo, hi):
+    """Accepted argmin sets of replications lo..hi-1 as _ArgminRows.
+
+    Replication r is row r % _BLOCK of block r // _BLOCK.  A row whose
+    argmin set does not lie strictly inside (-max_window, max_window) is a
+    boundary row; it is redrawn through _draw_accepted."""
+    w = spec.max_window
+    reps, los, his = [], [], []
+    redraws = np.zeros(hi - lo, dtype=np.int64)
+    for b in range(lo // _BLOCK, (hi - 1) // _BLOCK + 1):
+        row, a, z = _argmin_cells(*_draw_block(spec, substream(seed, b), _BLOCK))
+        block = _ArgminRows.from_cells(row, a, z)
+        inside = (block.smallest() > -w) & (block.largest() < w)
+        rep = row + b * _BLOCK
+        keep = inside[row] & (rep >= lo) & (rep < hi)
+        reps.append(rep[keep])
+        los.append(a[keep])
+        his.append(z[keep])
+        for r in np.flatnonzero(~inside) + b * _BLOCK:
+            if lo <= r < hi:
+                union, attempts = _draw_accepted(spec, seed, int(r))
+                redraws[r - lo] = attempts
+                reps.append(np.full(len(union.boxes), r))
+                los.append(np.array([box.lo[0] for box in union.boxes]))
+                his.append(np.array([box.hi[0] for box in union.boxes]))
+    rep = np.concatenate(reps)
+    order = np.argsort(rep, kind="stable")
+    return _ArgminRows.from_cells(
+        rep[order] - lo, np.concatenate(los)[order], np.concatenate(his)[order], redraws
+    )
+
+
 def _extremes_worker(args, lo, hi):
     spec, master_seed = args
-    out = []
-    for rep in range(lo, hi):
-        a, redraws = _draw_accepted(spec, master_seed, rep)
-        lo_pt = sargmin(a)[0]
-        hi_pt = largmin(a)[0]
-        out.append((lo_pt, hi_pt, redraws))
-    return out
+    rows = _accepted_rows(spec, master_seed, lo, hi)
+    return list(zip(rows.smallest().tolist(), rows.largest().tolist(), rows.redraws.tolist()))
 
 
 def _predicate_worker(args, lo, hi):
     spec, master_seed, mode, target = args
-    out = []
-    for rep in range(lo, hi):
-        a, redraws = _draw_accepted(spec, master_seed, rep)
-        if mode == "hits":
-            flag = hits(a, target)
-        else:
-            flag = contained_in_open(a, target)
-        out.append((flag, redraws))
-    return out
+    rows = _accepted_rows(spec, master_seed, lo, hi)
+    flags = rows.hits(target) if mode == "hits" else rows.within(target)
+    return list(zip(flags.tolist(), rows.redraws.tolist()))
 
 
 def _check_redraws(total_redraws, replications):
@@ -335,7 +443,7 @@ def sample_extreme_minimizers(spec, replications, seed, workers=1):
     discarded and redrawn, with the redraw count carried on each sample."""
     if replications < 1:
         raise ValueError("replications must be at least 1")
-    rows = run_chunks(_extremes_worker, (spec, seed), replications, workers)
+    rows = run_chunks(_extremes_worker, (spec, seed), replications, workers, block=_BLOCK)
     _check_redraws(sum(r[2] for r in rows), replications)
     return [
         MinimizerSample(xi_min=lo, xi_max=hi, boundary_touched=False, redraws=red)
@@ -343,18 +451,24 @@ def sample_extreme_minimizers(spec, replications, seed, workers=1):
     ]
 
 
-def estimate_capacity(spec, e, replications, seed, workers=1):
-    """Monte Carlo estimate of P(argmin set hits the closed union e)."""
-    rows = run_chunks(_predicate_worker, (spec, seed, "hits", e), replications, workers)
+def _estimate(spec, mode, target, replications, seed, workers):
+    if replications < 1:
+        raise ValueError("replications must be at least 1")
+    rows = run_chunks(
+        _predicate_worker, (spec, seed, mode, target), replications, workers, block=_BLOCK
+    )
     _check_redraws(sum(r[1] for r in rows), replications)
     return _proportion(np.array([r[0] for r in rows], dtype=bool), replications)
+
+
+def estimate_capacity(spec, e, replications, seed, workers=1):
+    """Monte Carlo estimate of P(argmin set hits the closed 1-D union e)."""
+    return _estimate(spec, "hits", e, replications, seed, workers)
 
 
 def estimate_containment(spec, g, replications, seed, workers=1):
-    """Monte Carlo estimate of P(argmin set lies inside the open union g)."""
-    rows = run_chunks(_predicate_worker, (spec, seed, "within", g), replications, workers)
-    _check_redraws(sum(r[1] for r in rows), replications)
-    return _proportion(np.array([r[0] for r in rows], dtype=bool), replications)
+    """Monte Carlo estimate of P(argmin set lies inside the open 1-D union g)."""
+    return _estimate(spec, "within", g, replications, seed, workers)
 
 
 def samples_to_csv(samples):

@@ -20,13 +20,13 @@ from stepargmin.argmin import (
     OpenBox,
     OpenBoxUnion,
     argmin_set,
-    contained_in_open,
     hits,
     point_box,
 )
 from stepargmin.cpoisson import (
+    _BLOCK,
     OutOfDomainError,
-    _draw_accepted,
+    _accepted_rows,
     choose_interval_bounds,
     inverse_normal_cdf,
     normal_cdf,
@@ -197,13 +197,9 @@ def _fit_arrays(model, k, n, master, tag, reps, workers):
 
 def _limit_worker(args, lo, hi):
     spec, seed, closed_menu, open_menu = args
-    out = []
-    for rep in range(lo, hi):
-        a, _ = _draw_accepted(spec, seed, rep)
-        flags = [hits(a, f) for f in closed_menu]
-        flags.extend(contained_in_open(a, g) for g in open_menu)
-        out.append(flags)
-    return out
+    rows = _accepted_rows(spec, seed, lo, hi)
+    flags = [rows.hits(f) for f in closed_menu] + [rows.within(g) for g in open_menu]
+    return np.array(flags, dtype=bool).reshape(len(flags), hi - lo).T.tolist()
 
 
 def _points_in_closed(values, union):
@@ -321,7 +317,9 @@ def _limit_functionals(config, workers):
         open_menu = tuple(st.gsets[j - 1] for st in config.open_sets)
         seed = child_seed(config.master_seed, _TAG_LIMIT, j)
         flags = np.array(
-            run_chunks(_limit_worker, (spec, seed, closed_menu, open_menu), reps, workers),
+            run_chunks(
+                _limit_worker, (spec, seed, closed_menu, open_menu), reps, workers, block=_BLOCK
+            ),
             dtype=bool,
         ).reshape(reps, len(closed_menu) + len(open_menu))
         mu = [

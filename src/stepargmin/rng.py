@@ -7,6 +7,7 @@ matter which worker runs it, so results are independent of worker count.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -34,23 +35,25 @@ def _call_chunk(payload):
     return worker(args, lo, hi)
 
 
-def run_chunks(worker, args, n_items, workers=1):
+def run_chunks(worker, args, n_items, workers=1, block=1):
     """Evaluate worker(args, lo, hi) over [0, n_items) and concatenate in order.
 
     ``worker`` must be a module-level function when workers > 1 (pickling).
-    The chunk split depends on ``workers`` but per-item results do not.
+    Chunk edges fall on multiples of ``block``.  The chunk split depends on
+    ``workers`` but per-item results do not.  The pool holds at most
+    min(workers, chunks, CPUs) processes.
     """
-    workers = max(1, int(workers or 1))
-    if workers == 1 or n_items <= 1:
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
+    n_blocks = -(-n_items // block)
+    n_chunks = min(n_blocks, workers * 4)
+    pool_size = min(workers, n_chunks, os.cpu_count() or 1)
+    if pool_size <= 1:
         return worker(args, 0, n_items)
-    n_chunks = min(n_items, workers * 4)
-    edges = np.linspace(0, n_items, n_chunks + 1).astype(int)
-    payloads = [
-        (worker, args, int(lo), int(hi))
-        for lo, hi in zip(edges[:-1], edges[1:])
-        if hi > lo
-    ]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    edges = np.linspace(0, n_blocks, n_chunks + 1).astype(int) * block
+    edges[-1] = n_items
+    payloads = [(worker, args, int(lo), int(hi)) for lo, hi in zip(edges[:-1], edges[1:])]
+    with ProcessPoolExecutor(max_workers=pool_size) as pool:
         parts = list(pool.map(_call_chunk, payloads))
     out = []
     for part in parts:

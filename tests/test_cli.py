@@ -116,6 +116,27 @@ class TestCapacity:
         assert "value = 1.0" in out
         assert "replications = 100" in out
 
+    def test_zero_reps_exit_2(self, workdir, capsys):
+        code = run(
+            ["capacity", "--spec", str(workdir / "spec.txt"), "--set", "[-inf,0]",
+             "--reps", "0", "--seed", "5"]
+        )
+        assert code == 2
+        assert "replications" in capsys.readouterr().err
+
+
+class TestWorkers:
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_below_one_exit_2(self, workdir, capsys, workers):
+        out = workdir / "out_workers"
+        code = run(
+            ["simulate-limit", "--spec", str(workdir / "spec.txt"), "--reps", "20",
+             "--seed", "9", "--out", str(out), "--workers", workers]
+        )
+        assert code == 2
+        assert "--workers" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestVerify:
     def test_full_space_passes(self, workdir):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from stepargmin import cpoisson
 from stepargmin.argmin import (
     INF,
     Box,
@@ -11,8 +12,17 @@ from stepargmin.argmin import (
     OpenBox,
     OpenBoxUnion,
     argmin_set,
+    contained_in_open,
+    hits,
+    largmin,
+    sargmin,
 )
 from stepargmin.cpoisson import (
+    _BLOCK,
+    _ArgminRows,
+    _argmin_cells,
+    _draw_block,
+    _row_function,
     CompoundPoissonSpec,
     EmptySamplesError,
     FunctionalEstimate,
@@ -32,6 +42,8 @@ from stepargmin.cpoisson import (
     simulate_trajectory,
     spec_from_text,
 )
+from stepargmin.rng import substream
+from stepargmin.stepfun import StepFunction1D
 
 
 def unit_spec(**overrides):
@@ -230,6 +242,11 @@ class TestFunctionalEstimates:
             cont = estimate_containment(spec, g, 400, 77)
             assert cont.value <= cap.value
 
+    def test_replications_below_one_rejected(self):
+        for estimate in (estimate_capacity, estimate_containment):
+            with pytest.raises(ValueError, match="replications"):
+                estimate(unit_spec(), BoxUnion(1, ()), 0, 1)
+
     def test_std_error_formula(self):
         est = estimate_capacity(unit_spec(), BoxUnion(1, (Box((0.1,), (0.3,)),)), 400, 5)
         assert est.std_error == math.sqrt(est.value * (1 - est.value) / 400)
@@ -243,6 +260,149 @@ class TestFunctionalEstimates:
         assert sample_extreme_minimizers(spec, 200, 13, workers=1) == (
             sample_extreme_minimizers(spec, 200, 13, workers=2)
         )
+        # several blocks, the last one partial, and boundary redraws
+        spec = unit_spec(jump_right=NEGATIVE_SUPPORT, jump_left=NEGATIVE_SUPPORT)
+        one = samples_to_csv(sample_extreme_minimizers(spec, 1077, 21, workers=1))
+        two = samples_to_csv(sample_extreme_minimizers(spec, 1077, 21, workers=2))
+        assert one.encode() == two.encode()
+
+
+def closed(*pairs):
+    return BoxUnion(1, tuple(Box((lo,), (hi,)) for lo, hi in pairs))
+
+
+def opened(*pairs):
+    return OpenBoxUnion(1, tuple(OpenBox((lo,), (hi,)) for lo, hi in pairs))
+
+
+CLOSED_MENU = (
+    closed(),
+    closed((-INF, 0.0)),
+    closed((0.5, 3.0)),
+    closed((-1.0, 1.0), (2.0, 4.0)),
+    closed((-6.0, -2.0)),
+    closed((5.0, INF)),
+)
+OPEN_MENU = (
+    opened(),
+    opened((-INF, INF)),
+    opened((-INF, 2.0)),
+    opened((-4.0, 4.0)),
+    opened((-2.0, 0.0), (0.0, 2.0)),
+    opened((-3.0, -1.0), (-1.5, 1.0)),
+    opened((-1.0, INF)),
+)
+
+INTEGER_TIES = JumpLaw("empirical", (-1.0, 1.0, 1.0, 2.0))
+NEGATIVE_SUPPORT = JumpLaw("two_point", (-3.0, 5.0, 0.5))
+WOBBLE = JumpLaw("two_point", (-1.0, 1.02, 0.5))
+
+
+def kernel_specs():
+    return (
+        unit_spec(jump_right=INTEGER_TIES, jump_left=JumpLaw("two_point", (-1.0, 2.0, 0.5))),
+        unit_spec(jump_right=NEGATIVE_SUPPORT, jump_left=NEGATIVE_SUPPORT),
+        unit_spec(jump_right=WOBBLE, jump_left=WOBBLE, window_initial=1.0, max_window=2.0),
+    )
+
+
+def assert_rows_exact(edges, values):
+    """Kernel intervals, extremes and predicates of every row against the
+    set functions applied to the row's own StepFunction1D; returns the
+    rows' argmin sets."""
+    row, lo, hi = _argmin_cells(edges, values)
+    rows = _ArgminRows.from_cells(row, lo, hi)
+    smallest, largest = rows.smallest(), rows.largest()
+    hit_flags = [rows.hits(e) for e in CLOSED_MENU]
+    within_flags = [rows.within(g) for g in OPEN_MENU]
+    sets = []
+    for r in range(edges.shape[0]):
+        a = argmin_set(StepFunction1D(*_row_function(edges[r], values[r])))
+        got = list(zip(lo[row == r].tolist(), hi[row == r].tolist()))
+        assert got == [(b.lo[0], b.hi[0]) for b in a.boxes]
+        if a.bounded:
+            assert (smallest[r],) == sargmin(a) and (largest[r],) == largmin(a)
+        for e, flags in zip(CLOSED_MENU, hit_flags):
+            assert flags[r] == hits(a, e)
+        for g, flags in zip(OPEN_MENU, within_flags):
+            assert flags[r] == contained_in_open(a, g)
+        sets.append(a)
+    return sets
+
+
+class TestBlockKernel:
+    def test_rows_match_set_functions(self):
+        several = boundary = 0
+        for spec in kernel_specs():
+            w = spec.max_window
+            for b in range(4):
+                for a in assert_rows_exact(*_draw_block(spec, substream(11, b), _BLOCK)):
+                    several += len(a.boxes) > 1
+                    boundary += not (-w < a.boxes[0].lo[0] and a.boxes[-1].hi[0] < w)
+        # the corpus must exercise ties and boundary rows
+        assert several >= 20 and boundary >= 20
+
+    def test_top_up_rows(self, monkeypatch):
+        # two gaps per row force every row through several top-up rounds;
+        # arrival counts must stay Poisson and the rows exact
+        monkeypatch.setattr(cpoisson, "_gap_count", lambda rate, horizon: 2)
+        spec = unit_spec(
+            rate_right=5.0, jump_right=INTEGER_TIES, window_initial=4.0, max_window=4.0
+        )
+        counts = []
+        for b in range(40):
+            edges, values = _draw_block(spec, substream(5, b), _BLOCK)
+            if b < 4:
+                assert_rows_exact(edges, values)
+            for r in range(_BLOCK):
+                bp, _ = _row_function(edges[r], values[r])
+                counts.append(int(np.sum((bp > 0.0) & (bp <= 4.0))))
+        counts = np.array(counts, dtype=float)
+        lam = 20.0
+        assert abs(counts.mean() - lam) <= 5 * math.sqrt(lam / counts.size)
+        assert abs(counts.var() - lam) <= 5 * math.sqrt((lam + 2 * lam * lam) / counts.size)
+
+    def test_zero_width_gap(self):
+        # right arrivals at 1, 2, 2, 3 with jumps -1, +3, -3, +5: the cell
+        # between the two arrivals at 2 has no width, so its value 2 is no
+        # part of the trajectory and the minimal cells on either side of it
+        # form one interval
+        edges = np.array([[-INF, -2.0, -1.0, 1.0, 2.0, 2.0, 3.0, INF]])
+        values = np.array([[2.0, 1.0, 0.0, -1.0, 2.0, -1.0, 4.0]])
+        breaks, vals = _row_function(edges[0], values[0])
+        assert breaks.tolist() == [-2.0, -1.0, 1.0, 2.0, 3.0]
+        assert vals.tolist() == [2.0, 1.0, 0.0, -1.0, -1.0, 4.0]
+        row, lo, hi = _argmin_cells(edges, values)
+        assert list(zip(lo.tolist(), hi.tolist())) == [(1.0, 3.0)]
+        assert_rows_exact(edges, values)
+        # a zero-width cell below the minimum of the real cells is ignored
+        values = np.array([[2.0, 1.0, 0.0, 1.0, -5.0, 1.0, 6.0]])
+        row, lo, hi = _argmin_cells(edges, values)
+        assert list(zip(lo.tolist(), hi.tolist())) == [(-1.0, 1.0)]
+        assert_rows_exact(edges, values)
+
+
+class TestStreamLayout:
+    def test_prefix_property(self):
+        spec = unit_spec(jump_right=NEGATIVE_SUPPORT, jump_left=NEGATIVE_SUPPORT)
+        long_run = sample_extreme_minimizers(spec, 2000, 31)
+        assert any(s.redraws for s in long_run[:1000])
+        assert long_run[:1000] == sample_extreme_minimizers(spec, 1000, 31)
+        point = unit_spec()
+        assert sample_extreme_minimizers(point, 200, 31)[:100] == (
+            sample_extreme_minimizers(point, 100, 31)
+        )
+
+    def test_orthant_identities_on_shared_seed(self):
+        for spec in kernel_specs()[:2]:
+            samples = sample_extreme_minimizers(spec, 500, 44)
+            lo = np.array([s.xi_min for s in samples])
+            hi = np.array([s.xi_max for s in samples])
+            for x in (-1.5, -0.25, 0.0, 0.7, 2.0):
+                cap = estimate_capacity(spec, closed((-INF, x)), 500, 44)
+                cont = estimate_containment(spec, opened((-INF, x)), 500, 44)
+                assert cap.value == float(np.mean(lo <= x))
+                assert cont.value == float(np.mean(hi < x))
 
 
 class TestIntervalBounds:
