@@ -13,6 +13,7 @@ from stepargmin.experiments import (
     ClosedSetTuple,
     OpenSetTuple,
     VerificationConfig,
+    fit_table,
     tail_probability_table,
     verify_limit_bounds,
 )
@@ -66,9 +67,10 @@ def main():
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    report = verify_limit_bounds(config, workers=args.workers)
+    fits = fit_table(config, workers=args.workers)
+    report = verify_limit_bounds(config, workers=args.workers, fits=fits)
     (out / "inequalities.csv").write_text(report.to_csv())
-    tails = tail_probability_table(config, workers=args.workers)
+    tails = tail_probability_table(config, fits=fits)
     (out / "tails.csv").write_text(tails.to_csv())
     summary = (
         f"inequalities = {'pass' if report.passed else 'fail'}\n"

@@ -195,6 +195,20 @@ def _fit_arrays(model, k, n, master, tag, reps, workers):
     return xi, aux, sigmas
 
 
+def _data_fits(config, n, workers):
+    return _fit_arrays(
+        config.model, config.k, n, config.master_seed, _TAG_DATA, config.replications_data, workers
+    )
+
+
+def fit_table(config, workers=1):
+    """{n: (xi, aux, sigmas)} for every n in the grid: rescaled deviations
+    and plug-in level scales of the data fits, one row per replication.
+    Passed as `fits=` to the verify harnesses, it lets a run fit each
+    dataset once."""
+    return {n: _data_fits(config, n, workers) for n in config.n_grid}
+
+
 def _limit_worker(args, lo, hi):
     spec, seed, closed_menu, open_menu = args
     rows = _accepted_rows(spec, seed, lo, hi)
@@ -368,17 +382,16 @@ def _sigmas_for(config, fit_sigmas_at_largest):
     return tuple(float(v) for v in np.mean(fit_sigmas_at_largest, axis=0))
 
 
-def verify_limit_bounds(config, workers=1):
+def verify_limit_bounds(config, workers=1, *, fits=None):
     """Empirical check that hitting/containment functionals of the limit
     argmin sets bound the deviation probabilities of the fitted breakpoints:
     closed-set rows must not exceed the capacity side, open-set rows must
     not fall below the containment side, judged at the largest sample size
-    with a standard-error slack."""
+    with a standard-error slack.  `fits` is the run's `fit_table`, built
+    here when omitted."""
     reps = config.replications_data
-    fits = {
-        n: _fit_arrays(config.model, config.k, n, config.master_seed, _TAG_DATA, reps, workers)
-        for n in config.n_grid
-    }
+    if fits is None:
+        fits = fit_table(config, workers)
     n_max = max(config.n_grid)
     sigmas = _sigmas_for(config, fits[n_max][2])
     if config.rhs_mode == "derived":
@@ -449,16 +462,16 @@ class TailTable:
         return "\n".join(lines) + "\n"
 
 
-def tail_probability_table(config, workers=1):
+def tail_probability_table(config, workers=1, *, fits=None):
     """Empirical survival probabilities of the sup-norm of the rescaled
-    breakpoint deviations over the configured threshold grid."""
-    reps = config.replications_data
+    breakpoint deviations over the configured threshold grid.  `fits` is
+    the run's `fit_table`, built here when omitted."""
+    if fits is None:
+        fits = fit_table(config, workers)
     rows = []
     verdicts = []
     for n in config.n_grid:
-        xi, _, _ = _fit_arrays(
-            config.model, config.k, n, config.master_seed, _TAG_DATA, reps, workers
-        )
+        xi, _, _ = fits[n]
         sup = np.max(np.abs(xi), axis=1)
         for a in config.tail_grid:
             rows.append((n, float(a), float(np.mean(sup > a))))
@@ -500,17 +513,16 @@ class ProductFormTable:
         return "\n".join(lines) + "\n"
 
 
-def product_form_check(config, workers=1):
+def product_form_check(config, workers=1, *, fits=None):
     """Joint probability versus the product of its marginals at the largest
     sample size, over the configured set menu; the same replication set
-    feeds both sides."""
+    feeds both sides.  `fits` is the run's `fit_table`; when omitted, only
+    the largest sample size is fitted."""
     if config.k < 2:
         raise ConfigError("product-form check needs k >= 2")
     reps = config.replications_data
     n = max(config.n_grid)
-    xi, aux, _ = _fit_arrays(
-        config.model, config.k, n, config.master_seed, _TAG_DATA, reps, workers
-    )
+    xi, aux, _ = fits[n] if fits is not None else _data_fits(config, n, workers)
     rows = []
     for st in config.closed_sets:
         margins = [_points_in_closed(xi[:, j], st.fsets[j]) for j in range(config.k)]

@@ -144,13 +144,20 @@ class FitResult:
 
 
 def _blocks(data):
+    # prefix sums of y minus its middle order statistic: segment costs are
+    # translation-invariant, so the shift only removes the cancellation in
+    # sq - tot^2/n that a large offset in y would cause, and integer y
+    # stays integer
     order = np.argsort(data.x, kind="stable")
     xs = data.x[order]
     ys = data.y[order]
-    vals, starts = np.unique(xs, return_index=True)
+    mid = ys.size // 2
+    yc = ys - np.partition(ys, mid)[mid]
+    starts = np.flatnonzero(np.concatenate(([True], xs[1:] != xs[:-1])))
+    vals = xs[starts]
     cum_n = np.append(starts, xs.size).astype(np.int64)
-    cum_s = np.concatenate(([0.0], np.cumsum(np.add.reduceat(ys, starts))))
-    cum_q = np.concatenate(([0.0], np.cumsum(np.add.reduceat(ys * ys, starts))))
+    cum_s = np.concatenate(([0.0], np.cumsum(np.add.reduceat(yc, starts))))
+    cum_q = np.concatenate(([0.0], np.cumsum(np.add.reduceat(yc * yc, starts))))
     return vals, ys, cum_n, cum_s, cum_q
 
 
@@ -162,6 +169,38 @@ def _cost_row(s, cum_n, cum_s, cum_q):
     tot = cum_s[s + 1 :] - cum_s[s]
     sq = cum_q[s + 1 :] - cum_q[s]
     return sq - (tot * tot) / n
+
+
+# cells per chunk of the k >= 2 suffix sweep: 64 KB per float64
+# temporary, which stays on the heap instead of a fresh mmap per layer
+_CHUNK_CELLS = 8192
+
+
+def _suffix_layer(nxt, cmax, cum_n, cum_s, cum_q):
+    """out[s] = min over s <= c <= cmax of cost(s, c) + nxt[c + 1], and inf
+    for s > cmax.  Rows are swept in chunks [r0, r1) against the columns
+    r0..cmax, so memory is O(m + _CHUNK_CELLS) (one row when a row alone
+    is wider); the cost is the `_cost_row` expression, so every entry is
+    bit-identical to what tie extraction recomputes."""
+    out = np.full(nxt.size, np.inf)
+    r0 = 0
+    while r0 <= cmax:
+        r1 = min(cmax + 1, r0 + max(1, _CHUNK_CELLS // (cmax + 1 - r0)))
+        rows = slice(r0, r1)
+        cols = slice(r0 + 1, cmax + 2)
+        n = cum_n[None, cols] - cum_n[rows, None]
+        tot = cum_s[None, cols] - cum_s[rows, None]
+        cost = cum_q[None, cols] - cum_q[rows, None]
+        tot *= tot
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tot /= n
+        cost -= tot
+        # columns c < s of row s are not segments
+        cost[n <= 0] = np.inf
+        cost += nxt[None, cols]
+        out[rows] = cost.min(axis=1)
+        r0 = r1
+    return out
 
 
 def fit_step(data, k):
@@ -182,17 +221,8 @@ def fit_step(data, k):
     tail_s = cum_s[m] - cum_s[:m]
     tail_q = cum_q[m] - cum_q[:m]
     suffix = {k: tail_q - (tail_s * tail_s) / tail_n}
-    if k >= 2:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            n_mat = cum_n[None, 1:] - cum_n[:-1, None]
-            s_mat = cum_s[None, 1:] - cum_s[:-1, None]
-            q_mat = cum_q[None, 1:] - cum_q[:-1, None]
-            cost_mat = q_mat - (s_mat * s_mat) / n_mat
-        cost_mat[n_mat <= 0] = np.inf
-        for j in range(k - 1, 0, -1):
-            cmax = m - 1 - (k - j)
-            cand = cost_mat[:, : cmax + 1] + suffix[j + 1][None, 1 : cmax + 2]
-            suffix[j] = np.min(cand, axis=1)
+    for j in range(k - 1, 0, -1):
+        suffix[j] = _suffix_layer(suffix[j + 1], m - 1 - (k - j), cum_n, cum_s, cum_q)
 
     tau_idx = []
     s = 0

@@ -147,10 +147,13 @@ def union_membership(union, points):
 def exhaustive_fit(data, k):
     """Enumerates every admissible breakpoint subset; totals are folded from
     the trailing segment so exact-equality comparison against the dynamic
-    program is meaningful.  Returns (total cost, breakpoints)."""
+    program is meaningful; for the same reason y is centred at its middle
+    order statistic before the prefix sums, as in `fit_step`.  Returns
+    (total cost, breakpoints)."""
     order = np.argsort(data.x, kind="stable")
     xs = data.x[order]
     ys = data.y[order]
+    ys = ys - np.sort(ys)[ys.size // 2]
     vals, starts = np.unique(xs, return_index=True)
     cum_n = np.append(starts, xs.size).astype(np.int64)
     cum_s = np.concatenate(([0.0], np.cumsum(np.add.reduceat(ys, starts))))

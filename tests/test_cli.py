@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+from stepargmin import experiments
 from stepargmin.cli import run
 
 SPEC_TEXT = """\
@@ -31,6 +32,22 @@ model.x_law = uniform(0, 1)
 model.noise = gaussian(0, 0.25)
 set closed all = [-inf,inf]
 set open all = (-inf,inf)
+"""
+
+K2_CONFIG_TEXT = """\
+master_seed = 515
+k = 2
+n_grid = 30, 60
+replications_data = 1000
+replications_limit = 1000
+rho = 0.1
+model.tau = 0.3333333333333333, 0.6666666666666666
+model.alpha = 0, 1, 0
+model.x_law = uniform(0, 1)
+model.noise = gaussian(0, 0.25)
+set closed lower-both = [-inf,0] | [-inf,0]
+set closed lower-aux = [-inf,0] | [-inf,0] @ [-0.75,0.75] | [-0.75,0.75] | [-0.75,0.75]
+set open win-both = (-4,4) | (-4,4)
 """
 
 GOOD_CSV = "x,y\n1.0,0.0\n2.0,0.0\n3.0,1.0\n4.0,1.0\n"
@@ -195,6 +212,38 @@ class TestVerify:
         code = run(["verify", "--config", str(workdir / "cfg_fail.txt"), "--out", str(out)])
         assert code == 1
         assert "verdict = fail" in (out / "summary.txt").read_text()
+
+
+class TestVerifyFitsOnce:
+    REPORTS = ("inequalities.csv", "tails.csv", "product_form.csv")
+
+    def test_each_dataset_fitted_once(self, workdir, monkeypatch):
+        calls = []
+        fit_step = experiments.fit_step
+
+        def counting(data, k):
+            calls.append(data.n)
+            return fit_step(data, k)
+
+        monkeypatch.setattr(experiments, "fit_step", counting)
+        (workdir / "k2.txt").write_text(K2_CONFIG_TEXT)
+        out = workdir / "k2_out"
+        assert run(["verify", "--config", str(workdir / "k2.txt"), "--out", str(out)]) == 0
+        assert sorted(calls) == [30] * 1000 + [60] * 1000
+
+    def test_reports_match_public_functions(self, workdir):
+        (workdir / "k2.txt").write_text(K2_CONFIG_TEXT)
+        out = workdir / "k2_out"
+        assert run(["verify", "--config", str(workdir / "k2.txt"), "--out", str(out)]) == 0
+        config = experiments.parse_verification_config(K2_CONFIG_TEXT)
+        expected = {
+            "inequalities.csv": experiments.verify_limit_bounds(config).to_csv(),
+            "tails.csv": experiments.tail_probability_table(config).to_csv(),
+            "product_form.csv": experiments.product_form_check(config).to_csv(),
+        }
+        assert read_reports(out, self.REPORTS) == {
+            name: text.encode("utf-8") for name, text in expected.items()
+        }
 
 
 class TestCoverage:

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from corpus import exhaustive_fit
+from stepargmin import stepfit
 from stepargmin.argmin import argmin_set, hits, point_box
 from stepargmin.cpoisson import InvalidSpecError, JumpLaw
 from stepargmin.stepfit import (
@@ -141,6 +143,93 @@ class TestFitStep:
         rng = np.random.default_rng(12)
         d = random_dataset(rng, 40, 15)
         assert fit_step(d, 2) == fit_step(d, 2)
+
+
+def _last_layer_inputs(data):
+    # arguments of the k=2 fit's one suffix layer: the trailing-segment
+    # costs and the last admissible first breakpoint
+    vals, _, cum_n, cum_s, cum_q = stepfit._blocks(data)
+    m = vals.size
+    tail_s = cum_s[m] - cum_s[:m]
+    tail = (cum_q[m] - cum_q[:m]) - (tail_s * tail_s) / (cum_n[m] - cum_n[:m])
+    return tail, m - 2, cum_n, cum_s, cum_q
+
+
+class TestTranslationInvariance:
+    # on this dataset, uncentred prefix sums move the k=1 breakpoint from
+    # 0.36929 to 0.37424 at y + 1e8
+    @pytest.mark.parametrize("offset", [1e6, 1e8])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_offset_keeps_breakpoints(self, offset, k):
+        model = pure_step_model((0.37,), (0.0, 1.0), UNIFORM01, NoiseLaw("gaussian", (0.0, 0.25)))
+        d = synthesize(model, 200, 3)
+        shifted = Dataset(d.x, d.y + offset)
+        assert fit_step(shifted, k).tau == fit_step(d, k).tau
+
+    def test_integer_offset_exact(self):
+        rng = np.random.default_rng(31)
+        for _ in range(40):
+            d = random_dataset(rng, 20, 8)
+            shifted = Dataset(d.x, d.y + 1e9)
+            for k in range(4):
+                fit = fit_step(d, k)
+                assert fit_step(shifted, k).tau == fit.tau
+
+
+class TestChunkedSuffixSweep:
+    # 1 cell gives one-row chunks; 7 cells one-row chunks until rows are 3
+    # wide, then chunks of 2, 3 and 7 rows; 64 cells several rows with a
+    # masked lower triangle
+    @pytest.mark.parametrize("cells", [1, 7, 64])
+    def test_matches_exhaustive(self, monkeypatch, cells):
+        monkeypatch.setattr(stepfit, "_CHUNK_CELLS", cells)
+        rng = np.random.default_rng(41)
+        for _ in range(60):
+            n = int(rng.integers(5, 13))
+            d = random_dataset(rng, n, int(rng.integers(4, n + 1)))
+            for k in range(1, 4):
+                if np.unique(d.x).size < k + 1:
+                    continue
+                assert fit_step(d, k).tau == exhaustive_fit(d, k)[1]
+
+    @pytest.mark.parametrize("cells", [1, 7, 64])
+    def test_layers_bit_identical(self, monkeypatch, cells):
+        model = pure_step_model(
+            (1.0 / 3.0, 2.0 / 3.0), (0.0, 1.0, 0.0), UNIFORM01, NoiseLaw("gaussian", (0.0, 0.25))
+        )
+        d = synthesize(model, 300, 17)
+        fits = {k: fit_step(d, k) for k in (2, 3)}
+        layer = stepfit._suffix_layer(*_last_layer_inputs(d))
+        monkeypatch.setattr(stepfit, "_CHUNK_CELLS", cells)
+        assert np.array_equal(stepfit._suffix_layer(*_last_layer_inputs(d)), layer)
+        for k, fit in fits.items():
+            assert fit_step(d, k) == fit
+
+    def test_layer_matches_full_matrix(self):
+        rng = np.random.default_rng(43)
+        d = Dataset(rng.uniform(size=120), rng.normal(size=120))
+        nxt, cmax, cum_n, cum_s, cum_q = _last_layer_inputs(d)
+        m = nxt.size
+        full = np.full((m, m), np.inf)
+        for s in range(cmax + 1):
+            row = stepfit._cost_row(s, cum_n, cum_s, cum_q)[: cmax - s + 1]
+            full[s, s : cmax + 1] = row + nxt[s + 1 : cmax + 2]
+        assert np.array_equal(stepfit._suffix_layer(nxt, cmax, cum_n, cum_s, cum_q), full.min(axis=1))
+
+    def test_memory_is_linear(self):
+        model = pure_step_model(
+            (1.0 / 3.0, 2.0 / 3.0), (0.0, 1.0, 0.0), UNIFORM01, NoiseLaw("gaussian", (0.0, 0.25))
+        )
+        d = synthesize(model, 3000, 19)
+        assert np.unique(d.x).size == 3000
+        tracemalloc.start()
+        try:
+            fit_step(d, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a 3000 x 3000 float64 matrix alone is 72 MB
+        assert peak < 4 * 2**20
 
 
 class TestRescaledProcess:
