@@ -10,7 +10,9 @@ value.  All comparisons are exact; no tolerances enter set membership.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -71,11 +73,14 @@ class Box:
         return None if box.is_empty else box
 
     def is_subset_of(self, other):
-        if self.is_empty:
-            return True
-        return all(o <= s for o, s in zip(other.lo, self.lo)) and all(
-            s <= o for s, o in zip(self.hi, other.hi)
-        )
+        return self.is_empty or _nested(self, other)
+
+
+def _nested(inner, outer):
+    # subset test for a nonempty inner box
+    return all(o <= s for o, s in zip(outer.lo, inner.lo)) and all(
+        s <= o for s, o in zip(inner.hi, outer.hi)
+    )
 
 
 def box1(lo, hi):
@@ -101,10 +106,11 @@ def _merge_intervals(boxes):
 
 
 def _eliminate_subsets(boxes):
+    # every box here is nonempty, so the subset test skips is_empty
     kept = []
     for i, box in enumerate(boxes):
         redundant = any(
-            box.is_subset_of(other) and not (other.is_subset_of(box) and j > i)
+            _nested(box, other) and not (_nested(other, box) and j > i)
             for j, other in enumerate(boxes)
             if j != i
         )
@@ -168,12 +174,17 @@ def box_union(dim, boxes):
     return BoxUnion(dim, tuple(boxes))
 
 
-def _parse_interval(token):
+def _parse_interval(token, brackets="[]", error=ValueError):
+    """(lo, hi) of a token such as '[lo,hi]' or '(lo,hi)', with the given
+    bracket pair; a malformed token raises ``error`` naming the token."""
     token = token.strip()
-    if not (token.startswith("[") and token.endswith("]")):
-        raise ValueError(f"bad interval token: {token!r}")
-    lo_s, hi_s = token[1:-1].split(",")
-    return float(lo_s), float(hi_s)
+    parts = token[1:-1].split(",")
+    if token[:1] + token[-1:] != brackets or len(parts) != 2:
+        raise error(f"expected interval '{brackets[0]}lo,hi{brackets[1]}', got {token!r}")
+    try:
+        return float(parts[0]), float(parts[1])
+    except ValueError:
+        raise error(f"bad number in interval {token!r}") from None
 
 
 def box_union_from_text(text, dim=None):
@@ -348,6 +359,8 @@ def largmin(union):
 
 def hits(a, e):
     """True iff the two closed unions intersect."""
+    if a.dim != e.dim:
+        raise ValueError("dimension mismatch")
     return any(
         box_a.intersect(box_e) is not None for box_a in a.boxes for box_e in e.boxes
     )
@@ -384,47 +397,54 @@ def closed_complement(g):
     return BoxUnion(dim, tuple(current))
 
 
-def _point_covered_1d(c, intervals):
-    if c == -INF:
-        return max((hi for lo, hi in intervals if lo == -INF), default=None)
-    if c == INF:
-        return INF if any(hi == INF for _, hi in intervals) else None
-    best = None
-    for lo, hi in intervals:
-        if lo < c < hi and (best is None or hi > best):
-            best = hi
-    return best
-
-
-def _interval_covered_1d(a, b, intervals):
-    # greedy sweep over open covers of the closed interval [a, b]
-    cursor = a
-    for _ in range(len(intervals) + 1):
-        best = _point_covered_1d(cursor, intervals)
-        if best is None:
-            return False
-        if best > b or (best == INF and b == INF):
-            return True
-        cursor = best
-    return False
-
-
 def contained_in_open(a, g):
     """True iff the closed union lies inside the open union.
 
-    One-dimensional unions use an interval-cover sweep; higher dimensions
-    reduce to a hit test against the closed complement.
+    Each axis is cut at the finite endpoints of g into atoms, the cut points
+    and the open gaps between them.  A product of atoms lies wholly inside
+    or outside each open box, so a lies in g iff none of its boxes meets an
+    atom that no box of g covers.  Exact in every dimension.
     """
     if a.is_empty:
         return True
     if a.dim != g.dim:
         raise ValueError("dimension mismatch")
-    if a.dim == 1:
-        intervals = [(b.lo[0], b.hi[0]) for b in g.boxes]
-        return all(
-            _interval_covered_1d(box.lo[0], box.hi[0], intervals) for box in a.boxes
-        )
-    return not hits(a, closed_complement(g))
+    dim = a.dim
+    # the ray below cuts[i][0] is atom 0 of axis i, cuts[i][p] is atom
+    # 2p + 1 and the open gap above it atom 2p + 2
+    cuts = [
+        sorted({v for b in g.boxes for v in (b.lo[i], b.hi[i])} - {INF, -INF})
+        for i in range(dim)
+    ]
+    table = np.zeros([2 * len(c) + 2 for c in cuts], dtype=np.int64)
+    uncovered = table[(slice(1, None),) * dim]
+    uncovered.fill(1)
+    for box in g.boxes:
+        # (l, h) holds the atoms from the one above l to the one below h
+        uncovered[
+            tuple(
+                slice(2 * bisect_right(c, l), 2 * bisect_left(c, h) + 1)
+                for c, l, h in zip(cuts, box.lo, box.hi)
+            )
+        ] = 0
+    # now table[j] counts the uncovered atoms below the index vector j
+    for i in range(dim):
+        table.cumsum(axis=i, out=table)
+    # a closed box meets the atoms from the one holding its lower corner to
+    # the one holding its upper corner; x lies in atom left + right
+    ends = np.array([b.lo + b.hi for b in a.boxes])
+    bounds = []
+    for i, c in enumerate(cuts):
+        c, x = np.array(c), ends[:, i::dim]
+        index = c.searchsorted(x) + c.searchsorted(x, "right")
+        bounds.append((index[:, 0], index[:, 1] + 1))
+    # inclusion-exclusion over the 2**dim corners counts the uncovered
+    # atoms each box meets; the counts are >= 0, so a sum of 0 means none
+    met = 0
+    for upper in product((0, 1), repeat=dim):
+        corner = tuple(b[u] for b, u in zip(bounds, upper))
+        met += (-1) ** (dim - sum(upper)) * table[corner].sum()
+    return not met
 
 
 def lower_orthant_closed(x):

@@ -19,6 +19,7 @@ from stepargmin.argmin import (
     BoxUnion,
     OpenBox,
     OpenBoxUnion,
+    _parse_interval,
     argmin_set,
     hits,
     point_box,
@@ -698,27 +699,11 @@ _REQUIRED_KEYS = (
 )
 
 
-def _parse_closed_interval(token):
-    token = token.strip()
-    if not (token.startswith("[") and token.endswith("]")):
-        raise ConfigError(f"expected closed interval '[lo,hi]', got {token!r}")
-    lo_s, hi_s = token[1:-1].split(",")
-    return float(lo_s), float(hi_s)
-
-
-def _parse_open_interval(token):
-    token = token.strip()
-    if not (token.startswith("(") and token.endswith(")")):
-        raise ConfigError(f"expected open interval '(lo,hi)', got {token!r}")
-    lo_s, hi_s = token[1:-1].split(",")
-    return float(lo_s), float(hi_s)
-
-
 def parse_closed_set_1d(text):
     boxes = []
     for token in text.split(";"):
         if token.strip():
-            lo, hi = _parse_closed_interval(token)
+            lo, hi = _parse_interval(token, "[]", ConfigError)
             boxes.append(Box((lo,), (hi,)))
     return BoxUnion(1, tuple(boxes))
 
@@ -727,7 +712,7 @@ def parse_open_set_1d(text):
     boxes = []
     for token in text.split(";"):
         if token.strip():
-            lo, hi = _parse_open_interval(token)
+            lo, hi = _parse_interval(token, "()", ConfigError)
             boxes.append(OpenBox((lo,), (hi,)))
     return OpenBoxUnion(1, tuple(boxes))
 
@@ -739,7 +724,7 @@ def _parse_aux(text, k):
     parts = [p for p in text.split("|") if p.strip()]
     if len(parts) != k + 1:
         raise ConfigError(f"aux box needs {k + 1} intervals or 'full'")
-    return tuple(_parse_closed_interval(p) for p in parts)
+    return tuple(_parse_interval(p, "[]", ConfigError) for p in parts)
 
 
 def _parse_set_line(kind, name, body, k):

@@ -18,7 +18,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from stepargmin.cpoisson import CompoundPoissonSpec, InvalidSpecError, JumpLaw
-from stepargmin.stepfun import GridFunction, StepFunction1D
+from stepargmin.stepfun import GridFunction, StepFunction1D, _readonly
 
 
 class EmptySegmentError(ValueError):
@@ -41,12 +41,6 @@ class DatasetFormatError(ValueError):
     def __init__(self, message, line=None):
         super().__init__(message)
         self.line = line
-
-
-def _readonly(values):
-    arr = np.array(values, dtype=float)
-    arr.setflags(write=False)
-    return arr
 
 
 @dataclass(frozen=True, eq=False)

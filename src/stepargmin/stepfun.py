@@ -20,8 +20,8 @@ GE = ">="
 _SIDE = {LT: "left", GE: "right"}
 
 
-def _readonly(values, dtype=float):
-    arr = np.array(values, dtype=dtype)
+def _readonly(values):
+    arr = np.array(values, dtype=float)
     arr.setflags(write=False)
     return arr
 

@@ -7,6 +7,7 @@ from corpus import (
     random_function,
     union_membership,
 )
+from stepargmin import argmin as argmin_module
 from stepargmin.argmin import (
     INF,
     Box,
@@ -124,6 +125,13 @@ class TestHits:
     def test_empty_never_hits(self):
         assert not hits(BoxUnion(1, ()), BoxUnion(1, (interval(-INF, INF),)))
 
+    def test_dimension_mismatch(self):
+        a = BoxUnion(2, (Box((0.0, 0.0), (1.0, 1.0)),))
+        with pytest.raises(ValueError, match="dimension"):
+            hits(a, BoxUnion(1, (interval(0.5, 0.6),)))
+        with pytest.raises(ValueError, match="dimension"):
+            hits(BoxUnion(1, (interval(0.5, 0.6),)), a)
+
 
 class TestContainment:
     def test_examples(self):
@@ -156,21 +164,71 @@ class TestContainment:
         g = OpenBoxUnion(2, (OpenBox((-INF, -INF), (INF, INF)),))
         assert closed_complement(g).is_empty
 
+    @staticmethod
+    def _random_union(rng, dim, closed):
+        # endpoints on a coarse lattice, so boxes touch and share endpoints;
+        # some are infinite (open boxes more often, so that containment is
+        # not rare in 3-D) and some closed boxes are degenerate (lo == hi)
+        lattice = np.arange(-2.0, 2.5, 0.5)
+        p_inf = 0.1 if closed else 0.4
+        boxes = []
+        for _ in range(rng.integers(0, 5)):
+            lo, hi = [], []
+            for _ in range(dim):
+                a, b = np.sort(rng.choice(lattice, size=2))
+                if closed and rng.random() < 0.2:
+                    b = a
+                lo.append(-INF if rng.random() < p_inf else a)
+                hi.append(INF if rng.random() < p_inf else b)
+            boxes.append((Box if closed else OpenBox)(tuple(lo), tuple(hi)))
+        return (BoxUnion if closed else OpenBoxUnion)(dim, tuple(boxes))
+
     def test_duality_random(self):
-        rng = np.random.default_rng(11)
-        lattice = np.arange(-4.0, 4.5, 0.5)
-        for _ in range(300):
-            a_boxes = []
-            for _ in range(rng.integers(0, 4)):
-                lo, hi = np.sort(rng.choice(lattice, size=2, replace=False))
-                a_boxes.append(interval(lo, hi))
-            a = BoxUnion(1, tuple(a_boxes))
-            g_boxes = []
-            for _ in range(rng.integers(0, 4)):
-                lo, hi = np.sort(rng.choice(lattice, size=2, replace=False))
-                g_boxes.append(open_interval(lo, hi))
-            g = OpenBoxUnion(1, tuple(g_boxes))
-            assert contained_in_open(a, g) == (not hits(a, closed_complement(g)))
+        for dim in (1, 2, 3):
+            rng = np.random.default_rng((11, dim))
+            inside = 0
+            for _ in range(1500):
+                a = self._random_union(rng, dim, closed=True)
+                g = self._random_union(rng, dim, closed=False)
+                expected = not hits(a, closed_complement(g))
+                assert contained_in_open(a, g) == expected
+                inside += expected and not a.is_empty
+            assert inside >= 50
+
+    def test_touching_and_infinite_covers(self):
+        g = OpenBoxUnion(
+            2, (OpenBox((-INF, 0.0), (1.0, 2.0)), OpenBox((0.5, 0.0), (INF, 2.0)))
+        )
+        assert contained_in_open(BoxUnion(2, (Box((-5.0, 1.0), (9.0, 1.5)),)), g)
+        assert not contained_in_open(BoxUnion(2, (Box((-5.0, 0.0), (9.0, 1.5)),)), g)
+        assert contained_in_open(BoxUnion(2, (Box((1.0, 1.0), (1.0, 1.0)),)), g)
+        ray = BoxUnion(2, (Box((3.0, 0.5), (INF, 1.0)),))
+        assert contained_in_open(ray, g)
+        assert not contained_in_open(ray, OpenBoxUnion(2, (OpenBox((0.5, 0.0), (9.0, 2.0)),)))
+        # (0, 1) and (1, 2) leave the point 1 uncovered
+        split = OpenBoxUnion(1, (open_interval(0.0, 1.0), open_interval(1.0, 2.0)))
+        assert not contained_in_open(BoxUnion(1, (interval(0.5, 1.5),)), split)
+        assert contained_in_open(BoxUnion(1, (interval(0.5, 0.9), interval(1.1, 1.5))), split)
+
+    def test_never_builds_the_complement(self, monkeypatch):
+        def refuse(g):
+            raise AssertionError("closed_complement called")
+
+        monkeypatch.setattr(argmin_module, "closed_complement", refuse)
+        rng = np.random.default_rng(5)
+        for dim in (1, 2, 3):
+            for _ in range(50):
+                argmin_module.contained_in_open(
+                    self._random_union(rng, dim, closed=True),
+                    self._random_union(rng, dim, closed=False),
+                )
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError):
+            contained_in_open(
+                BoxUnion(2, (Box((0.0, 0.0), (1.0, 1.0)),)),
+                OpenBoxUnion(1, (open_interval(0.0, 1.0),)),
+            )
 
     def test_containment_2d_complement_route(self):
         a = BoxUnion(2, (Box((0.0, 0.0), (1.0, 1.0)),))
@@ -271,3 +329,9 @@ class TestSerialization:
         assert parsed == u
         with pytest.raises(ValueError):
             box_union_from_text("")
+
+    @pytest.mark.parametrize("token", ["[1,2,3]", "[1;2]", "(1,2)", "[1,x]", "[]"])
+    def test_malformed_token_named(self, token):
+        with pytest.raises(ValueError) as info:
+            box_union_from_text(f"[0,1] {token}")
+        assert repr(token) in str(info.value)

@@ -141,6 +141,16 @@ class TestCapacity:
         assert code == 2
         assert "replications" in capsys.readouterr().err
 
+    # ';' separates intervals, so "[1;2]" fails on its first piece "[1"
+    @pytest.mark.parametrize("arg, token", [("[1,2,3]", "'[1,2,3]'"), ("[1;2]", "'[1'")])
+    def test_malformed_set_exit_2(self, workdir, capsys, arg, token):
+        code = run(
+            ["capacity", "--spec", str(workdir / "spec.txt"), "--set", arg,
+             "--reps", "100", "--seed", "5"]
+        )
+        assert code == 2
+        assert f"expected interval '[lo,hi]', got {token}" in capsys.readouterr().err
+
 
 class TestWorkers:
     @pytest.mark.parametrize("workers", ["0", "-3"])

@@ -304,6 +304,21 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_verification_config(CONFIG_TEXT + "\nset diagonal thing = [-1,1]\n")
 
+    @pytest.mark.parametrize(
+        "line, token",
+        [
+            ("set closed c = [1,2,3]", "[1,2,3]"),
+            ("set closed c = [1,x]", "[1,x]"),
+            ("set open o = (1,2,3)", "(1,2,3)"),
+            ("set open o = [1,2]", "[1,2]"),
+            ("set closed c = [0,1] @ [1,2,3] | [0,1]", "[1,2,3]"),
+        ],
+    )
+    def test_malformed_interval_named(self, line, token):
+        with pytest.raises(ConfigError) as info:
+            parse_verification_config(CONFIG_TEXT + "\n" + line + "\n")
+        assert repr(token) in str(info.value)
+
     def test_replication_floor(self):
         with pytest.raises(ConfigError):
             k1_config(replications_data=10)
