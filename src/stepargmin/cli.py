@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from stepargmin import __version__
 from stepargmin.cpoisson import (
-    InvalidSpecError,
     TooManyRedrawsError,
     estimate_capacity,
     sample_extreme_minimizers,
@@ -23,7 +23,6 @@ from stepargmin.cpoisson import (
     spec_from_text,
 )
 from stepargmin.experiments import (
-    ConfigError,
     coverage_experiment,
     fit_table,
     parse_closed_set_1d,
@@ -33,7 +32,6 @@ from stepargmin.experiments import (
     verify_limit_bounds,
 )
 from stepargmin.stepfit import (
-    DatasetFormatError,
     StepModel,
     TooFewDistinctXError,
     dataset_from_csv,
@@ -123,8 +121,6 @@ def _cmd_capacity(args):
 def _load_config(args):
     config = parse_verification_config(Path(args.config).read_text())
     if args.seed is not None:
-        from dataclasses import replace
-
         config = replace(config, master_seed=args.seed)
     return config
 
@@ -175,8 +171,7 @@ def build_parser():
     def common(p, need_out=True):
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--workers", type=int, default=1)
-        if need_out:
-            p.add_argument("--out", required=True)
+        p.add_argument("--out", required=need_out)
 
     p_fit = sub.add_parser("fit", help="least-squares k-jump step fit of a CSV dataset")
     p_fit.add_argument("--data", required=True)
@@ -194,9 +189,7 @@ def build_parser():
     p_cap.add_argument("--spec", required=True)
     p_cap.add_argument("--set", required=True)
     p_cap.add_argument("--reps", type=int, required=True)
-    p_cap.add_argument("--seed", type=int, default=None)
-    p_cap.add_argument("--workers", type=int, default=1)
-    p_cap.add_argument("--out", default=None)
+    common(p_cap, need_out=False)
     p_cap.set_defaults(func=_cmd_capacity)
 
     p_cov = sub.add_parser("coverage", help="confidence-rectangle coverage experiment")
@@ -220,22 +213,13 @@ def run(argv=None):
         return EXIT_INPUT
     try:
         return args.func(args)
-    except DatasetFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except TooFewDistinctXError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA_SHAPE
     except TooManyRedrawsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERDICT
-    except (ConfigError, InvalidSpecError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -19,6 +19,7 @@ import numpy as np
 from stepargmin.argmin import INF, BoxUnion, box1
 from stepargmin.rng import child_seed, run_chunks, substream
 from stepargmin.stepfun import StepFunction1D
+from stepargmin.textfmt import Law, convert, parse_law_token, read_key_values
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT2PI = math.sqrt(2.0 * math.pi)
@@ -40,20 +41,16 @@ class OutOfDomainError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class JumpLaw:
+class JumpLaw(Law):
     """Jump distribution descriptor.
 
     Families: point(c), two_point(v1, v2, p) with P(v1) = p,
     gaussian(mean, sd), shifted_exp(shift, scale), empirical(samples...).
     """
 
-    family: str
-    params: tuple
-
     def __post_init__(self):
-        params = tuple(float(p) for p in self.params)
-        object.__setattr__(self, "params", params)
+        super().__post_init__()
+        params = self.params
         if self.family not in ("point", "two_point", "gaussian", "shifted_exp", "empirical"):
             raise InvalidSpecError(f"unknown jump family {self.family!r}")
         n_expected = {"point": 1, "two_point": 3, "gaussian": 2, "shifted_exp": 2}
@@ -92,17 +89,9 @@ class JumpLaw:
             return p[0] + p[1] * rng.standard_exponential(n)
         return rng.choice(np.asarray(p), size=n, replace=True)
 
-    def to_token(self):
-        return f"{self.family}({', '.join(repr(v) for v in self.params)})"
-
 
 def jump_law_from_token(token):
-    token = token.strip()
-    if "(" not in token or not token.endswith(")"):
-        raise InvalidSpecError(f"bad jump law token: {token!r}")
-    family, rest = token.split("(", 1)
-    params = [float(t) for t in rest[:-1].split(",") if t.strip()]
-    return JumpLaw(family.strip(), tuple(params))
+    return JumpLaw(*parse_law_token(token, InvalidSpecError))
 
 
 @dataclass(frozen=True)
@@ -144,29 +133,26 @@ class CompoundPoissonSpec:
         return "\n".join(lines) + "\n"
 
 
+# the keys of a spec file; the first four are required
+_SPEC_KEYS = (
+    "rate_right",
+    "rate_left",
+    "jump_right",
+    "jump_left",
+    "window_initial",
+    "window_growth",
+    "max_window",
+)
+
+
 def spec_from_text(text):
-    entries = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise InvalidSpecError(f"line {lineno}: expected 'key = value'")
-        key, value = (part.strip() for part in line.split("=", 1))
-        entries[key] = value
-    required = ["rate_right", "rate_left", "jump_right", "jump_left"]
-    for key in required:
-        if key not in entries:
-            raise InvalidSpecError(f"missing required key {key!r}")
-    kwargs = dict(
-        rate_right=float(entries["rate_right"]),
-        rate_left=float(entries["rate_left"]),
-        jump_right=jump_law_from_token(entries["jump_right"]),
-        jump_left=jump_law_from_token(entries["jump_left"]),
-    )
-    for key in ("window_initial", "window_growth", "max_window"):
-        if key in entries:
-            kwargs[key] = float(entries[key])
+    entries = read_key_values(text, _SPEC_KEYS.__contains__, _SPEC_KEYS[:4], InvalidSpecError)
+    kwargs = {}
+    for key, value in entries.items():
+        if key.startswith("jump_"):
+            kwargs[key] = jump_law_from_token(value)
+        else:
+            kwargs[key] = convert(float, value, key, InvalidSpecError)
     return CompoundPoissonSpec(**kwargs)
 
 

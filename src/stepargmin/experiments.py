@@ -10,6 +10,7 @@ streams are indexed so worker count never changes a number.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,7 @@ from stepargmin.stepfit import (
     rescaled_process,
     synthesize,
 )
+from stepargmin.textfmt import convert, floats, parse_law_token, read_key_values
 
 _TAG_DATA = 1
 _TAG_LIMIT = 2
@@ -678,7 +680,7 @@ def membership_report(model, k, n, replications, master_seed, workers=1):
 
 # --- configuration files -------------------------------------------------
 #
-# Structured text, one `key = value` per line, '#' comments.  Set menus:
+# `key = value` lines as textfmt.read_key_values reads them.  Set menus:
 #   set closed <name> = <F_1> | ... | <F_k> [@ <B_1> | ... | <B_{k+1}>]
 #   set open   <name> = <G_1> | ... | <G_k> [@ ...]
 # where each F is closed intervals `[lo,hi]` joined by ';', each G open
@@ -697,6 +699,32 @@ _REQUIRED_KEYS = (
     "model.x_law",
     "model.noise",
 )
+
+# VerificationConfig fields set by a key of the same name, and their kinds
+_FIELD_KINDS = {
+    "master_seed": int,
+    "k": int,
+    "n_grid": floats,
+    "replications_data": int,
+    "replications_limit": int,
+    "rho": float,
+    "mc_slack": float,
+    "rhs_mode": str,
+    "bootstrap_n": int,
+    "tail_grid": floats,
+    "tail_threshold": float,
+    "coverage_n": int,
+    "coverage_replications": int,
+    "coverage_tolerance": float,
+}
+
+_MODEL_KEYS = ("model.tau", "model.alpha", "model.x_law", "model.noise", "model.segments")
+
+_SET_KEY = re.compile(r"set (closed|open) \S+")
+
+
+def _known_key(key):
+    return key in _FIELD_KINDS or key in _MODEL_KEYS or _SET_KEY.fullmatch(key) is not None
 
 
 def parse_closed_set_1d(text):
@@ -741,102 +769,47 @@ def _parse_set_line(kind, name, body, k):
     return OpenSetTuple(name, tuple(parse_open_set_1d(p) for p in parts), aux)
 
 
-def _parse_floats_csv(text):
-    return tuple(float(t) for t in text.split(",") if t.strip())
-
-
-def _parse_law_token(token, cls):
-    token = token.strip()
-    if "(" not in token or not token.endswith(")"):
-        raise ConfigError(f"bad law token {token!r}")
-    family, rest = token.split("(", 1)
-    params = _parse_floats_csv(rest[:-1])
-    return cls(family.strip(), params)
-
-
-def _parse_segments(token):
+def _parse_segments(text):
     segs = []
-    for part in token.split(";"):
-        part = part.strip()
-        if not part:
-            continue
-        if not (part.startswith("poly(") and part.endswith(")")):
-            raise ConfigError(f"segment must look like 'poly(c0, c1, ...)', got {part!r}")
-        segs.append(_parse_floats_csv(part[len("poly(") : -1]))
+    for part in text.split(";"):
+        if part.strip():
+            family, coeffs = parse_law_token(part, ConfigError)
+            if family != "poly":
+                raise ConfigError(
+                    f"segment must look like 'poly(c0, c1, ...)', got {part.strip()!r}"
+                )
+            segs.append(coeffs)
     return tuple(segs)
 
 
 def parse_verification_config(text):
-    entries = {}
-    set_lines = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("set "):
-            rest = line[4:].strip()
-            head, _, body = rest.partition("=")
-            head_parts = head.split()
-            if len(head_parts) != 2 or head_parts[0] not in ("closed", "open") or not body:
-                raise ConfigError(f"line {lineno}: bad set line")
-            set_lines.append((head_parts[0], head_parts[1], body.strip()))
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value'")
-        key, value = (part.strip() for part in line.split("=", 1))
-        entries[key] = value
-
-    for key in _REQUIRED_KEYS:
-        if key not in entries:
-            raise ConfigError(f"missing required key {key!r}")
-
-    k = int(entries["k"])
-    tau = _parse_floats_csv(entries["model.tau"])
-    alpha = _parse_floats_csv(entries["model.alpha"])
-    x_law = _parse_law_token(entries["model.x_law"], XLaw)
-    noise = _parse_law_token(entries["model.noise"], NoiseLaw)
+    entries = read_key_values(text, _known_key, _REQUIRED_KEYS, ConfigError)
+    fields = {
+        key: convert(kind, entries[key], key, ConfigError)
+        for key, kind in _FIELD_KINDS.items()
+        if key in entries
+    }
+    tau = convert(floats, entries["model.tau"], "model.tau", ConfigError)
+    alpha = convert(floats, entries["model.alpha"], "model.alpha", ConfigError)
     if "model.segments" in entries:
         segments = _parse_segments(entries["model.segments"])
     else:
         segments = tuple((a,) for a in alpha)
     model = RegressionModelSpec(
-        segments=segments, x_law=x_law, noise=noise, true_tau=tau, true_alpha=alpha
+        segments=segments,
+        x_law=XLaw(*parse_law_token(entries["model.x_law"], ConfigError)),
+        noise=NoiseLaw(*parse_law_token(entries["model.noise"], ConfigError)),
+        true_tau=tau,
+        true_alpha=alpha,
     )
-
-    closed_sets = []
-    open_sets = []
-    for kind, name, body in set_lines:
-        parsed = _parse_set_line(kind, name, body, k)
-        if kind == "closed":
-            closed_sets.append(parsed)
-        else:
-            open_sets.append(parsed)
-
-    kwargs = dict(
+    menus = {"closed": [], "open": []}
+    for key, body in entries.items():
+        if _SET_KEY.fullmatch(key):
+            _, kind, name = key.split()
+            menus[kind].append(_parse_set_line(kind, name, body, fields["k"]))
+    return VerificationConfig(
         model=model,
-        k=k,
-        n_grid=tuple(int(v) for v in _parse_floats_csv(entries["n_grid"])),
-        replications_data=int(entries["replications_data"]),
-        replications_limit=int(entries["replications_limit"]),
-        rho=float(entries["rho"]),
-        closed_sets=tuple(closed_sets),
-        open_sets=tuple(open_sets),
-        master_seed=int(entries["master_seed"]),
+        closed_sets=tuple(menus["closed"]),
+        open_sets=tuple(menus["open"]),
+        **fields,
     )
-    if "mc_slack" in entries:
-        kwargs["mc_slack"] = float(entries["mc_slack"])
-    if "rhs_mode" in entries:
-        kwargs["rhs_mode"] = entries["rhs_mode"]
-    if "bootstrap_n" in entries:
-        kwargs["bootstrap_n"] = int(entries["bootstrap_n"])
-    if "tail_grid" in entries:
-        kwargs["tail_grid"] = _parse_floats_csv(entries["tail_grid"])
-    if "tail_threshold" in entries:
-        kwargs["tail_threshold"] = float(entries["tail_threshold"])
-    if "coverage_n" in entries:
-        kwargs["coverage_n"] = int(entries["coverage_n"])
-    if "coverage_replications" in entries:
-        kwargs["coverage_replications"] = int(entries["coverage_replications"])
-    if "coverage_tolerance" in entries:
-        kwargs["coverage_tolerance"] = float(entries["coverage_tolerance"])
-    return VerificationConfig(**kwargs)

@@ -19,6 +19,7 @@ from numpy.polynomial import polynomial as npoly
 
 from stepargmin.cpoisson import CompoundPoissonSpec, InvalidSpecError, JumpLaw
 from stepargmin.stepfun import GridFunction, StepFunction1D, _readonly
+from stepargmin.textfmt import Law
 
 
 class EmptySegmentError(ValueError):
@@ -343,16 +344,12 @@ def rescaled_process(data, tau_ref, alpha_ref, scale, window=None):
     )
 
 
-@dataclass(frozen=True)
-class XLaw:
+class XLaw(Law):
     """Covariate distribution: uniform(lo, hi) or gaussian(mean, sd)."""
 
-    family: str
-    params: tuple
-
     def __post_init__(self):
-        params = tuple(float(p) for p in self.params)
-        object.__setattr__(self, "params", params)
+        super().__post_init__()
+        params = self.params
         if self.family == "uniform":
             if len(params) != 2 or params[0] >= params[1]:
                 raise InvalidSpecError("uniform law needs lo < hi")
@@ -388,21 +385,14 @@ class XLaw:
         mean, sd = self.params
         return 0.5 * math.erfc(-(x - mean) / (sd * math.sqrt(2.0)))
 
-    def to_token(self):
-        return f"{self.family}({', '.join(repr(v) for v in self.params)})"
 
-
-@dataclass(frozen=True)
-class NoiseLaw:
+class NoiseLaw(Law):
     """Centered error distribution: gaussian(0, sd) or a centered
     two_point(v1, v2, p) with P(v1) = p."""
 
-    family: str
-    params: tuple
-
     def __post_init__(self):
-        params = tuple(float(p) for p in self.params)
-        object.__setattr__(self, "params", params)
+        super().__post_init__()
+        params = self.params
         if self.family == "gaussian":
             if len(params) != 2 or params[0] != 0.0 or params[1] < 0:
                 raise InvalidSpecError("gaussian noise must be gaussian(0, sd>=0)")
@@ -431,9 +421,6 @@ class NoiseLaw:
             return self.params[1] * rng.standard_normal(n)
         v1, v2, p = self.params
         return np.where(rng.random(n) < p, v1, v2)
-
-    def to_token(self):
-        return f"{self.family}({', '.join(repr(v) for v in self.params)})"
 
 
 @dataclass(frozen=True)
@@ -549,7 +536,7 @@ def _derived_jump_laws(model, j):
     return right, left
 
 
-def derive_limit_spec(model, j, window_initial=None, window_growth=2.0, max_window=None):
+def derive_limit_spec(model, j):
     """Plug-in limit process for the rescaled breakpoint deviation at jump
     j (1-based): arrival rate equal to the covariate density at the jump,
     jump laws equal to the loss increments of reclassifying one observation
@@ -564,17 +551,13 @@ def derive_limit_spec(model, j, window_initial=None, window_growth=2.0, max_wind
     for law in (right, left):
         if law.family == "gaussian":
             ratio_sq = max(ratio_sq, (law.params[1] / law.params[0]) ** 2)
-    if max_window is None:
-        max_window = max(64.0, 16.0 * ratio_sq) / rate
-    if window_initial is None:
-        window_initial = min(8.0 / rate, max_window)
+    max_window = max(64.0, 16.0 * ratio_sq) / rate
     return CompoundPoissonSpec(
         rate_right=rate,
         rate_left=rate,
         jump_right=right,
         jump_left=left,
-        window_initial=window_initial,
-        window_growth=window_growth,
+        window_initial=min(8.0 / rate, max_window),
         max_window=max_window,
     )
 

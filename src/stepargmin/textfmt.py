@@ -1,0 +1,75 @@
+"""Text formats shared by the spec files and the experiment configs: files
+of `key = value` lines, comma lists of numbers, and tokens
+'family(p1, p2, ...)' for jump, covariate and noise laws and polynomial
+segments.  Each parser raises the error class its caller passes in."""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+
+def floats(text):
+    """The comma-separated numbers of `text` as a tuple of floats."""
+    return tuple(float(t) for t in text.split(",") if t.strip())
+
+
+def convert(kind, text, what, error):
+    """kind(text), for kind int, float, str or `floats`; a value that does
+    not convert raises `error` naming `what`."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise error(f"bad number in {what}: {text.strip()!r}") from None
+
+
+def parse_law_token(token, error):
+    """(family, params) of a token 'family(p1, p2, ...)'; a malformed token
+    raises `error` naming it."""
+    token = token.strip()
+    family, paren, params = token.partition("(")
+    if not (paren and token.endswith(")")):
+        raise error(f"bad law token {token!r}")
+    return family.strip(), convert(floats, params[:-1], f"law token {token!r}", error)
+
+
+@dataclass(frozen=True)
+class Law:
+    """A distribution given by its family name and float parameters, written
+    as the token 'family(p1, p2, ...)'.  Subclasses check the family and
+    parameters in ``__post_init__`` after calling this one."""
+
+    family: str
+    params: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "params", tuple(float(p) for p in self.params))
+
+    def to_token(self):
+        return f"{self.family}({', '.join(repr(v) for v in self.params)})"
+
+
+def read_key_values(text, known, required, error):
+    """{key: value} of a text of `key = value` lines, in file order.
+
+    '#' starts a comment and blank lines are skipped; runs of whitespace
+    inside a key read as one space.  A line without '=', a key for which
+    `known(key)` is false and a repeated key raise `error` naming the line;
+    a key of `required` that no line sets raises `error` naming the key."""
+    entries = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, eq, value = line.partition("=")
+        key = " ".join(key.split())
+        if not eq:
+            raise error(f"line {lineno}: expected 'key = value'")
+        if not known(key):
+            raise error(f"line {lineno}: unknown key {key!r}")
+        if key in entries:
+            raise error(f"line {lineno}: repeated key {key!r}")
+        entries[key] = value.strip()
+    for key in required:
+        if key not in entries:
+            raise error(f"missing required key {key!r}")
+    return entries

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -120,6 +121,22 @@ class TestSimulateLimit:
              "--seed", "1", "--out", str(workdir / "o")]
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "old, new, named",
+        [
+            ("jump_right = point(1.0)", "jump_right = point(1, x)", "'point(1, x)'"),
+            ("max_window = 64.0", "max_windw = 64.0", "line 7: unknown key 'max_windw'"),
+        ],
+    )
+    def test_bad_spec_line_named(self, workdir, capsys, old, new, named):
+        (workdir / "bad_spec.txt").write_text(SPEC_TEXT.replace(old, new))
+        code = run(
+            ["simulate-limit", "--spec", str(workdir / "bad_spec.txt"), "--reps", "5",
+             "--seed", "1", "--out", str(workdir / "o")]
+        )
+        assert code == 2
+        assert named in capsys.readouterr().err
 
 
 class TestCapacity:
@@ -254,6 +271,47 @@ class TestVerifyFitsOnce:
         assert read_reports(out, self.REPORTS) == {
             name: text.encode("utf-8") for name, text in expected.items()
         }
+
+
+class TestConfigErrors:
+    @pytest.mark.parametrize(
+        "old, new, named",
+        [
+            ("n_grid = 40, 80", "n_grid = 5x0", "n_grid"),
+            ("gaussian(0, 0.25)", "gaussian(0, abc)", "'gaussian(0, abc)'"),
+            ("rho = 0.1", "rho = 0.1\nrho = 0.5", "line 7: repeated key 'rho'"),
+            ("coverage_tolerance", "coverage_tolerence", "line 9: unknown key"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["verify", "coverage"])
+    def test_exit_2_names_the_line_or_value(self, workdir, capsys, command, old, new, named):
+        (workdir / "bad.cfg").write_text(CONFIG_TEXT.replace(old, new))
+        out = workdir / "out_bad"
+        code = run([command, "--config", str(workdir / "bad.cfg"), "--out", str(out)])
+        assert code == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+class TestReferenceConfigs:
+    def test_verify_k1(self, tmp_path):
+        out = tmp_path / "verify"
+        assert run(["verify", "--config", str(CONFIGS / "verify_k1.cfg"), "--out", str(out)]) == 0
+        assert (out / "DONE").read_text() == "DONE\n"
+        assert "verdict = pass" in (out / "summary.txt").read_text().splitlines()
+
+    def test_coverage_k1(self, tmp_path):
+        out = tmp_path / "coverage"
+        code = run(["coverage", "--config", str(CONFIGS / "coverage_k1.cfg"), "--out", str(out)])
+        assert code == 0
+        assert (out / "DONE").read_text() == "DONE\n"
+        summary = dict(
+            line.split(" = ") for line in (out / "coverage_summary.txt").read_text().splitlines()
+        )
+        assert float(summary["coverage"]) >= float(summary["target"]) - 0.03
 
 
 class TestCoverage:

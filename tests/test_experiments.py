@@ -319,6 +319,39 @@ class TestConfigParsing:
             parse_verification_config(CONFIG_TEXT + "\n" + line + "\n")
         assert repr(token) in str(info.value)
 
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            ("coverage_tolerence = 0.5", "line 19: unknown key 'coverage_tolerence'"),
+            ("rho = 0.5", "line 19: repeated key 'rho'"),
+            ("set closed lower = [-inf,1]", "line 19: repeated key 'set closed lower'"),
+        ],
+    )
+    def test_bad_key_names_line(self, extra, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_verification_config(CONFIG_TEXT + extra + "\n")
+
+    @pytest.mark.parametrize(
+        "old, new, named",
+        [
+            ("n_grid = 50, 100", "n_grid = 5x0", "n_grid"),
+            ("gaussian(0, 0.25)", "gaussian(0, abc)", "'gaussian(0, abc)'"),
+            ("uniform(0, 1)", "uniform(0, 1e)", "'uniform(0, 1e)'"),
+            ("model.alpha = 0, 1", "model.alpha = 0, one", "model.alpha"),
+            ("master_seed = 777", "master_seed = 7.5", "master_seed"),
+        ],
+    )
+    def test_bad_number_named(self, old, new, named):
+        with pytest.raises(ConfigError) as info:
+            parse_verification_config(CONFIG_TEXT.replace(old, new))
+        assert named in str(info.value)
+
+    def test_segments(self):
+        text = CONFIG_TEXT + "model.segments = poly(0) ; poly(1, 0.5)\n"
+        assert parse_verification_config(text).model.segments == ((0.0,), (1.0, 0.5))
+        with pytest.raises(ConfigError, match="poly"):
+            parse_verification_config(text.replace("poly(1, 0.5)", "cubic(1, 0.5)"))
+
     def test_replication_floor(self):
         with pytest.raises(ConfigError):
             k1_config(replications_data=10)

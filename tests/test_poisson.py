@@ -104,6 +104,30 @@ class TestSpec:
         with pytest.raises(InvalidSpecError, match="rate_left"):
             spec_from_text("rate_right = 1.0\njump_right = point(1)\njump_left = point(1)\n")
 
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            ("max_windw = 3", "line 8: unknown key 'max_windw'"),
+            ("rate_right = 2.0", "line 8: repeated key 'rate_right'"),
+        ],
+    )
+    def test_bad_key_names_line(self, extra, message):
+        text = unit_spec().to_text() + extra + "\n"
+        with pytest.raises(InvalidSpecError, match=message):
+            spec_from_text(text)
+
+    @pytest.mark.parametrize(
+        "old, new, named",
+        [
+            ("point(1.0)", "point(1, x)", "'point(1, x)'"),
+            ("rate_left = 1.0", "rate_left = 1.0x", "rate_left"),
+        ],
+    )
+    def test_bad_number_named(self, old, new, named):
+        with pytest.raises(InvalidSpecError) as info:
+            spec_from_text(unit_spec().to_text().replace(old, new, 1))
+        assert named in str(info.value)
+
 
 class TestTrajectory:
     def test_deterministic(self):
