@@ -25,7 +25,7 @@ from stepargmin.cpoisson import (
 from stepargmin.experiments import (
     coverage_experiment,
     fit_table,
-    parse_closed_set_1d,
+    parse_set_1d,
     parse_verification_config,
     product_form_check,
     tail_probability_table,
@@ -100,7 +100,7 @@ def _cmd_simulate_limit(args):
 
 def _cmd_capacity(args):
     spec = spec_from_text(Path(args.spec).read_text())
-    target = parse_closed_set_1d(args.set)
+    target = parse_set_1d(args.set, "closed")
     seed = _seed_of(args)
     out = None
     if args.out:

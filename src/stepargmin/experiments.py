@@ -113,20 +113,26 @@ def build_rectangle(fit, n, bounds_tau, bounds_alpha):
 
 
 @dataclass(frozen=True)
-class ClosedSetTuple:
-    """One row of the closed-set menu: a closed union per breakpoint and an
-    optional box for the scaled level deviations (None means everything)."""
+class SetTuple:
+    """One row of the set menu: a 1-D union per breakpoint, closed or open
+    as the subclass's `kind` says, and an optional box for the scaled level
+    deviations (None means everything)."""
 
     name: str
-    fsets: tuple
+    sets: tuple
     aux: tuple = None
 
 
-@dataclass(frozen=True)
-class OpenSetTuple:
-    name: str
-    gsets: tuple
-    aux: tuple = None
+class ClosedSetTuple(SetTuple):
+    """A row asking whether the limit argmin set hits F_1 x ... x F_k."""
+
+    kind = "closed"
+
+
+class OpenSetTuple(SetTuple):
+    """A row asking whether the limit argmin set lies inside G_1 x ... x G_k."""
+
+    kind = "open"
 
 
 @dataclass(frozen=True)
@@ -164,16 +170,21 @@ class VerificationConfig:
             raise ConfigError("rhs_mode must be 'derived' or 'empirical-bootstrap'")
         if self.rhs_mode == "empirical-bootstrap" and self.bootstrap_n <= max(self.n_grid):
             raise ConfigError("bootstrap_n must exceed the largest n in n_grid")
-        for st in self.closed_sets:
-            if len(st.fsets) != self.k:
-                raise ConfigError(f"closed tuple {st.name!r} needs {self.k} sets")
+        if not self.tail_grid:
+            raise ConfigError("tail_grid must not be empty")
+        if self.coverage_replications < 1 or self.coverage_n < 2:
+            raise ConfigError("coverage_replications must be at least 1 and coverage_n at least 2")
+        for st in self.menu:
+            if len(st.sets) != self.k:
+                raise ConfigError(f"{st.kind} tuple {st.name!r} needs {self.k} sets")
             if st.aux is not None and len(st.aux) != self.k + 1:
-                raise ConfigError(f"closed tuple {st.name!r} aux needs {self.k + 1} intervals")
-        for st in self.open_sets:
-            if len(st.gsets) != self.k:
-                raise ConfigError(f"open tuple {st.name!r} needs {self.k} sets")
-            if st.aux is not None and len(st.aux) != self.k + 1:
-                raise ConfigError(f"open tuple {st.name!r} aux needs {self.k + 1} intervals")
+                raise ConfigError(f"{st.kind} tuple {st.name!r} aux needs {self.k + 1} intervals")
+
+    @property
+    def menu(self):
+        """The closed tuples, then the open ones: the row order of every
+        report."""
+        return self.closed_sets + self.open_sets
 
 
 def _fit_worker(args, lo, hi):
@@ -213,50 +224,52 @@ def fit_table(config, workers=1):
 
 
 def _limit_worker(args, lo, hi):
-    spec, seed, closed_menu, open_menu = args
+    spec, seed, menu = args
     rows = _accepted_rows(spec, seed, lo, hi)
-    flags = [rows.hits(f) for f in closed_menu] + [rows.within(g) for g in open_menu]
+    flags = [rows.hits(s) if kind == "closed" else rows.within(s) for kind, s in menu]
     return np.array(flags, dtype=bool).reshape(len(flags), hi - lo).T.tolist()
 
 
-def _points_in_closed(values, union):
+def _points_in(values, kind, union):
+    """Per value: it lies in the 1-D union, whose boxes are closed or open
+    as `kind` says."""
     out = np.zeros(values.shape, dtype=bool)
     for box in union.boxes:
-        out |= (values >= box.lo[0]) & (values <= box.hi[0])
+        if kind == "closed":
+            out |= (values >= box.lo[0]) & (values <= box.hi[0])
+        else:
+            out |= (values > box.lo[0]) & (values < box.hi[0])
     return out
 
 
-def _points_in_open(values, union):
-    out = np.zeros(values.shape, dtype=bool)
-    for box in union.boxes:
-        out |= (values > box.lo[0]) & (values < box.hi[0])
-    return out
-
-
-def _aux_flags(aux, box):
-    if box is None:
-        return np.ones(aux.shape[0], dtype=bool)
-    flags = np.ones(aux.shape[0], dtype=bool)
-    for i, (lo, hi) in enumerate(box):
-        flags &= (aux[:, i] >= lo) & (aux[:, i] <= hi)
-    return flags
+def _margins(st, xi, aux):
+    """Per replication flags of menu row `st`: one array per breakpoint j
+    (xi[:, j] in the j-th set), then one for the aux box (every scaled level
+    deviation in its closed interval; all true without a box)."""
+    margins = [_points_in(xi[:, j], st.kind, s) for j, s in enumerate(st.sets)]
+    in_box = np.ones(aux.shape[0], dtype=bool)
+    for i, (lo, hi) in enumerate(st.aux or ()):
+        in_box &= (aux[:, i] >= lo) & (aux[:, i] <= hi)
+    return margins + [in_box]
 
 
 def _binom_se(p, n):
     return math.sqrt(max(p * (1.0 - p), 0.0) / n)
 
 
-def _product_with_se(means, ses):
+def _product_with_se(means, reps):
+    """Product of frequencies, each over `reps` replications, and its
+    delta-method standard error."""
     prod = 1.0
     for mval in means:
         prod *= mval
     var = 0.0
-    for j, (mval, sval) in enumerate(zip(means, ses)):
+    for j, mval in enumerate(means):
         rest = 1.0
         for l, other in enumerate(means):
             if l != j:
                 rest *= other
-        var += (sval * rest) ** 2
+        var += (_binom_se(mval, reps) * rest) ** 2
     return prod, math.sqrt(var)
 
 
@@ -322,60 +335,32 @@ class InequalityReport:
 
 
 def _limit_functionals(config, workers):
-    """Per breakpoint j: estimates of the hit probability for each closed
-    tuple's j-th set and of the containment probability for each open
-    tuple's j-th set, from one shared replication stream."""
+    """Per breakpoint j: a (menu rows, replications) flag array.  Row m says
+    per replication whether the limit argmin set hits (closed row) or lies
+    inside (open row) the j-th set of menu row m; one replication stream
+    serves the whole menu."""
     reps = config.replications_limit
-    out_mu = []
-    out_nu = []
+    out = []
     for j in range(1, config.k + 1):
         spec = derive_limit_spec(config.model, j)
-        closed_menu = tuple(st.fsets[j - 1] for st in config.closed_sets)
-        open_menu = tuple(st.gsets[j - 1] for st in config.open_sets)
+        menu = tuple((st.kind, st.sets[j - 1]) for st in config.menu)
         seed = child_seed(config.master_seed, _TAG_LIMIT, j)
-        flags = np.array(
-            run_chunks(
-                _limit_worker, (spec, seed, closed_menu, open_menu), reps, workers, block=_BLOCK
-            ),
-            dtype=bool,
-        ).reshape(reps, len(closed_menu) + len(open_menu))
-        mu = [
-            (float(np.mean(flags[:, m])), _binom_se(float(np.mean(flags[:, m])), reps))
-            for m in range(len(closed_menu))
-        ]
-        nu = [
-            (
-                float(np.mean(flags[:, len(closed_menu) + m])),
-                _binom_se(float(np.mean(flags[:, len(closed_menu) + m])), reps),
-            )
-            for m in range(len(open_menu))
-        ]
-        out_mu.append(mu)
-        out_nu.append(nu)
-    return out_mu, out_nu
+        rows = run_chunks(_limit_worker, (spec, seed, menu), reps, workers, block=_BLOCK)
+        out.append(np.array(rows, dtype=bool).reshape(reps, len(menu)).T)
+    return out
 
 
 def _bootstrap_functionals(config, workers):
-    """Alternative right-hand sides from the empirical law of the rescaled
+    """The same flag arrays from the empirical law of the rescaled
     deviations at a much larger sample size."""
     reps = config.replications_limit
     xi, _, _ = _fit_arrays(
         config.model, config.k, config.bootstrap_n, config.master_seed, _TAG_BOOT, reps, workers
     )
-    out_mu = []
-    out_nu = []
-    for j in range(config.k):
-        mu = []
-        for st in config.closed_sets:
-            p = float(np.mean(_points_in_closed(xi[:, j], st.fsets[j])))
-            mu.append((p, _binom_se(p, reps)))
-        nu = []
-        for st in config.open_sets:
-            p = float(np.mean(_points_in_open(xi[:, j], st.gsets[j])))
-            nu.append((p, _binom_se(p, reps)))
-        out_mu.append(mu)
-        out_nu.append(nu)
-    return out_mu, out_nu
+    return [
+        np.array([_points_in(xi[:, j], st.kind, st.sets[j]) for st in config.menu], dtype=bool)
+        for j in range(config.k)
+    ]
 
 
 def _sigmas_for(config, fit_sigmas_at_largest):
@@ -398,48 +383,27 @@ def verify_limit_bounds(config, workers=1, *, fits=None):
     n_max = max(config.n_grid)
     sigmas = _sigmas_for(config, fits[n_max][2])
     if config.rhs_mode == "derived":
-        mu, nu = _limit_functionals(config, workers)
+        limit_flags = _limit_functionals(config, workers)
     else:
-        mu, nu = _bootstrap_functionals(config, workers)
+        limit_flags = _bootstrap_functionals(config, workers)
 
     rows = []
     violations = 0
     for n in config.n_grid:
         xi, aux, _ = fits[n]
-        for m, st in enumerate(config.closed_sets):
-            flags = _aux_flags(aux, st.aux)
-            for j in range(config.k):
-                flags &= _points_in_closed(xi[:, j], st.fsets[j])
-            lhs = float(np.mean(flags))
+        for m, st in enumerate(config.menu):
+            lhs = float(np.mean(np.logical_and.reduce(_margins(st, xi, aux))))
             lhs_se = _binom_se(lhs, reps)
-            prod, prod_se = _product_with_se(
-                [mu[j][m][0] for j in range(config.k)], [mu[j][m][1] for j in range(config.k)]
-            )
+            means = [float(np.mean(flags[m])) for flags in limit_flags]
+            prod, prod_se = _product_with_se(means, config.replications_limit)
             p_aux = _aux_box_prob(st.aux, sigmas)
             rhs, rhs_se = prod * p_aux, prod_se * p_aux
             passed = None
             if n == n_max:
-                comb = math.sqrt(lhs_se**2 + rhs_se**2)
-                passed = lhs <= rhs + config.mc_slack * comb
+                slack = config.mc_slack * math.sqrt(lhs_se**2 + rhs_se**2)
+                passed = lhs <= rhs + slack if st.kind == "closed" else lhs >= rhs - slack
                 violations += 0 if passed else 1
-            rows.append(InequalityRow(n, "closed", st.name, lhs, lhs_se, rhs, rhs_se, passed))
-        for m, st in enumerate(config.open_sets):
-            flags = _aux_flags(aux, st.aux)
-            for j in range(config.k):
-                flags &= _points_in_open(xi[:, j], st.gsets[j])
-            lhs = float(np.mean(flags))
-            lhs_se = _binom_se(lhs, reps)
-            prod, prod_se = _product_with_se(
-                [nu[j][m][0] for j in range(config.k)], [nu[j][m][1] for j in range(config.k)]
-            )
-            p_aux = _aux_box_prob(st.aux, sigmas)
-            rhs, rhs_se = prod * p_aux, prod_se * p_aux
-            passed = None
-            if n == n_max:
-                comb = math.sqrt(lhs_se**2 + rhs_se**2)
-                passed = lhs >= rhs - config.mc_slack * comb
-                violations += 0 if passed else 1
-            rows.append(InequalityRow(n, "open", st.name, lhs, lhs_se, rhs, rhs_se, passed))
+            rows.append(InequalityRow(n, st.kind, st.name, lhs, lhs_se, rhs, rhs_se, passed))
     return InequalityReport(
         rows=tuple(rows),
         mc_slack=config.mc_slack,
@@ -527,26 +491,15 @@ def product_form_check(config, workers=1, *, fits=None):
     n = max(config.n_grid)
     xi, aux, _ = fits[n] if fits is not None else _data_fits(config, n, workers)
     rows = []
-    for st in config.closed_sets:
-        margins = [_points_in_closed(xi[:, j], st.fsets[j]) for j in range(config.k)]
-        margins.append(_aux_flags(aux, st.aux))
-        rows.append(_product_row(st.name, "closed", margins, reps))
-    for st in config.open_sets:
-        margins = [_points_in_open(xi[:, j], st.gsets[j]) for j in range(config.k)]
-        margins.append(_aux_flags(aux, st.aux))
-        rows.append(_product_row(st.name, "open", margins, reps))
+    for st in config.menu:
+        margins = _margins(st, xi, aux)
+        joint = float(np.mean(np.logical_and.reduce(margins)))
+        means = [float(np.mean(flags)) for flags in margins]
+        product, product_se = _product_with_se(means, reps)
+        rows.append(
+            ProductFormRow(st.name, st.kind, joint, _binom_se(joint, reps), product, product_se)
+        )
     return ProductFormTable(n=n, rows=tuple(rows))
-
-
-def _product_row(name, kind, margins, reps):
-    joint_flags = margins[0].copy()
-    for m in margins[1:]:
-        joint_flags &= m
-    joint = float(np.mean(joint_flags))
-    means = [float(np.mean(m)) for m in margins]
-    ses = [_binom_se(p, reps) for p in means]
-    product, product_se = _product_with_se(means, ses)
-    return ProductFormRow(name, kind, joint, _binom_se(joint, reps), product, product_se)
 
 
 @dataclass(frozen=True)
@@ -727,22 +680,24 @@ def _known_key(key):
     return key in _FIELD_KINDS or key in _MODEL_KEYS or _SET_KEY.fullmatch(key) is not None
 
 
-def parse_closed_set_1d(text):
+# per kind: interval brackets, box type, union type and menu-row type
+_SET_FORMS = {
+    "closed": ("[]", Box, BoxUnion, ClosedSetTuple),
+    "open": ("()", OpenBox, OpenBoxUnion, OpenSetTuple),
+}
+
+
+def parse_set_1d(text, kind):
+    """The 1-D union of `kind` ('closed' or 'open') written as intervals
+    joined by ';': '[lo,hi]' tokens for a closed union, '(lo,hi)' for an
+    open one.  A malformed token raises ConfigError naming it."""
+    brackets, box, union, _ = _SET_FORMS[kind]
     boxes = []
     for token in text.split(";"):
         if token.strip():
-            lo, hi = _parse_interval(token, "[]", ConfigError)
-            boxes.append(Box((lo,), (hi,)))
-    return BoxUnion(1, tuple(boxes))
-
-
-def parse_open_set_1d(text):
-    boxes = []
-    for token in text.split(";"):
-        if token.strip():
-            lo, hi = _parse_interval(token, "()", ConfigError)
-            boxes.append(OpenBox((lo,), (hi,)))
-    return OpenBoxUnion(1, tuple(boxes))
+            lo, hi = _parse_interval(token, brackets, ConfigError)
+            boxes.append(box((lo,), (hi,)))
+    return union(1, tuple(boxes))
 
 
 def _parse_aux(text, k):
@@ -764,9 +719,7 @@ def _parse_set_line(kind, name, body, k):
     parts = [p for p in sets_part.split("|") if p.strip()]
     if len(parts) != k:
         raise ConfigError(f"set {name!r} needs {k} component sets, got {len(parts)}")
-    if kind == "closed":
-        return ClosedSetTuple(name, tuple(parse_closed_set_1d(p) for p in parts), aux)
-    return OpenSetTuple(name, tuple(parse_open_set_1d(p) for p in parts), aux)
+    return _SET_FORMS[kind][3](name, tuple(parse_set_1d(p, kind) for p in parts), aux)
 
 
 def _parse_segments(text):

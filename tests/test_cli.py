@@ -293,6 +293,27 @@ class TestConfigErrors:
         assert not out.exists()
 
 
+    # each of these used to crash mid-run (TypeError or IndexError, exit 1)
+    @pytest.mark.parametrize(
+        "command, old, new, named",
+        [
+            ("coverage", "coverage_replications = 1000", "coverage_replications = 0",
+             "coverage_replications"),
+            ("coverage", "coverage_replications = 1000", "coverage_replications = -2",
+             "coverage_replications"),
+            ("coverage", "coverage_n = 80", "coverage_n = 1", "coverage_n"),
+            ("verify", "rho = 0.1", "rho = 0.1\ntail_grid =", "tail_grid"),
+        ],
+    )
+    def test_bad_value_exit_2_before_computing(self, workdir, capsys, command, old, new, named):
+        (workdir / "bad.cfg").write_text(CONFIG_TEXT.replace(old, new))
+        out = workdir / "out_bad"
+        code = run([command, "--config", str(workdir / "bad.cfg"), "--out", str(out)])
+        assert code == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
@@ -300,6 +321,12 @@ class TestReferenceConfigs:
     def test_verify_k1(self, tmp_path):
         out = tmp_path / "verify"
         assert run(["verify", "--config", str(CONFIGS / "verify_k1.cfg"), "--out", str(out)]) == 0
+        assert (out / "DONE").read_text() == "DONE\n"
+        assert "verdict = pass" in (out / "summary.txt").read_text().splitlines()
+
+    def test_verify_k2(self, tmp_path):
+        out = tmp_path / "verify_k2"
+        assert run(["verify", "--config", str(CONFIGS / "verify_k2.cfg"), "--out", str(out)]) == 0
         assert (out / "DONE").read_text() == "DONE\n"
         assert "verdict = pass" in (out / "summary.txt").read_text().splitlines()
 

@@ -4,6 +4,7 @@ from decimal import Decimal, getcontext
 
 import pytest
 
+from stepargmin import experiments
 from stepargmin.argmin import INF, Box, BoxUnion, OpenBox, OpenBoxUnion
 from stepargmin.cpoisson import OutOfDomainError
 from stepargmin.experiments import (
@@ -15,6 +16,7 @@ from stepargmin.experiments import (
     alpha_limit_sigmas,
     build_rectangle,
     coverage_experiment,
+    fit_table,
     gamma_of,
     membership_report,
     parse_verification_config,
@@ -149,6 +151,94 @@ class TestVerify:
         by_kind = {(r.kind, r.n): r.rhs for r in report.rows}
         for n in cfg.n_grid:
             assert by_kind[("open", n)] <= by_kind[("closed", n)]
+
+
+def _oracle_frequency(st, xi, aux):
+    """Share of replications r with xi[r, j] in st.sets[j] for every j and,
+    under an aux box, every aux[r, i] in its closed interval; one
+    contains_point call per replication and set."""
+    box = st.aux or ()
+    inside = [
+        all(u.contains_point(x) for u, x in zip(st.sets, xrow))
+        and all(lo <= a <= hi for (lo, hi), a in zip(box, arow))
+        for xrow, arow in zip(xi, aux)
+    ]
+    return sum(inside) / len(inside)
+
+
+def _normal_box_prob(box, sigmas):
+    prob = 1.0
+    for (lo, hi), sd in zip(box, sigmas):
+        prob *= 0.5 * (math.erf(hi / sd / math.sqrt(2.0)) - math.erf(lo / sd / math.sqrt(2.0)))
+    return prob
+
+
+class TestVerifyOracle:
+    """verify_limit_bounds at k=2 against frequencies recomputed per
+    replication with BoxUnion/OpenBoxUnion.contains_point."""
+
+    AUX = ((-1.0, 1.0),) * 3
+
+    def _cfg(self):
+        model = pure_step_model(
+            (1.0 / 3.0, 2.0 / 3.0), (0.0, 1.0, 0.0), UNIFORM01, NoiseLaw("gaussian", (0.0, 0.25))
+        )
+        split = BoxUnion(1, (Box((-4.0,), (-1.0,)), Box((0.5,), (4.0,))))
+        gaps = OpenBoxUnion(1, (OpenBox((-8.0,), (-0.5,)), OpenBox((0.0,), (8.0,))))
+        return VerificationConfig(
+            model=model,
+            k=2,
+            n_grid=(40, 80),
+            replications_data=1000,
+            replications_limit=1000,
+            rho=0.1,
+            closed_sets=(
+                ClosedSetTuple("split", (split, split), None),
+                ClosedSetTuple("split-aux", (split, closed_1d(-INF, 0.0)), self.AUX),
+            ),
+            open_sets=(
+                OpenSetTuple("gaps", (gaps, gaps), None),
+                OpenSetTuple("gaps-aux", (gaps, open_1d(-4.0, 4.0)), self.AUX),
+            ),
+            master_seed=2031,
+            rhs_mode="empirical-bootstrap",
+            bootstrap_n=160,
+        )
+
+    def test_lhs_and_bootstrap_rhs_match_oracle(self):
+        cfg = self._cfg()
+        fits = fit_table(cfg)
+        boot_xi, _, _ = experiments._fit_arrays(
+            cfg.model, 2, cfg.bootstrap_n, cfg.master_seed, experiments._TAG_BOOT, 1000, 1
+        )
+        sigmas = alpha_limit_sigmas(cfg.model)
+        bootstrap = verify_limit_bounds(cfg, fits=fits)
+        derived = verify_limit_bounds(dataclasses.replace(cfg, rhs_mode="derived"), fits=fits)
+        menu = cfg.closed_sets + cfg.open_sets
+        assert [(r.n, r.kind, r.name) for r in bootstrap.rows] == [
+            (n, st.kind, st.name) for n in cfg.n_grid for st in menu
+        ]
+        for row, st in zip(bootstrap.rows, menu * len(cfg.n_grid)):
+            xi, aux, _ = fits[row.n]
+            assert row.lhs == _oracle_frequency(st, xi, aux)
+            rhs = 1.0
+            for j, union in enumerate(st.sets):
+                rhs *= sum(union.contains_point(x) for x in boot_xi[:, j]) / len(boot_xi)
+            if st.aux is None:
+                assert row.rhs == rhs
+            else:
+                assert row.rhs == pytest.approx(rhs * _normal_box_prob(st.aux, sigmas), rel=1e-12)
+        assert [r.lhs for r in derived.rows] == [r.lhs for r in bootstrap.rows]
+        # the limit sets are intervals: hitting a union is far likelier than
+        # the point deviation lying in it, and lying inside one far rarer,
+        # so only the kind's own comparison passes on the derived side
+        for row in bootstrap.rows + derived.rows:
+            if row.n == max(cfg.n_grid):
+                slack = cfg.mc_slack * math.sqrt(row.lhs_se**2 + row.rhs_se**2)
+                if row.kind == "closed":
+                    assert row.passed == (row.lhs <= row.rhs + slack)
+                else:
+                    assert row.passed == (row.lhs >= row.rhs - slack)
 
 
 class TestTails:
@@ -289,9 +379,9 @@ class TestConfigParsing:
         assert cfg.model.true_alpha == (0.0, 1.0)
         assert len(cfg.closed_sets) == 2
         band = cfg.closed_sets[1]
-        assert band.fsets[0].boxes == (Box((-1.0,), (1.0,)), Box((3.0,), (4.0,)))
+        assert band.sets[0].boxes == (Box((-1.0,), (1.0,)), Box((3.0,), (4.0,)))
         assert band.aux == ((-2.0, 2.0), (-2.0, 2.0))
-        assert cfg.open_sets[0].gsets[0].boxes[0].lo == (-4.0,)
+        assert cfg.open_sets[0].sets[0].boxes[0].lo == (-4.0,)
 
     def test_missing_key_named(self):
         text = "\n".join(
