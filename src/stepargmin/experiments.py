@@ -36,13 +36,14 @@ from stepargmin.cpoisson import (
 )
 from stepargmin.rng import child_seed, run_chunks
 from stepargmin.stepfit import (
+    Dataset,
     NoiseLaw,
     RegressionModelSpec,
     XLaw,
     derive_limit_spec,
-    fit_step,
+    fit_rows,
     rescaled_process,
-    synthesize,
+    synthesize_rows,
 )
 from stepargmin.textfmt import convert, floats, parse_law_token, read_key_values
 
@@ -187,25 +188,35 @@ class VerificationConfig:
         return self.closed_sets + self.open_sets
 
 
+# observations per block of replications: B = _BLOCK_CELLS // n datasets
+# share one sort and the vectorized fit; each (B, n) float64 array stays
+# at 64 KB, so a block adds little to peak memory
+_BLOCK_CELLS = 8192
+
+
+def _fit_blocks(args, lo, hi):
+    """Replications lo..hi-1 in blocks: per block, the datasets as (B, n)
+    arrays x and y and their fits as `fit_rows` returns them.  Replication
+    `rep` draws its dataset from child_seed(master, *path, rep)."""
+    model, k, n, master, path = args
+    size = max(1, _BLOCK_CELLS // n)
+    for b0 in range(lo, hi, size):
+        seeds = [child_seed(master, *path, rep) for rep in range(b0, min(hi, b0 + size))]
+        x, y = synthesize_rows(model, n, seeds)
+        yield (x, y, *fit_rows(x, y, k))
+
+
 def _fit_worker(args, lo, hi):
-    model, k, n, master, tag = args
-    out = []
-    for rep in range(lo, hi):
-        data = synthesize(model, n, child_seed(master, tag, n, rep))
-        fit = fit_step(data, k)
-        out.append((fit.tau, fit.alpha, fit.sigma_hat))
-    return out
+    """The fits of replications lo..hi-1 as one (hi - lo, 3k + 2) array:
+    the columns are tau, alpha and sigma_hat."""
+    return np.concatenate([np.hstack(fit) for _, _, *fit in _fit_blocks(args, lo, hi)])
 
 
 def _fit_arrays(model, k, n, master, tag, reps, workers):
-    rows = run_chunks(_fit_worker, (model, k, n, master, tag), reps, workers)
-    tau_true = np.asarray(model.true_tau)
-    alpha_true = np.asarray(model.true_alpha)
-    taus = np.array([row[0] for row in rows])
-    alphas = np.array([row[1] for row in rows])
-    sigmas = np.array([row[2] for row in rows])
-    xi = n * (taus - tau_true[None, :])
-    aux = math.sqrt(n) * (alphas - alpha_true[None, :])
+    rows = run_chunks(_fit_worker, (model, k, n, master, (tag, n)), reps, workers)
+    taus, alphas, sigmas = (np.ascontiguousarray(a) for a in np.split(rows, [k, 2 * k + 1], axis=1))
+    xi = n * (taus - np.asarray(model.true_tau)[None, :])
+    aux = math.sqrt(n) * (alphas - np.asarray(model.true_alpha)[None, :])
     return xi, aux, sigmas
 
 
@@ -227,7 +238,7 @@ def _limit_worker(args, lo, hi):
     spec, seed, menu = args
     rows = _accepted_rows(spec, seed, lo, hi)
     flags = [rows.hits(s) if kind == "closed" else rows.within(s) for kind, s in menu]
-    return np.array(flags, dtype=bool).reshape(len(flags), hi - lo).T.tolist()
+    return np.array(flags, dtype=bool).reshape(len(flags), hi - lo).T
 
 
 def _points_in(values, kind, union):
@@ -345,8 +356,7 @@ def _limit_functionals(config, workers):
         spec = derive_limit_spec(config.model, j)
         menu = tuple((st.kind, st.sets[j - 1]) for st in config.menu)
         seed = child_seed(config.master_seed, _TAG_LIMIT, j)
-        rows = run_chunks(_limit_worker, (spec, seed, menu), reps, workers, block=_BLOCK)
-        out.append(np.array(rows, dtype=bool).reshape(reps, len(menu)).T)
+        out.append(run_chunks(_limit_worker, (spec, seed, menu), reps, workers, block=_BLOCK).T)
     return out
 
 
@@ -533,27 +543,32 @@ class CoverageReport:
 
 
 def _coverage_worker(args, lo, hi):
+    """Per replication lo..hi-1: whether the confidence rectangle of its fit
+    covers the true parameters, then the rectangle's 2k + 1 widths, as one
+    (hi - lo, 2k + 2) array; `build_rectangle`'s arithmetic, by column."""
     model, k, n, master, bounds_tau, z_lo, z_hi = args
-    out = []
-    for rep in range(lo, hi):
-        data = synthesize(model, n, child_seed(master, _TAG_COVER, rep))
-        fit = fit_step(data, k)
-        bounds_alpha = []
-        for i in range(k + 1):
-            u = fit.sigma_hat[i] * z_lo
-            v = fit.sigma_hat[i] * z_hi
-            if u == v:
-                # degenerate plug-in scale: widen by a relative nudge so the
-                # rectangle stays a valid interval
-                kappa = 1e-9 * max(1.0, abs(fit.alpha[i]))
-                u, v = u - kappa, v + kappa
-            bounds_alpha.append((u, v))
-        rect = build_rectangle(fit, n, bounds_tau, bounds_alpha)
-        truth = tuple(model.true_tau) + tuple(model.true_alpha)
-        covered = all(iv.contains(t) for iv, t in zip(rect, truth))
-        widths = tuple(iv.width for iv in rect)
-        out.append((covered, widths))
-    return out
+    fits = _fit_worker((model, k, n, master, (_TAG_COVER,)), lo, hi)
+    tau, alpha, sigma = np.split(fits, [k, 2 * k + 1], axis=1)
+    u = sigma * z_lo
+    v = sigma * z_hi
+    # degenerate plug-in scale: widen by a relative nudge so the rectangle
+    # stays a valid interval
+    kappa = 1e-9 * np.maximum(1.0, np.abs(alpha))
+    flat = u == v
+    u = np.where(flat, u - kappa, u)
+    v = np.where(flat, v + kappa, v)
+    a, b = np.array(bounds_tau, dtype=float).reshape(k, 2).T
+    if not (np.all(a < b) and np.all(u < v)):
+        raise BadBoundsError("rectangle bounds need a < b and u < v")
+    root = math.sqrt(n)
+    tau_lo, tau_hi = tau - b / n, tau - a / n
+    alpha_lo, alpha_hi = alpha - v / root, alpha - u / root
+    true_tau = np.asarray(model.true_tau)
+    true_alpha = np.asarray(model.true_alpha)
+    covered = np.all((tau_lo < true_tau) & (true_tau < tau_hi), axis=1) & np.all(
+        (alpha_lo <= true_alpha) & (true_alpha <= alpha_hi), axis=1
+    )
+    return np.column_stack((covered, tau_hi - tau_lo, alpha_hi - alpha_lo))
 
 
 def coverage_experiment(config, workers=1):
@@ -572,8 +587,8 @@ def coverage_experiment(config, workers=1):
         bounds_tau.append(choose_interval_bounds(samples, gamma))
     args = (config.model, k, config.coverage_n, config.master_seed, tuple(bounds_tau), z_lo, z_hi)
     rows = run_chunks(_coverage_worker, args, config.coverage_replications, workers)
-    covered = tuple(bool(r[0]) for r in rows)
-    widths = np.array([r[1] for r in rows])
+    covered = tuple(bool(c) for c in rows[:, 0])
+    widths = np.ascontiguousarray(rows[:, 1:])
     return CoverageReport(
         coverage=float(np.mean(covered)),
         target=1.0 - config.rho,
@@ -606,14 +621,15 @@ class MembershipReport:
 def _membership_worker(args, lo, hi):
     model, k, n, master = args
     out = []
-    for rep in range(lo, hi):
-        data = synthesize(model, n, child_seed(master, _TAG_MEMBER, rep))
-        fit = fit_step(data, k)
-        local = rescaled_process(data, model.true_tau, fit.alpha, n)
-        point = tuple(n * (fit.tau[j] - model.true_tau[j]) for j in range(k))
-        in_window = all(lo_w < p < hi_w for (lo_w, hi_w), p in zip(local.window, point))
-        inside = in_window and hits(argmin_set(local.joint), point_box(point))
-        out.append((rep, bool(inside), point))
+    rep = lo
+    for x, y, taus, alphas, _ in _fit_blocks((model, k, n, master, (_TAG_MEMBER,)), lo, hi):
+        for xr, yr, tau, alpha in zip(x, y, taus, alphas):
+            local = rescaled_process(Dataset(xr, yr), model.true_tau, alpha, n)
+            point = tuple(float(n * (tau[j] - model.true_tau[j])) for j in range(k))
+            in_window = all(lo_w < p < hi_w for (lo_w, hi_w), p in zip(local.window, point))
+            inside = in_window and hits(argmin_set(local.joint), point_box(point))
+            out.append((rep, bool(inside), point))
+            rep += 1
     return out
 
 

@@ -173,29 +173,54 @@ _CHUNK_CELLS = 8192
 
 def _suffix_layer(nxt, cmax, cum_n, cum_s, cum_q):
     """out[s] = min over s <= c <= cmax of cost(s, c) + nxt[c + 1], and inf
-    for s > cmax.  Rows are swept in chunks [r0, r1) against the columns
-    r0..cmax, so memory is O(m + _CHUNK_CELLS) (one row when a row alone
-    is wider); the cost is the `_cost_row` expression, so every entry is
-    bit-identical to what tie extraction recomputes."""
-    out = np.full(nxt.size, np.inf)
+    for s > cmax.  nxt, cum_s and cum_q may carry a leading axis of B
+    datasets that share the block counts cum_n; the layer is then taken
+    per dataset.  Rows are swept in chunks [r0, r1) against the columns
+    r0..cmax, so memory is O(B·m + _CHUNK_CELLS) (one row of every dataset
+    when that alone is wider); the cost is the `_cost_row` expression, so
+    every entry is bit-identical to what tie extraction recomputes."""
+    out = np.full(nxt.shape, np.inf)
+    lead = nxt.size // nxt.shape[-1]
     r0 = 0
     while r0 <= cmax:
-        r1 = min(cmax + 1, r0 + max(1, _CHUNK_CELLS // (cmax + 1 - r0)))
+        r1 = min(cmax + 1, r0 + max(1, _CHUNK_CELLS // (lead * (cmax + 1 - r0))))
         rows = slice(r0, r1)
         cols = slice(r0 + 1, cmax + 2)
         n = cum_n[None, cols] - cum_n[rows, None]
-        tot = cum_s[None, cols] - cum_s[rows, None]
-        cost = cum_q[None, cols] - cum_q[rows, None]
+        tot = cum_s[..., None, cols] - cum_s[..., rows, None]
+        cost = cum_q[..., None, cols] - cum_q[..., rows, None]
         tot *= tot
         with np.errstate(divide="ignore", invalid="ignore"):
             tot /= n
         cost -= tot
         # columns c < s of row s are not segments
-        cost[n <= 0] = np.inf
-        cost += nxt[None, cols]
-        out[rows] = cost.min(axis=1)
+        cost[..., n <= 0] = np.inf
+        cost += nxt[..., None, cols]
+        out[..., rows] = cost.min(axis=-1)
         r0 = r1
     return out
+
+
+def _levels_and_scales(x, y, ys, tau, edges):
+    """Per segment of the breakpoints `tau`: its level, the mean of y over
+    the observations it holds taken in their original order (as in
+    `optimal_levels`), and its plug-in scale sqrt(var / share), the
+    variance taken over the x-sorted y `ys` between consecutive positions
+    of `edges`.  The means and the variance are the reductions np.mean and
+    np.var run, spelled out to skip their per-call overhead."""
+    n = x.size
+    bounds = (-math.inf, *tau, math.inf)
+    alpha = []
+    sigma = []
+    for j, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
+        size = hi - lo
+        sel = (x > bounds[j]) & (x <= bounds[j + 1])
+        alpha.append(float(np.add.reduce(y[sel]) / size))
+        seg = ys[lo:hi]
+        dev = seg - np.add.reduce(seg) / size
+        var = float(np.add.reduce(dev * dev) / size)
+        sigma.append(math.sqrt(var / (size / n)))
+    return tuple(alpha), tuple(sigma)
 
 
 def fit_step(data, k):
@@ -231,25 +256,81 @@ def fit_step(data, k):
         s = c + 1
 
     tau = tuple(float(vals[c]) for c in tau_idx)
-    alpha = optimal_levels(data, tau)
-    model = StepModel(tau, alpha)
-    edges = [0] + [c + 1 for c in tau_idx] + [m]
-    counts = []
-    sigma = []
-    n = data.n
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        rows = slice(int(cum_n[lo]), int(cum_n[hi]))
-        seg_y = ys_sorted[rows]
-        counts.append(int(seg_y.size))
-        var = float(np.var(seg_y))
-        sigma.append(math.sqrt(var / (seg_y.size / n)))
+    edges = [int(cum_n[c]) for c in [0] + [c + 1 for c in tau_idx] + [m]]
+    alpha, sigma = _levels_and_scales(data.x, data.y, ys_sorted, np.asarray(tau), edges)
     return FitResult(
         tau=tau,
         alpha=alpha,
-        sse=sse(data, model),
-        segment_counts=tuple(counts),
-        sigma_hat=tuple(sigma),
+        sse=sse(data, StepModel(tau, alpha)),
+        segment_counts=tuple(hi - lo for lo, hi in zip(edges[:-1], edges[1:])),
+        sigma_hat=sigma,
     )
+
+
+def _cut_rows(ys, k):
+    """Per row of x-sorted y with distinct x: the index of the last
+    observation of each of the first k segments of the optimal fit.  This
+    is `fit_step`'s program for rows whose blocks are single observations:
+    the same centring, prefix sums, `_cost_row` expression, suffix layers
+    and first-minimum rule, so every cost is bit-identical to the scalar
+    fit's; the suffix layers are swept with a leading row axis."""
+    rows, n = ys.shape
+    mid = n // 2
+    yc = ys - np.partition(ys, mid, axis=1)[:, mid, None]
+    zero = np.zeros((rows, 1))
+    cum_n = np.arange(n + 1)
+    cum_s = np.concatenate((zero, np.cumsum(yc, axis=1)), axis=1)
+    cum_q = np.concatenate((zero, np.cumsum(yc * yc, axis=1)), axis=1)
+    tail_n = cum_n[n] - cum_n[:n]
+    tail_s = cum_s[:, n:] - cum_s[:, :n]
+    tail_q = cum_q[:, n:] - cum_q[:, :n]
+    suffix = {k: tail_q - (tail_s * tail_s) / tail_n}
+    for j in range(k - 1, 0, -1):
+        suffix[j] = _suffix_layer(suffix[j + 1], n - 1 - (k - j), cum_n, cum_s, cum_q)
+    cuts = np.empty((rows, k), dtype=np.int64)
+    s = np.zeros((rows, 1), dtype=np.int64)
+    for j in range(k):
+        cmax = n - 1 - (k - j)
+        ends = slice(1, cmax + 2)
+        cnt = cum_n[None, ends] - s
+        tot = cum_s[:, ends] - np.take_along_axis(cum_s, s, axis=1)
+        sq = cum_q[:, ends] - np.take_along_axis(cum_q, s, axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cand = sq - (tot * tot) / cnt + suffix[j + 1][:, ends]
+        # columns c < s are not segments
+        cand[cnt <= 0] = np.inf
+        cuts[:, j] = np.argmin(cand, axis=1)
+        s = cuts[:, j, None] + 1
+    return cuts
+
+
+def fit_rows(x, y, k):
+    """`fit_step` on every row of the (B, n) arrays x and y at once:
+    (tau, alpha, sigma_hat) as (B, k), (B, k+1) and (B, k+1) arrays, each
+    row bit-identical to the scalar fit of that row's dataset.  Rows share
+    one sort and the vectorized parts of the program (`_cut_rows`); a row
+    whose x repeats a value goes through `fit_step` itself."""
+    k = int(k)
+    rows, n = x.shape
+    order = np.argsort(x, axis=1)
+    xs = np.take_along_axis(x, order, axis=1)
+    ys = np.take_along_axis(y, order, axis=1)
+    # on distinct x the permutation is unique, so any sort is the stable one
+    distinct = np.all(xs[:, 1:] != xs[:, :-1], axis=1) & (n > k)
+    tau = np.empty((rows, k))
+    alpha = np.empty((rows, k + 1))
+    sigma = np.empty((rows, k + 1))
+    for r in np.flatnonzero(~distinct):
+        fit = fit_step(Dataset(x[r], y[r]), k)
+        tau[r], alpha[r], sigma[r] = fit.tau, fit.alpha, fit.sigma_hat
+    fast = np.flatnonzero(distinct)
+    if fast.size:
+        cuts = _cut_rows(ys[fast], k)
+        tau[fast] = np.take_along_axis(xs[fast], cuts, axis=1)
+        for r, c in zip(fast, cuts):
+            edges = [0, *(c + 1).tolist(), n]
+            alpha[r], sigma[r] = _levels_and_scales(x[r], y[r], ys[r], tau[r], edges)
+    return tau, alpha, sigma
 
 
 @dataclass(frozen=True)
@@ -466,13 +547,13 @@ class RegressionModelSpec:
         return len(self.true_tau)
 
     def regression_values(self, x):
+        """The regression function at every entry of x: segment j's
+        polynomial on (tau[j-1], tau[j]].  Each polynomial is evaluated
+        everywhere and kept where it applies."""
         x = np.asarray(x, dtype=float)
-        idx = np.searchsorted(np.asarray(self.true_tau), x, side="left")
-        out = np.empty_like(x)
-        for j, seg in enumerate(self.segments):
-            sel = idx == j
-            if np.any(sel):
-                out[sel] = npoly.polyval(x[sel], seg)
+        out = npoly.polyval(x, self.segments[0])
+        for tau, seg in zip(self.true_tau, self.segments[1:]):
+            out = np.where(x > tau, npoly.polyval(x, seg), out)
         return out
 
     def side_values(self, j):
@@ -495,16 +576,25 @@ def pure_step_model(tau, alpha, x_law, noise):
     )
 
 
+def synthesize_rows(model, n, seeds):
+    """One dataset of n observations per seed, as (len(seeds), n) arrays x
+    and y; each row is what `synthesize` draws from its seed."""
+    x = np.empty((len(seeds), n))
+    eps = np.empty((len(seeds), n))
+    for r, seed in enumerate(seeds):
+        rng = np.random.default_rng(int(seed) & ((1 << 64) - 1))
+        x[r] = model.x_law.sample(rng, n)
+        eps[r] = model.noise.sample(rng, n)
+    return x, model.regression_values(x) + eps
+
+
 def synthesize(model, n, seed):
     """Draw n observations: covariates first, then noise, so the stream
     layout is fixed for a given seed."""
     if n < 2:
         raise ValueError("need n >= 2")
-    rng = np.random.default_rng(int(seed) & ((1 << 64) - 1))
-    x = model.x_law.sample(rng, n)
-    eps = model.noise.sample(rng, n)
-    y = model.regression_values(x) + eps
-    return Dataset(x, y)
+    x, y = synthesize_rows(model, n, (seed,))
+    return Dataset(x[0], y[0])
 
 
 def _derived_jump_laws(model, j):

@@ -245,18 +245,19 @@ class TestVerifyFitsOnce:
     REPORTS = ("inequalities.csv", "tails.csv", "product_form.csv")
 
     def test_each_dataset_fitted_once(self, workdir, monkeypatch):
-        calls = []
-        fit_step = experiments.fit_step
+        # every dataset goes through the block fitter, one row per dataset
+        sizes = []
+        fit_rows = experiments.fit_rows
 
-        def counting(data, k):
-            calls.append(data.n)
-            return fit_step(data, k)
+        def counting(x, y, k):
+            sizes.extend([x.shape[1]] * x.shape[0])
+            return fit_rows(x, y, k)
 
-        monkeypatch.setattr(experiments, "fit_step", counting)
+        monkeypatch.setattr(experiments, "fit_rows", counting)
         (workdir / "k2.txt").write_text(K2_CONFIG_TEXT)
         out = workdir / "k2_out"
         assert run(["verify", "--config", str(workdir / "k2.txt"), "--out", str(out)]) == 0
-        assert sorted(calls) == [30] * 1000 + [60] * 1000
+        assert sorted(sizes) == [30] * 1000 + [60] * 1000
 
     def test_reports_match_public_functions(self, workdir):
         (workdir / "k2.txt").write_text(K2_CONFIG_TEXT)

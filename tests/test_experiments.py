@@ -2,6 +2,7 @@ import dataclasses
 import math
 from decimal import Decimal, getcontext
 
+import numpy as np
 import pytest
 
 from stepargmin import experiments
@@ -24,7 +25,8 @@ from stepargmin.experiments import (
     tail_probability_table,
     verify_limit_bounds,
 )
-from stepargmin.stepfit import Dataset, NoiseLaw, XLaw, fit_step, pure_step_model
+from stepargmin.rng import child_seed
+from stepargmin.stepfit import Dataset, NoiseLaw, XLaw, fit_step, pure_step_model, synthesize
 
 UNIFORM01 = XLaw("uniform", (0.0, 1.0))
 
@@ -57,6 +59,29 @@ def k1_config(**overrides):
         master_seed=2029,
         coverage_n=100,
         coverage_replications=1000,
+    )
+    kwargs.update(overrides)
+    return VerificationConfig(**kwargs)
+
+
+TWO_JUMPS = pure_step_model(
+    (1.0 / 3.0, 2.0 / 3.0), (0.0, 1.0, 0.0), UNIFORM01, NoiseLaw("gaussian", (0.0, 0.25))
+)
+
+
+def k2_config(**overrides):
+    kwargs = dict(
+        model=TWO_JUMPS,
+        k=2,
+        n_grid=(30, 60),
+        replications_data=1000,
+        replications_limit=1000,
+        rho=0.1,
+        closed_sets=(
+            ClosedSetTuple("lower", (closed_1d(-INF, 0.0), closed_1d(-INF, 0.0)), None),
+        ),
+        open_sets=(OpenSetTuple("win", (open_1d(-4.0, 4.0), open_1d(-4.0, 4.0)), None),),
+        master_seed=3031,
     )
     kwargs.update(overrides)
     return VerificationConfig(**kwargs)
@@ -130,6 +155,12 @@ class TestVerify:
 
     def test_worker_count_invariance(self):
         cfg = k1_config()
+        assert verify_limit_bounds(cfg, workers=1) == verify_limit_bounds(cfg, workers=2)
+        # 1001 replications: blocks of 81 rows at n = 100, of 273 and 136
+        # rows at n = 30 and 60, each with a partial last block
+        cfg = k1_config(coverage_replications=1001)
+        assert coverage_experiment(cfg, workers=1) == coverage_experiment(cfg, workers=2)
+        cfg = k2_config(replications_data=1001)
         assert verify_limit_bounds(cfg, workers=1) == verify_limit_bounds(cfg, workers=2)
 
     def test_bootstrap_mode_runs(self):
@@ -315,6 +346,42 @@ class TestProductForm:
     def test_deterministic(self):
         cfg = self._cfg()
         assert product_form_check(cfg) == product_form_check(cfg)
+
+
+class TestFitBlocks:
+    """The block worker against one scalar synthesize + fit_step per
+    replication, at the default block size and at blocks of 1 and 7 rows."""
+
+    @pytest.mark.parametrize("rows", [None, 1, 7])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_fit_worker_matches_fit_step(self, monkeypatch, rows, k):
+        n = 60
+        if rows is not None:
+            monkeypatch.setattr(experiments, "_BLOCK_CELLS", rows * n)
+        fits = experiments._fit_worker((TWO_JUMPS, k, n, 77, (1, n)), 3, 40)
+        assert fits.shape == (37, 3 * k + 2)
+        for row, rep in zip(fits, range(3, 40)):
+            fit = fit_step(synthesize(TWO_JUMPS, n, child_seed(77, 1, n, rep)), k)
+            assert row.tobytes() == np.array(fit.tau + fit.alpha + fit.sigma_hat).tobytes()
+
+    @pytest.mark.parametrize("rows", [None, 7])
+    def test_coverage_rows_match_build_rectangle(self, monkeypatch, rows):
+        n = 80
+        if rows is not None:
+            monkeypatch.setattr(experiments, "_BLOCK_CELLS", rows * n)
+        bounds_tau = ((-3.0, 2.5), (-2.0, 4.0))
+        z_lo, z_hi = -1.5, 1.7
+        got = experiments._coverage_worker((TWO_JUMPS, 2, n, 5, bounds_tau, z_lo, z_hi), 0, 40)
+        truth = TWO_JUMPS.true_tau + TWO_JUMPS.true_alpha
+        covered = []
+        for rep in range(40):
+            seed = child_seed(5, experiments._TAG_COVER, rep)
+            fit = fit_step(synthesize(TWO_JUMPS, n, seed), 2)
+            bounds_alpha = [(s * z_lo, s * z_hi) for s in fit.sigma_hat]
+            rect = build_rectangle(fit, n, bounds_tau, bounds_alpha)
+            covered.append(all(iv.contains(t) for iv, t in zip(rect, truth)))
+            assert got[rep].tolist() == [float(covered[-1])] + [iv.width for iv in rect]
+        assert 0 < sum(covered) < 40
 
 
 class TestMembershipReport:

@@ -22,12 +22,14 @@ from stepargmin.stepfit import (
     dataset_from_csv,
     dataset_to_csv,
     derive_limit_spec,
+    fit_rows,
     fit_step,
     optimal_levels,
     pure_step_model,
     rescaled_process,
     sse,
     synthesize,
+    synthesize_rows,
 )
 
 UNIFORM01 = XLaw("uniform", (0.0, 1.0))
@@ -230,6 +232,79 @@ class TestChunkedSuffixSweep:
             tracemalloc.stop()
         # a 3000 x 3000 float64 matrix alone is 72 MB
         assert peak < 4 * 2**20
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def assert_rows_match_fit_step(x, y, k):
+    """fit_rows on the block (x, y) gives, row by row, the bits of
+    fit_step's tau, alpha and sigma_hat; alpha is also np.mean per segment
+    (optimal_levels) and sigma_hat np.var over the x-sorted segment."""
+    tau, alpha, sigma = fit_rows(x, y, k)
+    assert tau.shape == (x.shape[0], k) and alpha.shape == sigma.shape == (x.shape[0], k + 1)
+    for r in range(x.shape[0]):
+        d = Dataset(x[r], y[r])
+        fit = fit_step(d, k)
+        assert _bits(tau[r]) == _bits(fit.tau)
+        assert _bits(alpha[r]) == _bits(fit.alpha)
+        assert _bits(sigma[r]) == _bits(fit.sigma_hat)
+        assert _bits(fit.alpha) == _bits(optimal_levels(d, fit.tau))
+        ys = d.y[np.argsort(d.x, kind="stable")]
+        edges = np.cumsum((0,) + fit.segment_counts)
+        scales = [
+            math.sqrt(float(np.var(ys[lo:hi])) / ((hi - lo) / d.n))
+            for lo, hi in zip(edges[:-1], edges[1:])
+        ]
+        assert _bits(fit.sigma_hat) == _bits(scales)
+
+
+class TestFitRows:
+    TWO_JUMPS = pure_step_model(
+        (1.0 / 3.0, 2.0 / 3.0), (0.0, 1.0, 0.0), UNIFORM01, NoiseLaw("gaussian", (0.0, 0.25))
+    )
+
+    @pytest.mark.parametrize("n, rows", [(30, 40), (300, 9), (500, 6)])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_synthesized_rows(self, n, rows, k):
+        seeds = [1000 * n + r for r in range(rows)]
+        x, y = synthesize_rows(self.TWO_JUMPS, n, seeds)
+        for r, seed in enumerate(seeds):
+            d = synthesize(self.TWO_JUMPS, n, seed)
+            assert _bits(d.x) == _bits(x[r]) and _bits(d.y) == _bits(y[r])
+        assert_rows_match_fit_step(x, y, k)
+
+    # the k>=2 layers swept with a leading axis of 12 datasets: chunks of
+    # one row of every dataset, then of 4 and 17 rows at first
+    @pytest.mark.parametrize("cells", [1, 2048, 8192])
+    def test_row_axis_chunks(self, monkeypatch, cells):
+        monkeypatch.setattr(stepfit, "_CHUNK_CELLS", cells)
+        x, y = synthesize_rows(self.TWO_JUMPS, 40, range(12))
+        for k in (2, 3):
+            assert_rows_match_fit_step(x, y, k)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_integer_ties_in_y(self, k):
+        # distinct x, y in {0, 1, 2}: many exactly tied segment costs
+        rng = np.random.default_rng(51)
+        x = np.array([rng.permutation(40) for _ in range(30)], dtype=float)
+        y = rng.integers(0, 3, size=x.shape).astype(float)
+        assert_rows_match_fit_step(x, y, k)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_repeated_x_row_falls_back(self, k, monkeypatch):
+        x, y = synthesize_rows(self.TWO_JUMPS, 50, [7, 8, 9, 10])
+        x[2, :10] = x[2, 10:20]
+        scalar = []
+        fit = stepfit.fit_step
+        monkeypatch.setattr(stepfit, "fit_step", lambda d, k: scalar.append(d.n) or fit(d, k))
+        assert_rows_match_fit_step(x, y, k)
+        assert scalar == [50]
+
+    def test_too_few_distinct_x(self):
+        with pytest.raises(TooFewDistinctXError):
+            fit_rows(np.array([[0.1, 0.2, 0.3]]), np.array([[0.0, 1.0, 0.0]]), 3)
 
 
 class TestRescaledProcess:
