@@ -77,6 +77,12 @@ def gamma_of(rho, k):
     return (1.0 - rho) ** (1.0 / (2 * k + 1))
 
 
+def _inside(lo, hi, closed, v):
+    """Whether v lies in the interval from lo to hi, closed or open as
+    `closed` says; elementwise on arrays."""
+    return np.where(closed, (lo <= v) & (v <= hi), (lo < v) & (v < hi))
+
+
 @dataclass(frozen=True)
 class RectInterval:
     lo: float
@@ -84,33 +90,44 @@ class RectInterval:
     closed: bool
 
     def contains(self, v):
-        if self.closed:
-            return self.lo <= v <= self.hi
-        return self.lo < v < self.hi
+        return bool(_inside(self.lo, self.hi, self.closed, v))
 
     @property
     def width(self):
         return self.hi - self.lo
 
 
-def build_rectangle(fit, n, bounds_tau, bounds_alpha):
-    """Confidence rectangle: open intervals (tau_j - b/n, tau_j - a/n) per
-    breakpoint, closed intervals [alpha_i - v/sqrt(n), alpha_i - u/sqrt(n)]
-    per level."""
-    k = len(fit.tau)
-    if len(bounds_tau) != k or len(bounds_alpha) != k + 1:
+def rectangle_columns(tau, alpha, n, bounds_tau, u, v):
+    """Confidence rectangles of B fits, by column: open intervals
+    (tau_j - b_j/n, tau_j - a_j/n) per breakpoint, closed intervals
+    [alpha_i - v_i/sqrt(n), alpha_i - u_i/sqrt(n)] per level.  tau is
+    (B, k), alpha, u and v are (B, k+1), bounds_tau holds one (a, b) per
+    breakpoint.  Returns lo and hi as (B, 2k+1) arrays, breakpoints first,
+    and the (2k+1,) mask of closed columns."""
+    k = tau.shape[1]
+    if len(bounds_tau) != k or u.shape != alpha.shape or v.shape != alpha.shape:
         raise BadBoundsError("bounds must match the parameter counts")
-    out = []
     for j, (a, b) in enumerate(bounds_tau):
         if not a < b:
             raise BadBoundsError(f"breakpoint bounds {j + 1}: need a < b")
-        out.append(RectInterval(fit.tau[j] - b / n, fit.tau[j] - a / n, closed=False))
+    bad = ~np.all(u < v, axis=0)
+    if np.any(bad):
+        raise BadBoundsError(f"level bounds {int(np.argmax(bad)) + 1}: need u < v")
+    a, b = np.array(bounds_tau, dtype=float).reshape(k, 2).T
     root = math.sqrt(n)
-    for i, (u, v) in enumerate(bounds_alpha):
-        if not u < v:
-            raise BadBoundsError(f"level bounds {i + 1}: need u < v")
-        out.append(RectInterval(fit.alpha[i] - v / root, fit.alpha[i] - u / root, closed=True))
-    return out
+    lo = np.hstack((tau - b / n, alpha - v / root))
+    hi = np.hstack((tau - a / n, alpha - u / root))
+    return lo, hi, np.arange(2 * k + 1) >= k
+
+
+def build_rectangle(fit, n, bounds_tau, bounds_alpha):
+    """`rectangle_columns` for one fit, with its level bounds (u_i, v_i)
+    in `bounds_alpha`, as a list of intervals."""
+    u, v = np.array(bounds_alpha, dtype=float).reshape(-1, 2).T[:, None]
+    lo, hi, closed = rectangle_columns(
+        np.array([fit.tau], dtype=float), np.array([fit.alpha], dtype=float), n, bounds_tau, u, v
+    )
+    return [RectInterval(float(a), float(b), bool(c)) for a, b, c in zip(lo[0], hi[0], closed)]
 
 
 @dataclass(frozen=True)
@@ -545,7 +562,7 @@ class CoverageReport:
 def _coverage_worker(args, lo, hi):
     """Per replication lo..hi-1: whether the confidence rectangle of its fit
     covers the true parameters, then the rectangle's 2k + 1 widths, as one
-    (hi - lo, 2k + 2) array; `build_rectangle`'s arithmetic, by column."""
+    (hi - lo, 2k + 2) array."""
     model, k, n, master, bounds_tau, z_lo, z_hi = args
     fits = _fit_worker((model, k, n, master, (_TAG_COVER,)), lo, hi)
     tau, alpha, sigma = np.split(fits, [k, 2 * k + 1], axis=1)
@@ -557,18 +574,10 @@ def _coverage_worker(args, lo, hi):
     flat = u == v
     u = np.where(flat, u - kappa, u)
     v = np.where(flat, v + kappa, v)
-    a, b = np.array(bounds_tau, dtype=float).reshape(k, 2).T
-    if not (np.all(a < b) and np.all(u < v)):
-        raise BadBoundsError("rectangle bounds need a < b and u < v")
-    root = math.sqrt(n)
-    tau_lo, tau_hi = tau - b / n, tau - a / n
-    alpha_lo, alpha_hi = alpha - v / root, alpha - u / root
-    true_tau = np.asarray(model.true_tau)
-    true_alpha = np.asarray(model.true_alpha)
-    covered = np.all((tau_lo < true_tau) & (true_tau < tau_hi), axis=1) & np.all(
-        (alpha_lo <= true_alpha) & (true_alpha <= alpha_hi), axis=1
-    )
-    return np.column_stack((covered, tau_hi - tau_lo, alpha_hi - alpha_lo))
+    rect_lo, rect_hi, closed = rectangle_columns(tau, alpha, n, bounds_tau, u, v)
+    truth = np.array(model.true_tau + model.true_alpha)
+    covered = np.all(_inside(rect_lo, rect_hi, closed, truth), axis=1)
+    return np.column_stack((covered, rect_hi - rect_lo))
 
 
 def coverage_experiment(config, workers=1):

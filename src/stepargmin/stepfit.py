@@ -158,8 +158,8 @@ def _blocks(data):
 
 def _cost_row(s, cum_n, cum_s, cum_q):
     # within-segment squared deviation of blocks s..c for every c >= s,
-    # from prefix sums; the same expression is reused for tie extraction so
-    # equality tests are exact
+    # from prefix sums; `_suffix_layer` and `_cuts` evaluate this same
+    # expression, so the costs they compare are bit-identical
     n = cum_n[s + 1 :] - cum_n[s]
     tot = cum_s[s + 1 :] - cum_s[s]
     sq = cum_q[s + 1 :] - cum_q[s]
@@ -235,25 +235,7 @@ def fit_step(data, k):
     if m < k + 1:
         raise TooFewDistinctXError(f"need at least {k + 1} distinct x values, have {m}")
 
-    # suffix[j][s]: optimal cost of covering blocks s.. with the last k+1-j
-    # segments; suffix[k] is the single-trailing-segment cost
-    tail_n = cum_n[m] - cum_n[:m]
-    tail_s = cum_s[m] - cum_s[:m]
-    tail_q = cum_q[m] - cum_q[:m]
-    suffix = {k: tail_q - (tail_s * tail_s) / tail_n}
-    for j in range(k - 1, 0, -1):
-        suffix[j] = _suffix_layer(suffix[j + 1], m - 1 - (k - j), cum_n, cum_s, cum_q)
-
-    tau_idx = []
-    s = 0
-    for j in range(k):
-        cmax = m - 1 - (k - j)
-        row = _cost_row(s, cum_n, cum_s, cum_q)[: cmax - s + 1]
-        cand = row + suffix[j + 1][s + 1 : cmax + 2]
-        best = cand.min()
-        c = s + int(np.flatnonzero(cand == best)[0])
-        tau_idx.append(c)
-        s = c + 1
+    tau_idx = _cuts(cum_n, cum_s[None], cum_q[None], k)[0].tolist()
 
     tau = tuple(float(vals[c]) for c in tau_idx)
     edges = [int(cum_n[c]) for c in [0] + [c + 1 for c in tau_idx] + [m]]
@@ -267,32 +249,30 @@ def fit_step(data, k):
     )
 
 
-def _cut_rows(ys, k):
-    """Per row of x-sorted y with distinct x: the index of the last
-    observation of each of the first k segments of the optimal fit.  This
-    is `fit_step`'s program for rows whose blocks are single observations:
-    the same centring, prefix sums, `_cost_row` expression, suffix layers
-    and first-minimum rule, so every cost is bit-identical to the scalar
-    fit's; the suffix layers are swept with a leading row axis."""
-    rows, n = ys.shape
-    mid = n // 2
-    yc = ys - np.partition(ys, mid, axis=1)[:, mid, None]
-    zero = np.zeros((rows, 1))
-    cum_n = np.arange(n + 1)
-    cum_s = np.concatenate((zero, np.cumsum(yc, axis=1)), axis=1)
-    cum_q = np.concatenate((zero, np.cumsum(yc * yc, axis=1)), axis=1)
-    tail_n = cum_n[n] - cum_n[:n]
-    tail_s = cum_s[:, n:] - cum_s[:, :n]
-    tail_q = cum_q[:, n:] - cum_q[:, :n]
+def _cuts(cum_n, cum_s, cum_q, k):
+    """The optimal k-jump fit of every row of the (B, m+1) block prefix
+    sums cum_s and cum_q, which share the block counts cum_n: per row, the
+    index of the last block of each of the first k segments.
+
+    suffix[j][:, s] is the optimal cost of covering blocks s.. with the
+    last k+1-j segments, suffix[k] the single trailing segment's.  Each
+    cut then takes the first minimum over its candidates, which puts ties
+    toward the lexicographically smallest breakpoint vector; the
+    candidate costs are the `_cost_row` expression, so they are
+    bit-identical to what `_suffix_layer` compares."""
+    rows, m = cum_s.shape[0], cum_n.size - 1
+    tail_n = cum_n[m] - cum_n[:m]
+    tail_s = cum_s[:, m:] - cum_s[:, :m]
+    tail_q = cum_q[:, m:] - cum_q[:, :m]
     suffix = {k: tail_q - (tail_s * tail_s) / tail_n}
     for j in range(k - 1, 0, -1):
-        suffix[j] = _suffix_layer(suffix[j + 1], n - 1 - (k - j), cum_n, cum_s, cum_q)
+        suffix[j] = _suffix_layer(suffix[j + 1], m - 1 - (k - j), cum_n, cum_s, cum_q)
     cuts = np.empty((rows, k), dtype=np.int64)
     s = np.zeros((rows, 1), dtype=np.int64)
     for j in range(k):
-        cmax = n - 1 - (k - j)
+        cmax = m - 1 - (k - j)
         ends = slice(1, cmax + 2)
-        cnt = cum_n[None, ends] - s
+        cnt = cum_n[None, ends] - cum_n[s]
         tot = cum_s[:, ends] - np.take_along_axis(cum_s, s, axis=1)
         sq = cum_q[:, ends] - np.take_along_axis(cum_q, s, axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -308,8 +288,9 @@ def fit_rows(x, y, k):
     """`fit_step` on every row of the (B, n) arrays x and y at once:
     (tau, alpha, sigma_hat) as (B, k), (B, k+1) and (B, k+1) arrays, each
     row bit-identical to the scalar fit of that row's dataset.  Rows share
-    one sort and the vectorized parts of the program (`_cut_rows`); a row
-    whose x repeats a value goes through `fit_step` itself."""
+    one sort, centred prefix sums over single-observation blocks and
+    `_cuts`; a row whose x repeats a value goes through `fit_step`
+    itself."""
     k = int(k)
     rows, n = x.shape
     order = np.argsort(x, axis=1)
@@ -325,7 +306,13 @@ def fit_rows(x, y, k):
         tau[r], alpha[r], sigma[r] = fit.tau, fit.alpha, fit.sigma_hat
     fast = np.flatnonzero(distinct)
     if fast.size:
-        cuts = _cut_rows(ys[fast], k)
+        # `_blocks`' centring and prefix sums, by row
+        mid = n // 2
+        yc = ys[fast] - np.partition(ys[fast], mid, axis=1)[:, mid, None]
+        zero = np.zeros((fast.size, 1))
+        cum_s = np.concatenate((zero, np.cumsum(yc, axis=1)), axis=1)
+        cum_q = np.concatenate((zero, np.cumsum(yc * yc, axis=1)), axis=1)
+        cuts = _cuts(np.arange(n + 1), cum_s, cum_q, k)
         tau[fast] = np.take_along_axis(xs[fast], cuts, axis=1)
         for r, c in zip(fast, cuts):
             edges = [0, *(c + 1).tolist(), n]

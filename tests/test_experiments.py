@@ -22,6 +22,7 @@ from stepargmin.experiments import (
     membership_report,
     parse_verification_config,
     product_form_check,
+    rectangle_columns,
     tail_probability_table,
     verify_limit_bounds,
 )
@@ -132,6 +133,12 @@ class TestBuildRectangle:
         rect = build_rectangle(self._fit(), 100, [(-2.0, 3.0)], [(-1.0, 1.0), (-1.0, 1.0)])
         assert not rect[0].contains(0.47)
         assert rect[1].contains(rect[1].lo)
+
+    def test_columns_check_level_bounds_of_every_row(self):
+        u = np.array([[-1.0, -1.0], [-1.0, 1.0]])
+        v = np.ones((2, 2))
+        with pytest.raises(BadBoundsError, match="level bounds 2"):
+            rectangle_columns(np.full((2, 1), 0.5), np.ones((2, 2)), 100, [(-2.0, 3.0)], u, v)
 
 
 class TestVerify:
