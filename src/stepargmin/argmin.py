@@ -262,28 +262,86 @@ def full_space(dim):
     return OpenBoxUnion(dim, (OpenBox((-INF,) * dim, (INF,) * dim),))
 
 
-def _argmin_runs_1d(breakpoints, values):
-    """Index runs of minimal cells -> closed interval endpoints."""
-    values = np.asarray(values, dtype=float)
-    m = values.min()
-    mask = values == m
-    idx = np.flatnonzero(mask)
-    intervals = []
-    start = prev = idx[0]
-    for i in idx[1:]:
-        if i == prev + 1:
-            prev = i
-            continue
-        intervals.append((start, prev))
-        start = prev = i
-    intervals.append((start, prev))
-    n_bp = len(values) - 1
-    out = []
-    for i0, i1 in intervals:
-        lo = breakpoints[i0 - 1] if i0 > 0 else -INF
-        hi = breakpoints[i1] if i1 < n_bp else INF
-        out.append((float(lo), float(hi)))
-    return out
+# --- 1-D interval rows ------------------------------------------------------
+#
+# One kernel answers every 1-D set question: the argmin sets of many step
+# functions at once, and the data points of a sample, each the closed set
+# {x}, are rows of flat closed intervals.
+
+
+def _argmin_cells(edges, values):
+    """Argmin set of every row as flat closed intervals (row, lo, hi), in
+    row order and increasing within a row: the closures of the minimal
+    cells of positive width, touching closures merged.  Cell j of a row
+    spans [edges[j], edges[j + 1])."""
+    lo_edges, hi_edges = edges[:, :-1], edges[:, 1:]
+    masked = np.where(lo_edges < hi_edges, values, INF)
+    row, col = np.nonzero(masked == masked.min(axis=1, keepdims=True))
+    lo = lo_edges[row, col]
+    hi = hi_edges[row, col]
+    first = np.ones(row.size, dtype=bool)
+    first[1:] = (row[1:] != row[:-1]) | (lo[1:] != hi[:-1])
+    last = np.append(first[1:], True)
+    return row[first], lo[first], hi[last]
+
+
+def _open_components(g):
+    """Connected components of an open 1-D union as endpoint arrays; open
+    intervals that only touch leave their common end uncovered."""
+    comps = []
+    for lo, hi in sorted((b.lo[0], b.hi[0]) for b in g.boxes):
+        if comps and lo < comps[-1][1]:
+            comps[-1][1] = max(comps[-1][1], hi)
+        else:
+            comps.append([lo, hi])
+    ends = np.array(comps, dtype=float).reshape(-1, 2)
+    return ends[:, 0], ends[:, 1]
+
+
+@dataclass(frozen=True)
+class IntervalRows:
+    """Closed 1-D sets of consecutive rows as flat intervals: row i owns
+    entries starts[i] up to starts[i + 1] of lo and hi, increasing and
+    pairwise disjoint.  Every row is nonempty."""
+
+    lo: np.ndarray
+    hi: np.ndarray
+    starts: np.ndarray
+
+    @classmethod
+    def from_cells(cls, row, lo, hi):
+        """From intervals sorted by row, every row present."""
+        return cls(lo, hi, np.flatnonzero(np.diff(row, prepend=-1)))
+
+    @classmethod
+    def from_points(cls, x):
+        """Row i is the single point [x_i, x_i]."""
+        x = np.asarray(x, dtype=float)
+        return cls(x, x, np.arange(x.size))
+
+    def smallest(self):
+        return self.lo[self.starts]
+
+    def largest(self):
+        return self.hi[np.append(self.starts[1:], self.hi.size) - 1]
+
+    def meets(self, kind, union):
+        """Per row: the set hits the closed 1-D union (kind "closed") or
+        lies inside the open 1-D union (kind "open").  An infinite end of
+        an interval is inside a component that is infinite on the same
+        side."""
+        if union.dim != 1:
+            raise ValueError("dimension mismatch")
+        lo = self.lo[:, None]
+        hi = self.hi[:, None]
+        if kind == "closed":
+            a = np.array([b.lo[0] for b in union.boxes])
+            b = np.array([b.hi[0] for b in union.boxes])
+            hit = np.maximum(lo, a) <= np.minimum(hi, b)
+            return np.logical_or.reduceat(hit.any(axis=1), self.starts)
+        a, b = _open_components(union)
+        inside = ((a < lo) | (a == -INF)) & ((hi < b) | (b == INF))
+        return np.logical_and.reduceat(inside.any(axis=1), self.starts)
 
 
 def _prenormalized_union(dim, boxes):
@@ -303,14 +361,17 @@ def argmin_set(f):
     cell through one of its quadrant limits.  It can be unbounded, e.g. the
     whole space for a constant function.
     """
-    if isinstance(f, StepFunction1D):
-        pairs = _argmin_runs_1d(f.breakpoints, f.values)
-        return BoxUnion(1, tuple(box1(lo, hi) for lo, hi in pairs))
-    if not isinstance(f, GridFunction):
+    if not isinstance(f, (StepFunction1D, GridFunction)):
         raise TypeError("argmin_set expects StepFunction1D or GridFunction")
     if f.dim == 1:
-        pairs = _argmin_runs_1d(f.axes[0], f.cells)
-        return BoxUnion(1, tuple(box1(lo, hi) for lo, hi in pairs))
+        if isinstance(f, StepFunction1D):
+            breaks, values = f.breakpoints, f.values
+        else:
+            breaks, values = f.axes[0], f.cells
+        # the kernel's intervals are disjoint and increasing: canonical form
+        edges = np.concatenate(([-INF], breaks, [INF]))
+        _, lo, hi = _argmin_cells(edges[None], values[None])
+        return _prenormalized_union(1, map(box1, lo.tolist(), hi.tolist()))
     cells = f.cells
     m = cells.min()
     boxes = []

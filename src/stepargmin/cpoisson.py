@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from stepargmin.argmin import INF, BoxUnion, box1
+from stepargmin.argmin import INF, IntervalRows, _argmin_cells, argmin_set
 from stepargmin.rng import child_seed, run_chunks, substream
 from stepargmin.stepfun import StepFunction1D
 from stepargmin.textfmt import Law, convert, parse_law_token, read_key_values
@@ -234,79 +234,11 @@ def _draw_block(spec, rng, rows):
     return edges, values
 
 
-def _argmin_cells(edges, values):
-    """Argmin set of every row as flat closed intervals (row, lo, hi), in
-    row order and increasing within a row: the closures of the minimal
-    cells of positive width, touching closures merged."""
-    lo_edges, hi_edges = edges[:, :-1], edges[:, 1:]
-    masked = np.where(lo_edges < hi_edges, values, INF)
-    row, col = np.nonzero(masked == masked.min(axis=1, keepdims=True))
-    lo = lo_edges[row, col]
-    hi = hi_edges[row, col]
-    first = np.ones(row.size, dtype=bool)
-    first[1:] = (row[1:] != row[:-1]) | (lo[1:] != hi[:-1])
-    last = np.append(first[1:], True)
-    return row[first], lo[first], hi[last]
-
-
 def _row_function(edges, values):
     """Breakpoints and values of one block row with its zero-width cells
     dropped, as a StepFunction1D takes them."""
     real = edges[:-1] < edges[1:]
     return edges[:-1][real][1:], values[real]
-
-
-def _open_components(g):
-    """Connected components of an open 1-D union as endpoint arrays; open
-    intervals that only touch leave their common end uncovered."""
-    comps = []
-    for lo, hi in sorted((b.lo[0], b.hi[0]) for b in g.boxes):
-        if comps and lo < comps[-1][1]:
-            comps[-1][1] = max(comps[-1][1], hi)
-        else:
-            comps.append([lo, hi])
-    ends = np.array(comps, dtype=float).reshape(-1, 2)
-    return ends[:, 0], ends[:, 1]
-
-
-@dataclass(frozen=True)
-class _ArgminRows:
-    """Argmin sets of consecutive replications as flat closed intervals:
-    replication i owns entries starts[i] up to starts[i + 1] of lo and hi,
-    increasing and pairwise disjoint, and was redrawn redraws[i] times."""
-
-    lo: np.ndarray
-    hi: np.ndarray
-    starts: np.ndarray
-    redraws: np.ndarray
-
-    @classmethod
-    def from_cells(cls, rep, lo, hi, redraws=None):
-        """From intervals sorted by replication, every replication present."""
-        return cls(lo, hi, np.flatnonzero(np.diff(rep, prepend=-1)), redraws)
-
-    def smallest(self):
-        return self.lo[self.starts]
-
-    def largest(self):
-        return self.hi[np.append(self.starts[1:], self.hi.size) - 1]
-
-    def hits(self, e):
-        """Per replication: the argmin set meets the closed 1-D union e."""
-        a = np.array([b.lo[0] for b in e.boxes])
-        b = np.array([b.hi[0] for b in e.boxes])
-        meet = np.maximum(self.lo[:, None], a) <= np.minimum(self.hi[:, None], b)
-        return np.logical_or.reduceat(meet.any(axis=1), self.starts)
-
-    def within(self, g):
-        """Per replication: the argmin set lies inside the open 1-D union g.
-        An infinite end of an interval is inside a component that is
-        infinite on the same side."""
-        a, b = _open_components(g)
-        lo = self.lo[:, None]
-        hi = self.hi[:, None]
-        inside = ((a < lo) | (a == -INF)) & ((hi < b) | (b == INF))
-        return np.logical_and.reduceat(inside.any(axis=1), self.starts)
 
 
 def _build_trajectory(spec, seed):
@@ -342,11 +274,10 @@ def _simulate(spec, seed):
     draw.
     """
     breaks, values = _build_trajectory(spec, seed)
-    edges = np.concatenate(([-INF], breaks, [INF]))
-    _, lo, hi = _argmin_cells(edges[None], values[None])
-    a_full = BoxUnion(1, tuple(box1(a, b) for a, b in zip(lo.tolist(), hi.tolist())))
+    a_full = argmin_set(StepFunction1D(breaks, values))
+    lo, hi = a_full.boxes[0].lo[0], a_full.boxes[-1].hi[0]
     for w in _window_grid(spec):
-        if -w < lo[0] and hi[-1] < w:
+        if -w < lo and hi < w:
             return _truncate(breaks, values, w), a_full, False
     return _truncate(breaks, values, spec.max_window), a_full, True
 
@@ -373,7 +304,8 @@ def _draw_accepted(spec, master_seed, rep):
 
 
 def _accepted_rows(spec, seed, lo, hi):
-    """Accepted argmin sets of replications lo..hi-1 as _ArgminRows.
+    """Accepted argmin sets of replications lo..hi-1 as IntervalRows, and
+    the redraw count of each replication.
 
     Replication r is row r % _BLOCK of block r // _BLOCK.  A row whose
     argmin set does not lie strictly inside (-max_window, max_window) is a
@@ -383,7 +315,7 @@ def _accepted_rows(spec, seed, lo, hi):
     redraws = np.zeros(hi - lo, dtype=np.int64)
     for b in range(lo // _BLOCK, (hi - 1) // _BLOCK + 1):
         row, a, z = _argmin_cells(*_draw_block(spec, substream(seed, b), _BLOCK))
-        block = _ArgminRows.from_cells(row, a, z)
+        block = IntervalRows.from_cells(row, a, z)
         inside = (block.smallest() > -w) & (block.largest() < w)
         rep = row + b * _BLOCK
         keep = inside[row] & (rep >= lo) & (rep < hi)
@@ -399,22 +331,25 @@ def _accepted_rows(spec, seed, lo, hi):
                 his.append(np.array([box.hi[0] for box in union.boxes]))
     rep = np.concatenate(reps)
     order = np.argsort(rep, kind="stable")
-    return _ArgminRows.from_cells(
-        rep[order] - lo, np.concatenate(los)[order], np.concatenate(his)[order], redraws
+    rows = IntervalRows.from_cells(
+        rep[order] - lo, np.concatenate(los)[order], np.concatenate(his)[order]
     )
+    return rows, redraws
 
 
 def _extremes_worker(args, lo, hi):
     spec, master_seed = args
-    rows = _accepted_rows(spec, master_seed, lo, hi)
-    return list(zip(rows.smallest().tolist(), rows.largest().tolist(), rows.redraws.tolist()))
+    rows, redraws = _accepted_rows(spec, master_seed, lo, hi)
+    return list(zip(rows.smallest().tolist(), rows.largest().tolist(), redraws.tolist()))
 
 
 def _predicate_worker(args, lo, hi):
-    spec, master_seed, mode, target = args
-    rows = _accepted_rows(spec, master_seed, lo, hi)
-    flags = rows.hits(target) if mode == "hits" else rows.within(target)
-    return list(zip(flags.tolist(), rows.redraws.tolist()))
+    """Replications lo..hi-1 as one (hi - lo, len(menu) + 1) array: per
+    (kind, 1-D union) of the menu, whether the accepted argmin set meets
+    the union as IntervalRows.meets says, then the redraw count."""
+    spec, master_seed, menu = args
+    rows, redraws = _accepted_rows(spec, master_seed, lo, hi)
+    return np.column_stack([rows.meets(kind, union) for kind, union in menu] + [redraws])
 
 
 def _check_redraws(total_redraws, replications):
@@ -437,24 +372,24 @@ def sample_extreme_minimizers(spec, replications, seed, workers=1):
     ]
 
 
-def _estimate(spec, mode, target, replications, seed, workers):
+def _estimate(spec, kind, target, replications, seed, workers):
     if replications < 1:
         raise ValueError("replications must be at least 1")
-    rows = run_chunks(
-        _predicate_worker, (spec, seed, mode, target), replications, workers, block=_BLOCK
-    )
-    _check_redraws(sum(r[1] for r in rows), replications)
-    return _proportion(np.array([r[0] for r in rows], dtype=bool), replications)
+    flags, redraws = run_chunks(
+        _predicate_worker, (spec, seed, ((kind, target),)), replications, workers, block=_BLOCK
+    ).T
+    _check_redraws(int(redraws.sum()), replications)
+    return _proportion(flags, replications)
 
 
 def estimate_capacity(spec, e, replications, seed, workers=1):
     """Monte Carlo estimate of P(argmin set hits the closed 1-D union e)."""
-    return _estimate(spec, "hits", e, replications, seed, workers)
+    return _estimate(spec, "closed", e, replications, seed, workers)
 
 
 def estimate_containment(spec, g, replications, seed, workers=1):
     """Monte Carlo estimate of P(argmin set lies inside the open 1-D union g)."""
-    return _estimate(spec, "within", g, replications, seed, workers)
+    return _estimate(spec, "open", g, replications, seed, workers)
 
 
 def samples_to_csv(samples):

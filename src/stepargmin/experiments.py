@@ -18,6 +18,7 @@ import numpy as np
 from stepargmin.argmin import (
     Box,
     BoxUnion,
+    IntervalRows,
     OpenBox,
     OpenBoxUnion,
     _parse_interval,
@@ -28,7 +29,8 @@ from stepargmin.argmin import (
 from stepargmin.cpoisson import (
     _BLOCK,
     OutOfDomainError,
-    _accepted_rows,
+    _check_redraws,
+    _predicate_worker as _limit_worker,
     choose_interval_bounds,
     inverse_normal_cdf,
     normal_cdf,
@@ -251,30 +253,13 @@ def fit_table(config, workers=1):
     return {n: _data_fits(config, n, workers) for n in config.n_grid}
 
 
-def _limit_worker(args, lo, hi):
-    spec, seed, menu = args
-    rows = _accepted_rows(spec, seed, lo, hi)
-    flags = [rows.hits(s) if kind == "closed" else rows.within(s) for kind, s in menu]
-    return np.array(flags, dtype=bool).reshape(len(flags), hi - lo).T
-
-
-def _points_in(values, kind, union):
-    """Per value: it lies in the 1-D union, whose boxes are closed or open
-    as `kind` says."""
-    out = np.zeros(values.shape, dtype=bool)
-    for box in union.boxes:
-        if kind == "closed":
-            out |= (values >= box.lo[0]) & (values <= box.hi[0])
-        else:
-            out |= (values > box.lo[0]) & (values < box.hi[0])
-    return out
-
-
 def _margins(st, xi, aux):
     """Per replication flags of menu row `st`: one array per breakpoint j
     (xi[:, j] in the j-th set), then one for the aux box (every scaled level
     deviation in its closed interval; all true without a box)."""
-    margins = [_points_in(xi[:, j], st.kind, s) for j, s in enumerate(st.sets)]
+    margins = [
+        IntervalRows.from_points(xi[:, j]).meets(st.kind, s) for j, s in enumerate(st.sets)
+    ]
     in_box = np.ones(aux.shape[0], dtype=bool)
     for i, (lo, hi) in enumerate(st.aux or ()):
         in_box &= (aux[:, i] >= lo) & (aux[:, i] <= hi)
@@ -366,14 +351,17 @@ def _limit_functionals(config, workers):
     """Per breakpoint j: a (menu rows, replications) flag array.  Row m says
     per replication whether the limit argmin set hits (closed row) or lies
     inside (open row) the j-th set of menu row m; one replication stream
-    serves the whole menu."""
+    serves the whole menu.  Boundary redraws above 1% of the replications
+    raise TooManyRedrawsError."""
     reps = config.replications_limit
     out = []
     for j in range(1, config.k + 1):
         spec = derive_limit_spec(config.model, j)
         menu = tuple((st.kind, st.sets[j - 1]) for st in config.menu)
         seed = child_seed(config.master_seed, _TAG_LIMIT, j)
-        out.append(run_chunks(_limit_worker, (spec, seed, menu), reps, workers, block=_BLOCK).T)
+        cols = run_chunks(_limit_worker, (spec, seed, menu), reps, workers, block=_BLOCK)
+        _check_redraws(int(cols[:, -1].sum()), reps)
+        out.append(cols[:, :-1].T.astype(bool))
     return out
 
 
@@ -385,8 +373,8 @@ def _bootstrap_functionals(config, workers):
         config.model, config.k, config.bootstrap_n, config.master_seed, _TAG_BOOT, reps, workers
     )
     return [
-        np.array([_points_in(xi[:, j], st.kind, st.sets[j]) for st in config.menu], dtype=bool)
-        for j in range(config.k)
+        np.array([IntervalRows.from_points(x).meets(st.kind, st.sets[j]) for st in config.menu])
+        for j, x in enumerate(xi.T)
     ]
 
 

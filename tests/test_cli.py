@@ -240,6 +240,17 @@ class TestVerify:
         assert code == 1
         assert "verdict = fail" in (out / "summary.txt").read_text()
 
+    def test_too_many_redraws_exit_1(self, workdir, capsys):
+        # noise of +-5 around a unit jump lets the limit process drift down
+        # far enough that over 1% of its argmin sets reach the window edge
+        text = CONFIG_TEXT.replace("gaussian(0, 0.25)", "two_point(-5, 5, 0.5)")
+        (workdir / "cfg_redraw.txt").write_text(text)
+        out = workdir / "out_redraw"
+        code = run(["verify", "--config", str(workdir / "cfg_redraw.txt"), "--out", str(out)])
+        assert code == 1
+        assert "boundary redraws exceed 1%" in capsys.readouterr().err
+        assert not (out / "DONE").exists()
+
 
 class TestVerifyFitsOnce:
     REPORTS = ("inequalities.csv", "tails.csv", "product_form.csv")

@@ -3,24 +3,27 @@ import math
 
 import numpy as np
 import pytest
+from corpus import oracle_argmin
 
 from stepargmin import cpoisson
 from stepargmin.argmin import (
     INF,
     Box,
     BoxUnion,
+    IntervalRows,
     OpenBox,
     OpenBoxUnion,
+    _argmin_cells,
     argmin_set,
     contained_in_open,
     hits,
     largmin,
+    lower_orthant_closed,
+    lower_orthant_open,
     sargmin,
 )
 from stepargmin.cpoisson import (
     _BLOCK,
-    _ArgminRows,
-    _argmin_cells,
     _draw_block,
     _row_function,
     CompoundPoissonSpec,
@@ -331,17 +334,19 @@ def kernel_specs():
 
 
 def assert_rows_exact(edges, values):
-    """Kernel intervals, extremes and predicates of every row against the
-    set functions applied to the row's own StepFunction1D; returns the
+    """Kernel intervals of every row against the brute-force quadrant-limit
+    oracle on the row's own StepFunction1D, and the kernel's extremes and
+    predicates against the set functions on the oracle's set; returns the
     rows' argmin sets."""
     row, lo, hi = _argmin_cells(edges, values)
-    rows = _ArgminRows.from_cells(row, lo, hi)
+    rows = IntervalRows.from_cells(row, lo, hi)
     smallest, largest = rows.smallest(), rows.largest()
-    hit_flags = [rows.hits(e) for e in CLOSED_MENU]
-    within_flags = [rows.within(g) for g in OPEN_MENU]
+    hit_flags = [rows.meets("closed", e) for e in CLOSED_MENU]
+    within_flags = [rows.meets("open", g) for g in OPEN_MENU]
     sets = []
     for r in range(edges.shape[0]):
-        a = argmin_set(StepFunction1D(*_row_function(edges[r], values[r])))
+        boxes, _, _ = oracle_argmin(StepFunction1D(*_row_function(edges[r], values[r])))
+        a = BoxUnion(1, boxes)
         got = list(zip(lo[row == r].tolist(), hi[row == r].tolist()))
         assert got == [(b.lo[0], b.hi[0]) for b in a.boxes]
         if a.bounded:
@@ -404,6 +409,34 @@ class TestBlockKernel:
         row, lo, hi = _argmin_cells(edges, values)
         assert list(zip(lo.tolist(), hi.tolist())) == [(-1.0, 1.0)]
         assert_rows_exact(edges, values)
+
+
+class TestIntervalRows:
+    def test_point_rows_are_membership(self):
+        # every endpoint of the menus, points between and beyond them
+        ends = {v for u in CLOSED_MENU + OPEN_MENU for b in u.boxes for v in b.lo + b.hi}
+        ends = np.array(sorted(ends - {INF, -INF}) + [-8.0, -0.5, 8.0])
+        values = np.concatenate((ends, ends - 0.25, ends + 0.25, [-100.0, 100.0]))
+        rows = IntervalRows.from_points(values)
+        touching = opened((-8.0, -0.5), (0.0, 8.0), (8.0, INF))
+        for kind, menu in (("closed", CLOSED_MENU), ("open", OPEN_MENU + (touching,))):
+            for u in menu:
+                expected = [u.contains_point(v) for v in values]
+                assert rows.meets(kind, u).tolist() == expected, (kind, u)
+
+    @pytest.mark.parametrize(
+        "kind, union",
+        [("closed", lower_orthant_closed((0.0, 1.0))), ("open", lower_orthant_open((0.0, 1.0)))],
+    )
+    def test_meets_rejects_k_dim_sets(self, kind, union):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            IntervalRows.from_points([0.0, 1.0]).meets(kind, union)
+
+    def test_estimators_reject_k_dim_sets(self):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            estimate_capacity(unit_spec(), lower_orthant_closed((0.0, -100.0)), 100, 1)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            estimate_containment(unit_spec(), lower_orthant_open((100.0, 100.0)), 100, 1)
 
 
 class TestStreamLayout:

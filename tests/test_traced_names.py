@@ -1,7 +1,8 @@
 """The benchmark's tracer (perfbench/tracing.py) wraps every function named
-in its TRACED table by looking it up in the package, so renaming or
-removing one of them breaks traced benchmark runs.  This catches that in
-the test suite."""
+in its TRACED table by looking it up in the package, and its hooks read
+what some of them return, so renaming or removing one of them, or changing
+what a hooked one returns, breaks traced benchmark runs.  This catches
+that in the test suite."""
 
 import importlib
 import importlib.util
@@ -10,18 +11,62 @@ from pathlib import Path
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
-def _traced():
+def _tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.TRACED
+    return module
 
 
 def test_every_traced_name_resolves():
     missing = [
         f"stepargmin.{layer}.{name}"
-        for layer, names in _traced().items()
+        for layer, names in _tracing().TRACED.items()
         for name in names
         if not callable(getattr(importlib.import_module(f"stepargmin.{layer}"), name, None))
     ]
     assert missing == []
+
+
+def test_hooks_read_what_they_expect(tmp_path):
+    from stepargmin import argmin, cli, cpoisson, stepfit
+
+    tracing = _tracing()
+    original = cpoisson._simulate
+    (tmp_path / "data.csv").write_text("x,y\n1.0,0.0\n2.0,0.0\n3.0,1.0\n4.0,1.0\n")
+    model = stepfit.pure_step_model(
+        (1.0 / 3.0, 2.0 / 3.0),
+        (0.0, 1.0, 0.0),
+        stepfit.XLaw("uniform", (0.0, 1.0)),
+        stepfit.NoiseLaw("gaussian", (0.0, 0.25)),
+    )
+    spec = cpoisson.CompoundPoissonSpec(
+        1.0, 1.0, cpoisson.JumpLaw("point", (1.0,)), cpoisson.JumpLaw("point", (1.0,))
+    )
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert cpoisson._simulate is not original
+        cpoisson.simulate_trajectory(spec, 3)
+        stepfit.fit_step(stepfit.synthesize(model, 30, 5), 2)
+        argmin.closed_complement(argmin.open_union(2, [argmin.OpenBox((0.0, 0.0), (1.0, 1.0))]))
+        out = tmp_path / "fit"
+        data = str(tmp_path / "data.csv")
+        assert cli.run(["fit", "--data", data, "--k", "1", "--out", str(out)]) == 0
+    finally:
+        tracer.uninstall()
+    assert cpoisson._simulate is original
+    counters = tracer.counters
+    assert counters["cpoisson.draws_accepted"] == 1
+    assert counters["cpoisson.trajectory_cells"] > 0
+    assert counters["stepfun.cells"] > 0
+    assert counters["stepfit.dp_bytes_computed"] > 0
+    assert counters["argmin.complement_boxes"] == 4
+    assert counters["cli.report_bytes"] == sum(len(p.read_bytes()) for p in out.iterdir())
+    assert tracer.datasets == {(30, 5)}
+    metrics = tracing.layer_metrics(tracer, 1, 1.0)
+    assert metrics["cpoisson.draws_attempted"] == 1
+    assert metrics["cpoisson.accept_ratio"] == 1.0
+    assert metrics["stepfit.fit_step.k1.calls"] == 1
+    assert metrics["stepfit.fit_step.k2.calls"] == 1
+    assert metrics["experiments.fit_reuse"] == 0.5
