@@ -28,7 +28,6 @@ from stepargmin.cpoisson import (
     CompoundPoissonSpec,
     FunctionalEstimate,
     JumpLaw,
-    MinimizerSample,
     choose_interval_bounds,
     estimate_capacity,
     estimate_containment,

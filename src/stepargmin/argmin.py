@@ -170,10 +170,6 @@ class BoxUnion:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
-def box_union(dim, boxes):
-    return BoxUnion(dim, tuple(boxes))
-
-
 def _parse_interval(token, brackets="[]", error=ValueError):
     """(lo, hi) of a token such as '[lo,hi]' or '(lo,hi)', with the given
     bracket pair; a malformed token raises ``error`` naming the token."""
@@ -250,16 +246,8 @@ class OpenBoxUnion:
         return any(b.contains_point(point) for b in self.boxes)
 
 
-def open_box1(lo, hi):
-    return OpenBox((lo,), (hi,))
-
-
 def open_union(dim, boxes):
     return OpenBoxUnion(dim, tuple(boxes))
-
-
-def full_space(dim):
-    return OpenBoxUnion(dim, (OpenBox((-INF,) * dim, (INF,) * dim),))
 
 
 # --- 1-D interval rows ------------------------------------------------------
@@ -372,16 +360,10 @@ def argmin_set(f):
         edges = np.concatenate(([-INF], breaks, [INF]))
         _, lo, hi = _argmin_cells(edges[None], values[None])
         return _prenormalized_union(1, map(box1, lo.tolist(), hi.tolist()))
-    cells = f.cells
-    m = cells.min()
-    boxes = []
-    for index in np.argwhere(cells == m):
-        lo = []
-        hi = []
-        for axis, j in zip(f.axes, index):
-            lo.append(axis[j - 1] if j > 0 else -INF)
-            hi.append(axis[j] if j < axis.size else INF)
-        boxes.append(Box(tuple(lo), tuple(hi)))
+    index = np.argwhere(f.cells == f.cells.min()).T
+    lo = np.column_stack([np.append(-INF, axis)[j] for axis, j in zip(f.axes, index)])
+    hi = np.column_stack([np.append(axis, INF)[j] for axis, j in zip(f.axes, index)])
+    boxes = map(Box, lo.tolist(), hi.tolist())
     # closures of distinct cells never nest and argwhere emits them in
     # lexicographic order, so normalization would be a no-op
     return _prenormalized_union(f.dim, boxes)

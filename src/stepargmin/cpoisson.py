@@ -157,14 +157,6 @@ def spec_from_text(text):
 
 
 @dataclass(frozen=True)
-class MinimizerSample:
-    xi_min: float
-    xi_max: float
-    boundary_touched: bool = False
-    redraws: int = 0
-
-
-@dataclass(frozen=True)
 class FunctionalEstimate:
     value: float
     std_error: float
@@ -337,49 +329,53 @@ def _accepted_rows(spec, seed, lo, hi):
     return rows, redraws
 
 
-def _extremes_worker(args, lo, hi):
-    spec, master_seed = args
-    rows, redraws = _accepted_rows(spec, master_seed, lo, hi)
-    return list(zip(rows.smallest().tolist(), rows.largest().tolist(), redraws.tolist()))
-
-
 def _predicate_worker(args, lo, hi):
-    """Replications lo..hi-1 as one (hi - lo, len(menu) + 1) array: per
-    (kind, 1-D union) of the menu, whether the accepted argmin set meets
-    the union as IntervalRows.meets says, then the redraw count."""
+    """Replications lo..hi-1 as one (hi - lo, 3 + len(menu)) array: the
+    smallest and largest minimizer of the accepted argmin set, its redraw
+    count, then per (kind, 1-D union) of the menu whether the set meets the
+    union as IntervalRows.meets says."""
     spec, master_seed, menu = args
     rows, redraws = _accepted_rows(spec, master_seed, lo, hi)
-    return np.column_stack([rows.meets(kind, union) for kind, union in menu] + [redraws])
+    flags = [rows.meets(kind, union) for kind, union in menu]
+    return np.column_stack([rows.smallest(), rows.largest(), redraws, *flags])
 
 
-def _check_redraws(total_redraws, replications):
+# the benchmark tracer wraps this name
+_extremes_worker = _predicate_worker
+
+
+def _limit_columns(spec, seed, replications, workers, menu=()):
+    """The `_predicate_worker` columns of replications 0..replications-1.
+    Menu sets must be 1-D, checked before anything is drawn; boundary
+    redraws above 1% of the replications raise TooManyRedrawsError."""
+    if replications < 1:
+        raise ValueError("replications must be at least 1")
+    if any(union.dim != 1 for _, union in menu):
+        raise ValueError("dimension mismatch")
+    cols = run_chunks(
+        _predicate_worker, (spec, seed, tuple(menu)), replications, workers, block=_BLOCK
+    )
+    total_redraws = int(cols[:, 2].sum())
     if total_redraws > 0.01 * replications:
         raise TooManyRedrawsError(
             f"{total_redraws} boundary redraws exceed 1% of {replications} replications"
         )
+    return cols
 
 
 def sample_extreme_minimizers(spec, replications, seed, workers=1):
-    """Smallest and largest minimizer per replication; boundary draws are
-    discarded and redrawn, with the redraw count carried on each sample."""
-    if replications < 1:
-        raise ValueError("replications must be at least 1")
-    rows = run_chunks(_extremes_worker, (spec, seed), replications, workers, block=_BLOCK)
-    _check_redraws(sum(r[2] for r in rows), replications)
-    return [
-        MinimizerSample(xi_min=lo, xi_max=hi, boundary_touched=False, redraws=red)
-        for lo, hi, red in rows
-    ]
+    """Smallest and largest minimizer per replication as a record array
+    with fields xi_min, xi_max and redraws; boundary draws are discarded
+    and redrawn, and redraws counts them."""
+    cols = _limit_columns(spec, seed, replications, workers)
+    return np.rec.fromarrays(
+        (cols[:, 0], cols[:, 1], cols[:, 2].astype(np.int64)), names="xi_min,xi_max,redraws"
+    )
 
 
 def _estimate(spec, kind, target, replications, seed, workers):
-    if replications < 1:
-        raise ValueError("replications must be at least 1")
-    flags, redraws = run_chunks(
-        _predicate_worker, (spec, seed, ((kind, target),)), replications, workers, block=_BLOCK
-    ).T
-    _check_redraws(int(redraws.sum()), replications)
-    return _proportion(flags, replications)
+    cols = _limit_columns(spec, seed, replications, workers, ((kind, target),))
+    return _proportion(cols[:, 3], replications)
 
 
 def estimate_capacity(spec, e, replications, seed, workers=1):
@@ -394,25 +390,28 @@ def estimate_containment(spec, g, replications, seed, workers=1):
 
 def samples_to_csv(samples):
     lines = ["rep,xi_min,xi_max,redraws"]
-    for rep, s in enumerate(samples):
-        lines.append(f"{rep},{s.xi_min!r},{s.xi_max!r},{s.redraws}")
+    # Python floats: their repr is the report format, a numpy scalar's is not
+    columns = (samples.xi_min.tolist(), samples.xi_max.tolist(), samples.redraws.tolist())
+    for rep, (lo, hi, redraws) in enumerate(zip(*columns)):
+        lines.append(f"{rep},{lo!r},{hi!r},{redraws}")
     return "\n".join(lines) + "\n"
 
 
-def choose_interval_bounds(samples, gamma):
-    """Bounds (a, b) with empirical P(xi_min > a and xi_max < b) >= gamma.
+def choose_interval_bounds(xi_min, xi_max, gamma):
+    """Bounds (a, b) with empirical P(xi_min > a and xi_max < b) >= gamma
+    over the paired samples xi_min[i], xi_max[i].
 
     Bonferroni split on the two tails: each side gives up at most half of
     1 - gamma, taken at an order statistic nudged outward so atoms cannot
     sit on the strict-inequality boundary.
     """
-    if not samples:
+    m = len(xi_min)
+    if m == 0:
         raise EmptySamplesError("no minimizer samples")
     if not 0.0 < gamma < 1.0:
         raise OutOfDomainError("gamma must lie in (0, 1)")
-    m = len(samples)
-    lo_sorted = np.sort(np.array([s.xi_min for s in samples]))
-    hi_sorted = np.sort(np.array([s.xi_max for s in samples]))
+    lo_sorted = np.sort(np.asarray(xi_min, dtype=float))
+    hi_sorted = np.sort(np.asarray(xi_max, dtype=float))
     r = max(1, math.floor(((1.0 - gamma) / 2.0) * m))
     a_stat = float(lo_sorted[r - 1])
     b_stat = float(hi_sorted[m - r])

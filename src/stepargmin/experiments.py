@@ -27,10 +27,9 @@ from stepargmin.argmin import (
     point_box,
 )
 from stepargmin.cpoisson import (
-    _BLOCK,
     OutOfDomainError,
-    _check_redraws,
-    _predicate_worker as _limit_worker,
+    _limit_columns,
+    _predicate_worker,
     choose_interval_bounds,
     inverse_normal_cdf,
     normal_cdf,
@@ -54,6 +53,10 @@ _TAG_LIMIT = 2
 _TAG_COVER = 3
 _TAG_BOOT = 4
 _TAG_MEMBER = 5
+
+# the benchmark tracer wraps this name; the limit columns run through it as
+# cpoisson._predicate_worker
+_limit_worker = _predicate_worker
 
 
 class ConfigError(ValueError):
@@ -359,9 +362,8 @@ def _limit_functionals(config, workers):
         spec = derive_limit_spec(config.model, j)
         menu = tuple((st.kind, st.sets[j - 1]) for st in config.menu)
         seed = child_seed(config.master_seed, _TAG_LIMIT, j)
-        cols = run_chunks(_limit_worker, (spec, seed, menu), reps, workers, block=_BLOCK)
-        _check_redraws(int(cols[:, -1].sum()), reps)
-        out.append(cols[:, :-1].T.astype(bool))
+        cols = _limit_columns(spec, seed, reps, workers, menu)
+        out.append(cols[:, 3:].T.astype(bool))
     return out
 
 
@@ -581,7 +583,7 @@ def coverage_experiment(config, workers=1):
         samples = sample_extreme_minimizers(
             spec, config.replications_limit, child_seed(config.master_seed, _TAG_LIMIT, j), workers
         )
-        bounds_tau.append(choose_interval_bounds(samples, gamma))
+        bounds_tau.append(choose_interval_bounds(samples.xi_min, samples.xi_max, gamma))
     args = (config.model, k, config.coverage_n, config.master_seed, tuple(bounds_tau), z_lo, z_hi)
     rows = run_chunks(_coverage_worker, args, config.coverage_replications, workers)
     covered = tuple(bool(c) for c in rows[:, 0])
@@ -616,31 +618,34 @@ class MembershipReport:
 
 
 def _membership_worker(args, lo, hi):
+    """Per replication lo..hi-1: whether the rescaled deviation of its
+    fitted breakpoints lies in the argmin set of its local landscape, then
+    the k coordinates of that deviation, as one (hi - lo, k + 1) array."""
     model, k, n, master = args
-    out = []
-    rep = lo
+    blocks = []
     for x, y, taus, alphas, _ in _fit_blocks((model, k, n, master, (_TAG_MEMBER,)), lo, hi):
-        for xr, yr, tau, alpha in zip(x, y, taus, alphas):
+        points = n * (taus - np.asarray(model.true_tau))
+        inside = []
+        for xr, yr, alpha, point in zip(x, y, alphas, points):
             local = rescaled_process(Dataset(xr, yr), model.true_tau, alpha, n)
-            point = tuple(float(n * (tau[j] - model.true_tau[j])) for j in range(k))
             in_window = all(lo_w < p < hi_w for (lo_w, hi_w), p in zip(local.window, point))
-            inside = in_window and hits(argmin_set(local.joint), point_box(point))
-            out.append((rep, bool(inside), point))
-            rep += 1
-    return out
+            inside.append(in_window and hits(argmin_set(local.joint), point_box(point)))
+        blocks.append(np.column_stack((inside, points)))
+    return np.concatenate(blocks)
 
 
 def membership_report(model, k, n, replications, master_seed, workers=1):
     """Checks per replication that the rescaled deviation of the fitted
     breakpoints lies in the argmin set of the local criterion landscape
     built at the true breakpoints with the fitted levels."""
-    rows = run_chunks(_membership_worker, (model, k, n, master_seed), replications, workers)
-    inside = np.array([r[1] for r in rows], dtype=bool)
+    cols = run_chunks(_membership_worker, (model, k, n, master_seed), replications, workers)
     return MembershipReport(
         n=n,
         replications=replications,
-        fraction_inside=float(np.mean(inside)),
-        rows=tuple(rows),
+        fraction_inside=float(np.mean(cols[:, 0])),
+        rows=tuple(
+            (rep, bool(inside), tuple(point)) for rep, (inside, *point) in enumerate(cols.tolist())
+        ),
     )
 
 

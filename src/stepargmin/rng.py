@@ -36,8 +36,8 @@ def _call_chunk(payload):
 
 
 def run_chunks(worker, args, n_items, workers=1, block=1):
-    """Evaluate worker(args, lo, hi) over [0, n_items) and concatenate in order:
-    numpy arrays along their first axis, anything else as lists.
+    """Evaluate worker(args, lo, hi) over [0, n_items) and concatenate the
+    numpy arrays it returns, in order, along their first axis.
 
     ``worker`` must be a module-level function when workers > 1 (pickling).
     Chunk edges fall on multiples of ``block``.  The chunk split depends on
@@ -55,10 +55,4 @@ def run_chunks(worker, args, n_items, workers=1, block=1):
     edges[-1] = n_items
     payloads = [(worker, args, int(lo), int(hi)) for lo, hi in zip(edges[:-1], edges[1:])]
     with ProcessPoolExecutor(max_workers=pool_size) as pool:
-        parts = list(pool.map(_call_chunk, payloads))
-    if isinstance(parts[0], np.ndarray):
-        return np.concatenate(parts)
-    out = []
-    for part in parts:
-        out.extend(part)
-    return out
+        return np.concatenate(list(pool.map(_call_chunk, payloads)))

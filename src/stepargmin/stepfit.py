@@ -329,7 +329,6 @@ class RescaledProcess:
     joint: GridFunction
     sections: tuple
     window: tuple
-    clipped: bool
 
 
 def _default_windows(tau_ref, scale):
@@ -343,15 +342,16 @@ def _default_windows(tau_ref, scale):
     return windows
 
 
-def rescaled_process(data, tau_ref, alpha_ref, scale, window=None):
+def rescaled_process(data, tau_ref, alpha_ref, scale):
     """Difference of squared losses when breakpoint j is shifted to
     tau_ref[j] + t[j]/scale at fixed levels, as a function of t.
 
-    Within the returned window the shifted breakpoints stay ordered, so the
-    loss difference decomposes into per-coordinate reclassification sums;
-    the joint grid is their broadcast sum and equals zero at the origin
-    exactly.  Requested windows are clipped to the region where the
-    ordering cannot collapse.
+    The window of coordinate j reaches just short of half the gap to each
+    neighbouring reference breakpoint and is unbounded on a side without
+    one.  Within it the shifted breakpoints stay ordered, so the loss
+    difference decomposes into per-coordinate reclassification sums; the
+    joint grid is their broadcast sum and equals zero at the origin
+    exactly.
     """
     tau_ref = tuple(float(v) for v in tau_ref)
     alpha_ref = tuple(float(v) for v in alpha_ref)
@@ -367,22 +367,7 @@ def rescaled_process(data, tau_ref, alpha_ref, scale, window=None):
     if scale <= 0:
         raise ValueError("scale must be positive")
 
-    defaults = _default_windows(tau_ref, scale)
-    clipped = False
-    windows = []
-    if window is None:
-        windows = defaults
-    else:
-        if len(window) != k:
-            raise ValueError("window needs one (lo, hi) pair per breakpoint")
-        for (lo, hi), (dlo, dhi) in zip(window, defaults):
-            lo2, hi2 = max(float(lo), dlo), min(float(hi), dhi)
-            if (lo2, hi2) != (float(lo), float(hi)):
-                clipped = True
-            if not lo2 < 0.0 < hi2:
-                raise ValueError("each window must contain the origin")
-            windows.append((lo2, hi2))
-
+    windows = _default_windows(tau_ref, scale)
     sections = []
     for j in range(k):
         lo, hi = windows[j]
@@ -407,9 +392,7 @@ def rescaled_process(data, tau_ref, alpha_ref, scale, window=None):
         reshape[j] = shape[j]
         cells = cells + sec.values.reshape(reshape)
     joint = GridFunction(tuple(sec.breakpoints for sec in sections), cells)
-    return RescaledProcess(
-        joint=joint, sections=tuple(sections), window=tuple(windows), clipped=clipped
-    )
+    return RescaledProcess(joint=joint, sections=tuple(sections), window=tuple(windows))
 
 
 class XLaw(Law):

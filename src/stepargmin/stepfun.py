@@ -286,22 +286,17 @@ def add_scale(f, g, a, b):
     g_axes, _ = _as_grid(g)
     axes = tuple(np.union1d(fa, ga) for fa, ga in zip(f_axes, g_axes))
     reps = [_axis_representatives(axis) for axis in axes]
-    mesh = np.meshgrid(*reps, indexing="ij")
-    points = np.stack([m.reshape(-1) for m in mesh], axis=-1)
 
     def sample(h):
+        # h's cell index of each refined cell, one axis at a time
         h_axes, h_cells = _as_grid(h)
-        idx = tuple(
-            np.searchsorted(h_axes[i], points[:, i], side="right")
-            for i in range(len(h_axes))
-        )
-        return h_cells[idx]
+        idx = (np.searchsorted(axis, r, side="right") for axis, r in zip(h_axes, reps))
+        return h_cells[np.ix_(*idx)]
 
     cells = a * sample(f) + b * sample(g)
-    shape = tuple(r.size for r in reps)
     if isinstance(f, StepFunction1D):
         return StepFunction1D(axes[0], cells)
-    return GridFunction(axes, cells.reshape(shape))
+    return GridFunction(axes, cells)
 
 
 def normalize(f):

@@ -1,10 +1,11 @@
+import numpy as np
 import pytest
 
 from stepargmin import rng
 
 
 def _span(args, lo, hi):
-    return [(lo, hi)] * (hi - lo)
+    return np.array([(lo, hi)] * (hi - lo))
 
 
 class RecordingPool:
@@ -52,7 +53,7 @@ class TestRunChunks:
         assert pool.sizes == [3, 3]
 
     def test_one_chunk_runs_in_process(self, pool):
-        assert rng.run_chunks(_span, None, 50, workers=4, block=64) == [(0, 50)] * 50
+        assert rng.run_chunks(_span, None, 50, workers=4, block=64).tolist() == [[0, 50]] * 50
         assert pool.sizes == []
 
     def test_chunk_edges_on_block_multiples(self, pool):

@@ -358,18 +358,25 @@ class TestRescaledProcess:
         with pytest.raises(CollapsedOrderError):
             rescaled_process(d, (3.0, 2.0), (0.0, 1.0, 2.0), 4.0)
 
-    def test_window_clipping(self):
+    def test_default_half_gap_windows(self):
         rng = np.random.default_rng(24)
         x = rng.uniform(0, 1, size=40)
         d = Dataset(x, rng.normal(size=40))
-        rp = rescaled_process(
-            d, (0.4, 0.6), (0.0, 1.0, 0.0), 40.0, window=((-100.0, 100.0), (-100.0, 100.0))
-        )
-        assert rp.clipped
-        assert rp.window[0][1] <= 40.0 * 0.2 / 2
-        assert rp.window[1][0] >= -40.0 * 0.2 / 2
-        with pytest.raises(ValueError):
-            rescaled_process(d, (0.4,), (0.0, 1.0), 40.0, window=((1.0, 2.0),))
+        rp = rescaled_process(d, (0.4, 0.6), (0.0, 1.0, 0.0), 40.0)
+        half_gap = 40.0 * 0.2 / 2
+        (lo0, hi0), (lo1, hi1) = rp.window
+        assert lo0 == -math.inf and hi1 == math.inf
+        assert hi0 < half_gap and -half_gap < lo1
+        assert hi0 == pytest.approx(half_gap) and lo1 == pytest.approx(-half_gap)
+        # the sections keep exactly the shifts inside their windows
+        for (lo, hi), tau, sec in zip(rp.window, (0.4, 0.6), rp.sections):
+            shifts = 40.0 * (x - tau)
+            assert np.array_equal(sec.breakpoints, np.unique(shifts[(shifts > lo) & (shifts <= hi)]))
+        (_, hi0), (lo1, hi1), (lo2, _) = rescaled_process(
+            d, (0.2, 0.5, 0.6), (0.0, 1.0, 0.0, 1.0), 10.0
+        ).window
+        assert hi0 == pytest.approx(1.5) and lo1 == pytest.approx(-1.5)
+        assert hi1 == pytest.approx(0.5) and lo2 == pytest.approx(-0.5)
 
     def test_membership_of_fitted_deviation(self):
         model = pure_step_model((0.5,), (0.0, 1.0), UNIFORM01, NoiseLaw("gaussian", (0.0, 0.25)))
