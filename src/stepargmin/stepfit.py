@@ -170,34 +170,47 @@ def _cost_row(s, cum_n, cum_s, cum_q):
 # temporary, which stays on the heap instead of a fresh mmap per layer
 _CHUNK_CELLS = 8192
 
+# unit roundoff of float64
+_UNIT = 2.0**-53
 
-def _suffix_layer(nxt, cmax, cum_n, cum_s, cum_q):
-    """out[s] = min over s <= c <= cmax of cost(s, c) + nxt[c + 1], and inf
-    for s > cmax.  nxt, cum_s and cum_q may carry a leading axis of B
-    datasets that share the block counts cum_n; the layer is then taken
-    per dataset.  Rows are swept in chunks [r0, r1) against the columns
-    r0..cmax, so memory is O(B·m + _CHUNK_CELLS) (one row of every dataset
-    when that alone is wider); the cost is the `_cost_row` expression, so
-    every entry is bit-identical to what tie extraction recomputes."""
+
+def _suffix_layer(nxt, cmax, cum_n, cum_s, cum_q, first=None):
+    """out[s] = min over first[s] <= c <= cmax of cost(s, c) + nxt[c + 1],
+    and inf for the rows s with first[s] > cmax and for s > cmax.  `first`
+    is nondecreasing with first[s] >= s, and is s itself by default, which
+    takes every column of the triangle.  nxt, cum_s and cum_q may carry a
+    leading axis of B datasets that share the block counts cum_n and the
+    first columns; the layer is then taken per dataset.  Rows are swept in
+    chunks [r0, r1) against the columns first[r0]..cmax, so memory is
+    O(B·m + _CHUNK_CELLS) (one row of every dataset when that alone is
+    wider); the cost is the `_cost_row` expression, so every entry is
+    bit-identical to what tie extraction recomputes."""
     out = np.full(nxt.shape, np.inf)
     lead = nxt.size // nxt.shape[-1]
+    if first is None:
+        first = np.arange(cmax + 1)
+    live = int(np.searchsorted(first, cmax, side="right"))
+    # counts as floats, which int64 division converts them to anyway
+    counts = cum_n.astype(float)
     r0 = 0
-    while r0 <= cmax:
-        r1 = min(cmax + 1, r0 + max(1, _CHUNK_CELLS // (lead * (cmax + 1 - r0))))
-        rows = slice(r0, r1)
-        cols = slice(r0 + 1, cmax + 2)
-        n = cum_n[None, cols] - cum_n[rows, None]
-        tot = cum_s[..., None, cols] - cum_s[..., rows, None]
-        cost = cum_q[..., None, cols] - cum_q[..., rows, None]
-        tot *= tot
-        with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while r0 < live:
+            c0 = int(first[r0])
+            r1 = min(live, r0 + max(1, _CHUNK_CELLS // (lead * (cmax + 1 - c0))))
+            rows = slice(r0, r1)
+            cols = slice(c0 + 1, cmax + 2)
+            n = counts[None, cols] - counts[rows, None]
+            tot = cum_s[..., None, cols] - cum_s[..., rows, None]
+            cost = cum_q[..., None, cols] - cum_q[..., rows, None]
+            tot *= tot
             tot /= n
-        cost -= tot
-        # columns c < s of row s are not segments
-        cost[..., n <= 0] = np.inf
-        cost += nxt[..., None, cols]
-        out[..., rows] = cost.min(axis=-1)
-        r0 = r1
+            cost -= tot
+            if c0 < r1 - 1:
+                # columns c < s of row s are not segments
+                cost[..., n <= 0] = np.inf
+            cost += nxt[..., None, cols]
+            out[..., rows] = cost.min(axis=-1)
+            r0 = r1
     return out
 
 
@@ -224,9 +237,14 @@ def _levels_and_scales(x, y, ys, tau, edges):
 
 
 def fit_step(data, k):
-    """Exact least-squares k-jump fit by dynamic programming over prefix
-    segment costs, ties broken toward the lexicographically smallest
-    breakpoint vector."""
+    """Least-squares k-jump fit by dynamic programming over prefix segment
+    costs (`_cuts`).  The breakpoints minimize the total cost as the float
+    program folds it, and ties between equal float totals go to the
+    lexicographically smallest breakpoint vector.  Totals that tie in
+    exact arithmetic can differ by rounding, so such a tie can go the
+    other way (an open defect, ROADMAP item 3).  For k >= 2 the sweep
+    skips the pairs that a certified upper bound rules out, which changes
+    no breakpoint."""
     k = int(k)
     if k < 0:
         raise ValueError("k must be nonnegative")
@@ -257,31 +275,160 @@ def _cuts(cum_n, cum_s, cum_q, k):
     suffix[j][:, s] is the optimal cost of covering blocks s.. with the
     last k+1-j segments, suffix[k] the single trailing segment's.  Each
     cut then takes the first minimum over its candidates, which puts ties
-    toward the lexicographically smallest breakpoint vector; the
-    candidate costs are the `_cost_row` expression, so they are
-    bit-identical to what `_suffix_layer` compares."""
+    toward the lexicographically smallest breakpoint vector among the
+    float totals; the candidate costs are the `_cost_row` expression, so
+    they are bit-identical to what `_suffix_layer` compares.
+
+    For k >= 2 the layers skip pairs that a bound rules out.  UB
+    (`_upper_bound`) is the float total of one feasible cut vector, so it
+    is at least the float optimum.  Row s of layer j is swept from its
+    first column (`_first_columns`): before it, every pair (s, c) has
+    head_j(s) + suffix[j+1][c+1] - slack > UB in every dataset, where
+    head_1(s) is the one-segment cost of blocks 0..s-1, the first cut's
+    candidate costs, and deeper heads are 0.  `_slack` bounds the
+    rounding in those sums, so a skipped pair is strictly above the float
+    optimum: the suffix values on the optimum's path and the first minima
+    are those of the full sweep, bit for bit.  A chosen total that is not
+    finite or exceeds UB raises RuntimeError."""
     rows, m = cum_s.shape[0], cum_n.size - 1
-    tail_n = cum_n[m] - cum_n[:m]
-    tail_s = cum_s[:, m:] - cum_s[:, :m]
-    tail_q = cum_q[:, m:] - cum_q[:, :m]
-    suffix = {k: tail_q - (tail_s * tail_s) / tail_n}
-    for j in range(k - 1, 0, -1):
-        suffix[j] = _suffix_layer(suffix[j + 1], m - 1 - (k - j), cum_n, cum_s, cum_q)
-    cuts = np.empty((rows, k), dtype=np.int64)
-    s = np.zeros((rows, 1), dtype=np.int64)
-    for j in range(k):
-        cmax = m - 1 - (k - j)
-        ends = slice(1, cmax + 2)
-        cnt = cum_n[None, ends] - cum_n[s]
-        tot = cum_s[:, ends] - np.take_along_axis(cum_s, s, axis=1)
-        sq = cum_q[:, ends] - np.take_along_axis(cum_q, s, axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cand = sq - (tot * tot) / cnt + suffix[j + 1][:, ends]
-        # columns c < s are not segments
-        cand[cnt <= 0] = np.inf
-        cuts[:, j] = np.argmin(cand, axis=1)
-        s = cuts[:, j, None] + 1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tail_n = cum_n[m] - cum_n[:m]
+        tail_s = cum_s[:, m:] - cum_s[:, :m]
+        tail_q = cum_q[:, m:] - cum_q[:, :m]
+        suffix = {k: tail_q - (tail_s * tail_s) / tail_n}
+        # head[:, c] is the cost of blocks 0..c: the first cut's candidates
+        head = _start_costs(cum_n, cum_s, cum_q, np.zeros((rows, 1), dtype=np.int64), m - 2)
+        if k >= 2:
+            ub = _upper_bound(cum_n, cum_s, cum_q, k, head, suffix[k])
+            limit = ub + _slack(int(cum_n[m]), cum_q[:, m], k)
+        for j in range(k - 1, 0, -1):
+            cmax = m - 1 - (k - j)
+            # head_1(s) is the cost of blocks 0..s-1, and there is no row 0
+            head_j = 0.0
+            if j == 1:
+                head_j = np.concatenate((np.full((rows, 1), np.inf), head[:, :cmax]), axis=1)
+            first = _first_columns(suffix[j + 1], cmax, limit, head_j)
+            suffix[j] = _suffix_layer(suffix[j + 1], cmax, cum_n, cum_s, cum_q, first)
+        cuts = np.empty((rows, k), dtype=np.int64)
+        cost = head[:, : m - k]
+        for j in range(k):
+            cand = cost + suffix[j + 1][:, 1 : m + 1 - (k - j)]
+            cuts[:, j] = np.argmin(cand, axis=1)
+            if j == 0:
+                total = cand[np.arange(rows), cuts[:, 0]]
+            if j + 1 < k:
+                cost = _start_costs(cum_n, cum_s, cum_q, cuts[:, j, None] + 1, m - k + j)
+    if k >= 2:
+        lost = np.flatnonzero(~(np.isfinite(total) & (total <= ub)))
+        if lost.size:
+            r = lost[0]
+            raise RuntimeError(
+                f"pruned step fit lost its optimum (B={rows}, m={m}, k={k}): "
+                f"row {r} totals {float(total[r])!r} against the upper bound {float(ub[r])!r}"
+            )
     return cuts
+
+
+def _at(cum, idx):
+    """cum[r, idx[r, i]]: np.take_along_axis without its per-call cost."""
+    return cum[np.arange(cum.shape[0])[:, None], idx]
+
+
+def _start_costs(cum_n, cum_s, cum_q, s, cmax):
+    """Per row r, the `_cost_row` expression for the blocks s[r]..c,
+    c = 0..cmax, and inf where c < s[r] is not a segment."""
+    ends = slice(1, cmax + 2)
+    cnt = cum_n[None, ends] - cum_n[s]
+    tot = cum_s[:, ends] - _at(cum_s, s)
+    cost = cum_q[:, ends] - _at(cum_q, s)
+    cost -= (tot * tot) / cnt
+    cost[cnt <= 0] = np.inf
+    return cost
+
+
+def _segment_costs(cum_n, cum_s, cum_q, lo, hi):
+    """Per row r, the `_cost_row` expression for the blocks lo[r, i]..hi[r, i]."""
+    tot = _at(cum_s, hi + 1) - _at(cum_s, lo)
+    sq = _at(cum_q, hi + 1) - _at(cum_q, lo)
+    return sq - (tot * tot) / (cum_n[hi + 1] - cum_n[lo])
+
+
+def _upper_bound(cum_n, cum_s, cum_q, k, head, tail):
+    """Per row, the total cost of the k cuts that greedy binary
+    segmentation picks (k times, the split of one segment that lowers the
+    cost most), folded from the trailing segment as `_cuts` folds its
+    layers.  Those cuts are feasible, so this is at least the float
+    optimum.  head[:, c] is the cost of blocks 0..c for c < m - 1, and
+    tail[:, s] that of blocks s..m-1."""
+    rows, m = tail.shape
+    c = np.arange(m - 1)
+    after = slice(1, m)
+    ends = np.concatenate((np.full((rows, 1), -1), np.full((rows, 1), m - 1)), axis=1)
+    for t in range(k):
+        gain = np.full((rows, m - 1), np.inf)
+        for i in range(t + 1):
+            # cutting the segment lo..hi at c leaves lo..c and c+1..hi
+            lo, hi = ends[:, i, None] + 1, ends[:, i + 1, None]
+            left = head if i == 0 else _start_costs(cum_n, cum_s, cum_q, lo, m - 2)
+            if i == t:
+                right = tail[:, after]
+            else:
+                tot = _at(cum_s, hi + 1) - cum_s[:, after]
+                right = _at(cum_q, hi + 1) - cum_q[:, after]
+                right -= (tot * tot) / (cum_n[hi + 1] - cum_n[None, after])
+            split = left + right - _segment_costs(cum_n, cum_s, cum_q, lo, hi)
+            gain = np.where((c >= lo) & (c < hi), split, gain)
+        ends = np.sort(np.concatenate((ends, np.argmin(gain, axis=1)[:, None]), axis=1), axis=1)
+    cost = _segment_costs(cum_n, cum_s, cum_q, ends[:, :-1] + 1, ends[:, 1:])
+    total = cost[:, k]
+    for j in range(k - 1, -1, -1):
+        total = cost[:, j] + total
+    return total
+
+
+def _slack(n, q, k):
+    """A certified bound, per dataset, on how far rounding can lift
+    head_j(s) + suffix[j+1][c+1] above UB on the float optimum's path, for
+    n observations whose centred y has the float sum of squares q.
+
+    In the style of Higham (Accuracy and Stability of Numerical
+    Algorithms, ch. 3-4), with u = 2**-53 and g = γ_{n+1} = (n+1)u/(1-(n+1)u),
+    Q = Σyc² and A = Σ|yc| <= sqrt(n·Q) over the centred y, and every
+    |yc| and every segment mean at most sqrt(Q):
+    - each prefix sum of yc² is off by at most g·Q, of yc by at most g·A;
+    - so a segment's difference sq is off by at most 3g·Q and tot by at
+      most Δ = 3g·A, and tot²/cnt by at most 2·sqrt(Q)·Δ + Δ² plus 2u of
+      itself;
+    - so a float segment cost is within δ = 12·g·(1 + sqrt(n) + g·n)·q of
+      its exact value, which is >= 0; exact costs of disjoint segments sum
+      to at most Q <= q/(1-g).
+    On the optimum's path, head_j(s) + suffix[j+1][c+1] leaves out at
+    least one segment's cost, so it exceeds the optimum by at most
+    (2k+1)·δ plus the rounding of the folds (γ_k·Q each) and of the
+    comparison (3u·Q): slack = 2(k+1)·δ + 4(k+2)·u·q covers both.  The
+    steps assume 12(k+1)·g·(1 + sqrt(n) + g·n) <= 0.01 (n up to about 1.8e8
+    at k = 2); beyond that the slack is inf and nothing is pruned."""
+    g = (n + 1) * _UNIT / (1.0 - (n + 1) * _UNIT)
+    rel = 12.0 * g * (1.0 + math.sqrt(n) + g * n)
+    if (k + 1) * rel > 0.01:
+        return np.full(q.shape, np.inf)
+    return 2 * (k + 1) * rel * q + 4 * (k + 2) * _UNIT * q
+
+
+def _first_columns(nxt, cmax, limit, head):
+    """Per row s of a layer, where `_suffix_layer` starts: no column c
+    before it has nxt[c + 1] <= limit - head[s] in any dataset, head being
+    (B, cmax+1) or 0.  nxt is a layer's (B, m) input and limit is UB +
+    slack.  The prefix minimum of nxt[c + 1] over c makes the test one
+    binary search per dataset.  The result is at least s, cmax + 1 for a
+    row that no dataset keeps, and nondecreasing, so that a chunk's rows
+    share its first row's columns."""
+    # the first c with low <= thr counts the c with -low < -thr
+    low = -np.minimum.accumulate(nxt[:, 1 : cmax + 2], axis=1)
+    thr = head - limit[:, None]
+    first = np.min([np.searchsorted(lo, t) for lo, t in zip(low, thr)], axis=0)
+    first = np.maximum(first, np.arange(cmax + 1))
+    return np.minimum.accumulate(first[::-1])[::-1]
 
 
 def fit_rows(x, y, k):

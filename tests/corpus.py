@@ -3,13 +3,16 @@
 The argmin oracle classifies every grid piece (cell, face, node) by
 enumerating quadrant limits directly from the cell array; the fit oracle
 enumerates every admissible breakpoint subset.  Both stay independent of
-the library's own search paths.
+the library's own search paths.  `reference_cuts` is the k-jump dynamic
+program with every suffix layer swept over its whole triangle, the float
+arithmetic that the pruned `stepfit._cuts` must reproduce bit for bit.
 """
 
 import itertools
 
 import numpy as np
 
+from stepargmin import stepfit
 from stepargmin.argmin import INF, Box, BoxUnion
 from stepargmin.stepfun import GridFunction, StepFunction1D
 
@@ -177,3 +180,54 @@ def exhaustive_fit(data, k):
             best = key
     total, combo = best
     return total, tuple(float(vals[c]) for c in combo)
+
+
+def reference_suffix_layer(nxt, cmax, cum_n, cum_s, cum_q):
+    """out[s] = min over s <= c <= cmax of cost(s, c) + nxt[c + 1], and inf
+    for s > cmax, over every column of the triangle, in row chunks of
+    `stepfit._CHUNK_CELLS` cells."""
+    out = np.full(nxt.shape, np.inf)
+    lead = nxt.size // nxt.shape[-1]
+    r0 = 0
+    while r0 <= cmax:
+        r1 = min(cmax + 1, r0 + max(1, stepfit._CHUNK_CELLS // (lead * (cmax + 1 - r0))))
+        rows = slice(r0, r1)
+        cols = slice(r0 + 1, cmax + 2)
+        n = cum_n[None, cols] - cum_n[rows, None]
+        tot = cum_s[..., None, cols] - cum_s[..., rows, None]
+        cost = cum_q[..., None, cols] - cum_q[..., rows, None]
+        tot *= tot
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tot /= n
+        cost -= tot
+        cost[..., n <= 0] = np.inf
+        cost += nxt[..., None, cols]
+        out[..., rows] = cost.min(axis=-1)
+        r0 = r1
+    return out
+
+
+def reference_cuts(cum_n, cum_s, cum_q, k):
+    """`stepfit._cuts` without pruning: the full suffix layers, then the
+    first minimum of every cut's candidates."""
+    rows, m = cum_s.shape[0], cum_n.size - 1
+    tail_n = cum_n[m] - cum_n[:m]
+    tail_s = cum_s[:, m:] - cum_s[:, :m]
+    tail_q = cum_q[:, m:] - cum_q[:, :m]
+    suffix = {k: tail_q - (tail_s * tail_s) / tail_n}
+    for j in range(k - 1, 0, -1):
+        suffix[j] = reference_suffix_layer(suffix[j + 1], m - 1 - (k - j), cum_n, cum_s, cum_q)
+    cuts = np.empty((rows, k), dtype=np.int64)
+    s = np.zeros((rows, 1), dtype=np.int64)
+    for j in range(k):
+        cmax = m - 1 - (k - j)
+        ends = slice(1, cmax + 2)
+        cnt = cum_n[None, ends] - cum_n[s]
+        tot = cum_s[:, ends] - np.take_along_axis(cum_s, s, axis=1)
+        sq = cum_q[:, ends] - np.take_along_axis(cum_q, s, axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cand = sq - (tot * tot) / cnt + suffix[j + 1][:, ends]
+        cand[cnt <= 0] = np.inf
+        cuts[:, j] = np.argmin(cand, axis=1)
+        s = cuts[:, j, None] + 1
+    return cuts

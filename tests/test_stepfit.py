@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from corpus import exhaustive_fit
+from corpus import exhaustive_fit, reference_cuts
 from stepargmin import stepfit
 from stepargmin.argmin import argmin_set, hits, point_box
 from stepargmin.cpoisson import InvalidSpecError, JumpLaw
@@ -224,14 +224,15 @@ class TestChunkedSuffixSweep:
         )
         d = synthesize(model, 3000, 19)
         assert np.unique(d.x).size == 3000
-        tracemalloc.start()
-        try:
-            fit_step(d, 2)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        # a 3000 x 3000 float64 matrix alone is 72 MB
-        assert peak < 4 * 2**20
+        for k in (2, 3):
+            tracemalloc.start()
+            try:
+                fit_step(d, k)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            # a 3000 x 3000 float64 matrix alone is 72 MB
+            assert peak < 4 * 2**20, k
 
 
 def _bits(values):
@@ -305,6 +306,77 @@ class TestFitRows:
     def test_too_few_distinct_x(self):
         with pytest.raises(TooFewDistinctXError):
             fit_rows(np.array([[0.1, 0.2, 0.3]]), np.array([[0.0, 1.0, 0.0]]), 3)
+
+
+def _all_fits(x, y, k):
+    # fit_rows on the block, then fit_step on every row, as bytes
+    fits = [_bits(a) for a in fit_rows(x, y, k)]
+    for r in range(x.shape[0]):
+        fit = fit_step(Dataset(x[r], y[r]), k)
+        fits.append(_bits(fit.tau) + _bits(fit.alpha) + _bits(fit.sigma_hat))
+    return fits
+
+
+def _pruning_blocks():
+    # the two-jump model, its y offset by 1e8, constant y (every cost and
+    # the bound are 0), integer y with many exact ties, noiseless steps
+    # whose levels are not binary fractions (a flat segment's float cost
+    # can be an ulp below 0, which a zero slack would prune on), one row
+    # whose x repeats (fitted by fit_step), and pure noise
+    x, y = synthesize_rows(TestFitRows.TWO_JUMPS, 40, range(12))
+    rng = np.random.default_rng(71)
+    repeated = x.copy()
+    repeated[2, :10] = repeated[2, 10:20]
+    ends = np.sort(rng.integers(1, 40, size=(12, 3)), axis=1)
+    levels = np.array([0.1, 1.1, 1e8 + 0.1, 1.0 / 3.0])
+    steps = levels[(40 * x[:, :, None] >= ends[:, None, :]).sum(axis=2)]
+    yield x, y
+    yield x, y + 1e8
+    yield x, np.full_like(y, 3.0)
+    yield x, rng.integers(0, 3, size=x.shape).astype(float)
+    yield x, steps
+    yield repeated, y
+    yield x, rng.normal(size=x.shape)
+    yield synthesize_rows(TestFitRows.TWO_JUMPS, 300, range(4))
+
+
+class TestPrunedSweep:
+    @pytest.mark.parametrize("cells", [1, 2048, 8192])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_matches_unpruned_reference(self, monkeypatch, cells, k):
+        monkeypatch.setattr(stepfit, "_CHUNK_CELLS", cells)
+        for x, y in _pruning_blocks():
+            with monkeypatch.context() as full:
+                full.setattr(stepfit, "_cuts", reference_cuts)
+                expected = _all_fits(x, y, k)
+            assert _all_fits(x, y, k) == expected
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("shrink", [lambda ub: ub * 0.5, lambda ub: ub * 0.0 - 1.0])
+    def test_bound_below_optimum_raises(self, monkeypatch, k, shrink):
+        bound = stepfit._upper_bound
+        monkeypatch.setattr(stepfit, "_upper_bound", lambda *args: shrink(bound(*args)))
+        x, y = synthesize_rows(TestFitRows.TWO_JUMPS, 40, range(12))
+        with pytest.raises(RuntimeError, match=rf"B=12, m=40, k={k}\)"):
+            fit_rows(x, y, k)
+
+    def test_block_sweeps_at_most_half_the_cells(self, monkeypatch):
+        # a k=2 block of the two-jump model at n = 300 (27 rows); with
+        # one-row chunks the sweep visits first[s]..cmax of every live row
+        monkeypatch.setattr(stepfit, "_CHUNK_CELLS", 1)
+        layer = stepfit._suffix_layer
+        swept, triangle = [], []
+
+        def counting(nxt, cmax, cum_n, cum_s, cum_q, first):
+            live = first[first <= cmax]
+            swept.append(int(np.sum(cmax + 1 - live)))
+            triangle.append((cmax + 1) * (cmax + 2) // 2)
+            return layer(nxt, cmax, cum_n, cum_s, cum_q, first)
+
+        monkeypatch.setattr(stepfit, "_suffix_layer", counting)
+        x, y = synthesize_rows(TestFitRows.TWO_JUMPS, 300, range(27))
+        fit_rows(x, y, 2)
+        assert len(swept) == 1 and swept[0] <= 0.5 * triangle[0]
 
 
 class TestRescaledProcess:
