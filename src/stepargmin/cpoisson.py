@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 
@@ -22,7 +23,6 @@ from stepargmin.stepfun import StepFunction1D
 from stepargmin.textfmt import Law, convert, parse_law_token, read_key_values
 
 _SQRT2 = math.sqrt(2.0)
-_SQRT2PI = math.sqrt(2.0 * math.pi)
 
 
 class InvalidSpecError(ValueError):
@@ -424,65 +424,8 @@ def normal_cdf(z):
     return 0.5 * math.erfc(-z / _SQRT2)
 
 
-def normal_pdf(z):
-    try:
-        return math.exp(-0.5 * z * z) / _SQRT2PI
-    except OverflowError:
-        return 0.0
-
-
-# rational initial guess for the normal quantile (relative error ~1e-9),
-# polished below by Halley steps against the erfc-based CDF
-_ICDF_A = (
-    -3.969683028665376e01, 2.209460984245205e02, -2.759285104469687e02,
-    1.383577518672690e02, -3.066479806614716e01, 2.506628277459239e00,
-)
-_ICDF_B = (
-    -5.447609879822406e01, 1.615858368580409e02, -1.556989798598866e02,
-    6.680131188771972e01, -1.328068155288572e01,
-)
-_ICDF_C = (
-    -7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e00,
-    -2.549732539343734e00, 4.374664141464968e00, 2.938163982698783e00,
-)
-_ICDF_D = (
-    7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e00,
-    3.754408661907416e00,
-)
-
-
-def _icdf_initial(p):
-    a, b, c, d = _ICDF_A, _ICDF_B, _ICDF_C, _ICDF_D
-    p_low = 0.02425
-    if p < p_low:
-        q = math.sqrt(-2.0 * math.log(p))
-        return (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
-            (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-        )
-    if p > 1.0 - p_low:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        return -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
-            (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-        )
-    q = p - 0.5
-    r = q * q
-    return (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / (
-        ((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0
-    )
-
-
 def inverse_normal_cdf(p):
-    """Standard normal quantile with |cdf(z) - p| below 1e-9."""
+    """Standard normal quantile (statistics.NormalDist, Wichura's AS 241)."""
     if not 0.0 < p < 1.0:
         raise OutOfDomainError("p must lie strictly between 0 and 1")
-    if p == 0.5:
-        return 0.0
-    z = _icdf_initial(p)
-    for _ in range(2):
-        density = normal_pdf(z)
-        if density <= 0.0:
-            break
-        err = normal_cdf(z) - p
-        u = err / density
-        z = z - u / (1.0 + z * u / 2.0)
-    return z
+    return NormalDist().inv_cdf(p)

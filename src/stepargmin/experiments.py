@@ -35,16 +35,16 @@ from stepargmin.cpoisson import (
     normal_cdf,
     sample_extreme_minimizers,
 )
-from stepargmin.rng import child_seed, run_chunks
+from stepargmin.rng import child_seed, run_chunks, substream
 from stepargmin.stepfit import (
     Dataset,
     NoiseLaw,
     RegressionModelSpec,
     XLaw,
     derive_limit_spec,
+    draw_rows,
     fit_rows,
     rescaled_process,
-    synthesize_rows,
 )
 from stepargmin.textfmt import convert, floats, parse_law_token, read_key_values
 
@@ -211,20 +211,30 @@ class VerificationConfig:
 
 
 # observations per block of replications: B = _BLOCK_CELLS // n datasets
-# share one sort and the vectorized fit; each (B, n) float64 array stays
-# at 64 KB, so a block adds little to peak memory
+# share one substream, one sort and the vectorized fit; each (B, n) float64
+# array stays at 64 KB, so a block adds little to peak memory.  B is part
+# of the stream layout: changing it changes every dataset
 _BLOCK_CELLS = 8192
+
+
+def _block_rows(n):
+    return max(1, _BLOCK_CELLS // n)
 
 
 def _fit_blocks(args, lo, hi):
     """Replications lo..hi-1 in blocks: per block, the datasets as (B, n)
-    arrays x and y and their fits as `fit_rows` returns them.  Replication
-    `rep` draws its dataset from child_seed(master, *path, rep)."""
+    arrays x and y and their fits as `fit_rows` returns them.  Block b
+    draws B = _BLOCK_CELLS // n datasets from substream(master, *path, b),
+    x first, then the noise (`draw_rows`), and replication `rep` is row
+    rep % B of block rep // B.  A block that lo or hi cuts is drawn whole
+    and sliced, so a replication's dataset depends on neither the chunk
+    edges nor the replication count."""
     model, k, n, master, path = args
-    size = max(1, _BLOCK_CELLS // n)
-    for b0 in range(lo, hi, size):
-        seeds = [child_seed(master, *path, rep) for rep in range(b0, min(hi, b0 + size))]
-        x, y = synthesize_rows(model, n, seeds)
+    size = _block_rows(n)
+    for b in range(lo // size, -(-hi // size)):
+        x, y = draw_rows(model, substream(master, *path, b), (size, n))
+        rows = slice(max(lo - b * size, 0), min(hi - b * size, size))
+        x, y = x[rows], y[rows]
         yield (x, y, *fit_rows(x, y, k))
 
 
@@ -235,7 +245,8 @@ def _fit_worker(args, lo, hi):
 
 
 def _fit_arrays(model, k, n, master, tag, reps, workers):
-    rows = run_chunks(_fit_worker, (model, k, n, master, (tag, n)), reps, workers)
+    args = (model, k, n, master, (tag, n))
+    rows = run_chunks(_fit_worker, args, reps, workers, _block_rows(n))
     taus, alphas, sigmas = (np.ascontiguousarray(a) for a in np.split(rows, [k, 2 * k + 1], axis=1))
     xi = n * (taus - np.asarray(model.true_tau)[None, :])
     aux = math.sqrt(n) * (alphas - np.asarray(model.true_alpha)[None, :])
@@ -585,7 +596,9 @@ def coverage_experiment(config, workers=1):
         )
         bounds_tau.append(choose_interval_bounds(samples.xi_min, samples.xi_max, gamma))
     args = (config.model, k, config.coverage_n, config.master_seed, tuple(bounds_tau), z_lo, z_hi)
-    rows = run_chunks(_coverage_worker, args, config.coverage_replications, workers)
+    rows = run_chunks(
+        _coverage_worker, args, config.coverage_replications, workers, _block_rows(config.coverage_n)
+    )
     covered = tuple(bool(c) for c in rows[:, 0])
     widths = np.ascontiguousarray(rows[:, 1:])
     return CoverageReport(
@@ -638,7 +651,8 @@ def membership_report(model, k, n, replications, master_seed, workers=1):
     """Checks per replication that the rescaled deviation of the fitted
     breakpoints lies in the argmin set of the local criterion landscape
     built at the true breakpoints with the fitted levels."""
-    cols = run_chunks(_membership_worker, (model, k, n, master_seed), replications, workers)
+    args = (model, k, n, master_seed)
+    cols = run_chunks(_membership_worker, args, replications, workers, _block_rows(n))
     return MembershipReport(
         n=n,
         replications=replications,

@@ -1,8 +1,11 @@
 """Deterministic substream seeding and order-preserving parallel evaluation.
 
 All randomness in the package flows from integer master seeds through
-``substream``/``child_seed``; replication r always sees the same stream no
-matter which worker runs it, so results are independent of worker count.
+``substream``/``child_seed``, indexed by a path.  Both Monte Carlo sides
+draw a whole block of replications from one path: the limit blocks of
+``cpoisson`` and the data blocks of ``experiments._fit_blocks``.  A path
+always yields the same stream no matter which worker runs it, so results
+are independent of worker count.
 """
 
 from __future__ import annotations

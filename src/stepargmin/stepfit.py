@@ -38,10 +38,28 @@ class NonpositiveJumpMeanError(ValueError):
     """Raised when the induced limit jump law would not drift upward."""
 
 
+class YRangeError(ValueError):
+    """Raised when y is spread so widely that the fit's centred squares
+    would overflow."""
+
+
 class DatasetFormatError(ValueError):
     def __init__(self, message, line=None):
         super().__init__(message)
         self.line = line
+
+
+def _check_spread(n, q):
+    """Raise YRangeError unless 4n·q is finite for every entry of q, the
+    sum of squares of n values of y minus their middle order statistic.
+    The fit's prefix sums hold those squares, and a segment's squared
+    total is at most n·q."""
+    with np.errstate(over="ignore"):
+        if not np.all(np.isfinite(4.0 * n * q)):
+            raise YRangeError(
+                "y spreads too widely: 4 n times the sum of squares of y minus its "
+                "median overflows float64"
+            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,6 +78,10 @@ class Dataset:
             raise ValueError("observations must be finite")
         if np.all(x == x[0]):
             raise ValueError("x must not be constant")
+        mid = y.size // 2
+        with np.errstate(over="ignore"):
+            yc = y - np.partition(y, mid)[mid]
+            _check_spread(y.size, np.sum(yc * yc))
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
 
@@ -102,18 +124,16 @@ def sse(data, model):
 
 def optimal_levels(data, t):
     """Per-segment means of y, the exact inner least-squares minimizer for
-    fixed breakpoints."""
+    fixed breakpoints, summed as `fit_step` sums its levels."""
     t_arr = np.asarray(tuple(float(v) for v in t))
     if t_arr.size > 1 and not np.all(np.diff(t_arr) > 0):
         raise ValueError("breakpoints must be strictly increasing")
-    idx = np.searchsorted(t_arr, data.x, side="left")
-    levels = []
-    for j in range(t_arr.size + 1):
-        sel = idx == j
-        if not np.any(sel):
-            raise EmptySegmentError(f"segment {j + 1} contains no observations")
-        levels.append(float(np.mean(data.y[sel])))
-    return tuple(levels)
+    seg = np.searchsorted(t_arr, data.x, side="left")
+    sizes = np.bincount(seg, minlength=t_arr.size + 1)
+    if not np.all(sizes):
+        j = int(np.argmin(sizes))
+        raise EmptySegmentError(f"segment {j + 1} contains no observations")
+    return tuple(_segment_means(seg[None], data.y[None], sizes[None])[0].tolist())
 
 
 @dataclass(frozen=True)
@@ -214,26 +234,35 @@ def _suffix_layer(nxt, cmax, cum_n, cum_s, cum_q, first=None):
     return out
 
 
-def _levels_and_scales(x, y, ys, tau, edges):
-    """Per segment of the breakpoints `tau`: its level, the mean of y over
-    the observations it holds taken in their original order (as in
-    `optimal_levels`), and its plug-in scale sqrt(var / share), the
-    variance taken over the x-sorted y `ys` between consecutive positions
-    of `edges`.  The means and the variance are the reductions np.mean and
-    np.var run, spelled out to skip their per-call overhead."""
-    n = x.size
-    bounds = (-math.inf, *tau, math.inf)
-    alpha = []
-    sigma = []
-    for j, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
-        size = hi - lo
-        sel = (x > bounds[j]) & (x <= bounds[j + 1])
-        alpha.append(float(np.add.reduce(y[sel]) / size))
-        seg = ys[lo:hi]
-        dev = seg - np.add.reduce(seg) / size
-        var = float(np.add.reduce(dev * dev) / size)
-        sigma.append(math.sqrt(var / (size / n)))
-    return tuple(alpha), tuple(sigma)
+def _segment_means(seg, y, sizes):
+    """Per row of the (B, n) arrays and segment j < sizes.shape[1]: the sum
+    of y where seg == j, over sizes[:, j].  The sum is np.add.reduce over
+    the whole row with the other entries zeroed, so a row's means are the
+    same bits in a block of any height."""
+    segments = np.arange(sizes.shape[1])[:, None]
+    masked = np.where(seg[:, None, :] == segments, y[:, None, :], 0.0)
+    return np.add.reduce(masked, axis=2) / sizes
+
+
+def _levels_and_scales(x, y, ys, tau, ends):
+    """Per row of the (B, n) arrays x and y and per segment of the
+    breakpoints tau (B, k): its level, the masked mean of y over the
+    observations it holds in their original order, and its plug-in scale
+    sqrt(var / share).  var is a two-pass masked variance over the x-sorted
+    y `ys`, in which segment j + 1 starts at position ends[:, j].  Returns
+    (alpha, sigma_hat) as (B, k+1) arrays and the segment sizes."""
+    n = x.shape[1]
+    sizes = np.diff(ends, axis=1, prepend=0, append=n)
+    # each observation's segment, in the original and in the sorted order
+    seg = np.zeros(x.shape, dtype=np.intp)
+    sorted_seg = np.zeros(x.shape, dtype=np.intp)
+    for t, e in zip(tau.T, ends.T):
+        seg += x > t[:, None]
+        sorted_seg += np.arange(n) >= e[:, None]
+    alpha = _segment_means(seg, y, sizes)
+    dev = ys - _at(_segment_means(sorted_seg, ys, sizes), sorted_seg)
+    var = _segment_means(sorted_seg, dev * dev, sizes)
+    return alpha, np.sqrt(var / (sizes / n)), sizes
 
 
 def fit_step(data, k):
@@ -253,17 +282,18 @@ def fit_step(data, k):
     if m < k + 1:
         raise TooFewDistinctXError(f"need at least {k + 1} distinct x values, have {m}")
 
-    tau_idx = _cuts(cum_n, cum_s[None], cum_q[None], k)[0].tolist()
-
-    tau = tuple(float(vals[c]) for c in tau_idx)
-    edges = [int(cum_n[c]) for c in [0] + [c + 1 for c in tau_idx] + [m]]
-    alpha, sigma = _levels_and_scales(data.x, data.y, ys_sorted, np.asarray(tau), edges)
+    cuts = _cuts(cum_n, cum_s[None], cum_q[None], k)
+    tau = vals[cuts]
+    alpha, sigma, sizes = _levels_and_scales(
+        data.x[None], data.y[None], ys_sorted[None], tau, cum_n[cuts + 1]
+    )
+    tau, alpha = tuple(tau[0].tolist()), tuple(alpha[0].tolist())
     return FitResult(
         tau=tau,
         alpha=alpha,
         sse=sse(data, StepModel(tau, alpha)),
-        segment_counts=tuple(hi - lo for lo, hi in zip(edges[:-1], edges[1:])),
-        sigma_hat=sigma,
+        segment_counts=tuple(sizes[0].tolist()),
+        sigma_hat=tuple(sigma[0].tolist()),
     )
 
 
@@ -435,9 +465,9 @@ def fit_rows(x, y, k):
     """`fit_step` on every row of the (B, n) arrays x and y at once:
     (tau, alpha, sigma_hat) as (B, k), (B, k+1) and (B, k+1) arrays, each
     row bit-identical to the scalar fit of that row's dataset.  Rows share
-    one sort, centred prefix sums over single-observation blocks and
-    `_cuts`; a row whose x repeats a value goes through `fit_step`
-    itself."""
+    one sort, centred prefix sums over single-observation blocks, `_cuts`
+    and `_levels_and_scales`; a row whose x repeats a value goes through
+    `fit_step` itself."""
     k = int(k)
     rows, n = x.shape
     order = np.argsort(x, axis=1)
@@ -453,17 +483,18 @@ def fit_rows(x, y, k):
         tau[r], alpha[r], sigma[r] = fit.tau, fit.alpha, fit.sigma_hat
     fast = np.flatnonzero(distinct)
     if fast.size:
+        xs, ys = xs[fast], ys[fast]
         # `_blocks`' centring and prefix sums, by row
         mid = n // 2
-        yc = ys[fast] - np.partition(ys[fast], mid, axis=1)[:, mid, None]
         zero = np.zeros((fast.size, 1))
-        cum_s = np.concatenate((zero, np.cumsum(yc, axis=1)), axis=1)
-        cum_q = np.concatenate((zero, np.cumsum(yc * yc, axis=1)), axis=1)
+        with np.errstate(over="ignore"):
+            yc = ys - np.partition(ys, mid, axis=1)[:, mid, None]
+            cum_s = np.concatenate((zero, np.cumsum(yc, axis=1)), axis=1)
+            cum_q = np.concatenate((zero, np.cumsum(yc * yc, axis=1)), axis=1)
+        _check_spread(n, cum_q[:, -1])
         cuts = _cuts(np.arange(n + 1), cum_s, cum_q, k)
-        tau[fast] = np.take_along_axis(xs[fast], cuts, axis=1)
-        for r, c in zip(fast, cuts):
-            edges = [0, *(c + 1).tolist(), n]
-            alpha[r], sigma[r] = _levels_and_scales(x[r], y[r], ys[r], tau[r], edges)
+        tau[fast] = _at(xs, cuts)
+        alpha[fast], sigma[fast], _ = _levels_and_scales(x[fast], y[fast], ys, tau[fast], cuts + 1)
     return tau, alpha, sigma
 
 
@@ -693,24 +724,21 @@ def pure_step_model(tau, alpha, x_law, noise):
     )
 
 
-def synthesize_rows(model, n, seeds):
-    """One dataset of n observations per seed, as (len(seeds), n) arrays x
-    and y; each row is what `synthesize` draws from its seed."""
-    x = np.empty((len(seeds), n))
-    eps = np.empty((len(seeds), n))
-    for r, seed in enumerate(seeds):
-        rng = np.random.default_rng(int(seed) & ((1 << 64) - 1))
-        x[r] = model.x_law.sample(rng, n)
-        eps[r] = model.noise.sample(rng, n)
-    return x, model.regression_values(x) + eps
+def draw_rows(model, rng, shape):
+    """Datasets drawn from `rng` as arrays x and y of `shape`: every
+    covariate first, then every noise term, in C order.  A (1, n) draw is
+    the same stream as an n draw, and row r of a (B, n) draw is
+    observations r·n .. r·n + n - 1 of each."""
+    x = model.x_law.sample(rng, shape)
+    return x, model.regression_values(x) + model.noise.sample(rng, shape)
 
 
 def synthesize(model, n, seed):
-    """Draw n observations: covariates first, then noise, so the stream
-    layout is fixed for a given seed."""
+    """Draw n observations from the integer seed: covariates first, then
+    noise, so the stream layout is fixed for a given seed."""
     if n < 2:
         raise ValueError("need n >= 2")
-    x, y = synthesize_rows(model, n, (seed,))
+    x, y = draw_rows(model, np.random.default_rng(int(seed) & ((1 << 64) - 1)), (1, n))
     return Dataset(x[0], y[0])
 
 

@@ -66,6 +66,19 @@ def read_reports(out_dir, names):
     return {name: (out_dir / name).read_bytes() for name in names}
 
 
+def assert_workers_do_not_change(workdir, command, names):
+    # cfg.txt's n of 40 and 80 make blocks of 204 and 102 replications, so
+    # 1000 replications are 5 and 10 blocks that 2 and 3 workers chunk
+    # differently
+    reports = []
+    for workers in ("1", "2", "3"):
+        out = workdir / f"{command}-w{workers}"
+        argv = [command, "--config", str(workdir / "cfg.txt"), "--out", str(out)]
+        assert run(argv + ["--workers", workers]) == 0
+        reports.append(read_reports(out, names))
+    assert reports[0] == reports[1] == reports[2]
+
+
 class TestFit:
     def test_perfect_step(self, workdir):
         out = workdir / "out_fit"
@@ -93,6 +106,14 @@ class TestFit:
         code = run(["fit", "--data", str(workdir / "bad.csv"), "--k", "1", "--out", str(workdir / "o")])
         assert code == 2
         assert "line 3" in capsys.readouterr().err
+
+    def test_overflowing_y_exit_2(self, workdir, capsys):
+        (workdir / "wide.csv").write_text(
+            "x,y\n" + "".join(f"{i},{v}\n" for i, v in enumerate([0, 0, 1e200, 1e200, 0, 0]))
+        )
+        code = run(["fit", "--data", str(workdir / "wide.csv"), "--k", "1", "--out", str(workdir / "o")])
+        assert code == 2
+        assert "y spreads too widely" in capsys.readouterr().err
 
     def test_failed_run_has_manifest_but_no_done(self, workdir):
         out = workdir / "partial"
@@ -210,16 +231,9 @@ class TestVerify:
         assert read_reports(out1, names) == read_reports(out2, names)
 
     def test_workers_do_not_change_reports(self, workdir):
-        out1 = workdir / "w1"
-        out2 = workdir / "w2"
-        names = ("inequalities.csv", "tails.csv", "summary.txt")
-        assert run(
-            ["verify", "--config", str(workdir / "cfg.txt"), "--out", str(out1), "--workers", "1"]
-        ) == 0
-        assert run(
-            ["verify", "--config", str(workdir / "cfg.txt"), "--out", str(out2), "--workers", "2"]
-        ) == 0
-        assert read_reports(out1, names) == read_reports(out2, names)
+        assert_workers_do_not_change(
+            workdir, "verify", ("inequalities.csv", "tails.csv", "summary.txt")
+        )
 
     def test_config_seed_used_unless_overridden(self, workdir):
         out1 = workdir / "seed_cfg"
@@ -366,6 +380,11 @@ class TestCoverage:
         out = workdir / "out_tol"
         code = run(["coverage", "--config", str(workdir / "cfg_tol.txt"), "--out", str(out)])
         assert code == 0
+
+    def test_workers_do_not_change_reports(self, workdir):
+        assert_workers_do_not_change(
+            workdir, "coverage", ("coverage_summary.txt", "coverage_rows.csv")
+        )
 
     def test_unwritable_output(self, workdir):
         blocker = workdir / "blocker"

@@ -26,8 +26,8 @@ from stepargmin.experiments import (
     tail_probability_table,
     verify_limit_bounds,
 )
-from stepargmin.rng import child_seed
-from stepargmin.stepfit import Dataset, NoiseLaw, XLaw, fit_step, pure_step_model, synthesize
+from stepargmin.rng import substream
+from stepargmin.stepfit import Dataset, NoiseLaw, XLaw, draw_rows, fit_step, pure_step_model
 
 UNIFORM01 = XLaw("uniform", (0.0, 1.0))
 
@@ -355,9 +355,17 @@ class TestProductForm:
         assert product_form_check(cfg) == product_form_check(cfg)
 
 
+def _replication(model, n, master, path, rep):
+    """Replication `rep`'s dataset as the block layout draws it: row
+    rep % B of the (B, n) block drawn from substream(master, *path, rep // B)."""
+    rows = experiments._block_rows(n)
+    x, y = draw_rows(model, substream(master, *path, rep // rows), (rows, n))
+    return Dataset(x[rep % rows], y[rep % rows])
+
+
 class TestFitBlocks:
-    """The block worker against one scalar synthesize + fit_step per
-    replication, at the default block size and at blocks of 1 and 7 rows."""
+    """The block worker against one fit_step per replication of the block
+    layout, at the default block size and at blocks of 1 and 7 rows."""
 
     @pytest.mark.parametrize("rows", [None, 1, 7])
     @pytest.mark.parametrize("k", [1, 2, 3])
@@ -368,8 +376,19 @@ class TestFitBlocks:
         fits = experiments._fit_worker((TWO_JUMPS, k, n, 77, (1, n)), 3, 40)
         assert fits.shape == (37, 3 * k + 2)
         for row, rep in zip(fits, range(3, 40)):
-            fit = fit_step(synthesize(TWO_JUMPS, n, child_seed(77, 1, n, rep)), k)
+            fit = fit_step(_replication(TWO_JUMPS, n, 77, (1, n), rep), k)
             assert row.tobytes() == np.array(fit.tau + fit.alpha + fit.sigma_hat).tobytes()
+
+    @pytest.mark.parametrize("rows", [None, 7])
+    def test_cut_blocks_are_sliced(self, monkeypatch, rows):
+        # chunks that start or end inside a block see the same rows
+        n = 60
+        if rows is not None:
+            monkeypatch.setattr(experiments, "_BLOCK_CELLS", rows * n)
+        args = (TWO_JUMPS, 2, n, 77, (1, n))
+        whole = experiments._fit_worker(args, 0, 40)
+        assert experiments._fit_worker(args, 3, 40).tobytes() == whole[3:].tobytes()
+        assert experiments._fit_worker(args, 3, 11).tobytes() == whole[3:11].tobytes()
 
     @pytest.mark.parametrize("rows", [None, 7])
     def test_coverage_rows_match_build_rectangle(self, monkeypatch, rows):
@@ -382,8 +401,7 @@ class TestFitBlocks:
         truth = TWO_JUMPS.true_tau + TWO_JUMPS.true_alpha
         covered = []
         for rep in range(40):
-            seed = child_seed(5, experiments._TAG_COVER, rep)
-            fit = fit_step(synthesize(TWO_JUMPS, n, seed), 2)
+            fit = fit_step(_replication(TWO_JUMPS, n, 5, (experiments._TAG_COVER,), rep), 2)
             bounds_alpha = [(s * z_lo, s * z_hi) for s in fit.sigma_hat]
             rect = build_rectangle(fit, n, bounds_tau, bounds_alpha)
             covered.append(all(iv.contains(t) for iv, t in zip(rect, truth)))
@@ -403,6 +421,11 @@ class TestMembershipReport:
         a = membership_report(model, 1, 100, 40, 91, workers=1)
         b = membership_report(model, 1, 100, 40, 91, workers=2)
         assert a == b
+        # n = 400 puts 20 replications in a block: 15 blocks, which 2 and
+        # 3 workers cut into 8 and 12 chunks
+        c = membership_report(model, 1, 400, 300, 91, workers=1)
+        for workers in (2, 3):
+            assert membership_report(model, 1, 400, 300, 91, workers=workers) == c
 
 
 class TestAlphaSigmas:

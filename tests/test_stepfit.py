@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -8,6 +9,7 @@ from corpus import exhaustive_fit, reference_cuts
 from stepargmin import stepfit
 from stepargmin.argmin import argmin_set, hits, point_box
 from stepargmin.cpoisson import InvalidSpecError, JumpLaw
+from stepargmin.rng import substream
 from stepargmin.stepfit import (
     CollapsedOrderError,
     Dataset,
@@ -19,9 +21,11 @@ from stepargmin.stepfit import (
     StepModel,
     TooFewDistinctXError,
     XLaw,
+    YRangeError,
     dataset_from_csv,
     dataset_to_csv,
     derive_limit_spec,
+    draw_rows,
     fit_rows,
     fit_step,
     optimal_levels,
@@ -29,7 +33,6 @@ from stepargmin.stepfit import (
     rescaled_process,
     sse,
     synthesize,
-    synthesize_rows,
 )
 
 UNIFORM01 = XLaw("uniform", (0.0, 1.0))
@@ -178,6 +181,30 @@ class TestTranslationInvariance:
                 assert fit_step(shifted, k).tau == fit.tau
 
 
+class TestYRange:
+    # the data jump right after x = 1, 3 and 5; at 1e200 the centred
+    # squares overflow, at 1e150 they do not
+    STEPS = (0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 3.0, 3.0)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_overflowing_squares_raise(self, k):
+        with pytest.raises(YRangeError, match="y spreads too widely"):
+            fit_step(Dataset(np.arange(8.0), np.array(self.STEPS) * 1e200), k)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_block_with_overflowing_row_raises(self, k):
+        x = np.tile(np.arange(8.0), (3, 1))
+        y = np.tile(self.STEPS, (3, 1))
+        y[1] *= 1e200
+        with pytest.raises(YRangeError, match="y spreads too widely"):
+            fit_rows(x, y, k)
+
+    def test_wide_but_finite_fits(self):
+        d = Dataset(np.arange(8.0), np.array(self.STEPS) * 1e150)
+        assert fit_step(d, 1).tau == (5.0,)
+        assert fit_step(d, 3).tau == (1.0, 3.0, 5.0)
+
+
 class TestChunkedSuffixSweep:
     # 1 cell gives one-row chunks; 7 cells one-row chunks until rows are 3
     # wide, then chunks of 2, 3 and 7 rows; 64 cells several rows with a
@@ -239,26 +266,54 @@ def _bits(values):
     return np.asarray(values, dtype=float).tobytes()
 
 
+def _stacked(model, n, seeds):
+    """One `synthesize` dataset per seed, as (len(seeds), n) arrays."""
+    data = [synthesize(model, n, seed) for seed in seeds]
+    return np.array([d.x for d in data]), np.array([d.y for d in data])
+
+
+def _masked_mean(mask, values):
+    # the summation rule of levels and scales: the whole 1-D row, with the
+    # entries outside the segment zeroed, reduced by np.add.reduce
+    return np.add.reduce(np.where(mask, values, 0.0)) / np.count_nonzero(mask)
+
+
 def assert_rows_match_fit_step(x, y, k):
     """fit_rows on the block (x, y) gives, row by row, the bits of
-    fit_step's tau, alpha and sigma_hat; alpha is also np.mean per segment
-    (optimal_levels) and sigma_hat np.var over the x-sorted segment."""
+    fit_step's tau, alpha and sigma_hat.  alpha is also the masked mean of
+    y per segment in the original order (and optimal_levels), sigma_hat
+    the two-pass masked variance over the x-sorted row; both lie within a
+    few rounding errors of np.mean and np.var per segment."""
     tau, alpha, sigma = fit_rows(x, y, k)
     assert tau.shape == (x.shape[0], k) and alpha.shape == sigma.shape == (x.shape[0], k + 1)
+    eps = np.finfo(float).eps
     for r in range(x.shape[0]):
         d = Dataset(x[r], y[r])
         fit = fit_step(d, k)
         assert _bits(tau[r]) == _bits(fit.tau)
         assert _bits(alpha[r]) == _bits(fit.alpha)
         assert _bits(sigma[r]) == _bits(fit.sigma_hat)
+        seg = np.searchsorted(fit.tau, d.x, side="left")
+        levels = [_masked_mean(seg == j, d.y) for j in range(k + 1)]
+        assert _bits(fit.alpha) == _bits(levels)
         assert _bits(fit.alpha) == _bits(optimal_levels(d, fit.tau))
         ys = d.y[np.argsort(d.x, kind="stable")]
         edges = np.cumsum((0,) + fit.segment_counts)
-        scales = [
-            math.sqrt(float(np.var(ys[lo:hi])) / ((hi - lo) / d.n))
-            for lo, hi in zip(edges[:-1], edges[1:])
-        ]
+        pos = np.arange(d.n)
+        scales = []
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            inside = (pos >= lo) & (pos < hi)
+            dev = np.where(inside, ys - _masked_mean(inside, ys), 0.0)
+            scales.append(math.sqrt(_masked_mean(inside, dev * dev) / ((hi - lo) / d.n)))
         assert _bits(fit.sigma_hat) == _bits(scales)
+        # another summation order moves a mean by a few rounding errors of
+        # its terms' size, and a variance by a few of its own size
+        for j, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
+            part = ys[lo:hi]
+            size = float(np.mean(np.abs(part)))
+            assert abs(fit.alpha[j] - float(np.mean(part))) <= 8 * eps * size
+            scale = math.sqrt(float(np.var(part)) / ((hi - lo) / d.n))
+            assert abs(fit.sigma_hat[j] - scale) <= 8 * eps * scale
 
 
 class TestFitRows:
@@ -269,11 +324,7 @@ class TestFitRows:
     @pytest.mark.parametrize("n, rows", [(30, 40), (300, 9), (500, 6)])
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_synthesized_rows(self, n, rows, k):
-        seeds = [1000 * n + r for r in range(rows)]
-        x, y = synthesize_rows(self.TWO_JUMPS, n, seeds)
-        for r, seed in enumerate(seeds):
-            d = synthesize(self.TWO_JUMPS, n, seed)
-            assert _bits(d.x) == _bits(x[r]) and _bits(d.y) == _bits(y[r])
+        x, y = draw_rows(self.TWO_JUMPS, substream(1000 * n, rows), (rows, n))
         assert_rows_match_fit_step(x, y, k)
 
     # the k>=2 layers swept with a leading axis of 12 datasets: chunks of
@@ -281,7 +332,7 @@ class TestFitRows:
     @pytest.mark.parametrize("cells", [1, 2048, 8192])
     def test_row_axis_chunks(self, monkeypatch, cells):
         monkeypatch.setattr(stepfit, "_CHUNK_CELLS", cells)
-        x, y = synthesize_rows(self.TWO_JUMPS, 40, range(12))
+        x, y = _stacked(self.TWO_JUMPS, 40, range(12))
         for k in (2, 3):
             assert_rows_match_fit_step(x, y, k)
 
@@ -295,7 +346,7 @@ class TestFitRows:
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_repeated_x_row_falls_back(self, k, monkeypatch):
-        x, y = synthesize_rows(self.TWO_JUMPS, 50, [7, 8, 9, 10])
+        x, y = _stacked(self.TWO_JUMPS, 50, [7, 8, 9, 10])
         x[2, :10] = x[2, 10:20]
         scalar = []
         fit = stepfit.fit_step
@@ -323,7 +374,7 @@ def _pruning_blocks():
     # whose levels are not binary fractions (a flat segment's float cost
     # can be an ulp below 0, which a zero slack would prune on), one row
     # whose x repeats (fitted by fit_step), and pure noise
-    x, y = synthesize_rows(TestFitRows.TWO_JUMPS, 40, range(12))
+    x, y = _stacked(TestFitRows.TWO_JUMPS, 40, range(12))
     rng = np.random.default_rng(71)
     repeated = x.copy()
     repeated[2, :10] = repeated[2, 10:20]
@@ -337,7 +388,7 @@ def _pruning_blocks():
     yield x, steps
     yield repeated, y
     yield x, rng.normal(size=x.shape)
-    yield synthesize_rows(TestFitRows.TWO_JUMPS, 300, range(4))
+    yield _stacked(TestFitRows.TWO_JUMPS, 300, range(4))
 
 
 class TestPrunedSweep:
@@ -356,7 +407,7 @@ class TestPrunedSweep:
     def test_bound_below_optimum_raises(self, monkeypatch, k, shrink):
         bound = stepfit._upper_bound
         monkeypatch.setattr(stepfit, "_upper_bound", lambda *args: shrink(bound(*args)))
-        x, y = synthesize_rows(TestFitRows.TWO_JUMPS, 40, range(12))
+        x, y = _stacked(TestFitRows.TWO_JUMPS, 40, range(12))
         with pytest.raises(RuntimeError, match=rf"B=12, m=40, k={k}\)"):
             fit_rows(x, y, k)
 
@@ -374,7 +425,7 @@ class TestPrunedSweep:
             return layer(nxt, cmax, cum_n, cum_s, cum_q, first)
 
         monkeypatch.setattr(stepfit, "_suffix_layer", counting)
-        x, y = synthesize_rows(TestFitRows.TWO_JUMPS, 300, range(27))
+        x, y = _stacked(TestFitRows.TWO_JUMPS, 300, range(27))
         fit_rows(x, y, 2)
         assert len(swept) == 1 and swept[0] <= 0.5 * triangle[0]
 
@@ -466,6 +517,25 @@ class TestSynthesize:
         d1 = synthesize(model, 50, 7)
         d2 = synthesize(model, 50, 7)
         assert np.array_equal(d1.x, d2.x) and np.array_equal(d1.y, d2.y)
+
+    def test_stream_layout_pinned(self):
+        # sha256 of the x and y bytes of fixed draws: a change of the
+        # covariate-then-noise layout of one seed shows here
+        models = (
+            TestFitRows.TWO_JUMPS,
+            pure_step_model(
+                (0.5,), (0.0, 1.0), XLaw("gaussian", (0.5, 0.3)), NoiseLaw("two_point", (-2.0, 2.0, 0.5))
+            ),
+        )
+        digest = hashlib.sha256()
+        for model in models:
+            for n in (2, 7, 100, 513):
+                for seed in (0, 1, 2**63 + 5, -3):
+                    d = synthesize(model, n, seed)
+                    digest.update(d.x.tobytes() + d.y.tobytes())
+        assert digest.hexdigest() == (
+            "3b87cc5758c20c16160c33d36c375c9adfcff484f33229952e5764997d902fe9"
+        )
 
     def test_noiseless_exact_levels(self):
         model = pure_step_model((0.5,), (0.0, 1.0), UNIFORM01, NOISELESS)
