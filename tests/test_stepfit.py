@@ -261,6 +261,35 @@ class TestChunkedSuffixSweep:
             # a 3000 x 3000 float64 matrix alone is 72 MB
             assert peak < 4 * 2**20, k
 
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_band_search_memory_is_linear(self, monkeypatch, k):
+        # the c10 block at n = 300 (27 rows): each last-column search holds
+        # a few (B, m) temporaries (measured: at most 9.3 of them), and the
+        # whole block fit O(B·m + _CHUNK_CELLS) (measured: 10.6 units of
+        # B·(n+1) + _CHUNK_CELLS floats); the layer's triangle is 150 times
+        # B·m
+        search = stepfit._last_columns
+        peaks, before = [], []
+
+        def measured(nxt, *args):
+            start, peak = tracemalloc.get_traced_memory()
+            before.append(peak)
+            tracemalloc.reset_peak()
+            last = search(nxt, *args)
+            peaks.append((tracemalloc.get_traced_memory()[1] - start) / (8 * nxt.size))
+            return last
+
+        monkeypatch.setattr(stepfit, "_last_columns", measured)
+        x, y = _stacked(TestFitRows.TWO_JUMPS, 300, range(27))
+        tracemalloc.start()
+        try:
+            fit_rows(x, y, k)
+            peak = max(before + [tracemalloc.get_traced_memory()[1]])
+        finally:
+            tracemalloc.stop()
+        assert len(peaks) == k - 1 and max(peaks) <= 12
+        assert peak <= 16 * 8 * (x.size + x.shape[0] + stepfit._CHUNK_CELLS)
+
 
 def _bits(values):
     return np.asarray(values, dtype=float).tobytes()
@@ -411,23 +440,115 @@ class TestPrunedSweep:
         with pytest.raises(RuntimeError, match=rf"B=12, m=40, k={k}\)"):
             fit_rows(x, y, k)
 
-    def test_block_sweeps_at_most_half_the_cells(self, monkeypatch):
-        # a k=2 block of the two-jump model at n = 300 (27 rows); with
-        # one-row chunks the sweep visits first[s]..cmax of every live row
+    def test_band_keeps_few_cells(self, monkeypatch):
+        # the c10 block at n = 300 (27 rows); a layer keeps the cells
+        # first[s]..last[s] of its live rows, and with one-row chunks that
+        # is all the sweep visits.  Measured: k = 2 keeps 3.3% of the
+        # triangle and drops 79 of the 125 rows its first columns keep;
+        # k = 3 keeps 34% and 18% of its two layers' triangles
         monkeypatch.setattr(stepfit, "_CHUNK_CELLS", 1)
         layer = stepfit._suffix_layer
-        swept, triangle = [], []
+        kept, triangle, dead = [], [], []
 
-        def counting(nxt, cmax, cum_n, cum_s, cum_q, first):
-            live = first[first <= cmax]
-            swept.append(int(np.sum(cmax + 1 - live)))
+        def counting(nxt, cmax, cum_n, cum_s, cum_q, first, last):
+            live = last >= first
+            kept.append(int(np.sum((last - first + 1)[live])))
             triangle.append((cmax + 1) * (cmax + 2) // 2)
-            return layer(nxt, cmax, cum_n, cum_s, cum_q, first)
+            dead.append(np.flatnonzero((first <= cmax) & ~live))
+            out = layer(nxt, cmax, cum_n, cum_s, cum_q, first, last)
+            # a dead row is never swept: its cells are finite, its value not
+            assert np.all(np.isinf(out[:, dead[-1]]))
+            return out
 
         monkeypatch.setattr(stepfit, "_suffix_layer", counting)
         x, y = _stacked(TestFitRows.TWO_JUMPS, 300, range(27))
         fit_rows(x, y, 2)
-        assert len(swept) == 1 and swept[0] <= 0.5 * triangle[0]
+        assert len(kept) == 1 and kept[0] <= 0.10 * triangle[0]
+        assert dead[0].size >= 60
+        kept.clear(), triangle.clear(), dead.clear()
+        fit_rows(x, y, 3)
+        assert len(kept) == 2 and all(a <= 0.5 * t for a, t in zip(kept, triangle))
+        assert sum(kept) <= 0.30 * sum(triangle)
+        assert sum(d.size for d in dead) >= 50
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_last_column_fails_in_every_dataset(self, monkeypatch, k):
+        # what the pruning proof uses: column last[s] + 1 of a live row, and
+        # column first[s] of a dead one, has cost + sufmin above the budget
+        # in every dataset, recomputed here row by row from `_cost_row`
+        search = stepfit._last_columns
+        checked = []
+
+        def checking(nxt, cmax, cum_n, cum_s, cum_q, first, limit, head):
+            last = search(nxt, cmax, cum_n, cum_s, cum_q, first, limit, head)
+            budget = np.broadcast_to(limit[:, None] - head, (nxt.shape[0], cmax + 1))
+            sufmin = np.minimum.accumulate(nxt[:, cmax + 1 : 0 : -1], axis=1)[:, ::-1]
+            for s in np.flatnonzero(first <= cmax):
+                c = first[s] if last[s] < first[s] else last[s] + 1
+                if c <= cmax:
+                    for b in range(nxt.shape[0]):
+                        cost = stepfit._cost_row(s, cum_n, cum_s[b], cum_q[b])[c - s]
+                        assert not cost + sufmin[b, c] <= budget[b, s]
+                        checked.append(s)
+            return last
+
+        monkeypatch.setattr(stepfit, "_last_columns", checking)
+        x, y = _stacked(TestFitRows.TWO_JUMPS, 300, range(6))
+        fit_rows(x, y, k)
+        assert len(checked) > 0
+
+
+def _block_sums(x, y):
+    """`_cuts`' inputs for the rows of (x, y), each through `_blocks`; the
+    rows' x are permutations of one multiset, so they share cum_n."""
+    sums = [stepfit._blocks(Dataset(a, b))[2:] for a, b in zip(x, y)]
+    cum_n = sums[0][0]
+    assert all(np.array_equal(cn, cum_n) for cn, _, _ in sums)
+    return cum_n, np.array([cs for _, cs, _ in sums]), np.array([cq for _, _, cq in sums])
+
+
+def _rounding_blocks(rows, n):
+    # blocks where rounding bites: the c10 model with y offset by 1e6 and
+    # 1e8; integer y in {-2, ..., 2}, whose segment costs tie or nearly
+    # tie, on distinct x and, as in c03, on x that repeats (every value
+    # twice, so blocks hold two observations); pure noise, where the band
+    # prunes little
+    rng = np.random.default_rng(rows * n)
+    x, y = _stacked(TestFitRows.TWO_JUMPS, n, range(rows))
+    pairs = np.array([rng.permutation(np.repeat(np.arange(n // 2), 2)) for _ in range(rows)])
+    yield x, y + 1e6
+    yield x, y + 1e8
+    yield x, rng.integers(-2, 3, size=x.shape).astype(float)
+    yield pairs.astype(float), rng.integers(-2, 3, size=x.shape).astype(float)
+    yield x, rng.normal(size=x.shape)
+
+
+class TestBandedSweep:
+    # every layer searched for its band, whatever its size; one-row chunks,
+    # 7-cell chunks (one row of a dataset), and 64-cell chunks of several
+    # rows with the lower triangle masked
+    @pytest.mark.parametrize("cells", [1, 7, 64])
+    @pytest.mark.parametrize("rows, n", [(1, 120), (27, 60), (81, 40)])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_cuts_match_unpruned_reference(self, monkeypatch, cells, rows, n, k):
+        monkeypatch.setattr(stepfit, "_SEARCH_PAYBACK", 0)
+        monkeypatch.setattr(stepfit, "_CHUNK_CELLS", cells)
+        for x, y in _rounding_blocks(rows, n):
+            cum_n, cum_s, cum_q = _block_sums(x, y)
+            cuts = stepfit._cuts(cum_n, cum_s, cum_q, k)
+            assert np.array_equal(cuts, reference_cuts(cum_n, cum_s, cum_q, k))
+
+    def test_small_layers_are_not_searched(self, monkeypatch):
+        # c03-sized fits and small blocks sweep every row to cmax
+        searched = []
+        search = stepfit._last_columns
+        monkeypatch.setattr(
+            stepfit, "_last_columns", lambda *a: searched.append(search(*a) is not None)
+        )
+        rng = np.random.default_rng(3)
+        fit_step(random_dataset(rng, 12, 8), 3)
+        fit_rows(*_stacked(TestFitRows.TWO_JUMPS, 40, range(12)), 2)
+        assert searched == [False, False, False]
 
 
 class TestRescaledProcess:
