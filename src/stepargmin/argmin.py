@@ -61,7 +61,8 @@ class Box:
 
     @property
     def bounded(self):
-        return all(np.isfinite(self.lo)) and all(np.isfinite(self.hi))
+        # NaN fails both comparisons, so it counts as unbounded
+        return all(-INF < v < INF for v in self.lo + self.hi)
 
     def contains_point(self, point):
         return all(lo <= p <= hi for lo, p, hi in zip(self.lo, point, self.hi))
@@ -83,8 +84,19 @@ def _nested(inner, outer):
     )
 
 
-def box1(lo, hi):
-    return Box((lo,), (hi,))
+def _float_box(lo, hi):
+    # constructor bypass for tuples of Python floats of equal nonzero length
+    box = object.__new__(Box)
+    object.__setattr__(box, "lo", lo)
+    object.__setattr__(box, "hi", hi)
+    return box
+
+
+def _point_tuple(point, dim):
+    point = tuple(float(p) for p in np.atleast_1d(np.asarray(point, dtype=float)))
+    if len(point) != dim:
+        raise ValueError("dimension mismatch")
+    return point
 
 
 def point_box(point):
@@ -152,7 +164,7 @@ class BoxUnion:
         return all(b.bounded for b in self.boxes)
 
     def contains_point(self, point):
-        point = tuple(float(p) for p in np.atleast_1d(np.asarray(point, dtype=float)))
+        point = _point_tuple(point, self.dim)
         return any(b.contains_point(point) for b in self.boxes)
 
     def to_text(self):
@@ -242,7 +254,7 @@ class OpenBoxUnion:
         return not self.boxes
 
     def contains_point(self, point):
-        point = tuple(float(p) for p in np.atleast_1d(np.asarray(point, dtype=float)))
+        point = _point_tuple(point, self.dim)
         return any(b.contains_point(point) for b in self.boxes)
 
 
@@ -359,13 +371,16 @@ def argmin_set(f):
         # the kernel's intervals are disjoint and increasing: canonical form
         edges = np.concatenate(([-INF], breaks, [INF]))
         _, lo, hi = _argmin_cells(edges[None], values[None])
-        return _prenormalized_union(1, map(box1, lo.tolist(), hi.tolist()))
+        boxes = (_float_box((l,), (h,)) for l, h in zip(lo.tolist(), hi.tolist()))
+        return _prenormalized_union(1, boxes)
     index = np.argwhere(f.cells == f.cells.min()).T
     lo = np.column_stack([np.append(-INF, axis)[j] for axis, j in zip(f.axes, index)])
     hi = np.column_stack([np.append(axis, INF)[j] for axis, j in zip(f.axes, index)])
-    boxes = map(Box, lo.tolist(), hi.tolist())
-    # closures of distinct cells never nest and argwhere emits them in
-    # lexicographic order, so normalization would be a no-op
+    # tolist rows are Python floats of length dim, all that the Box
+    # constructor would check; closures of distinct cells never nest and
+    # argwhere emits them in lexicographic order, so normalization would
+    # be a no-op
+    boxes = (_float_box(tuple(l), tuple(h)) for l, h in zip(lo.tolist(), hi.tolist()))
     return _prenormalized_union(f.dim, boxes)
 
 
@@ -404,8 +419,13 @@ def hits(a, e):
     """True iff the two closed unions intersect."""
     if a.dim != e.dim:
         raise ValueError("dimension mismatch")
+    # every box of a BoxUnion is nonempty, lo <= hi with lo < INF and
+    # hi > -INF on each axis, so the intersection of two of them is
+    # nonempty iff max(lo) <= min(hi) on each axis
     return any(
-        box_a.intersect(box_e) is not None for box_a in a.boxes for box_e in e.boxes
+        all(max(p, q) <= min(r, s) for p, q, r, s in zip(ba.lo, be.lo, ba.hi, be.hi))
+        for ba in a.boxes
+        for be in e.boxes
     )
 
 
@@ -505,16 +525,21 @@ def orthant_checks(f, x):
 
     (A hits (-inf, x],  sargmin(A) <= x,  A inside (-inf, x),  largmin(A) < x)
 
-    For compact nonempty A the first pair and the second pair agree.
+    sargmin(A) <= x implies that A hits (-inf, x], and A inside (-inf, x)
+    implies largmin(A) < x; in one dimension the converses hold as well,
+    in two or three they can fail, since the lexicographic extremes need
+    not be the coordinatewise ones.  Both orthants are single boxes, so A
+    hits (-inf, x] iff some box of A has lo <= x, and lies inside
+    (-inf, x) iff every box has hi < x, coordinatewise.
     """
     a = argmin_set(f)
     if a.is_empty or not a.bounded:
         raise NonCompactError("argmin set must be compact and nonempty")
-    x = tuple(float(v) for v in np.atleast_1d(np.asarray(x, dtype=float)))
+    x = _point_tuple(x, a.dim)
     smallest = sargmin(a)
     largest = largmin(a)
-    hit_lower = hits(a, lower_orthant_closed(x))
+    hit_lower = any(all(lo <= xi for lo, xi in zip(b.lo, x)) for b in a.boxes)
     small_le = all(s <= xi for s, xi in zip(smallest, x))
-    inside_open = contained_in_open(a, lower_orthant_open(x))
+    inside_open = all(all(hi < xi for hi, xi in zip(b.hi, x)) for b in a.boxes)
     large_lt = all(l < xi for l, xi in zip(largest, x))
     return (hit_lower, small_le, inside_open, large_lt)

@@ -58,6 +58,22 @@ def random_compact_function(rng, dim, max_breaks=6):
     return GridFunction(tuple(axes), cells)
 
 
+def random_shelled_function(rng, dim, max_breaks=5):
+    """`random_function` with its outer shell of cells lifted above every
+    pool value, so the argmin set is compact; ties among the inner cells
+    make it a union of several boxes.  None when no cell is inner."""
+    axes, cells = _axes_cells(random_function(rng, dim, max_breaks))
+    if min(axis.size for axis in axes) < 2:
+        return None
+    cells = np.array(cells, dtype=float)
+    shell = np.ones(cells.shape, dtype=bool)
+    shell[tuple(slice(1, -1) for _ in axes)] = False
+    cells[shell] += VALUE_POOL.max() - VALUE_POOL.min() + 1.0
+    if dim == 1:
+        return StepFunction1D(axes[0], cells)
+    return GridFunction(tuple(axes), cells)
+
+
 def _axes_cells(f):
     if isinstance(f, StepFunction1D):
         return (f.breakpoints,), f.values

@@ -5,6 +5,7 @@ from corpus import (
     oracle_argmin,
     random_compact_function,
     random_function,
+    random_shelled_function,
     union_membership,
 )
 from stepargmin import argmin as argmin_module
@@ -23,6 +24,8 @@ from stepargmin.argmin import (
     contained_in_open,
     hits,
     largmin,
+    lower_orthant_closed,
+    lower_orthant_open,
     orthant_checks,
     point_box,
     sargmin,
@@ -36,6 +39,25 @@ def interval(lo, hi):
 
 def open_interval(lo, hi):
     return OpenBox((lo,), (hi,))
+
+
+def random_union(rng, dim, closed):
+    # endpoints on a coarse lattice, so boxes touch and share endpoints;
+    # some are infinite (open boxes more often, so that containment is
+    # not rare in 3-D) and some closed boxes are degenerate (lo == hi)
+    lattice = np.arange(-2.0, 2.5, 0.5)
+    p_inf = 0.1 if closed else 0.4
+    boxes = []
+    for _ in range(rng.integers(0, 5)):
+        lo, hi = [], []
+        for _ in range(dim):
+            a, b = np.sort(rng.choice(lattice, size=2))
+            if closed and rng.random() < 0.2:
+                b = a
+            lo.append(-INF if rng.random() < p_inf else a)
+            hi.append(INF if rng.random() < p_inf else b)
+        boxes.append((Box if closed else OpenBox)(tuple(lo), tuple(hi)))
+    return (BoxUnion if closed else OpenBoxUnion)(dim, tuple(boxes))
 
 
 class TestArgminSet:
@@ -59,6 +81,21 @@ class TestArgminSet:
         f = GridFunction(([0.0], [0.0]), np.array([[1.0, 0.0], [3.0, 4.0]]))
         a = argmin_set(f)
         assert a.boxes == (Box((-INF, 0.0), (0.0, INF)),)
+
+    def test_boxes_hold_python_floats(self):
+        # argmin_set builds its boxes past the checked constructor
+        rng = np.random.default_rng(17)
+        for _ in range(300):
+            dim = int(rng.integers(1, 4))
+            a = argmin_set(random_function(rng, dim, max_breaks=6))
+            for box in a.boxes:
+                for ends in (box.lo, box.hi):
+                    assert type(ends) is tuple and len(ends) == dim
+                    assert all(type(v) is float for v in ends)
+                assert box == Box(box.lo, box.hi)
+            text = a.to_text()
+            assert "np." not in text and "float64" not in text
+            assert box_union_from_text(text) == a
 
 
 class TestExtremes:
@@ -104,6 +141,30 @@ class TestExtremes:
             assert hits(a, point_box(largmin(a)))
 
 
+class TestBox:
+    def test_bounded_is_finite(self):
+        rng = np.random.default_rng(19)
+        pool = np.array([-INF, -1.0, 0.0, 2.5, INF, np.nan])
+        for _ in range(500):
+            dim = int(rng.integers(1, 4))
+            lo, hi = rng.choice(pool, size=(2, dim))
+            box = Box(tuple(lo), tuple(hi))
+            expected = bool(np.isfinite(box.lo).all() and np.isfinite(box.hi).all())
+            assert box.bounded is expected
+        assert not Box((np.nan,), (1.0,)).bounded
+
+
+class TestContainsPoint:
+    @pytest.mark.parametrize("cls", [BoxUnion, OpenBoxUnion])
+    def test_dimension_mismatch(self, cls):
+        box = (Box if cls is BoxUnion else OpenBox)((0.0, 0.0), (1.0, 1.0))
+        union = cls(2, (box,))
+        assert union.contains_point((0.5, 0.5))
+        for point in ((0.5,), (0.5, 0.5, 0.5), 0.5):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                union.contains_point(point)
+
+
 class TestHits:
     def test_unbounded_target(self):
         a = BoxUnion(1, (interval(0.0, 1.0), interval(3.0, 4.0)))
@@ -131,6 +192,18 @@ class TestHits:
             hits(a, BoxUnion(1, (interval(0.5, 0.6),)))
         with pytest.raises(ValueError, match="dimension"):
             hits(BoxUnion(1, (interval(0.5, 0.6),)), a)
+
+    def test_matches_intersection_rule(self):
+        met = 0
+        for dim in (1, 2, 3):
+            rng = np.random.default_rng((13, dim))
+            for _ in range(1500):
+                a = random_union(rng, dim, closed=True)
+                e = random_union(rng, dim, closed=True)
+                expected = any(p.intersect(q) is not None for p in a.boxes for q in e.boxes)
+                assert hits(a, e) is expected
+                met += expected
+        assert met >= 500
 
 
 class TestContainment:
@@ -164,32 +237,13 @@ class TestContainment:
         g = OpenBoxUnion(2, (OpenBox((-INF, -INF), (INF, INF)),))
         assert closed_complement(g).is_empty
 
-    @staticmethod
-    def _random_union(rng, dim, closed):
-        # endpoints on a coarse lattice, so boxes touch and share endpoints;
-        # some are infinite (open boxes more often, so that containment is
-        # not rare in 3-D) and some closed boxes are degenerate (lo == hi)
-        lattice = np.arange(-2.0, 2.5, 0.5)
-        p_inf = 0.1 if closed else 0.4
-        boxes = []
-        for _ in range(rng.integers(0, 5)):
-            lo, hi = [], []
-            for _ in range(dim):
-                a, b = np.sort(rng.choice(lattice, size=2))
-                if closed and rng.random() < 0.2:
-                    b = a
-                lo.append(-INF if rng.random() < p_inf else a)
-                hi.append(INF if rng.random() < p_inf else b)
-            boxes.append((Box if closed else OpenBox)(tuple(lo), tuple(hi)))
-        return (BoxUnion if closed else OpenBoxUnion)(dim, tuple(boxes))
-
     def test_duality_random(self):
         for dim in (1, 2, 3):
             rng = np.random.default_rng((11, dim))
             inside = 0
             for _ in range(1500):
-                a = self._random_union(rng, dim, closed=True)
-                g = self._random_union(rng, dim, closed=False)
+                a = random_union(rng, dim, closed=True)
+                g = random_union(rng, dim, closed=False)
                 expected = not hits(a, closed_complement(g))
                 assert contained_in_open(a, g) == expected
                 inside += expected and not a.is_empty
@@ -219,8 +273,8 @@ class TestContainment:
         for dim in (1, 2, 3):
             for _ in range(50):
                 argmin_module.contained_in_open(
-                    self._random_union(rng, dim, closed=True),
-                    self._random_union(rng, dim, closed=False),
+                    random_union(rng, dim, closed=True),
+                    random_union(rng, dim, closed=False),
                 )
 
     def test_dimension_mismatch(self):
@@ -259,6 +313,48 @@ class TestOrthantChecks:
                 hit_lower, small_le, inside_open, large_lt = orthant_checks(f, x)
                 assert hit_lower == small_le
                 assert inside_open == large_lt
+
+    def test_matches_generic_kernels(self):
+        # multi-box compact sets, with x on box endpoints, at +-inf and nan
+        rng = np.random.default_rng(29)
+        multi = {1: 0, 2: 0, 3: 0}
+        disagree = 0
+        for dim in (1, 2, 3):
+            for _ in range(400):
+                f = random_shelled_function(rng, dim)
+                if f is None:
+                    continue
+                a = argmin_set(f)
+                multi[dim] += len(a.boxes) > 1
+                ends = [
+                    sorted({v for b in a.boxes for v in (b.lo[i], b.hi[i])})
+                    + [-INF, INF, np.nan, float(rng.uniform(-7.0, 7.0))]
+                    for i in range(dim)
+                ]
+                for _ in range(6):
+                    x = tuple(float(rng.choice(c)) for c in ends)
+                    hit_lower, small_le, inside_open, large_lt = orthant_checks(f, x)
+                    assert hit_lower is hits(a, lower_orthant_closed(x))
+                    assert inside_open is contained_in_open(a, lower_orthant_open(x))
+                    assert hit_lower or not small_le
+                    assert large_lt or not inside_open
+                    if dim == 1:
+                        assert (hit_lower, inside_open) == (small_le, large_lt)
+                    else:
+                        disagree += (hit_lower, inside_open) != (small_le, large_lt)
+        assert min(multi.values()) >= 15
+        # the converses fail beyond one dimension: the extremes are
+        # lexicographic, not coordinatewise
+        assert disagree > 0
+
+    def test_dimension_mismatch(self):
+        cells = np.ones((3, 3))
+        cells[1, 1] = 0.0
+        f = GridFunction(([0.0, 1.0], [0.0, 1.0]), cells)
+        assert orthant_checks(f, (2.0, 2.0)) == (True, True, True, True)
+        for x in ((2.0,), (2.0, 2.0, 2.0)):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                orthant_checks(f, x)
 
 
 class TestInvariance:
