@@ -20,13 +20,9 @@ import numpy as np
 from stepargmin.argmin import INF, IntervalRows, _argmin_cells, argmin_set
 from stepargmin.rng import child_seed, run_chunks, substream
 from stepargmin.stepfun import StepFunction1D
-from stepargmin.textfmt import Law, convert, parse_law_token, read_key_values
+from stepargmin.textfmt import InvalidSpecError, Law, convert, parse_law_token, read_key_values
 
 _SQRT2 = math.sqrt(2.0)
-
-
-class InvalidSpecError(ValueError):
-    """Raised for rates or jump laws outside the supported family."""
 
 
 class TooManyRedrawsError(RuntimeError):
@@ -109,6 +105,9 @@ class CompoundPoissonSpec:
     max_window: float = 64.0
 
     def __post_init__(self):
+        for name in ("rate_right", "rate_left", "window_initial", "window_growth", "max_window"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidSpecError(f"{name} must be finite")
         if self.rate_right <= 0 or self.rate_left <= 0:
             raise InvalidSpecError("rates must be strictly positive")
         if self.jump_right.mean() <= 0 or self.jump_left.mean() <= 0:

@@ -182,8 +182,8 @@ class VerificationConfig:
         if self.k != self.model.k:
             raise ConfigError("k must match the model")
         grid = tuple(int(n) for n in self.n_grid)
-        if not grid or any(a >= b for a, b in zip(grid, grid[1:])):
-            raise ConfigError("n_grid must be strictly increasing")
+        if not grid or grid[0] < 2 or any(a >= b for a, b in zip(grid, grid[1:])):
+            raise ConfigError("n_grid must be strictly increasing from at least 2")
         object.__setattr__(self, "n_grid", grid)
         if self.replications_data < 1000 or self.replications_limit < 1000:
             raise ConfigError("replication counts must be at least 1000")
@@ -722,13 +722,17 @@ _SET_FORMS = {
 def parse_set_1d(text, kind):
     """The 1-D union of `kind` ('closed' or 'open') written as intervals
     joined by ';': '[lo,hi]' tokens for a closed union, '(lo,hi)' for an
-    open one.  A malformed token raises ConfigError naming it."""
+    open one.  A malformed token, and one that reads as the empty set
+    (reversed or NaN endpoints, an open interval with lo >= hi, a closed
+    one at infinity), raises ConfigError naming it."""
     brackets, box, union, _ = _SET_FORMS[kind]
     boxes = []
     for token in text.split(";"):
         if token.strip():
             lo, hi = _parse_interval(token, brackets, ConfigError)
             boxes.append(box((lo,), (hi,)))
+            if boxes[-1].is_empty:
+                raise ConfigError(f"empty interval {token.strip()!r}")
     return union(1, tuple(boxes))
 
 

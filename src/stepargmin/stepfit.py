@@ -176,72 +176,46 @@ def _blocks(data):
     return vals, ys, cum_n, cum_s, cum_q
 
 
-def _cost_row(s, cum_n, cum_s, cum_q):
-    # within-segment squared deviation of blocks s..c for every c >= s,
-    # from prefix sums; `_suffix_layer` and `_cuts` evaluate this same
-    # expression, so the costs they compare are bit-identical
-    n = cum_n[s + 1 :] - cum_n[s]
-    tot = cum_s[s + 1 :] - cum_s[s]
-    sq = cum_q[s + 1 :] - cum_q[s]
-    return sq - (tot * tot) / n
-
-
 # cells per chunk of the k >= 2 suffix sweep: 64 KB per float64
 # temporary, which stays on the heap instead of a fresh mmap per layer
 _CHUNK_CELLS = 8192
-
-# a layer's last columns are searched only when its triangle holds this
-# many times the cells that the search's evaluations touch, each B·m plus a
-# fixed cost worth about 2048 cells; measured, a smaller layer's search
-# costs more than the cells it saves
-_SEARCH_PAYBACK = 4
 
 # unit roundoff of float64
 _UNIT = 2.0**-53
 
 
-def _suffix_layer(nxt, cmax, cum_n, cum_s, cum_q, first=None, last=None):
+def _suffix_layer(nxt, cmax, cum_n, cum_s, cum_q, first, last):
     """out[s] = min over first[s] <= c <= last[s] of cost(s, c) + nxt[c + 1]
     for s <= cmax, and inf for s > cmax and for the dead rows, those with
     last[s] < first[s], which are never swept.  `first` is nondecreasing
-    with first[s] >= s, and s by default; last[s] <= cmax, and last None
-    takes every row to cmax, so the defaults sweep the whole triangle.
-    nxt, cum_s and cum_q may carry a leading axis of B datasets that share
-    the block counts cum_n and the band; the layer is then taken per
-    dataset.  Consecutive live rows r0..r1-1 are swept as one chunk against
-    the columns first[r0]..max(last[r0..r1-1]), at most _CHUNK_CELLS cells
-    (one row of every dataset when that alone is wider), so memory is
-    O(B·m + _CHUNK_CELLS).  A chunk also takes the cells between a row's
-    own band and the chunk's; they are segments of that row too, so its
-    minimum can only come closer to the full sweep's.  The cost is the
-    `_cost_row` expression, so every entry is bit-identical to what tie
-    extraction recomputes."""
+    with first[s] >= s, and last[s] <= cmax; first[s] = s and last[s] = cmax
+    sweep the whole triangle.  nxt, cum_s and cum_q may carry a leading
+    axis of B datasets that share the block counts cum_n and the band; the
+    layer is then taken per dataset.  Consecutive live rows r0..r1-1 are
+    swept as one chunk against the columns first[r0]..max(last[r0..r1-1]),
+    at most _CHUNK_CELLS cells (one row of every dataset when that alone is
+    wider), so memory is O(B·m + _CHUNK_CELLS).  A chunk also takes the
+    cells between a row's own band and the chunk's; they are segments of
+    that row too, so its minimum can only come closer to the full sweep's.
+    The cost is the `_start_costs` expression, so every entry is
+    bit-identical to what tie extraction recomputes."""
     out = np.full(nxt.shape, np.inf)
     lead = nxt.size // nxt.shape[-1]
-    if first is None:
-        first = np.arange(cmax + 1)
-    # runs start..stop-1 of consecutive live rows, and the last column that
-    # the rows r0..r1-1 reach
-    if last is None:
-        runs = [(0, int(np.searchsorted(first, cmax, side="right")))]
-        reach = lambda r0, r1: cmax
-    else:
-        live = np.concatenate(([False], last >= first, [False]))
-        edges = np.flatnonzero(live[1:] != live[:-1]).tolist()
-        runs = zip(edges[::2], edges[1::2])
-        reach = lambda r0, r1: int(last[r0:r1].max())
+    # runs start..stop-1 of consecutive live rows
+    live = np.concatenate(([False], last >= first, [False]))
+    edges = np.flatnonzero(live[1:] != live[:-1]).tolist()
     # counts as floats, which int64 division converts them to anyway
     counts = cum_n.astype(float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for r1, stop in runs:
+        for r1, stop in zip(edges[::2], edges[1::2]):
             while r1 < stop:
                 r0, c0 = r1, int(first[r1])
-                c1 = reach(r0, r0 + 1)
+                c1 = int(last[r0])
                 # as many rows as fit at width c1 - c0 + 1, where c1 grows to
-                # the farthest reach of them until they all end by it
+                # the farthest last column of them until they all end by it
                 while True:
                     r1 = min(stop, r0 + max(1, _CHUNK_CELLS // (lead * (c1 + 1 - c0))))
-                    widest = reach(r0, r1)
+                    widest = int(last[r0:r1].max())
                     if widest <= c1:
                         break
                     c1 = widest
@@ -333,28 +307,28 @@ def _cuts(cum_n, cum_s, cum_q, k):
     last k+1-j segments, suffix[k] the single trailing segment's.  Each
     cut then takes the first minimum over its candidates, which puts ties
     toward the lexicographically smallest breakpoint vector among the
-    float totals; the candidate costs are the `_cost_row` expression, so
-    they are bit-identical to what `_suffix_layer` compares.
+    float totals; the candidate costs are the `_start_costs` expression,
+    so they are bit-identical to what `_suffix_layer` compares.
 
     For k >= 2 the layers skip pairs that a bound rules out: row s of
-    layer j is swept only over its band first(s)..last(s).  UB
+    layer j is swept only over its band first(s)..last(s) (`_band`).  UB
     (`_upper_bound`) is the float total of one feasible cut vector, so it
     is at least the float optimum.  head_j(s) is the one-segment cost of
     blocks 0..s-1 for j = 1, the first cut's candidate costs, and 0 for
-    deeper layers.  Before first(s) (`_first_columns`), every pair (s, c)
-    has head_j(s) + suffix[j+1][c+1] > UB + slack in every dataset.  After
-    last(s) (`_last_columns`), the one column L = last(s) + 1 has
-    head_j(s) + cost(s, L) + sufmin(L) > UB + band slack in every dataset,
-    where sufmin(L) is the least suffix[j+1][c+1] over c >= L.  An exact
-    segment cost never falls when the segment grows, and a float cost is
-    within δ of its exact value, so every pair (s, c) with c >= L has
-    head_j(s) + cost(s, c) + suffix[j+1][c+1] above UB + band slack - 2δ;
-    the band slack adds that 2δ to the slack (`_slack`).  A row that no
-    dataset keeps at its first column is dead and stays inf.  `_slack`
-    bounds the rounding in those sums, so a skipped pair is strictly above
-    the float optimum: the suffix values on the optimum's path and the
-    first minima are those of the full sweep, bit for bit.  A chosen total
-    that is not finite or exceeds UB raises RuntimeError."""
+    deeper layers; row s's budget is UB + slack - head_j(s) (`_slack`).
+    Before first(s), every pair (s, c) has suffix[j+1][c+1] above the
+    budget in every dataset.  After last(s), the one column L = last(s) + 1
+    has cost(s, L) + sufmin(L) above the budget in every dataset, where
+    sufmin(L) is the least suffix[j+1][c+1] over c >= L; for a dead row,
+    which stays inf, L = first(s).  An exact segment cost never falls when
+    the segment grows (the inequality behind PELT's pruning), and a float
+    cost is within δ of its exact value, so every pair (s, c) with c >= L
+    has head_j(s) + cost(s, c) + suffix[j+1][c+1] above UB + slack - 2δ,
+    less the rounding of one addition.  On the float optimum's path both
+    sums lie below that (`_slack`), so a skipped pair is strictly above the
+    float optimum: the suffix values on the optimum's path and the first
+    minima are those of the full sweep, bit for bit.  A chosen total that
+    is not finite or exceeds UB raises RuntimeError."""
     rows, m = cum_s.shape[0], cum_n.size - 1
     with np.errstate(divide="ignore", invalid="ignore"):
         tail_n = cum_n[m] - cum_n[:m]
@@ -365,18 +339,17 @@ def _cuts(cum_n, cum_s, cum_q, k):
         head = _start_costs(cum_n, cum_s, cum_q, np.zeros((rows, 1), dtype=np.int64), m - 2)
         if k >= 2:
             ub = _upper_bound(cum_n, cum_s, cum_q, k, head, suffix[k])
-            slack, band_slack = _slack(int(cum_n[m]), cum_q[:, m], k)
-            limit, band_limit = ub + slack, ub + band_slack
+            limit = ub + _slack(int(cum_n[m]), cum_q[:, m], k)
         for j in range(k - 1, 0, -1):
             cmax = m - 1 - (k - j)
-            # head_1(s) is the cost of blocks 0..s-1, and there is no row 0
-            head_j = 0.0
+            # limit - head_j(s): head_1(s) is the cost of blocks 0..s-1, and
+            # there is no row 0
+            budget = np.broadcast_to(limit[:, None], (rows, cmax + 1))
             if j == 1:
-                head_j = np.concatenate((np.full((rows, 1), np.inf), head[:, :cmax]), axis=1)
-            first = _first_columns(suffix[j + 1], cmax, limit, head_j)
-            last = _last_columns(
-                suffix[j + 1], cmax, cum_n, cum_s, cum_q, first, band_limit, head_j
-            )
+                budget = np.concatenate(
+                    (np.full((rows, 1), -np.inf), limit[:, None] - head[:, :cmax]), axis=1
+                )
+            first, last = _band(suffix[j + 1], cmax, cum_n, cum_s, cum_q, budget)
             suffix[j] = _suffix_layer(suffix[j + 1], cmax, cum_n, cum_s, cum_q, first, last)
         cuts = np.empty((rows, k), dtype=np.int64)
         cost = head[:, : m - k]
@@ -404,8 +377,11 @@ def _at(cum, idx):
 
 
 def _start_costs(cum_n, cum_s, cum_q, s, cmax):
-    """Per row r, the `_cost_row` expression for the blocks s[r]..c,
-    c = 0..cmax, and inf where c < s[r] is not a segment."""
+    """Per row r, the within-segment squared deviation of the blocks
+    s[r]..c, c = 0..cmax, from the prefix sums as sq - tot²/cnt, and inf
+    where c < s[r] is not a segment.  Every segment cost of the fit is this
+    expression, so the costs that the sweep, the band and tie extraction
+    compare are bit-identical."""
     ends = slice(1, cmax + 2)
     cnt = cum_n[None, ends] - cum_n[s]
     tot = cum_s[:, ends] - _at(cum_s, s)
@@ -416,7 +392,7 @@ def _start_costs(cum_n, cum_s, cum_q, s, cmax):
 
 
 def _segment_costs(cum_n, cum_s, cum_q, lo, hi):
-    """Per row r, the `_cost_row` expression for the blocks lo[r, i]..hi[r, i]."""
+    """Per row r, the `_start_costs` expression for the blocks lo[r, i]..hi[r, i]."""
     tot = _at(cum_s, hi + 1) - _at(cum_s, lo)
     sq = _at(cum_q, hi + 1) - _at(cum_q, lo)
     return sq - (tot * tot) / (cum_n[hi + 1] - cum_n[lo])
@@ -456,11 +432,8 @@ def _upper_bound(cum_n, cum_s, cum_q, k, head, tail):
 
 
 def _slack(n, q, k):
-    """Certified bounds, per dataset, on how far rounding can lift the two
-    sums that prune a layer's row above UB on the float optimum's path,
-    for n observations whose centred y has the float sum of squares q:
-    (slack, band slack), for head_j(s) + suffix[j+1][c+1] (the first
-    column) and head_j(s) + cost(s, L) + sufmin(L) (the last column).
+    """Certified slack, per dataset, of the pruning budget of `_cuts`, for
+    n observations whose centred y has the float sum of squares q.
 
     In the style of Higham (Accuracy and Stability of Numerical
     Algorithms, ch. 3-4), with u = 2**-53 and g = γ_{n+1} = (n+1)u/(1-(n+1)u),
@@ -476,62 +449,52 @@ def _slack(n, q, k):
     On the optimum's path, head_j(s) + suffix[j+1][c+1] leaves out at
     least one segment's cost, so it exceeds the optimum by at most
     (2k+1)·δ plus the rounding of the folds (γ_k·Q each) and of the
-    comparison (3u·Q): slack = 2(k+1)·δ + 4(k+2)·u·q covers both.
-    The last column's sum keeps the pair's own cost, so on the path it is
-    covered by the same slack, and it bounds the later columns of its row
-    only up to 2δ: the exact cost never falls as the segment grows, and
-    each of the two float costs is within δ of its exact one.  Its one
-    more addition rounds by at most 2u·q where the test decides, so band
-    slack = slack + 2δ + 4u·q.  The steps assume
-    12(k+1)·g·(1 + sqrt(n) + g·n) <= 0.01 (n up to about 1.8e8 at k = 2);
-    beyond that both are inf and nothing is pruned."""
+    comparison (3u·Q), which 2(k+1)·δ + 4(k+2)·u·q covers;
+    head_j(s) + cost(s, c) + sufmin(c) keeps the pair's own cost and is
+    covered by the same.  The slack adds the 2δ by which the float costs
+    of two nested segments can fall out of their exact order, and 4u·q for
+    the second sum's one more addition: slack = 2(k+2)·δ + 4(k+3)·u·q.
+    The steps assume 12(k+1)·g·(1 + sqrt(n) + g·n) <= 0.01 (n up to about
+    1.8e8 at k = 2); beyond that the slack is inf and nothing is pruned."""
     g = (n + 1) * _UNIT / (1.0 - (n + 1) * _UNIT)
     rel = 12.0 * g * (1.0 + math.sqrt(n) + g * n)
     if (k + 1) * rel > 0.01:
-        return np.full(q.shape, np.inf), np.full(q.shape, np.inf)
-    slack = (2 * (k + 1) * rel + 4 * (k + 2) * _UNIT) * q
-    return slack, (2 * (k + 2) * rel + 4 * (k + 3) * _UNIT) * q
+        return np.full(q.shape, np.inf)
+    return (2 * (k + 2) * rel + 4 * (k + 3) * _UNIT) * q
 
 
-def _first_columns(nxt, cmax, limit, head):
-    """Per row s of a layer, where `_suffix_layer` starts: no column c
-    before it has nxt[c + 1] <= limit - head[s] in any dataset, head being
-    (B, cmax+1) or 0.  nxt is a layer's (B, m) input and limit is UB +
-    slack.  The prefix minimum of nxt[c + 1] over c makes the test one
-    binary search per dataset.  The result is at least s, cmax + 1 for a
-    row that no dataset keeps, and nondecreasing, so that a chunk's rows
-    share its first row's columns."""
-    # the first c with low <= thr counts the c with -low < -thr
-    low = -np.minimum.accumulate(nxt[:, 1 : cmax + 2], axis=1)
-    thr = head - limit[:, None]
-    first = np.min([np.searchsorted(lo, t) for lo, t in zip(low, thr)], axis=0)
+def _band(nxt, cmax, cum_n, cum_s, cum_q, budget):
+    """(first, last): per row s of a layer, the columns first[s]..last[s]
+    that `_suffix_layer` sweeps, for the layer's (B, m) input nxt and the
+    (B, cmax+1) budget of `_cuts`.  Every column c with s <= c < first[s]
+    has nxt[c + 1] > budget[s] in every dataset; first is at least s,
+    cmax + 1 for a row that no dataset keeps, and nondecreasing, so that a
+    chunk's rows share its first row's columns.  Column last[s] + 1 of a
+    live row, if at most cmax, and column first[s] of a dead row, one with
+    last[s] < first[s], have cost(s, c) + sufmin(c) > budget[s] in every
+    dataset, where sufmin(c) is the least nxt[c' + 1] over c <= c' <= cmax.
+
+    The first end is one binary search per dataset on the prefix minimum
+    of nxt[c + 1].  For the last end every row is tested at first[s], and
+    every live row then binary-searches its last column, each step one
+    (B, live rows) evaluation of the `_start_costs` expression.  The
+    predicate "some dataset keeps (s, c)" is monotone along a row only in
+    exact arithmetic; the contract rests on the one column tested last."""
+    # the first c whose prefix minimum is <= budget[s] counts the c with
+    # -prefmin(c) < -budget[s]
+    first = np.min(
+        [
+            np.searchsorted(lo, t)
+            for lo, t in zip(-np.minimum.accumulate(nxt[:, 1 : cmax + 2], axis=1), -budget)
+        ],
+        axis=0,
+    )
     first = np.maximum(first, np.arange(cmax + 1))
-    return np.minimum.accumulate(first[::-1])[::-1]
-
-
-def _last_columns(nxt, cmax, cum_n, cum_s, cum_q, first, limit, head):
-    """Per row s of a layer, where `_suffix_layer` stops: last[s] < first[s]
-    for a dead row, and otherwise column last[s] + 1 is past cmax or has
-    cost(s, c) + sufmin(c) > limit - head[s] in every dataset, head being
-    (B, cmax+1) or 0.  nxt is a layer's (B, m) input, limit is UB + band
-    slack, and sufmin(c) is the least nxt[c' + 1] over c <= c' <= cmax.
-    In exact arithmetic cost(s, c) + sufmin(c) is nondecreasing in c, so
-    "some dataset keeps (s, c)" holds and then fails along a row.  A row
-    where it fails at first[s] is dead; every live row binary-searches its
-    last column, each step one (B, live rows) evaluation of the `_cost_row`
-    expression.  `_cuts`' proof rests only on the column last[s] + 1, which
-    fails in every dataset, so a float sum that is not monotone cannot
-    break it.  A layer too small to repay the search (`_SEARCH_PAYBACK`)
-    gets None: every row runs to cmax."""
-    lead, evals = nxt.shape[0], (cmax + 1).bit_length() + 1
-    cells = lead * (cmax + 1) * (cmax + 2) // 2
-    if cells < _SEARCH_PAYBACK * evals * (lead * (cmax + 1) + 2048):
-        return None
+    first = np.minimum.accumulate(first[::-1])[::-1]
     sufmin = np.minimum.accumulate(nxt[:, cmax + 1 : 0 : -1], axis=1)[:, ::-1]
     last = np.full(cmax + 1, -1)
     s = np.flatnonzero(first <= cmax)
-    budget = np.broadcast_to(limit[:, None] - head, (lead, cmax + 1))[:, s]
-    base_s, base_q, base_n = cum_s[:, s], cum_q[:, s], cum_n[s]
+    base_s, base_q, base_n, budget = cum_s[:, s], cum_q[:, s], cum_n[s], budget[:, s]
 
     def keeps(c):
         # per row s[i], whether some dataset keeps the pair (s[i], c[i])
@@ -554,7 +517,7 @@ def _last_columns(nxt, cmax, cum_n, cum_s, cum_q, first, limit, head):
             lo = np.where(ok, mid, lo)
             hi = np.where(ok, hi, mid)
         last[s] = lo
-    return last
+    return first, last
 
 
 def fit_rows(x, y, k):

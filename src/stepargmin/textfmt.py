@@ -5,7 +5,12 @@ segments.  Each parser raises the error class its caller passes in."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
+
+class InvalidSpecError(ValueError):
+    """Raised for rates, windows or laws outside the supported family."""
 
 
 def floats(text):
@@ -35,14 +40,18 @@ def parse_law_token(token, error):
 @dataclass(frozen=True)
 class Law:
     """A distribution given by its family name and float parameters, written
-    as the token 'family(p1, p2, ...)'.  Subclasses check the family and
-    parameters in ``__post_init__`` after calling this one."""
+    as the token 'family(p1, p2, ...)'.  Every parameter must be finite;
+    subclasses check the family and parameters in ``__post_init__`` after
+    calling this one."""
 
     family: str
     params: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "params", tuple(float(p) for p in self.params))
+        params = tuple(float(p) for p in self.params)
+        if not all(math.isfinite(p) for p in params):
+            raise InvalidSpecError(f"{self.family} law parameters must be finite")
+        object.__setattr__(self, "params", params)
 
     def to_token(self):
         return f"{self.family}({', '.join(repr(v) for v in self.params)})"

@@ -198,6 +198,16 @@ def exhaustive_fit(data, k):
     return total, tuple(float(vals[c]) for c in combo)
 
 
+def cost_row(s, cum_n, cum_s, cum_q):
+    """Within-segment squared deviation of blocks s..c for every c >= s,
+    from prefix sums: the expression of `stepfit._start_costs`, so its
+    costs are the fit's bit for bit."""
+    n = cum_n[s + 1 :] - cum_n[s]
+    tot = cum_s[s + 1 :] - cum_s[s]
+    sq = cum_q[s + 1 :] - cum_q[s]
+    return sq - (tot * tot) / n
+
+
 def reference_suffix_layer(nxt, cmax, cum_n, cum_s, cum_q):
     """out[s] = min over s <= c <= cmax of cost(s, c) + nxt[c + 1], and inf
     for s > cmax, over every column of the triangle, in row chunks of

@@ -179,15 +179,59 @@ class TestCapacity:
         assert code == 2
         assert "replications" in capsys.readouterr().err
 
-    # ';' separates intervals, so "[1;2]" fails on its first piece "[1"
-    @pytest.mark.parametrize("arg, token", [("[1,2,3]", "'[1,2,3]'"), ("[1;2]", "'[1'")])
-    def test_malformed_set_exit_2(self, workdir, capsys, arg, token):
+    # ';' separates intervals, so "[1;2]" fails on its first piece "[1";
+    # a reversed or NaN interval used to read as the empty set (value 0.0)
+    @pytest.mark.parametrize(
+        "arg, message",
+        [
+            pytest.param(arg, f"{prefix} {token}", id=f"{arg}-{token}")
+            for arg, prefix, token in [
+                ("[1,2,3]", "expected interval '[lo,hi]', got", "'[1,2,3]'"),
+                ("[1;2]", "expected interval '[lo,hi]', got", "'[1'"),
+                ("[3,1]", "empty interval", "'[3,1]'"),
+                ("[nan,1]", "empty interval", "'[nan,1]'"),
+                ("[-1,0];[1,nan]", "empty interval", "'[1,nan]'"),
+            ]
+        ],
+    )
+    def test_malformed_set_exit_2(self, workdir, capsys, arg, message):
         code = run(
             ["capacity", "--spec", str(workdir / "spec.txt"), "--set", arg,
              "--reps", "100", "--seed", "5"]
         )
         assert code == 2
-        assert f"expected interval '[lo,hi]', got {token}" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
+
+
+class TestNonFiniteSpec:
+    # each of these used to crash with a traceback: an infinite rate or
+    # window overflowed the gap count, a non-finite jump law broke the
+    # argmin cells
+    @pytest.mark.parametrize(
+        "old, new, named",
+        [
+            ("max_window = 64.0", "max_window = inf", "max_window must be finite"),
+            ("rate_right = 1.0", "rate_right = inf", "rate_right must be finite"),
+            ("rate_left = 1.0", "rate_left = nan", "rate_left must be finite"),
+            ("jump_right = point(1.0)", "jump_right = gaussian(1, inf)",
+             "gaussian law parameters must be finite"),
+            ("jump_left = point(1.0)", "jump_left = two_point(nan, 1, 0.5)",
+             "two_point law parameters must be finite"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "command, extra",
+        [
+            ("simulate-limit", ["--reps", "20", "--out", "o"]),
+            ("capacity", ["--set", "[-inf,0]", "--reps", "100"]),
+        ],
+    )
+    def test_exit_2(self, workdir, capsys, old, new, named, command, extra):
+        (workdir / "bad_spec.txt").write_text(SPEC_TEXT.replace(old, new))
+        extra = [str(workdir / a) if a == "o" else a for a in extra]
+        code = run([command, "--spec", str(workdir / "bad_spec.txt"), "--seed", "1"] + extra)
+        assert code == 2
+        assert named in capsys.readouterr().err
 
 
 class TestWorkers:
@@ -319,7 +363,9 @@ class TestConfigErrors:
         assert not out.exists()
 
 
-    # each of these used to crash mid-run (TypeError or IndexError, exit 1)
+    # each of these used to crash mid-run (TypeError, IndexError or
+    # ZeroDivisionError, exit 1), except the reversed interval, which read
+    # as the empty set
     @pytest.mark.parametrize(
         "command, old, new, named",
         [
@@ -329,6 +375,9 @@ class TestConfigErrors:
              "coverage_replications"),
             ("coverage", "coverage_n = 80", "coverage_n = 1", "coverage_n"),
             ("verify", "rho = 0.1", "rho = 0.1\ntail_grid =", "tail_grid"),
+            ("verify", "n_grid = 40, 80", "n_grid = 0, 250", "n_grid"),
+            ("coverage", "set closed all = [-inf,inf]", "set closed all = [1,-1]",
+             "empty interval '[1,-1]'"),
         ],
     )
     def test_bad_value_exit_2_before_computing(self, workdir, capsys, command, old, new, named):

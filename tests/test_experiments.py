@@ -499,6 +499,9 @@ class TestConfigParsing:
             ("set open o = (1,2,3)", "(1,2,3)"),
             ("set open o = [1,2]", "[1,2]"),
             ("set closed c = [0,1] @ [1,2,3] | [0,1]", "[1,2,3]"),
+            ("set closed c = [1,0]", "[1,0]"),
+            ("set closed c = [0,nan]", "[0,nan]"),
+            ("set open o = (2,2)", "(2,2)"),
         ],
     )
     def test_malformed_interval_named(self, line, token):

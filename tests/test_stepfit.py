@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from corpus import exhaustive_fit, reference_cuts
+from corpus import cost_row, exhaustive_fit, reference_cuts
 from stepargmin import stepfit
 from stepargmin.argmin import argmin_set, hits, point_box
 from stepargmin.cpoisson import InvalidSpecError, JumpLaw
@@ -152,12 +152,14 @@ class TestFitStep:
 
 def _last_layer_inputs(data):
     # arguments of the k=2 fit's one suffix layer: the trailing-segment
-    # costs and the last admissible first breakpoint
+    # costs, the last admissible first breakpoint and the full band, every
+    # row s from column s to cmax
     vals, _, cum_n, cum_s, cum_q = stepfit._blocks(data)
     m = vals.size
     tail_s = cum_s[m] - cum_s[:m]
     tail = (cum_q[m] - cum_q[:m]) - (tail_s * tail_s) / (cum_n[m] - cum_n[:m])
-    return tail, m - 2, cum_n, cum_s, cum_q
+    cmax = m - 2
+    return tail, cmax, cum_n, cum_s, cum_q, np.arange(cmax + 1), np.full(cmax + 1, cmax)
 
 
 class TestTranslationInvariance:
@@ -237,13 +239,14 @@ class TestChunkedSuffixSweep:
     def test_layer_matches_full_matrix(self):
         rng = np.random.default_rng(43)
         d = Dataset(rng.uniform(size=120), rng.normal(size=120))
-        nxt, cmax, cum_n, cum_s, cum_q = _last_layer_inputs(d)
+        args = _last_layer_inputs(d)
+        nxt, cmax, cum_n, cum_s, cum_q = args[:5]
         m = nxt.size
         full = np.full((m, m), np.inf)
         for s in range(cmax + 1):
-            row = stepfit._cost_row(s, cum_n, cum_s, cum_q)[: cmax - s + 1]
+            row = cost_row(s, cum_n, cum_s, cum_q)[: cmax - s + 1]
             full[s, s : cmax + 1] = row + nxt[s + 1 : cmax + 2]
-        assert np.array_equal(stepfit._suffix_layer(nxt, cmax, cum_n, cum_s, cum_q), full.min(axis=1))
+        assert np.array_equal(stepfit._suffix_layer(*args), full.min(axis=1))
 
     def test_memory_is_linear(self):
         model = pure_step_model(
@@ -263,23 +266,23 @@ class TestChunkedSuffixSweep:
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_band_search_memory_is_linear(self, monkeypatch, k):
-        # the c10 block at n = 300 (27 rows): each last-column search holds
-        # a few (B, m) temporaries (measured: at most 9.3 of them), and the
-        # whole block fit O(B·m + _CHUNK_CELLS) (measured: 10.6 units of
+        # the c10 block at n = 300 (27 rows): each band search holds a few
+        # (B, m) temporaries (measured: at most 9.3 of them), and the whole
+        # block fit O(B·m + _CHUNK_CELLS) (measured: 10.6 units of
         # B·(n+1) + _CHUNK_CELLS floats); the layer's triangle is 150 times
         # B·m
-        search = stepfit._last_columns
+        search = stepfit._band
         peaks, before = [], []
 
         def measured(nxt, *args):
             start, peak = tracemalloc.get_traced_memory()
             before.append(peak)
             tracemalloc.reset_peak()
-            last = search(nxt, *args)
+            band = search(nxt, *args)
             peaks.append((tracemalloc.get_traced_memory()[1] - start) / (8 * nxt.size))
-            return last
+            return band
 
-        monkeypatch.setattr(stepfit, "_last_columns", measured)
+        monkeypatch.setattr(stepfit, "_band", measured)
         x, y = _stacked(TestFitRows.TWO_JUMPS, 300, range(27))
         tracemalloc.start()
         try:
@@ -420,6 +423,24 @@ def _pruning_blocks():
     yield _stacked(TestFitRows.TWO_JUMPS, 300, range(4))
 
 
+def _check_bands(monkeypatch, k, check):
+    # calls check(layer inputs, budget, first, last) on every band that a
+    # k-jump fit of six c10 datasets at n = 300 searches
+    search = stepfit._band
+    bands = []
+
+    def checking(nxt, cmax, cum_n, cum_s, cum_q, budget):
+        first, last = search(nxt, cmax, cum_n, cum_s, cum_q, budget)
+        check(nxt, cmax, cum_n, cum_s, cum_q, budget, first, last)
+        bands.append(cmax)
+        return first, last
+
+    monkeypatch.setattr(stepfit, "_band", checking)
+    x, y = _stacked(TestFitRows.TWO_JUMPS, 300, range(6))
+    fit_rows(x, y, k)
+    assert len(bands) == k - 1
+
+
 class TestPrunedSweep:
     @pytest.mark.parametrize("cells", [1, 2048, 8192])
     @pytest.mark.parametrize("k", [2, 3])
@@ -475,27 +496,40 @@ class TestPrunedSweep:
     def test_last_column_fails_in_every_dataset(self, monkeypatch, k):
         # what the pruning proof uses: column last[s] + 1 of a live row, and
         # column first[s] of a dead one, has cost + sufmin above the budget
-        # in every dataset, recomputed here row by row from `_cost_row`
-        search = stepfit._last_columns
+        # in every dataset, recomputed here row by row from `cost_row`
         checked = []
 
-        def checking(nxt, cmax, cum_n, cum_s, cum_q, first, limit, head):
-            last = search(nxt, cmax, cum_n, cum_s, cum_q, first, limit, head)
-            budget = np.broadcast_to(limit[:, None] - head, (nxt.shape[0], cmax + 1))
+        def check(nxt, cmax, cum_n, cum_s, cum_q, budget, first, last):
             sufmin = np.minimum.accumulate(nxt[:, cmax + 1 : 0 : -1], axis=1)[:, ::-1]
             for s in np.flatnonzero(first <= cmax):
                 c = first[s] if last[s] < first[s] else last[s] + 1
                 if c <= cmax:
                     for b in range(nxt.shape[0]):
-                        cost = stepfit._cost_row(s, cum_n, cum_s[b], cum_q[b])[c - s]
+                        cost = cost_row(s, cum_n, cum_s[b], cum_q[b])[c - s]
                         assert not cost + sufmin[b, c] <= budget[b, s]
                         checked.append(s)
-            return last
 
-        monkeypatch.setattr(stepfit, "_last_columns", checking)
-        x, y = _stacked(TestFitRows.TWO_JUMPS, 300, range(6))
-        fit_rows(x, y, k)
+        _check_bands(monkeypatch, k, check)
         assert len(checked) > 0
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_columns_before_first_fail_in_every_dataset(self, monkeypatch, k):
+        # the first end's certificate: every column c with s <= c < first[s]
+        # has nxt[c + 1] above the budget in every dataset, and first is
+        # nondecreasing; the deeper layer of k = 3 has head 0, so there
+        # every row shares one budget
+        checked = []
+
+        def check(nxt, cmax, cum_n, cum_s, cum_q, budget, first, last):
+            assert first.shape == (cmax + 1,) and np.all(np.diff(first) >= 0)
+            for s in range(cmax + 1):
+                assert s <= first[s] <= cmax + 1
+                cols = nxt[:, s + 1 : first[s] + 1]
+                assert not np.any(cols <= budget[:, s, None])
+                checked.append(cols.shape[1])
+
+        _check_bands(monkeypatch, k, check)
+        assert sum(checked) > 0
 
 
 def _block_sums(x, y):
@@ -531,24 +565,11 @@ class TestBandedSweep:
     @pytest.mark.parametrize("rows, n", [(1, 120), (27, 60), (81, 40)])
     @pytest.mark.parametrize("k", [2, 3])
     def test_cuts_match_unpruned_reference(self, monkeypatch, cells, rows, n, k):
-        monkeypatch.setattr(stepfit, "_SEARCH_PAYBACK", 0)
         monkeypatch.setattr(stepfit, "_CHUNK_CELLS", cells)
         for x, y in _rounding_blocks(rows, n):
             cum_n, cum_s, cum_q = _block_sums(x, y)
             cuts = stepfit._cuts(cum_n, cum_s, cum_q, k)
             assert np.array_equal(cuts, reference_cuts(cum_n, cum_s, cum_q, k))
-
-    def test_small_layers_are_not_searched(self, monkeypatch):
-        # c03-sized fits and small blocks sweep every row to cmax
-        searched = []
-        search = stepfit._last_columns
-        monkeypatch.setattr(
-            stepfit, "_last_columns", lambda *a: searched.append(search(*a) is not None)
-        )
-        rng = np.random.default_rng(3)
-        fit_step(random_dataset(rng, 12, 8), 3)
-        fit_rows(*_stacked(TestFitRows.TWO_JUMPS, 40, range(12)), 2)
-        assert searched == [False, False, False]
 
 
 class TestRescaledProcess:
