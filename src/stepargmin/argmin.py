@@ -16,7 +16,7 @@ from itertools import product
 
 import numpy as np
 
-from stepargmin.stepfun import GridFunction, StepFunction1D
+from stepargmin.stepfun import GridFunction
 
 INF = float("inf")
 
@@ -72,9 +72,6 @@ class Box:
         hi = tuple(min(a, b) for a, b in zip(self.hi, other.hi))
         box = Box(lo, hi)
         return None if box.is_empty else box
-
-    def is_subset_of(self, other):
-        return self.is_empty or _nested(self, other)
 
 
 def _nested(inner, outer):
@@ -361,16 +358,12 @@ def argmin_set(f):
     cell through one of its quadrant limits.  It can be unbounded, e.g. the
     whole space for a constant function.
     """
-    if not isinstance(f, (StepFunction1D, GridFunction)):
-        raise TypeError("argmin_set expects StepFunction1D or GridFunction")
+    if not isinstance(f, GridFunction):
+        raise TypeError("argmin_set expects a GridFunction")
     if f.dim == 1:
-        if isinstance(f, StepFunction1D):
-            breaks, values = f.breakpoints, f.values
-        else:
-            breaks, values = f.axes[0], f.cells
         # the kernel's intervals are disjoint and increasing: canonical form
-        edges = np.concatenate(([-INF], breaks, [INF]))
-        _, lo, hi = _argmin_cells(edges[None], values[None])
+        edges = np.concatenate(([-INF], f.axes[0], [INF]))
+        _, lo, hi = _argmin_cells(edges[None], f.cells[None])
         boxes = (_float_box((l,), (h,)) for l, h in zip(lo.tolist(), hi.tolist()))
         return _prenormalized_union(1, boxes)
     index = np.argwhere(f.cells == f.cells.min()).T

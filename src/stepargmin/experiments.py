@@ -719,21 +719,25 @@ _SET_FORMS = {
 }
 
 
+def _interval(token, kind):
+    # the 1-D box of one interval token; a malformed token, and one that
+    # reads as the empty set, raises ConfigError naming it
+    brackets, box = _SET_FORMS[kind][:2]
+    lo, hi = _parse_interval(token, brackets, ConfigError)
+    interval = box((lo,), (hi,))
+    if interval.is_empty:
+        raise ConfigError(f"empty interval {token.strip()!r}")
+    return interval
+
+
 def parse_set_1d(text, kind):
     """The 1-D union of `kind` ('closed' or 'open') written as intervals
     joined by ';': '[lo,hi]' tokens for a closed union, '(lo,hi)' for an
     open one.  A malformed token, and one that reads as the empty set
     (reversed or NaN endpoints, an open interval with lo >= hi, a closed
     one at infinity), raises ConfigError naming it."""
-    brackets, box, union, _ = _SET_FORMS[kind]
-    boxes = []
-    for token in text.split(";"):
-        if token.strip():
-            lo, hi = _parse_interval(token, brackets, ConfigError)
-            boxes.append(box((lo,), (hi,)))
-            if boxes[-1].is_empty:
-                raise ConfigError(f"empty interval {token.strip()!r}")
-    return union(1, tuple(boxes))
+    union = _SET_FORMS[kind][2]
+    return union(1, tuple(_interval(t, kind) for t in text.split(";") if t.strip()))
 
 
 def _parse_aux(text, k):
@@ -743,7 +747,8 @@ def _parse_aux(text, k):
     parts = [p for p in text.split("|") if p.strip()]
     if len(parts) != k + 1:
         raise ConfigError(f"aux box needs {k + 1} intervals or 'full'")
-    return tuple(_parse_interval(p, "[]", ConfigError) for p in parts)
+    boxes = [_interval(p, "closed") for p in parts]
+    return tuple(box.lo + box.hi for box in boxes)
 
 
 def _parse_set_line(kind, name, body, k):

@@ -1,5 +1,5 @@
-"""Piecewise-constant right-continuous functions on the line and on
-rectangular grids in up to three dimensions.
+"""Piecewise-constant right-continuous functions on rectangular grids in one
+to three dimensions; a step function on the line is the 1-D grid function.
 
 Cells follow the half-open convention [b[i-1], b[i]) with infinite outer
 tails, so right-continuity in every coordinate holds by construction and
@@ -26,16 +26,16 @@ def _readonly(values):
     return arr
 
 
-def _check_axis(breakpoints, name="breakpoints"):
-    if breakpoints.ndim != 1:
-        raise ValueError(f"{name} must be one-dimensional")
-    if not np.all(np.isfinite(breakpoints)):
-        raise ValueError(f"{name} must be finite")
-    if breakpoints.size > 1 and not np.all(np.diff(breakpoints) > 0):
-        raise ValueError(f"{name} must be strictly increasing")
+def _check_axis(axis):
+    if axis.ndim != 1:
+        raise ValueError("axis breakpoints must be one-dimensional")
+    if not np.isfinite(axis).all():
+        raise ValueError("axis breakpoints must be finite")
+    if not (axis[:-1] < axis[1:]).all():
+        raise ValueError("axis breakpoints must be strictly increasing")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class QuadrantSpec:
     """Tuple of per-coordinate relations, each '<' or '>=', selecting the
     orthant from which a limit is taken."""
@@ -56,12 +56,6 @@ class QuadrantSpec:
     def all_ge(cls, dim):
         return cls((GE,) * dim)
 
-    def __eq__(self, other):
-        return isinstance(other, QuadrantSpec) and self.relations == other.relations
-
-    def __hash__(self):
-        return hash(self.relations)
-
 
 def all_quadrants(dim):
     """All 2^dim quadrant specs in a fixed order."""
@@ -74,65 +68,6 @@ def _coerce_spec(spec, dim):
     if spec.dim != dim:
         raise ValueError(f"quadrant spec has {spec.dim} relations, expected {dim}")
     return spec
-
-
-@dataclass(frozen=True, eq=False)
-class StepFunction1D:
-    """Step function with values[i] on [breakpoints[i-1], breakpoints[i]),
-    constant infinite tails, right-continuous everywhere."""
-
-    breakpoints: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        bp = _readonly(self.breakpoints)
-        vals = _readonly(self.values)
-        _check_axis(bp)
-        if vals.ndim != 1 or vals.size != bp.size + 1:
-            raise ValueError("values must have one entry more than breakpoints")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("values must be finite")
-        object.__setattr__(self, "breakpoints", bp)
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def dim(self):
-        return 1
-
-    def value_at(self, t):
-        idx = np.searchsorted(self.breakpoints, t, side="right")
-        return float(self.values[idx])
-
-    def values_at(self, ts):
-        idx = np.searchsorted(self.breakpoints, np.asarray(ts, dtype=float), side="right")
-        return self.values[idx]
-
-    def left_limit(self, t):
-        idx = np.searchsorted(self.breakpoints, t, side="left")
-        return float(self.values[idx])
-
-    def quadrant_limit(self, t, spec):
-        spec = _coerce_spec(spec, 1)
-        t = float(t) if np.ndim(t) == 0 else float(np.asarray(t).reshape(()))
-        idx = np.searchsorted(self.breakpoints, t, side=_SIDE[spec.relations[0]])
-        return float(self.values[idx])
-
-    def __call__(self, t):
-        return self.value_at(t)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, StepFunction1D)
-            and np.array_equal(self.breakpoints, other.breakpoints)
-            and np.array_equal(self.values, other.values)
-        )
-
-    def to_text(self):
-        lines = [
-            ",".join(repr(float(b)) for b in self.breakpoints),
-            ",".join(repr(float(v)) for v in self.values),
-        ]
-        return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,11 +88,11 @@ class GridFunction:
         if not 1 <= len(axes) <= 3:
             raise ValueError("dimension must be 1, 2, or 3")
         for a in axes:
-            _check_axis(a, "axis breakpoints")
+            _check_axis(a)
         expect = tuple(a.size + 1 for a in axes)
         if cells.shape != expect:
             raise ValueError(f"cells shape {cells.shape} does not match axes {expect}")
-        if not np.all(np.isfinite(cells)):
+        if not np.isfinite(cells).all():
             raise ValueError("cell values must be finite")
         object.__setattr__(self, "axes", axes)
         object.__setattr__(self, "cells", cells)
@@ -186,7 +121,7 @@ class GridFunction:
 
     def __eq__(self, other):
         return (
-            isinstance(other, GridFunction)
+            type(other) is type(self)
             and self.dim == other.dim
             and all(np.array_equal(a, b) for a, b in zip(self.axes, other.axes))
             and np.array_equal(self.cells, other.cells)
@@ -197,6 +132,37 @@ class GridFunction:
         for axis in self.axes:
             lines.append(",".join(repr(float(b)) for b in axis))
         lines.append(",".join(repr(float(v)) for v in self.cells.reshape(-1)))
+        return "\n".join(lines) + "\n"
+
+    def _like(self, axes, cells):
+        # a function of this one's own type on other axes and cells
+        return GridFunction(axes, cells)
+
+
+class StepFunction1D(GridFunction):
+    """The 1-D GridFunction, built from and read as (breakpoints, values):
+    values[i] on [breakpoints[i-1], breakpoints[i]), constant infinite
+    tails, right-continuous everywhere.  Never equal to a GridFunction."""
+
+    def __init__(self, breakpoints, values):
+        super().__init__((breakpoints,), values)
+
+    @property
+    def breakpoints(self):
+        return self.axes[0]
+
+    @property
+    def values(self):
+        return self.cells
+
+    def _like(self, axes, cells):
+        return StepFunction1D(axes[0], cells)
+
+    def to_text(self):
+        lines = [
+            ",".join(repr(float(b)) for b in self.breakpoints),
+            ",".join(repr(float(v)) for v in self.values),
+        ]
         return "\n".join(lines) + "\n"
 
 
@@ -255,8 +221,6 @@ def lower_envelope(f):
 
 def infimum(f):
     """Global infimum; attained because some cell carries the minimal value."""
-    if isinstance(f, StepFunction1D):
-        return float(np.min(f.values))
     return float(np.min(f.cells))
 
 
@@ -272,46 +236,30 @@ def _axis_representatives(axis):
     return reps
 
 
-def _as_grid(f):
-    if isinstance(f, StepFunction1D):
-        return (f.breakpoints,), f.values
-    return f.axes, f.cells
-
-
 def add_scale(f, g, a, b):
     """a*f + b*g on the common refinement of the two breakpoint grids."""
     if f.dim != g.dim:
         raise ValueError("operands must share the dimension")
-    f_axes, _ = _as_grid(f)
-    g_axes, _ = _as_grid(g)
-    axes = tuple(np.union1d(fa, ga) for fa, ga in zip(f_axes, g_axes))
+    axes = tuple(np.union1d(fa, ga) for fa, ga in zip(f.axes, g.axes))
     reps = [_axis_representatives(axis) for axis in axes]
 
     def sample(h):
         # h's cell index of each refined cell, one axis at a time
-        h_axes, h_cells = _as_grid(h)
-        idx = (np.searchsorted(axis, r, side="right") for axis, r in zip(h_axes, reps))
-        return h_cells[np.ix_(*idx)]
+        idx = (np.searchsorted(axis, r, side="right") for axis, r in zip(h.axes, reps))
+        return h.cells[np.ix_(*idx)]
 
-    cells = a * sample(f) + b * sample(g)
-    if isinstance(f, StepFunction1D):
-        return StepFunction1D(axes[0], cells)
-    return GridFunction(axes, cells)
+    return f._like(axes, a * sample(f) + b * sample(g))
 
 
 def normalize(f):
     """Drop breakpoints whose adjacent cells agree exactly; evaluation is
     unchanged everywhere."""
-    if isinstance(f, StepFunction1D):
-        vals = f.values
-        keep = vals[:-1] != vals[1:]
-        return StepFunction1D(f.breakpoints[keep], vals[np.concatenate(([True], keep))])
     axes = list(f.axes)
     cells = f.cells
     for ax in range(len(axes)):
-        moved = np.moveaxis(cells, ax, 0)
+        moved = cells.swapaxes(0, ax)
         flat = moved.reshape(moved.shape[0], -1)
-        keep = np.any(flat[:-1] != flat[1:], axis=1)
+        keep = (flat[:-1] != flat[1:]).any(axis=1)
         axes[ax] = axes[ax][keep]
-        cells = np.moveaxis(moved[np.concatenate(([True], keep))], 0, ax)
-    return GridFunction(tuple(axes), cells)
+        cells = moved[np.concatenate(([True], keep))].swapaxes(0, ax)
+    return f._like(tuple(axes), cells)

@@ -502,6 +502,8 @@ class TestConfigParsing:
             ("set closed c = [1,0]", "[1,0]"),
             ("set closed c = [0,nan]", "[0,nan]"),
             ("set open o = (2,2)", "(2,2)"),
+            ("set closed c = [0,1] @ [2,-2] | [0,1]", "[2,-2]"),
+            ("set closed c = [0,1] @ [0,1] | [nan,1]", "[nan,1]"),
         ],
     )
     def test_malformed_interval_named(self, line, token):

@@ -20,17 +20,23 @@ HALF_LATTICE = [i / 2.0 for i in range(-12, 13)]
 VALUES = [-2.0, -1.0, 0.0, 0.5, 1.0, 2.0]
 
 
+def grid_1d(breakpoints, values):
+    return GridFunction((breakpoints,), values)
+
+
 @st.composite
 def step_functions(draw, max_breaks=8):
+    """A 1-D step function, as a StepFunction1D or as the equal 1-D
+    GridFunction: every property below must hold for both."""
     bps = sorted(draw(st.sets(st.sampled_from(HALF_LATTICE), max_size=max_breaks)))
     vals = draw(
         st.lists(st.sampled_from(VALUES), min_size=len(bps) + 1, max_size=len(bps) + 1)
     )
-    return StepFunction1D(bps, vals)
+    return draw(st.sampled_from((StepFunction1D, grid_1d)))(bps, vals)
 
 
 def probes(f):
-    bp = f.breakpoints
+    bp = f.axes[0]
     pts = list(bp)
     pts += list((bp[:-1] + bp[1:]) / 2.0)
     if bp.size:
@@ -56,7 +62,7 @@ class TestEval:
     def test_validation(self):
         with pytest.raises(ValueError):
             StepFunction1D([1.0, 1.0], [0.0, 1.0, 2.0])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"cells shape \(1,\) does not match axes \(2,\)"):
             StepFunction1D([0.0], [1.0])
         with pytest.raises(ValueError):
             StepFunction1D([0.0], [1.0, np.nan])
@@ -124,7 +130,7 @@ class TestLowerEnvelope:
         env = lower_envelope(f)
         for t in probes(f):
             assert env.value_at(t) <= f.value_at(t)
-            if t not in set(float(b) for b in f.breakpoints):
+            if t not in set(float(b) for b in f.axes[0]):
                 assert env.value_at(t) == f.value_at(t)
 
 
@@ -159,6 +165,11 @@ class TestAddScale:
         one = StepFunction1D([], [1.0])
         out = add_scale(f, one, 1.0, -1.0)
         assert list(out.values) == [0.0, -1.0, 0.0]
+
+    @given(step_functions(), step_functions())
+    @settings(max_examples=60, deadline=None)
+    def test_keeps_first_operand_type(self, f, g):
+        assert type(add_scale(f, g, 1.0, -1.0)) is type(f)
 
     def test_grid_refinement(self):
         f = GridFunction(([0.0],), np.array([0.0, 1.0]))
@@ -198,6 +209,7 @@ class TestNormalize:
     @settings(max_examples=60, deadline=None)
     def test_eval_unchanged(self, f):
         g = normalize(f)
+        assert type(g) is type(f)
         for t in probes(f):
             assert g.value_at(t) == f.value_at(t)
 
@@ -220,6 +232,13 @@ class TestSerialization:
     def test_seventeen_digit_roundtrip(self):
         f = StepFunction1D([0.1234567890123456], [1 / 3, 2 / 3])
         assert from_text(f.to_text()) == f
+
+
+def test_step_function_never_equals_grid_function():
+    f = StepFunction1D([0.0, 1.0], [1.0, 0.0, 1.0])
+    g = GridFunction(([0.0, 1.0],), [1.0, 0.0, 1.0])
+    assert f != g and g != f
+    assert f == StepFunction1D(g.axes[0], g.cells) and g == GridFunction(f.axes, f.cells)
 
 
 def test_quadrant_enumeration_count():

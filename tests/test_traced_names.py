@@ -8,6 +8,8 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
@@ -70,3 +72,19 @@ def test_hooks_read_what_they_expect(tmp_path):
     assert metrics["stepfit.fit_step.k1.calls"] == 1
     assert metrics["stepfit.fit_step.k2.calls"] == 1
     assert metrics["experiments.fit_reuse"] == 0.5
+
+
+def test_each_construction_is_one_span():
+    # StepFunction1D inherits GridFunction.__post_init__, which the tracer
+    # wraps on both classes; a 1-D function must still count once
+    from stepargmin import stepfun
+
+    tracer = _tracing().Tracer()
+    tracer.install()
+    try:
+        stepfun.StepFunction1D([0.0, 1.0], [1.0, 0.0, 1.0])
+        stepfun.GridFunction(([0.0], [0.0, 2.0]), np.zeros((2, 3)))
+    finally:
+        tracer.uninstall()
+    assert tracer.totals()["stepfun.construct"][0] == 2
+    assert tracer.counters["stepfun.cells"] == 3 + 6
