@@ -96,12 +96,6 @@ def _point_tuple(point, dim):
     return point
 
 
-def point_box(point):
-    """Degenerate single-point union, for membership tests via hits."""
-    point = tuple(float(p) for p in np.atleast_1d(np.asarray(point, dtype=float)))
-    return BoxUnion(len(point), (Box(point, point),))
-
-
 def _merge_intervals(boxes):
     ordered = sorted(boxes, key=lambda b: (b.lo[0], b.hi[0]))
     merged = []

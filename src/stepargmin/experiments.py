@@ -21,10 +21,8 @@ from stepargmin.argmin import (
     IntervalRows,
     OpenBox,
     OpenBoxUnion,
+    _argmin_cells,
     _parse_interval,
-    argmin_set,
-    hits,
-    point_box,
 )
 from stepargmin.cpoisson import (
     OutOfDomainError,
@@ -37,14 +35,13 @@ from stepargmin.cpoisson import (
 )
 from stepargmin.rng import child_seed, run_chunks, substream
 from stepargmin.stepfit import (
-    Dataset,
     NoiseLaw,
     RegressionModelSpec,
     XLaw,
+    _sections,
     derive_limit_spec,
     draw_rows,
     fit_rows,
-    rescaled_process,
 )
 from stepargmin.textfmt import convert, floats, parse_law_token, read_key_values
 
@@ -630,6 +627,19 @@ class MembershipReport:
         return "\n".join(lines) + "\n"
 
 
+def _member(x, y, tau_ref, alpha, scale, points):
+    """Per dataset r of the (B, n) arrays x and y: whether points[r] lies
+    strictly inside the windows of its local landscape at levels alpha[r]
+    and in its argmin set, the product of the sections' argmin intervals."""
+    inside = np.ones(len(points), dtype=bool)
+    for ((lo, hi), edges, values), p in zip(_sections(x, y, tau_ref, alpha, scale), points.T):
+        row, a, b = _argmin_cells(edges, values)
+        hit = (a <= p[row]) & (p[row] <= b)
+        starts = IntervalRows.from_cells(row, a, b).starts
+        inside &= (lo < p) & (p < hi) & np.logical_or.reduceat(hit, starts)
+    return inside
+
+
 def _membership_worker(args, lo, hi):
     """Per replication lo..hi-1: whether the rescaled deviation of its
     fitted breakpoints lies in the argmin set of its local landscape, then
@@ -638,12 +648,7 @@ def _membership_worker(args, lo, hi):
     blocks = []
     for x, y, taus, alphas, _ in _fit_blocks((model, k, n, master, (_TAG_MEMBER,)), lo, hi):
         points = n * (taus - np.asarray(model.true_tau))
-        inside = []
-        for xr, yr, alpha, point in zip(x, y, alphas, points):
-            local = rescaled_process(Dataset(xr, yr), model.true_tau, alpha, n)
-            in_window = all(lo_w < p < hi_w for (lo_w, hi_w), p in zip(local.window, point))
-            inside.append(in_window and hits(argmin_set(local.joint), point_box(point)))
-        blocks.append(np.column_stack((inside, points)))
+        blocks.append(np.column_stack((_member(x, y, model.true_tau, alphas, n, points), points)))
     return np.concatenate(blocks)
 
 
@@ -651,6 +656,10 @@ def membership_report(model, k, n, replications, master_seed, workers=1):
     """Checks per replication that the rescaled deviation of the fitted
     breakpoints lies in the argmin set of the local criterion landscape
     built at the true breakpoints with the fitted levels."""
+    if replications < 1:
+        raise ValueError("replications must be at least 1")
+    if k != len(model.true_tau):
+        raise ValueError(f"k = {k} must equal the model's breakpoint count {len(model.true_tau)}")
     args = (model, k, n, master_seed)
     cols = run_chunks(_membership_worker, args, replications, workers, _block_rows(n))
     return MembershipReport(

@@ -18,7 +18,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from stepargmin.cpoisson import CompoundPoissonSpec, InvalidSpecError, JumpLaw
-from stepargmin.stepfun import GridFunction, StepFunction1D, _readonly
+from stepargmin.stepfun import StepFunction1D, _readonly
 from stepargmin.textfmt import Law
 
 
@@ -559,24 +559,36 @@ def fit_rows(x, y, k):
 
 @dataclass(frozen=True)
 class RescaledProcess:
-    """Local criterion landscape around a reference breakpoint vector:
-    joint grid function over the rescaled shifts plus its per-coordinate
-    sections through the origin."""
+    """Local criterion landscape around a reference breakpoint vector: the
+    sum of its k one-coordinate sections through the origin, so its argmin
+    set is the product of theirs, and the (lo, hi) window of each."""
 
-    joint: GridFunction
     sections: tuple
     window: tuple
 
 
-def _default_windows(tau_ref, scale):
-    k = len(tau_ref)
-    shrink = 1.0 - 1e-9
-    windows = []
+def _sections(x, y, tau_ref, alpha, scale):
+    """Per coordinate j, (window, edges, values) of the sections of the B
+    datasets in the (B, n) arrays x and y at levels alpha (B, k+1), with
+    the windows of `rescaled_process`.  Row r of edges is -inf, the sorted
+    shifts scale * (x - tau_ref[j]), inf; values[r, i] is the loss
+    difference on [edges[r, i], edges[r, i+1]).  Points outside the window
+    gain 0.  Gains add up from the origin outwards, a tied run in the order
+    the stable sort gives; tied shifts leave zero-width cells."""
+    order = np.argsort(x, axis=1, kind="stable")
+    xs = np.take_along_axis(x, order, axis=1)
+    ys = np.take_along_axis(y, order, axis=1)
+    k, shrink = len(tau_ref), 1.0 - 1e-9
     for j in range(k):
         lo = -math.inf if j == 0 else -scale * (tau_ref[j] - tau_ref[j - 1]) / 2.0 * shrink
         hi = math.inf if j == k - 1 else scale * (tau_ref[j + 1] - tau_ref[j]) / 2.0 * shrink
-        windows.append((lo, hi))
-    return windows
+        shifts = scale * (xs - tau_ref[j])
+        gain = (ys - alpha[:, j, None]) ** 2 - (ys - alpha[:, j + 1, None]) ** 2
+        right = np.cumsum(np.where((shifts > 0) & (shifts <= hi), gain, 0.0), axis=1)
+        left = np.cumsum(np.where((shifts > lo) & (shifts <= 0), gain, 0.0)[:, ::-1], axis=1)
+        values = np.pad(-left[:, ::-1], ((0, 0), (0, 1))) + np.pad(right, ((0, 0), (1, 0)))
+        edges = np.pad(shifts, ((0, 0), (1, 1)), constant_values=(-math.inf, math.inf))
+        yield (lo, hi), edges, values
 
 
 def rescaled_process(data, tau_ref, alpha_ref, scale):
@@ -586,50 +598,34 @@ def rescaled_process(data, tau_ref, alpha_ref, scale):
     The window of coordinate j reaches just short of half the gap to each
     neighbouring reference breakpoint and is unbounded on a side without
     one.  Within it the shifted breakpoints stay ordered, so the loss
-    difference decomposes into per-coordinate reclassification sums; the
-    joint grid is their broadcast sum and equals zero at the origin
-    exactly.
+    difference is the sum of per-coordinate reclassification sums, the
+    sections, each zero at the origin exactly.  A section's breakpoints
+    are the distinct shifts inside its window.
     """
     tau_ref = tuple(float(v) for v in tau_ref)
     alpha_ref = tuple(float(v) for v in alpha_ref)
     k = len(tau_ref)
     if k == 0:
         raise ValueError("need at least one reference breakpoint")
-    if k > 3:
-        raise ValueError("joint grid supports at most three breakpoints")
     if len(alpha_ref) != k + 1:
         raise ValueError("need one more level than breakpoints")
+    if not all(math.isfinite(v) for v in (scale, *tau_ref, *alpha_ref)):
+        raise ValueError("scale, tau_ref and alpha_ref must be finite")
     if any(tau_ref[i] >= tau_ref[i + 1] for i in range(k - 1)):
         raise CollapsedOrderError("reference breakpoints must be strictly increasing")
     if scale <= 0:
         raise ValueError("scale must be positive")
 
-    windows = _default_windows(tau_ref, scale)
-    sections = []
-    for j in range(k):
-        lo, hi = windows[j]
-        shifts = scale * (data.x - tau_ref[j])
-        gain = (data.y - alpha_ref[j]) ** 2 - (data.y - alpha_ref[j + 1]) ** 2
-        sel = (shifts > lo) & (shifts <= hi)
-        bps, inverse = np.unique(shifts[sel], return_inverse=True)
-        weights = np.zeros(bps.size)
-        np.add.at(weights, inverse, gain[sel])
-        values = np.zeros(bps.size + 1)
-        idx0 = int(np.searchsorted(bps, 0.0, side="right"))
-        if idx0 < bps.size:
-            values[idx0 + 1 :] = np.cumsum(weights[idx0:])
-        if idx0 > 0:
-            values[:idx0] = -np.cumsum(weights[:idx0][::-1])[::-1]
-        sections.append(StepFunction1D(bps, values))
-
-    shape = tuple(sec.values.size for sec in sections)
-    cells = np.zeros(shape)
-    for j, sec in enumerate(sections):
-        reshape = [1] * k
-        reshape[j] = shape[j]
-        cells = cells + sec.values.reshape(reshape)
-    joint = GridFunction(tuple(sec.breakpoints for sec in sections), cells)
-    return RescaledProcess(joint=joint, sections=tuple(sections), window=tuple(windows))
+    windows, sections = [], []
+    alpha = np.array([alpha_ref])
+    for (lo, hi), edges, values in _sections(data.x[None], data.y[None], tau_ref, alpha, scale):
+        shifts = edges[0, 1:-1]
+        # the last shift of a tied run ends the run's cells
+        keep = (shifts > lo) & (shifts <= hi) & np.append(shifts[1:] != shifts[:-1], True)
+        windows.append((lo, hi))
+        cells = values[0, np.append(0, np.flatnonzero(keep) + 1)]
+        sections.append(StepFunction1D(shifts[keep], cells))
+    return RescaledProcess(sections=tuple(sections), window=tuple(windows))
 
 
 class XLaw(Law):

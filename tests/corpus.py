@@ -6,6 +6,8 @@ enumerates every admissible breakpoint subset.  Both stay independent of
 the library's own search paths.  `reference_cuts` is the k-jump dynamic
 program with every suffix layer swept over its whole triangle, the float
 arithmetic that the pruned `stepfit._cuts` must reproduce bit for bit.
+`joint_membership` answers the membership question on the local
+landscape's k-D grid, where the library checks one section at a time.
 """
 
 import itertools
@@ -13,7 +15,7 @@ import itertools
 import numpy as np
 
 from stepargmin import stepfit
-from stepargmin.argmin import INF, Box, BoxUnion
+from stepargmin.argmin import INF, Box, BoxUnion, argmin_set, hits
 from stepargmin.stepfun import GridFunction, StepFunction1D
 
 VALUE_POOL = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
@@ -161,6 +163,27 @@ def union_membership(union, points):
     hi = np.array([b.hi for b in union.boxes])
     inside = (points[:, None, :] >= lo[None]) & (points[:, None, :] <= hi[None])
     return np.any(np.all(inside, axis=2), axis=1)
+
+
+def point_union(point):
+    """The closed set {point} as a one-box union."""
+    point = tuple(float(p) for p in point)
+    return BoxUnion(len(point), (Box(point, point),))
+
+
+def joint_membership(data, tau_ref, alpha_ref, scale, point):
+    """Whether point lies strictly inside the windows of the local
+    landscape of `stepfit.rescaled_process` and in its argmin set, found
+    on the k-D grid function that is the broadcast sum of the sections by
+    `argmin_set` and tested with `hits`."""
+    rp = stepfit.rescaled_process(data, tau_ref, alpha_ref, scale)
+    k = len(rp.sections)
+    cells = np.zeros(tuple(sec.values.size for sec in rp.sections))
+    for j, sec in enumerate(rp.sections):
+        cells = cells + sec.values.reshape([-1 if i == j else 1 for i in range(k)])
+    joint = GridFunction(tuple(sec.breakpoints for sec in rp.sections), cells)
+    in_window = all(lo < p < hi for (lo, hi), p in zip(rp.window, point))
+    return in_window and hits(argmin_set(joint), point_union(point))
 
 
 def exhaustive_fit(data, k):

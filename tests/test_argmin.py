@@ -3,6 +3,7 @@ import pytest
 
 from corpus import (
     oracle_argmin,
+    point_union,
     random_compact_function,
     random_function,
     random_shelled_function,
@@ -27,7 +28,6 @@ from stepargmin.argmin import (
     lower_orthant_closed,
     lower_orthant_open,
     orthant_checks,
-    point_box,
     sargmin,
 )
 from stepargmin.stepfun import GridFunction, StepFunction1D
@@ -110,7 +110,7 @@ class TestExtremes:
         assert largmin(a) == (1.0, 1.0)
 
     def test_singleton(self):
-        a = point_box((3.0, 4.0))
+        a = point_union((3.0, 4.0))
         assert sargmin(a) == (3.0, 4.0)
         assert largmin(a) == (3.0, 4.0)
 
@@ -137,8 +137,8 @@ class TestExtremes:
             f = random_compact_function(rng, dim)
             a = argmin_set(f)
             assert a.bounded and not a.is_empty
-            assert hits(a, point_box(sargmin(a)))
-            assert hits(a, point_box(largmin(a)))
+            assert hits(a, point_union(sargmin(a)))
+            assert hits(a, point_union(largmin(a)))
 
 
 class TestBox:

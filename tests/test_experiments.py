@@ -5,8 +5,9 @@ from decimal import Decimal, getcontext
 import numpy as np
 import pytest
 
+from corpus import joint_membership
 from stepargmin import experiments
-from stepargmin.argmin import INF, Box, BoxUnion, OpenBox, OpenBoxUnion
+from stepargmin.argmin import INF, Box, BoxUnion, OpenBox, OpenBoxUnion, argmin_set
 from stepargmin.cpoisson import OutOfDomainError
 from stepargmin.experiments import (
     BadBoundsError,
@@ -27,7 +28,16 @@ from stepargmin.experiments import (
     verify_limit_bounds,
 )
 from stepargmin.rng import substream
-from stepargmin.stepfit import Dataset, NoiseLaw, XLaw, draw_rows, fit_step, pure_step_model
+from stepargmin.stepfit import (
+    Dataset,
+    NoiseLaw,
+    XLaw,
+    draw_rows,
+    fit_rows,
+    fit_step,
+    pure_step_model,
+    rescaled_process,
+)
 
 UNIFORM01 = XLaw("uniform", (0.0, 1.0))
 
@@ -426,6 +436,68 @@ class TestMembershipReport:
         c = membership_report(model, 1, 400, 300, 91, workers=1)
         for workers in (2, 3):
             assert membership_report(model, 1, 400, 300, 91, workers=workers) == c
+
+    def test_worker_invariance_k2(self):
+        # the two-jump model at sd 1.0 puts some deviations outside a window
+        noise = NoiseLaw("gaussian", (0.0, 1.0))
+        model = pure_step_model((0.3, 0.6), (0.0, 1.0, 0.0), UNIFORM01, noise)
+        a = membership_report(model, 2, 200, 300, 92, workers=1)
+        assert 0.9 < a.fraction_inside < 1.0
+        for workers in (2, 3):
+            assert membership_report(model, 2, 200, 300, 92, workers=workers) == a
+
+    def test_k4_run(self):
+        tau = (0.2, 0.4, 0.6, 0.8)
+        noise = NoiseLaw("gaussian", (0.0, 0.25))
+        model = pure_step_model(tau, (0.0, 1.0, 0.0, 1.0, 0.0), UNIFORM01, noise)
+        report = membership_report(model, 4, 200, 60, 93)
+        assert report.all_inside
+        assert report.to_csv().splitlines()[0] == "rep,inside,t1,t2,t3,t4"
+
+    def test_rejects_bad_replications_and_k(self):
+        model = pure_step_model((0.5,), (0.0, 1.0), UNIFORM01, NoiseLaw("gaussian", (0.0, 0.25)))
+        for reps in (0, -1):
+            with pytest.raises(ValueError, match="replications"):
+                membership_report(model, 1, 100, reps, 91)
+        for k in (0, 2):
+            with pytest.raises(ValueError, match="^k "):
+                membership_report(model, k, 100, 10, 91)
+
+    @pytest.mark.parametrize(
+        "tau, n, sd",
+        [
+            ((0.5,), 200, 1.0),
+            ((0.3, 0.6), 150, 0.25),
+            ((0.3, 0.6), 150, 1.0),
+            ((0.25, 0.5, 0.75), 120, 1.0),
+        ],
+    )
+    def test_block_membership_matches_joint_grid(self, tau, n, sd):
+        # fitted deviations, and the same with one coordinate moved onto a
+        # finite end of its section's argmin intervals or of its window, or
+        # one float step to either side of it
+        k = len(tau)
+        alpha = tuple(float(j % 2) for j in range(k + 1))
+        model = pure_step_model(tau, alpha, UNIFORM01, NoiseLaw("gaussian", (0.0, sd)))
+        x, y = draw_rows(model, substream(31, k, n), (10, n))
+        taus, alphas, _ = fit_rows(x, y, k)
+        seen = set()
+        for r, fitted in enumerate(n * (taus - np.asarray(tau))):
+            data = Dataset(x[r], y[r])
+            rp = rescaled_process(data, tau, alphas[r], n)
+            points = [fitted]
+            for j, (sec, window) in enumerate(zip(rp.sections, rp.window)):
+                ends = {e for b in argmin_set(sec).boxes for e in (b.lo[0], b.hi[0])} | set(window)
+                for e in sorted(ends - {-INF, INF}):
+                    for v in (np.nextafter(e, -INF), e, np.nextafter(e, INF)):
+                        points.append(np.where(np.arange(k) == j, v, fitted))
+            points = np.array(points)
+            rows = np.full(len(points), r)
+            got = experiments._member(x[rows], y[rows], tau, alphas[rows], n, points)
+            want = [joint_membership(data, tau, alphas[r], n, p) for p in points]
+            assert got.tolist() == want
+            seen.update(want)
+        assert seen == {True, False}
 
 
 class TestAlphaSigmas:

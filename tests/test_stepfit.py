@@ -7,8 +7,9 @@ import pytest
 
 from corpus import cost_row, exhaustive_fit, reference_cuts
 from stepargmin import stepfit
-from stepargmin.argmin import argmin_set, hits, point_box
+from stepargmin.argmin import _argmin_cells, argmin_set
 from stepargmin.cpoisson import InvalidSpecError, JumpLaw
+from stepargmin.experiments import _member
 from stepargmin.rng import substream
 from stepargmin.stepfit import (
     CollapsedOrderError,
@@ -577,9 +578,9 @@ class TestRescaledProcess:
         rng = np.random.default_rng(21)
         for _ in range(20):
             d = random_dataset(rng, 30, 12)
-            rp = rescaled_process(d, (4.5,), (0.0, 1.0), 30.0)
-            assert rp.joint.value_at((0.0,)) == 0.0
-            assert rp.sections[0].value_at(0.0) == 0.0
+            for tau_ref, alpha_ref in (((4.5,), (0.0, 1.0)), ((3.0, 7.5), (0.0, 1.0, -1.0))):
+                rp = rescaled_process(d, tau_ref, alpha_ref, 30.0)
+                assert [sec.value_at(0.0) for sec in rp.sections] == [0.0] * len(tau_ref)
 
     def test_section_example(self):
         d = Dataset([1, 2, 3, 4], [0, 0, 1, 1])
@@ -616,7 +617,8 @@ class TestRescaledProcess:
             shifted = StepModel(
                 tuple(tau_ref[j] + t[j] / scale for j in range(2)), alpha_ref
             )
-            assert rp.joint.value_at(t) == pytest.approx(sse(d, shifted) - base, abs=1e-9)
+            total = sum(sec.value_at(tj) for sec, tj in zip(rp.sections, t))
+            assert total == pytest.approx(sse(d, shifted) - base, abs=1e-9)
 
     def test_collapsed_order(self):
         d = Dataset([1, 2, 3, 4], [0, 0, 1, 1])
@@ -648,9 +650,64 @@ class TestRescaledProcess:
         for rep in range(40):
             d = synthesize(model, 150, 5000 + rep)
             fit = fit_step(d, 1)
-            rp = rescaled_process(d, model.true_tau, fit.alpha, 150)
-            point = (150 * (fit.tau[0] - 0.5),)
-            assert hits(argmin_set(rp.joint), point_box(point))
+            point = np.array([[150 * (fit.tau[0] - 0.5)]])
+            alpha = np.array([fit.alpha])
+            inside = _member(d.x[None], d.y[None], model.true_tau, alpha, 150, point)
+            assert inside.tolist() == [True]
+
+    def test_rejects_non_finite_inputs(self):
+        d = Dataset([1, 2, 3, 4], [0, 0, 1, 1])
+        for tau_ref, alpha_ref, scale in (
+            ((2.0,), (0.0, 1.0), math.nan),
+            ((2.0,), (0.0, 1.0), math.inf),
+            ((math.nan,), (0.0, 1.0), 4.0),
+            ((2.0, math.inf), (0.0, 1.0, 0.0), 4.0),
+            ((2.0,), (0.0, math.nan), 4.0),
+        ):
+            with pytest.raises(ValueError, match="finite"):
+                rescaled_process(d, tau_ref, alpha_ref, scale)
+
+    def test_builder_sorts_x(self):
+        # the builder takes rows in any order, as `fit_rows` leaves them
+        rng = np.random.default_rng(25)
+        x = rng.uniform(0, 1, size=(3, 50))
+        y = rng.normal(size=(3, 50))
+        alpha = rng.normal(size=(3, 3))
+        perm = rng.permutation(50)
+        order = np.argsort(x, axis=1)
+        xs, ys = np.take_along_axis(x, order, axis=1), np.take_along_axis(y, order, axis=1)
+        ordered = stepfit._sections(xs, ys, (0.3, 0.6), alpha, 50.0)
+        shuffled = stepfit._sections(x[:, perm], y[:, perm], (0.3, 0.6), alpha, 50.0)
+        for got, want in zip(shuffled, ordered):
+            assert got[0] == want[0]
+            assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
+            assert np.all(np.diff(got[1], axis=1) >= 0)
+        for r in range(3):
+            a = rescaled_process(Dataset(x[r], y[r]), (0.3, 0.6), alpha[r], 50.0)
+            b = rescaled_process(Dataset(x[r, perm], y[r, perm]), (0.3, 0.6), alpha[r], 50.0)
+            assert a == b
+
+    def test_tied_x_leave_zero_width_cells(self):
+        x = np.array([1.0, 2.0, 2.0, 3.0, 3.0, 3.0, 4.0, 5.0, 5.0])
+        y = np.array([0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 1.0, 0.0, 1.0])
+        d = Dataset(x, y)
+        tau_ref, alpha_ref, scale = (2.5,), (0.0, 1.0), 2.0
+        alpha = np.array([alpha_ref])
+        ((_, edges, values),) = stepfit._sections(x[None], y[None], tau_ref, alpha, scale)
+        assert np.count_nonzero(np.diff(edges[0]) == 0) == 4
+        sec = rescaled_process(d, tau_ref, alpha_ref, scale).sections[0]
+        assert np.array_equal(sec.breakpoints, [-3.0, -1.0, 1.0, 3.0, 5.0])
+        base = sse(d, StepModel(tau_ref, alpha_ref))
+        for u in (-4.0, -3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0):
+            shifted = StepModel((tau_ref[0] + u / scale,), alpha_ref)
+            assert sec.value_at(u) == sse(d, shifted) - base
+        # the stable sort adds the run at shift 1 in data order, and a partial
+        # sum inside it dips below every cell of positive width; the kernel
+        # masks it, so the row's argmin set is the section's
+        width = np.diff(edges[0])
+        assert values[0][width == 0].min() < values[0][width > 0].min()
+        _, lo, hi = _argmin_cells(edges, values)
+        assert [(b.lo[0], b.hi[0]) for b in argmin_set(sec).boxes] == list(zip(lo, hi))
 
 
 class TestSynthesize:
