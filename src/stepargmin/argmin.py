@@ -16,6 +16,7 @@ from itertools import product
 
 import numpy as np
 
+from stepargmin._scratch import scratch
 from stepargmin.stepfun import GridFunction
 
 INF = float("inf")
@@ -266,7 +267,10 @@ def _argmin_cells(edges, values):
     cells of positive width, touching closures merged.  Cell j of a row
     spans [edges[j], edges[j + 1])."""
     lo_edges, hi_edges = edges[:, :-1], edges[:, 1:]
-    masked = np.where(lo_edges < hi_edges, values, INF)
+    masked = scratch("_argmin_cells.masked", values.shape)
+    np.copyto(masked, values)
+    # cells of no width take no part
+    np.putmask(masked, lo_edges >= hi_edges, INF)
     row, col = np.nonzero(masked == masked.min(axis=1, keepdims=True))
     lo = lo_edges[row, col]
     hi = hi_edges[row, col]

@@ -17,6 +17,7 @@ from statistics import NormalDist
 
 import numpy as np
 
+from stepargmin._scratch import kernel, scratch
 from stepargmin.argmin import INF, IntervalRows, _argmin_cells, argmin_set
 from stepargmin.rng import child_seed, run_chunks, substream
 from stepargmin.stepfun import StepFunction1D
@@ -73,17 +74,25 @@ class JumpLaw(Law):
             return p[0] + p[1]
         return float(np.mean(p))
 
-    def sample(self, rng, n):
+    def sample(self, rng, n, out=None):
+        """n draws, into the array `out` when given."""
         p = self.params
+        out = np.empty(n) if out is None else out
         if self.family == "point":
-            return np.full(n, p[0])
-        if self.family == "two_point":
-            return np.where(rng.random(n) < p[2], p[0], p[1])
-        if self.family == "gaussian":
-            return p[0] + p[1] * rng.standard_normal(n)
-        if self.family == "shifted_exp":
-            return p[0] + p[1] * rng.standard_exponential(n)
-        return rng.choice(np.asarray(p), size=n, replace=True)
+            out.fill(p[0])
+        elif self.family == "two_point":
+            first = rng.random(n, out=out) < p[2]
+            out.fill(p[1])
+            np.copyto(out, p[0], where=first)
+        elif self.family == "empirical":
+            out[...] = rng.choice(np.asarray(p), size=n, replace=True)
+        else:
+            # p[0] + p[1] times a standard draw
+            draw = rng.standard_normal if self.family == "gaussian" else rng.standard_exponential
+            draw(n, out=out)
+            out *= p[1]
+            out += p[0]
+        return out
 
 
 def jump_law_from_token(token):
@@ -184,45 +193,64 @@ def _gap_count(rate, horizon):
     return math.ceil(mean + 4.0 * math.sqrt(mean)) + 4
 
 
-def _arrivals(rng, rows, rate, law, horizon):
-    """Arrival times and running jump sums of one side, both (rows, width).
+def _arrivals(rng, rate, law, horizon, times, sums):
+    """Arrival times and running jump sums of one side, written into the
+    (rows, width) arrays times and sums and returned.
 
     While some row's last arrival does not pass the horizon, every row is
-    topped up from the same generator; arrival times beyond the horizon
-    read +inf."""
-    width = _gap_count(rate, horizon)
-    times = np.cumsum(rng.standard_exponential((rows, width)), axis=1) / rate
-    jumps = law.sample(rng, (rows, width))
+    topped up from the same generator, and the times and sums are returned
+    as new, wider arrays instead; arrival times beyond the horizon read
+    +inf."""
+    rows, width = times.shape
+    gaps = rng.standard_exponential(out=scratch("_arrivals.gaps", times.shape))
+    np.cumsum(gaps, axis=1, out=times)
+    times /= rate
+    jumps = law.sample(rng, (rows, width), out=gaps)
     while np.any(times[:, -1] <= horizon):
         more = np.cumsum(rng.standard_exponential((rows, width)), axis=1) / rate
         times = np.hstack([times, times[:, -1:] + more])
         jumps = np.hstack([jumps, law.sample(rng, (rows, width))])
     times[times > horizon] = INF
-    return times, np.cumsum(jumps, axis=1)
+    return times, np.cumsum(jumps, axis=1, out=sums if jumps is gaps else None)
 
 
-def _draw_block(spec, rng, rows):
-    """``rows`` trajectories on [-max_window, max_window] as cell edges
-    (rows, n + 2) and cell values (rows, n + 1); cell j of a row spans
-    [edges[j], edges[j + 1]).
+@kernel
+def _draw_block(spec, rng, rows, reduce):
+    """reduce(edges, values) of ``rows`` trajectories on [-max_window,
+    max_window], as cell edges (rows, n + 2) and cell values (rows, n + 1);
+    cell j of a row spans [edges[j], edges[j + 1]).  The two arrays are
+    scratch, which the next block reuses, so reduce must not keep them.
 
     Left cells hold the partial sums of jumps strictly beyond the cell, the
     center cell spanning zero holds 0, right cells the running sums.  Cells
     of zero width, from arrivals beyond the horizon or coinciding arrival
     times, are not part of the trajectory."""
-    t_right, c_right = _arrivals(rng, rows, spec.rate_right, spec.jump_right, spec.max_window)
-    t_left, c_left = _arrivals(rng, rows, spec.rate_left, spec.jump_left, spec.max_window)
-    n_left = t_left.shape[1]
-    edges = np.empty((rows, n_left + t_right.shape[1] + 2))
+    w = spec.max_window
+    n_left, n_right = _gap_count(spec.rate_left, w), _gap_count(spec.rate_right, w)
+    edges = scratch("_draw_block.edges", (rows, n_left + n_right + 2))
+    values = scratch("_draw_block.values", (rows, n_left + n_right + 1))
+    # each side lands in its place unless it is topped up; the left side's
+    # arrivals run outwards from the origin, so into reversed views
+    right = _arrivals(
+        rng, spec.rate_right, spec.jump_right, w, edges[:, n_left + 1 : -1], values[:, n_left + 1 :]
+    )
+    left = _arrivals(
+        rng, spec.rate_left, spec.jump_left, w, edges[:, n_left:0:-1], values[:, n_left - 1 :: -1]
+    )
+    if right[0].shape[1] != n_right or left[0].shape[1] != n_left:
+        (t_right, c_right), (t_left, c_left) = right, left
+        n_left = t_left.shape[1]
+        edges = np.empty((rows, n_left + t_right.shape[1] + 2))
+        edges[:, 1 : n_left + 1] = t_left[:, ::-1]
+        edges[:, n_left + 1 : -1] = t_right
+        values = np.empty((rows, edges.shape[1] - 1))
+        values[:, :n_left] = c_left[:, ::-1]
+        values[:, n_left + 1 :] = c_right
     edges[:, 0] = -INF
-    edges[:, 1 : n_left + 1] = -t_left[:, ::-1]
-    edges[:, n_left + 1 : -1] = t_right
+    np.negative(edges[:, 1 : n_left + 1], out=edges[:, 1 : n_left + 1])
     edges[:, -1] = INF
-    values = np.empty((rows, edges.shape[1] - 1))
-    values[:, :n_left] = c_left[:, ::-1]
     values[:, n_left] = 0.0
-    values[:, n_left + 1 :] = c_right
-    return edges, values
+    return reduce(edges, values)
 
 
 def _row_function(edges, values):
@@ -236,8 +264,7 @@ def _build_trajectory(spec, seed):
     """Full-horizon trajectory on [-max_window, max_window] as breakpoint
     and value arrays: the one-row case of the block kernel.  Pure in
     (spec, seed)."""
-    edges, values = _draw_block(spec, substream(seed), 1)
-    return _row_function(edges[0], values[0])
+    return _draw_block(spec, substream(seed), 1, lambda e, v: _row_function(e[0], v[0]))
 
 
 def _window_grid(spec):
@@ -294,38 +321,34 @@ def _draw_accepted(spec, master_seed, rep):
     raise TooManyRedrawsError(f"replication {rep} exhausted {_MAX_ATTEMPTS} attempts")
 
 
-def _accepted_rows(spec, seed, lo, hi):
-    """Accepted argmin sets of replications lo..hi-1 as IntervalRows, and
-    the redraw count of each replication.
+def _block_columns(spec, seed, b, menu, rows):
+    """The `_predicate_worker` columns of block b's replications in the
+    slice `rows` of its rows.
 
     Replication r is row r % _BLOCK of block r // _BLOCK.  A row whose
     argmin set does not lie strictly inside (-max_window, max_window) is a
-    boundary row; it is redrawn through _draw_accepted."""
+    boundary row; within `rows` it is redrawn through _draw_accepted."""
     w = spec.max_window
-    reps, los, his = [], [], []
-    redraws = np.zeros(hi - lo, dtype=np.int64)
-    for b in range(lo // _BLOCK, (hi - 1) // _BLOCK + 1):
-        row, a, z = _argmin_cells(*_draw_block(spec, substream(seed, b), _BLOCK))
-        block = IntervalRows.from_cells(row, a, z)
-        inside = (block.smallest() > -w) & (block.largest() < w)
-        rep = row + b * _BLOCK
-        keep = inside[row] & (rep >= lo) & (rep < hi)
-        reps.append(rep[keep])
-        los.append(a[keep])
-        his.append(z[keep])
-        for r in np.flatnonzero(~inside) + b * _BLOCK:
-            if lo <= r < hi:
-                union, attempts = _draw_accepted(spec, seed, int(r))
-                redraws[r - lo] = attempts
-                reps.append(np.full(len(union.boxes), r))
-                los.append(np.array([box.lo[0] for box in union.boxes]))
-                his.append(np.array([box.hi[0] for box in union.boxes]))
-    rep = np.concatenate(reps)
-    order = np.argsort(rep, kind="stable")
-    rows = IntervalRows.from_cells(
-        rep[order] - lo, np.concatenate(los)[order], np.concatenate(his)[order]
-    )
-    return rows, redraws
+    row, a, z = _draw_block(spec, substream(seed, b), _BLOCK, _argmin_cells)
+    block = IntervalRows.from_cells(row, a, z)
+    redraws = np.zeros(_BLOCK, dtype=np.int64)
+    boundary = np.flatnonzero((block.smallest() <= -w) | (block.largest() >= w))
+    boundary = boundary[(boundary >= rows.start) & (boundary < rows.stop)]
+    if boundary.size:
+        keep = ~np.isin(row, boundary)
+        reps, los, his = [row[keep]], [a[keep]], [z[keep]]
+        for r in boundary.tolist():
+            union, redraws[r] = _draw_accepted(spec, seed, b * _BLOCK + r)
+            reps.append(np.full(len(union.boxes), r))
+            los.append([box.lo[0] for box in union.boxes])
+            his.append([box.hi[0] for box in union.boxes])
+        rep = np.concatenate(reps)
+        order = np.argsort(rep, kind="stable")
+        block = IntervalRows.from_cells(
+            rep[order], np.concatenate(los)[order], np.concatenate(his)[order]
+        )
+    flags = [block.meets(kind, union) for kind, union in menu]
+    return np.column_stack([block.smallest(), block.largest(), redraws, *flags])[rows]
 
 
 def _predicate_worker(args, lo, hi):
@@ -334,9 +357,11 @@ def _predicate_worker(args, lo, hi):
     count, then per (kind, 1-D union) of the menu whether the set meets the
     union as IntervalRows.meets says."""
     spec, master_seed, menu = args
-    rows, redraws = _accepted_rows(spec, master_seed, lo, hi)
-    flags = [rows.meets(kind, union) for kind, union in menu]
-    return np.column_stack([rows.smallest(), rows.largest(), redraws, *flags])
+    blocks = []
+    for b in range(lo // _BLOCK, (hi - 1) // _BLOCK + 1):
+        rows = slice(max(lo - b * _BLOCK, 0), hi - b * _BLOCK)
+        blocks.append(_block_columns(spec, master_seed, b, menu, rows))
+    return np.concatenate(blocks)
 
 
 # the benchmark tracer wraps this name

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from stepargmin._scratch import scratch
 from stepargmin.argmin import (
     Box,
     BoxUnion,
@@ -209,8 +210,9 @@ class VerificationConfig:
 
 # observations per block of replications: B = _BLOCK_CELLS // n datasets
 # share one substream, one sort and the vectorized fit; each (B, n) float64
-# array stays at 64 KB, so a block adds little to peak memory.  B is part
-# of the stream layout: changing it changes every dataset
+# array stays at 64 KB, and the block kernels keep theirs as scratch
+# arrays that the next block reuses (stepargmin._scratch).  B is part of
+# the stream layout: changing it changes every dataset
 _BLOCK_CELLS = 8192
 
 
@@ -218,27 +220,31 @@ def _block_rows(n):
     return max(1, _BLOCK_CELLS // n)
 
 
-def _fit_blocks(args, lo, hi):
-    """Replications lo..hi-1 in blocks: per block, the datasets as (B, n)
-    arrays x and y and their fits as `fit_rows` returns them.  Block b
-    draws B = _BLOCK_CELLS // n datasets from substream(master, *path, b),
-    x first, then the noise (`draw_rows`), and replication `rep` is row
-    rep % B of block rep // B.  A block that lo or hi cuts is drawn whole
-    and sliced, so a replication's dataset depends on neither the chunk
-    edges nor the replication count."""
+def _fit_blocks(args, lo, hi, reduce):
+    """Replications lo..hi-1 in blocks, concatenated along the first axis:
+    per block, reduce(x, y, tau, alpha, sigma_hat) of the datasets as
+    (B, n) arrays x and y and their fits as `fit_rows` returns them.  x and
+    y are scratch, which the next block reuses, so reduce must not keep
+    them.  Block b draws B = _BLOCK_CELLS // n datasets from
+    substream(master, *path, b), x first, then the noise (`draw_rows`),
+    and replication `rep` is row rep % B of block rep // B.  A block that
+    lo or hi cuts is drawn whole and sliced, so a replication's dataset
+    depends on neither the chunk edges nor the replication count."""
     model, k, n, master, path = args
     size = _block_rows(n)
+    x, y = scratch("_fit_blocks.x", (size, n)), scratch("_fit_blocks.y", (size, n))
+    out = []
     for b in range(lo // size, -(-hi // size)):
-        x, y = draw_rows(model, substream(master, *path, b), (size, n))
+        draw_rows(model, substream(master, *path, b), (size, n), out=(x, y))
         rows = slice(max(lo - b * size, 0), min(hi - b * size, size))
-        x, y = x[rows], y[rows]
-        yield (x, y, *fit_rows(x, y, k))
+        out.append(reduce(x[rows], y[rows], *fit_rows(x[rows], y[rows], k)))
+    return np.concatenate(out)
 
 
 def _fit_worker(args, lo, hi):
     """The fits of replications lo..hi-1 as one (hi - lo, 3k + 2) array:
     the columns are tau, alpha and sigma_hat."""
-    return np.concatenate([np.hstack(fit) for _, _, *fit in _fit_blocks(args, lo, hi)])
+    return _fit_blocks(args, lo, hi, lambda x, y, *fit: np.hstack(fit))
 
 
 def _fit_arrays(model, k, n, master, tag, reps, workers):
@@ -645,11 +651,12 @@ def _membership_worker(args, lo, hi):
     fitted breakpoints lies in the argmin set of its local landscape, then
     the k coordinates of that deviation, as one (hi - lo, k + 1) array."""
     model, k, n, master = args
-    blocks = []
-    for x, y, taus, alphas, _ in _fit_blocks((model, k, n, master, (_TAG_MEMBER,)), lo, hi):
+
+    def block(x, y, taus, alphas, _):
         points = n * (taus - np.asarray(model.true_tau))
-        blocks.append(np.column_stack((_member(x, y, model.true_tau, alphas, n, points), points)))
-    return np.concatenate(blocks)
+        return np.column_stack((_member(x, y, model.true_tau, alphas, n, points), points))
+
+    return _fit_blocks((model, k, n, master, (_TAG_MEMBER,)), lo, hi, block)
 
 
 def membership_report(model, k, n, replications, master_seed, workers=1):

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
+from stepargmin._scratch import kernel, scratch
 from stepargmin.cpoisson import CompoundPoissonSpec, InvalidSpecError, JumpLaw
 from stepargmin.stepfun import StepFunction1D, _readonly
 from stepargmin.textfmt import Law
@@ -177,14 +178,25 @@ def _blocks(data):
 
 
 # cells per chunk of the k >= 2 suffix sweep: 64 KB per float64
-# temporary, which stays on the heap instead of a fresh mmap per layer
+# temporary, written into the `_TOT` and `_COST` scratch arrays, which the
+# next chunk and the next block reuse
 _CHUNK_CELLS = 8192
+
+# scratch names of the temporaries of one evaluation of the segment-cost
+# expression sq - tot²/cnt, shared by every function that evaluates it: no
+# other kernel runs while they are held
+_TOT, _CNT, _COST = "segment_cost.tot", "segment_cost.cnt", "segment_cost.cost"
+
+# argsort has no out=: `fit_rows` sorts in strips of rows of at most this
+# many cells, so that its index arrays stay small enough for malloc to
+# recycle
+_SORT_CELLS = 2048
 
 # unit roundoff of float64
 _UNIT = 2.0**-53
 
 
-def _suffix_layer(nxt, cmax, cum_n, cum_s, cum_q, first, last):
+def _suffix_layer(nxt, cmax, cum_n, cum_s, cum_q, first, last, out=None):
     """out[s] = min over first[s] <= c <= last[s] of cost(s, c) + nxt[c + 1]
     for s <= cmax, and inf for s > cmax and for the dead rows, those with
     last[s] < first[s], which are never swept.  `first` is nondecreasing
@@ -198,8 +210,11 @@ def _suffix_layer(nxt, cmax, cum_n, cum_s, cum_q, first, last):
     cells between a row's own band and the chunk's; they are segments of
     that row too, so its minimum can only come closer to the full sweep's.
     The cost is the `_start_costs` expression, so every entry is
-    bit-identical to what tie extraction recomputes."""
-    out = np.full(nxt.shape, np.inf)
+    bit-identical to what tie extraction recomputes.  The layer is written
+    into `out`, of nxt's shape, or into a fresh array when it is None."""
+    if out is None:
+        out = np.empty(nxt.shape)
+    out.fill(np.inf)
     lead = nxt.size // nxt.shape[-1]
     # runs start..stop-1 of consecutive live rows
     live = np.concatenate(([False], last >= first, [False]))
@@ -221,15 +236,18 @@ def _suffix_layer(nxt, cmax, cum_n, cum_s, cum_q, first, last):
                     c1 = widest
                 rows = slice(r0, r1)
                 cols = slice(c0 + 1, widest + 2)
-                n = counts[None, cols] - counts[rows, None]
-                tot = cum_s[..., None, cols] - cum_s[..., rows, None]
-                cost = cum_q[..., None, cols] - cum_q[..., rows, None]
+                cells = (r1 - r0, widest + 1 - c0)
+                chunk = nxt.shape[:-1] + cells
+                start_s, start_q = cum_s[..., rows, None], cum_q[..., rows, None]
+                n = np.subtract(counts[None, cols], counts[rows, None], out=scratch(_CNT, cells))
+                tot = np.subtract(cum_s[..., None, cols], start_s, out=scratch(_TOT, chunk))
+                cost = np.subtract(cum_q[..., None, cols], start_q, out=scratch(_COST, chunk))
                 tot *= tot
                 tot /= n
                 cost -= tot
                 if c0 < r1 - 1:
                     # columns c < s of row s are not segments
-                    cost[..., n <= 0] = np.inf
+                    np.copyto(cost, np.inf, where=n <= 0)
                 cost += nxt[..., None, cols]
                 out[..., rows] = cost.min(axis=-1)
     return out
@@ -240,9 +258,15 @@ def _segment_means(seg, y, sizes):
     of y where seg == j, over sizes[:, j].  The sum is np.add.reduce over
     the whole row with the other entries zeroed, so a row's means are the
     same bits in a block of any height."""
-    segments = np.arange(sizes.shape[1])[:, None]
-    masked = np.where(seg[:, None, :] == segments, y[:, None, :], 0.0)
-    return np.add.reduce(masked, axis=2) / sizes
+    keep = scratch("_segment_means.keep", seg.shape, bool)
+    masked = scratch("_segment_means.masked", seg.shape)
+    sums = np.empty(sizes.shape)
+    for j in range(sizes.shape[1]):
+        np.equal(seg, j, out=keep)
+        masked.fill(0.0)
+        np.copyto(masked, y, where=keep)
+        sums[:, j] = np.add.reduce(masked, axis=1)
+    return sums / sizes
 
 
 def _levels_and_scales(x, y, ys, tau, ends):
@@ -255,17 +279,29 @@ def _levels_and_scales(x, y, ys, tau, ends):
     n = x.shape[1]
     sizes = np.diff(ends, axis=1, prepend=0, append=n)
     # each observation's segment, in the original and in the sorted order
-    seg = np.zeros(x.shape, dtype=np.intp)
-    sorted_seg = np.zeros(x.shape, dtype=np.intp)
+    seg = scratch("_levels_and_scales.seg", x.shape, np.intp)
+    sorted_seg = scratch("_levels_and_scales.sorted_seg", x.shape, np.intp)
+    seg.fill(0)
+    sorted_seg.fill(0)
+    positions = np.arange(n)
     for t, e in zip(tau.T, ends.T):
         seg += x > t[:, None]
-        sorted_seg += np.arange(n) >= e[:, None]
+        sorted_seg += positions >= e[:, None]
     alpha = _segment_means(seg, y, sizes)
-    dev = ys - _at(_segment_means(sorted_seg, ys, sizes), sorted_seg)
-    var = _segment_means(sorted_seg, dev * dev, sizes)
+    # the deviation of each sorted observation from its segment's mean
+    means = _segment_means(sorted_seg, ys, sizes)
+    dev = scratch("_levels_and_scales.dev", x.shape)
+    keep = scratch("_levels_and_scales.keep", x.shape, bool)
+    for j in range(sizes.shape[1]):
+        np.equal(sorted_seg, j, out=keep)
+        np.copyto(dev, means[:, j, None], where=keep)
+    np.subtract(ys, dev, out=dev)
+    dev *= dev
+    var = _segment_means(sorted_seg, dev, sizes)
     return alpha, np.sqrt(var / (sizes / n)), sizes
 
 
+@kernel
 def fit_step(data, k):
     """Least-squares k-jump fit by dynamic programming over prefix segment
     costs (`_cuts`).  The breakpoints minimize the total cost as the float
@@ -331,35 +367,44 @@ def _cuts(cum_n, cum_s, cum_q, k):
     is not finite or exceeds UB raises RuntimeError."""
     rows, m = cum_s.shape[0], cum_n.size - 1
     with np.errstate(divide="ignore", invalid="ignore"):
-        tail_n = cum_n[m] - cum_n[:m]
-        tail_s = cum_s[:, m:] - cum_s[:, :m]
-        tail_q = cum_q[:, m:] - cum_q[:, :m]
-        suffix = {k: tail_q - (tail_s * tail_s) / tail_n}
+        # suffix[k], the trailing segment's cost, with the candidates'
+        # array as its temporary
+        tail = scratch(f"_cuts.suffix{k}", (rows, m))
+        tmp = np.subtract(cum_s[:, m:], cum_s[:, :m], out=scratch("_cuts.cand", (rows, m)))
+        tmp *= tmp
+        tmp /= cum_n[m] - cum_n[:m]
+        np.subtract(cum_q[:, m:], cum_q[:, :m], out=tail)
+        tail -= tmp
+        suffix = {k: tail}
         # head[:, c] is the cost of blocks 0..c: the first cut's candidates
-        head = _start_costs(cum_n, cum_s, cum_q, np.zeros((rows, 1), dtype=np.int64), m - 2)
+        head = scratch("_cuts.head", (rows, m - 1))
+        _start_costs(cum_n, cum_s, cum_q, np.zeros((rows, 1), dtype=np.int64), m - 2, head)
         if k >= 2:
-            ub = _upper_bound(cum_n, cum_s, cum_q, k, head, suffix[k])
+            ub = _upper_bound(cum_n, cum_s, cum_q, k, head, tail)
             limit = ub + _slack(int(cum_n[m]), cum_q[:, m], k)
         for j in range(k - 1, 0, -1):
             cmax = m - 1 - (k - j)
             # limit - head_j(s): head_1(s) is the cost of blocks 0..s-1, and
             # there is no row 0
-            budget = np.broadcast_to(limit[:, None], (rows, cmax + 1))
+            budget = scratch("_cuts.budget", (rows, cmax + 1))
+            budget[...] = limit[:, None]
             if j == 1:
-                budget = np.concatenate(
-                    (np.full((rows, 1), -np.inf), limit[:, None] - head[:, :cmax]), axis=1
-                )
+                budget[:, 0] = -np.inf
+                budget[:, 1:] -= head[:, :cmax]
             first, last = _band(suffix[j + 1], cmax, cum_n, cum_s, cum_q, budget)
-            suffix[j] = _suffix_layer(suffix[j + 1], cmax, cum_n, cum_s, cum_q, first, last)
+            layer = scratch(f"_cuts.suffix{j}", (rows, m))
+            suffix[j] = _suffix_layer(suffix[j + 1], cmax, cum_n, cum_s, cum_q, first, last, layer)
         cuts = np.empty((rows, k), dtype=np.int64)
         cost = head[:, : m - k]
         for j in range(k):
-            cand = cost + suffix[j + 1][:, 1 : m + 1 - (k - j)]
+            cand = scratch("_cuts.cand", cost.shape)
+            np.add(cost, suffix[j + 1][:, 1 : m + 1 - (k - j)], out=cand)
             cuts[:, j] = np.argmin(cand, axis=1)
             if j == 0:
                 total = cand[np.arange(rows), cuts[:, 0]]
             if j + 1 < k:
-                cost = _start_costs(cum_n, cum_s, cum_q, cuts[:, j, None] + 1, m - k + j)
+                cost = scratch("_cuts.cost", (rows, m - k + j + 1))
+                _start_costs(cum_n, cum_s, cum_q, cuts[:, j, None] + 1, m - k + j, cost)
     if k >= 2:
         lost = np.flatnonzero(~(np.isfinite(total) & (total <= ub)))
         if lost.size:
@@ -376,19 +421,21 @@ def _at(cum, idx):
     return cum[np.arange(cum.shape[0])[:, None], idx]
 
 
-def _start_costs(cum_n, cum_s, cum_q, s, cmax):
+def _start_costs(cum_n, cum_s, cum_q, s, cmax, out):
     """Per row r, the within-segment squared deviation of the blocks
     s[r]..c, c = 0..cmax, from the prefix sums as sq - tot²/cnt, and inf
-    where c < s[r] is not a segment.  Every segment cost of the fit is this
-    expression, so the costs that the sweep, the band and tie extraction
-    compare are bit-identical."""
+    where c < s[r] is not a segment, written into the (B, cmax+1) array
+    `out`.  Every segment cost of the fit is this expression, so the costs
+    that the sweep, the band and tie extraction compare are
+    bit-identical."""
     ends = slice(1, cmax + 2)
-    cnt = cum_n[None, ends] - cum_n[s]
-    tot = cum_s[:, ends] - _at(cum_s, s)
-    cost = cum_q[:, ends] - _at(cum_q, s)
-    cost -= (tot * tot) / cnt
-    cost[cnt <= 0] = np.inf
-    return cost
+    cnt = np.subtract(cum_n[None, ends], cum_n[s], out=scratch(_CNT, out.shape, np.int64))
+    tot = np.subtract(cum_s[:, ends], _at(cum_s, s), out=scratch(_TOT, out.shape))
+    np.subtract(cum_q[:, ends], _at(cum_q, s), out=out)
+    tot *= tot
+    tot /= cnt
+    out -= tot
+    np.copyto(out, np.inf, where=cnt <= 0)
 
 
 def _segment_costs(cum_n, cum_s, cum_q, lo, hi):
@@ -409,20 +456,34 @@ def _upper_bound(cum_n, cum_s, cum_q, k, head, tail):
     c = np.arange(m - 1)
     after = slice(1, m)
     ends = np.concatenate((np.full((rows, 1), -1), np.full((rows, 1), m - 1)), axis=1)
+    gain = scratch("_upper_bound.gain", (rows, m - 1))
+    split = scratch("_upper_bound.split", (rows, m - 1))
     for t in range(k):
-        gain = np.full((rows, m - 1), np.inf)
+        gain.fill(np.inf)
         for i in range(t + 1):
             # cutting the segment lo..hi at c leaves lo..c and c+1..hi
             lo, hi = ends[:, i, None] + 1, ends[:, i + 1, None]
-            left = head if i == 0 else _start_costs(cum_n, cum_s, cum_q, lo, m - 2)
+            left = head
+            if i > 0:
+                left = split
+                _start_costs(cum_n, cum_s, cum_q, lo, m - 2, left)
             if i == t:
                 right = tail[:, after]
             else:
-                tot = _at(cum_s, hi + 1) - cum_s[:, after]
-                right = _at(cum_q, hi + 1) - cum_q[:, after]
-                right -= (tot * tot) / (cum_n[hi + 1] - cum_n[None, after])
-            split = left + right - _segment_costs(cum_n, cum_s, cum_q, lo, hi)
-            gain = np.where((c >= lo) & (c < hi), split, gain)
+                shape = split.shape
+                cnt = scratch(_CNT, shape, np.int64)
+                np.subtract(cum_n[hi + 1], cum_n[None, after], out=cnt)
+                tot = np.subtract(_at(cum_s, hi + 1), cum_s[:, after], out=scratch(_TOT, shape))
+                right = np.subtract(_at(cum_q, hi + 1), cum_q[:, after], out=scratch(_COST, shape))
+                tot *= tot
+                tot /= cnt
+                right -= tot
+            np.add(left, right, out=split)
+            split -= _segment_costs(cum_n, cum_s, cum_q, lo, hi)
+            # the cuts lo <= c < hi
+            inside = np.greater_equal(c, lo, out=scratch("_upper_bound.inside", split.shape, bool))
+            inside &= np.less(c, hi, out=scratch("_upper_bound.below", split.shape, bool))
+            np.copyto(gain, split, where=inside)
         ends = np.sort(np.concatenate((ends, np.argmin(gain, axis=1)[:, None]), axis=1), axis=1)
     cost = _segment_costs(cum_n, cum_s, cum_q, ends[:, :-1] + 1, ends[:, 1:])
     total = cost[:, k]
@@ -480,34 +541,47 @@ def _band(nxt, cmax, cum_n, cum_s, cum_q, budget):
     (B, live rows) evaluation of the `_start_costs` expression.  The
     predicate "some dataset keeps (s, c)" is monotone along a row only in
     exact arithmetic; the contract rests on the one column tested last."""
+    rows, shape = nxt.shape[0], (nxt.shape[0], cmax + 1)
     # the first c whose prefix minimum is <= budget[s] counts the c with
     # -prefmin(c) < -budget[s]
-    first = np.min(
-        [
-            np.searchsorted(lo, t)
-            for lo, t in zip(-np.minimum.accumulate(nxt[:, 1 : cmax + 2], axis=1), -budget)
-        ],
-        axis=0,
-    )
+    minima = scratch("_band.minima", shape)
+    low = np.negative(np.minimum.accumulate(nxt[:, 1 : cmax + 2], axis=1, out=minima), out=minima)
+    neg = np.negative(budget, out=scratch("_band.budget", shape))
+    first = np.searchsorted(low[0], neg[0])
+    for lo, t in zip(low[1:], neg[1:]):
+        np.minimum(first, np.searchsorted(lo, t), out=first)
     first = np.maximum(first, np.arange(cmax + 1))
     first = np.minimum.accumulate(first[::-1])[::-1]
-    sufmin = np.minimum.accumulate(nxt[:, cmax + 1 : 0 : -1], axis=1)[:, ::-1]
+    # sufmin(c) is column cmax - c of the minima from the right
+    np.minimum.accumulate(nxt[:, cmax + 1 : 0 : -1], axis=1, out=minima)
     last = np.full(cmax + 1, -1)
-    s = np.flatnonzero(first <= cmax)
-    base_s, base_q, base_n, budget = cum_s[:, s], cum_q[:, s], cum_n[s], budget[:, s]
+
+    def gather(name, a, cols):
+        # a[:, cols] of a C-contiguous a, which np.take does not copy
+        return np.take(a, cols, axis=1, out=scratch(name, (rows, cols.size)), mode="clip")
+
+    def bases(s):
+        # the prefix sums at, the counts at and the budgets of the rows s
+        base_s, base_q = gather("_band.base_s", cum_s, s), gather("_band.base_q", cum_q, s)
+        return base_s, base_q, cum_n[s], gather("_band.budget", budget, s)
 
     def keeps(c):
         # per row s[i], whether some dataset keeps the pair (s[i], c[i])
-        tot = cum_s[:, c + 1] - base_s
-        cost = cum_q[:, c + 1] - base_q
-        cost -= (tot * tot) / (cum_n[c + 1] - base_n)
-        cost += sufmin[:, c]
-        return np.any(cost <= budget, axis=0)
+        tot = gather(_TOT, cum_s, c + 1)
+        tot -= base_s
+        cost = gather(_COST, cum_q, c + 1)
+        cost -= base_q
+        tot *= tot
+        tot /= cum_n[c + 1] - base_n
+        cost -= tot
+        cost += gather(_TOT, minima, cmax - c)
+        return np.any(cost <= budget_s, axis=0)
 
+    s = np.flatnonzero(first <= cmax)
+    base_s, base_q, base_n, budget_s = bases(s)
     # the dead rows drop out of the search
-    live = keeps(first[s])
-    s, base_n = s[live], base_n[live]
-    base_s, base_q, budget = base_s[:, live], base_q[:, live], budget[:, live]
+    s = s[keeps(first[s])]
+    base_s, base_q, base_n, budget_s = bases(s)
     if s.size:
         lo, hi = first[s], np.full(s.size, cmax + 1)
         # lo keeps and hi is past cmax or fails: halve hi - lo down to 1
@@ -520,6 +594,7 @@ def _band(nxt, cmax, cum_n, cum_s, cum_q, budget):
     return first, last
 
 
+@kernel
 def fit_rows(x, y, k):
     """`fit_step` on every row of the (B, n) arrays x and y at once:
     (tau, alpha, sigma_hat) as (B, k), (B, k+1) and (B, k+1) arrays, each
@@ -529,9 +604,15 @@ def fit_rows(x, y, k):
     `fit_step` itself."""
     k = int(k)
     rows, n = x.shape
-    order = np.argsort(x, axis=1)
-    xs = np.take_along_axis(x, order, axis=1)
-    ys = np.take_along_axis(y, order, axis=1)
+    # the flat index of each row's j-th smallest x; the temporary array
+    # holds it, then the centred y
+    tmp = scratch("fit_rows.tmp", (rows, n), np.intp)
+    strip = max(1, _SORT_CELLS // n)
+    for r in range(0, rows, strip):
+        offsets = np.arange(r, min(r + strip, rows))[:, None] * n
+        np.add(np.argsort(x[r : r + strip], axis=1), offsets, out=tmp[r : r + strip])
+    xs = np.take(x, tmp, out=scratch("fit_rows.xs", (rows, n)), mode="clip")
+    ys = np.take(y, tmp, out=scratch("fit_rows.ys", (rows, n)), mode="clip")
     # on distinct x the permutation is unique, so any sort is the stable one
     distinct = np.all(xs[:, 1:] != xs[:, :-1], axis=1) & (n > k)
     tau = np.empty((rows, k))
@@ -541,19 +622,27 @@ def fit_rows(x, y, k):
         fit = fit_step(Dataset(x[r], y[r]), k)
         tau[r], alpha[r], sigma[r] = fit.tau, fit.alpha, fit.sigma_hat
     fast = np.flatnonzero(distinct)
-    if fast.size:
-        xs, ys = xs[fast], ys[fast]
-        # `_blocks`' centring and prefix sums, by row
-        mid = n // 2
-        zero = np.zeros((fast.size, 1))
-        with np.errstate(over="ignore"):
-            yc = ys - np.partition(ys, mid, axis=1)[:, mid, None]
-            cum_s = np.concatenate((zero, np.cumsum(yc, axis=1)), axis=1)
-            cum_q = np.concatenate((zero, np.cumsum(yc * yc, axis=1)), axis=1)
-        _check_spread(n, cum_q[:, -1])
-        cuts = _cuts(np.arange(n + 1), cum_s, cum_q, k)
-        tau[fast] = _at(xs, cuts)
-        alpha[fast], sigma[fast], _ = _levels_and_scales(x[fast], y[fast], ys, tau[fast], cuts + 1)
+    if not fast.size:
+        return tau, alpha, sigma
+    if fast.size < rows:
+        x, y, xs, ys = x[fast], y[fast], xs[fast], ys[fast]
+    # `_blocks`' centring and prefix sums, by row
+    yc = scratch("fit_rows.tmp", (fast.size, n))
+    np.copyto(yc, ys)
+    yc.partition(n // 2, axis=1)
+    cum_s = scratch("fit_rows.cum_s", (fast.size, n + 1))
+    cum_q = scratch("fit_rows.cum_q", (fast.size, n + 1))
+    cum_s[:, 0] = cum_q[:, 0] = 0.0
+    middle = yc[:, n // 2].copy()
+    with np.errstate(over="ignore"):
+        np.subtract(ys, middle[:, None], out=yc)
+        np.cumsum(yc, axis=1, out=cum_s[:, 1:])
+        yc *= yc
+        np.cumsum(yc, axis=1, out=cum_q[:, 1:])
+    _check_spread(n, cum_q[:, -1])
+    cuts = _cuts(np.arange(n + 1), cum_s, cum_q, k)
+    tau[fast] = _at(xs, cuts)
+    alpha[fast], sigma[fast], _ = _levels_and_scales(x, y, ys, tau[fast], cuts + 1)
     return tau, alpha, sigma
 
 
@@ -643,12 +732,19 @@ class XLaw(Law):
         else:
             raise InvalidSpecError(f"unknown covariate family {self.family!r}")
 
-    def sample(self, rng, n):
+    def sample(self, rng, n, out=None):
+        """n draws, into the array `out` when given."""
         if self.family == "uniform":
             lo, hi = self.params
-            return lo + (hi - lo) * rng.random(n)
+            u = rng.random(n, out=out)
+            u *= hi - lo
+            u += lo
+            return u
         mean, sd = self.params
-        return mean + sd * rng.standard_normal(n)
+        z = rng.standard_normal(n, out=out)
+        z *= sd
+        z += mean
+        return z
 
     def density(self, x):
         if self.family == "uniform":
@@ -700,11 +796,18 @@ class NoiseLaw(Law):
         v1, v2, p = self.params
         return p * v1 * v1 + (1.0 - p) * v2 * v2
 
-    def sample(self, rng, n):
+    def sample(self, rng, n, out=None):
+        """n draws, into the array `out` when given."""
         if self.family == "gaussian":
-            return self.params[1] * rng.standard_normal(n)
+            z = rng.standard_normal(n, out=out)
+            z *= self.params[1]
+            return z
         v1, v2, p = self.params
-        return np.where(rng.random(n) < p, v1, v2)
+        u = rng.random(n, out=out)
+        first = u < p
+        u.fill(v2)
+        np.copyto(u, v1, where=first)
+        return u
 
 
 @dataclass(frozen=True)
@@ -749,14 +852,16 @@ class RegressionModelSpec:
     def k(self):
         return len(self.true_tau)
 
-    def regression_values(self, x):
-        """The regression function at every entry of x: segment j's
-        polynomial on (tau[j-1], tau[j]].  Each polynomial is evaluated
-        everywhere and kept where it applies."""
+    def regression_values(self, x, out=None):
+        """The regression function at every entry of x, into the array
+        `out` when given: segment j's polynomial on (tau[j-1], tau[j]].
+        Each polynomial is evaluated everywhere and kept where it
+        applies."""
         x = np.asarray(x, dtype=float)
-        out = npoly.polyval(x, self.segments[0])
+        out = _polyval(x, self.segments[0], np.empty(x.shape) if out is None else out)
+        piece = scratch("regression_values.piece", x.shape)
         for tau, seg in zip(self.true_tau, self.segments[1:]):
-            out = np.where(x > tau, npoly.polyval(x, seg), out)
+            np.copyto(out, _polyval(x, seg, piece), where=x > tau)
         return out
 
     def side_values(self, j):
@@ -765,6 +870,17 @@ class RegressionModelSpec:
         left = float(npoly.polyval(tau, self.segments[j - 1]))
         right = float(npoly.polyval(tau, self.segments[j]))
         return left, right
+
+
+def _polyval(x, coeffs, out):
+    """numpy.polynomial.polynomial.polyval(x, coeffs) into out, by its own
+    float steps: c[-1] + x*0, then c[i] + c0*x down to c[0]."""
+    np.multiply(x, 0, out=out)
+    out += coeffs[-1]
+    for c in coeffs[-2::-1]:
+        out *= x
+        out += c
+    return out
 
 
 def pure_step_model(tau, alpha, x_law, noise):
@@ -779,13 +895,18 @@ def pure_step_model(tau, alpha, x_law, noise):
     )
 
 
-def draw_rows(model, rng, shape):
-    """Datasets drawn from `rng` as arrays x and y of `shape`: every
-    covariate first, then every noise term, in C order.  A (1, n) draw is
-    the same stream as an n draw, and row r of a (B, n) draw is
-    observations r·n .. r·n + n - 1 of each."""
-    x = model.x_law.sample(rng, shape)
-    return x, model.regression_values(x) + model.noise.sample(rng, shape)
+@kernel
+def draw_rows(model, rng, shape, out=None):
+    """Datasets drawn from `rng` as arrays x and y of `shape`, written into
+    the pair of arrays `out` when given: every covariate first, then every
+    noise term, in C order.  A (1, n) draw is the same stream as an n draw,
+    and row r of a (B, n) draw is observations r·n .. r·n + n - 1 of
+    each."""
+    x, y = (np.empty(shape), np.empty(shape)) if out is None else out
+    model.x_law.sample(rng, shape, out=x)
+    model.regression_values(x, out=y)
+    y += model.noise.sample(rng, shape, out=scratch("draw_rows.noise", shape))
+    return x, y
 
 
 def synthesize(model, n, seed):

@@ -364,7 +364,7 @@ class TestBlockKernel:
         for spec in kernel_specs():
             w = spec.max_window
             for b in range(4):
-                for a in assert_rows_exact(*_draw_block(spec, substream(11, b), _BLOCK)):
+                for a in _draw_block(spec, substream(11, b), _BLOCK, assert_rows_exact):
                     several += len(a.boxes) > 1
                     boundary += not (-w < a.boxes[0].lo[0] and a.boxes[-1].hi[0] < w)
         # the corpus must exercise ties and boundary rows
@@ -378,13 +378,16 @@ class TestBlockKernel:
             rate_right=5.0, jump_right=INTEGER_TIES, window_initial=4.0, max_window=4.0
         )
         counts = []
-        for b in range(40):
-            edges, values = _draw_block(spec, substream(5, b), _BLOCK)
+
+        def count_arrivals(edges, values):
             if b < 4:
                 assert_rows_exact(edges, values)
             for r in range(_BLOCK):
                 bp, _ = _row_function(edges[r], values[r])
                 counts.append(int(np.sum((bp > 0.0) & (bp <= 4.0))))
+
+        for b in range(40):
+            _draw_block(spec, substream(5, b), _BLOCK, count_arrivals)
         counts = np.array(counts, dtype=float)
         lam = 20.0
         assert abs(counts.mean() - lam) <= 5 * math.sqrt(lam / counts.size)
