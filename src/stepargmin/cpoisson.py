@@ -321,19 +321,23 @@ def _draw_accepted(spec, master_seed, rep):
     raise TooManyRedrawsError(f"replication {rep} exhausted {_MAX_ATTEMPTS} attempts")
 
 
-def _block_columns(spec, seed, b, menu, rows):
-    """The `_predicate_worker` columns of block b's replications in the
-    slice `rows` of its rows.
+def _predicate_worker(args, b, count):
+    """The first `count` replications of block b as one (count, 3 + len(menu))
+    array: the smallest and largest minimizer of the accepted argmin set,
+    its redraw count, then per (kind, 1-D union) of the menu whether the set
+    meets the union as IntervalRows.meets says.
 
     Replication r is row r % _BLOCK of block r // _BLOCK.  A row whose
     argmin set does not lie strictly inside (-max_window, max_window) is a
-    boundary row; within `rows` it is redrawn through _draw_accepted."""
+    boundary row; among the first `count` it is redrawn through
+    _draw_accepted."""
+    spec, seed, menu = args
     w = spec.max_window
     row, a, z = _draw_block(spec, substream(seed, b), _BLOCK, _argmin_cells)
     block = IntervalRows.from_cells(row, a, z)
     redraws = np.zeros(_BLOCK, dtype=np.int64)
     boundary = np.flatnonzero((block.smallest() <= -w) | (block.largest() >= w))
-    boundary = boundary[(boundary >= rows.start) & (boundary < rows.stop)]
+    boundary = boundary[boundary < count]
     if boundary.size:
         keep = ~np.isin(row, boundary)
         reps, los, his = [row[keep]], [a[keep]], [z[keep]]
@@ -348,20 +352,7 @@ def _block_columns(spec, seed, b, menu, rows):
             rep[order], np.concatenate(los)[order], np.concatenate(his)[order]
         )
     flags = [block.meets(kind, union) for kind, union in menu]
-    return np.column_stack([block.smallest(), block.largest(), redraws, *flags])[rows]
-
-
-def _predicate_worker(args, lo, hi):
-    """Replications lo..hi-1 as one (hi - lo, 3 + len(menu)) array: the
-    smallest and largest minimizer of the accepted argmin set, its redraw
-    count, then per (kind, 1-D union) of the menu whether the set meets the
-    union as IntervalRows.meets says."""
-    spec, master_seed, menu = args
-    blocks = []
-    for b in range(lo // _BLOCK, (hi - 1) // _BLOCK + 1):
-        rows = slice(max(lo - b * _BLOCK, 0), hi - b * _BLOCK)
-        blocks.append(_block_columns(spec, master_seed, b, menu, rows))
-    return np.concatenate(blocks)
+    return np.column_stack([block.smallest(), block.largest(), redraws, *flags])[:count]
 
 
 # the benchmark tracer wraps this name
@@ -376,9 +367,7 @@ def _limit_columns(spec, seed, replications, workers, menu=()):
         raise ValueError("replications must be at least 1")
     if any(union.dim != 1 for _, union in menu):
         raise ValueError("dimension mismatch")
-    cols = run_chunks(
-        _predicate_worker, (spec, seed, tuple(menu)), replications, workers, block=_BLOCK
-    )
+    cols = run_chunks(_predicate_worker, (spec, seed, tuple(menu)), replications, workers, _BLOCK)
     total_redraws = int(cols[:, 2].sum())
     if total_redraws > 0.01 * replications:
         raise TooManyRedrawsError(

@@ -191,8 +191,16 @@ class VerificationConfig:
             raise ConfigError("rhs_mode must be 'derived' or 'empirical-bootstrap'")
         if self.rhs_mode == "empirical-bootstrap" and self.bootstrap_n <= max(self.n_grid):
             raise ConfigError("bootstrap_n must exceed the largest n in n_grid")
-        if not self.tail_grid:
+        tails = self.tail_grid
+        if not tails:
             raise ConfigError("tail_grid must not be empty")
+        if not all(map(math.isfinite, tails)) or any(a >= b for a, b in zip(tails, tails[1:])):
+            raise ConfigError("tail_grid must be finite and strictly increasing")
+        if not 0.0 <= self.tail_threshold <= 1.0:
+            raise ConfigError("tail_threshold must lie in [0, 1]")
+        for name in ("mc_slack", "coverage_tolerance"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be finite and at least 0")
         if self.coverage_replications < 1 or self.coverage_n < 2:
             raise ConfigError("coverage_replications must be at least 1 and coverage_n at least 2")
         for st in self.menu:
@@ -220,31 +228,27 @@ def _block_rows(n):
     return max(1, _BLOCK_CELLS // n)
 
 
-def _fit_blocks(args, lo, hi, reduce):
-    """Replications lo..hi-1 in blocks, concatenated along the first axis:
-    per block, reduce(x, y, tau, alpha, sigma_hat) of the datasets as
-    (B, n) arrays x and y and their fits as `fit_rows` returns them.  x and
-    y are scratch, which the next block reuses, so reduce must not keep
-    them.  Block b draws B = _BLOCK_CELLS // n datasets from
-    substream(master, *path, b), x first, then the noise (`draw_rows`),
-    and replication `rep` is row rep % B of block rep // B.  A block that
-    lo or hi cuts is drawn whole and sliced, so a replication's dataset
-    depends on neither the chunk edges nor the replication count."""
+def _fit_block(args, b, count, reduce):
+    """reduce(x, y, tau, alpha, sigma_hat) of the first `count` datasets of
+    block b as (count, n) arrays x and y and their fits as `fit_rows`
+    returns them.  x and y are scratch, which the next block reuses, so
+    reduce must not keep them.  Block b draws B = _BLOCK_CELLS // n
+    datasets from substream(master, *path, b), x first, then the noise
+    (`draw_rows`), and replication `rep` is row rep % B of block rep // B.
+    A block is drawn whole however many of its rows are kept, so a
+    replication's dataset does not depend on the replication count."""
     model, k, n, master, path = args
     size = _block_rows(n)
-    x, y = scratch("_fit_blocks.x", (size, n)), scratch("_fit_blocks.y", (size, n))
-    out = []
-    for b in range(lo // size, -(-hi // size)):
-        draw_rows(model, substream(master, *path, b), (size, n), out=(x, y))
-        rows = slice(max(lo - b * size, 0), min(hi - b * size, size))
-        out.append(reduce(x[rows], y[rows], *fit_rows(x[rows], y[rows], k)))
-    return np.concatenate(out)
+    x, y = scratch("_fit_block.x", (size, n)), scratch("_fit_block.y", (size, n))
+    draw_rows(model, substream(master, *path, b), (size, n), out=(x, y))
+    x, y = x[:count], y[:count]
+    return reduce(x, y, *fit_rows(x, y, k))
 
 
-def _fit_worker(args, lo, hi):
-    """The fits of replications lo..hi-1 as one (hi - lo, 3k + 2) array:
-    the columns are tau, alpha and sigma_hat."""
-    return _fit_blocks(args, lo, hi, lambda x, y, *fit: np.hstack(fit))
+def _fit_worker(args, b, count):
+    """The fits of the first `count` replications of block b as one
+    (count, 3k + 2) array: the columns are tau, alpha and sigma_hat."""
+    return _fit_block(args, b, count, lambda x, y, *fit: np.hstack(fit))
 
 
 def _fit_arrays(model, k, n, master, tag, reps, workers):
@@ -563,12 +567,18 @@ class CoverageReport:
         return "\n".join(lines) + "\n"
 
 
-def _coverage_worker(args, lo, hi):
-    """Per replication lo..hi-1: whether the confidence rectangle of its fit
-    covers the true parameters, then the rectangle's 2k + 1 widths, as one
-    (hi - lo, 2k + 2) array."""
-    model, k, n, master, bounds_tau, z_lo, z_hi = args
-    fits = _fit_worker((model, k, n, master, (_TAG_COVER,)), lo, hi)
+def _coverage_worker(args, b, count):
+    """The fits of block b of the coverage stream, as `_fit_worker` gives
+    them for the data-side path (_TAG_COVER,)."""
+    model, k, n, master = args
+    return _fit_worker((model, k, n, master, (_TAG_COVER,)), b, count)
+
+
+def _rectangle_coverage(model, n, fits, bounds_tau, z_lo, z_hi):
+    """Per row of `_fit_worker` fits: whether the confidence rectangle of
+    the fit covers the true parameters, as a bool array, and the
+    rectangle's 2k + 1 widths, as a (rows, 2k + 1) array."""
+    k = model.k
     tau, alpha, sigma = np.split(fits, [k, 2 * k + 1], axis=1)
     u = sigma * z_lo
     v = sigma * z_hi
@@ -580,14 +590,13 @@ def _coverage_worker(args, lo, hi):
     v = np.where(flat, v + kappa, v)
     rect_lo, rect_hi, closed = rectangle_columns(tau, alpha, n, bounds_tau, u, v)
     truth = np.array(model.true_tau + model.true_alpha)
-    covered = np.all(_inside(rect_lo, rect_hi, closed, truth), axis=1)
-    return np.column_stack((covered, rect_hi - rect_lo))
+    return np.all(_inside(rect_lo, rect_hi, closed, truth), axis=1), rect_hi - rect_lo
 
 
 def coverage_experiment(config, workers=1):
     """Coverage of the confidence rectangle built from limit-process
     extreme-minimizer bounds and plug-in normal quantiles."""
-    k = config.k
+    k, n = config.k, config.coverage_n
     gamma = gamma_of(config.rho, k)
     z_lo = inverse_normal_cdf((1.0 - gamma) / 2.0)
     z_hi = inverse_normal_cdf((gamma + 1.0) / 2.0)
@@ -598,18 +607,15 @@ def coverage_experiment(config, workers=1):
             spec, config.replications_limit, child_seed(config.master_seed, _TAG_LIMIT, j), workers
         )
         bounds_tau.append(choose_interval_bounds(samples.xi_min, samples.xi_max, gamma))
-    args = (config.model, k, config.coverage_n, config.master_seed, tuple(bounds_tau), z_lo, z_hi)
-    rows = run_chunks(
-        _coverage_worker, args, config.coverage_replications, workers, _block_rows(config.coverage_n)
-    )
-    covered = tuple(bool(c) for c in rows[:, 0])
-    widths = np.ascontiguousarray(rows[:, 1:])
+    args = (config.model, k, n, config.master_seed)
+    fits = run_chunks(_coverage_worker, args, config.coverage_replications, workers, _block_rows(n))
+    covered, widths = _rectangle_coverage(config.model, n, fits, tuple(bounds_tau), z_lo, z_hi)
     return CoverageReport(
         coverage=float(np.mean(covered)),
         target=1.0 - config.rho,
         replications=config.coverage_replications,
         mean_widths=tuple(float(w) for w in np.mean(widths, axis=0)),
-        covered=covered,
+        covered=tuple(covered.tolist()),
         bounds_tau=tuple(bounds_tau),
         gamma=gamma,
     )
@@ -646,17 +652,18 @@ def _member(x, y, tau_ref, alpha, scale, points):
     return inside
 
 
-def _membership_worker(args, lo, hi):
-    """Per replication lo..hi-1: whether the rescaled deviation of its
-    fitted breakpoints lies in the argmin set of its local landscape, then
-    the k coordinates of that deviation, as one (hi - lo, k + 1) array."""
+def _membership_worker(args, b, count):
+    """Per replication of the first `count` of block b: whether the
+    rescaled deviation of its fitted breakpoints lies in the argmin set of
+    its local landscape, then the k coordinates of that deviation, as one
+    (count, k + 1) array."""
     model, k, n, master = args
 
     def block(x, y, taus, alphas, _):
         points = n * (taus - np.asarray(model.true_tau))
         return np.column_stack((_member(x, y, model.true_tau, alphas, n, points), points))
 
-    return _fit_blocks((model, k, n, master, (_TAG_MEMBER,)), lo, hi, block)
+    return _fit_block((model, k, n, master, (_TAG_MEMBER,)), b, count, block)
 
 
 def membership_report(model, k, n, replications, master_seed, workers=1):
@@ -751,9 +758,12 @@ def parse_set_1d(text, kind):
     joined by ';': '[lo,hi]' tokens for a closed union, '(lo,hi)' for an
     open one.  A malformed token, and one that reads as the empty set
     (reversed or NaN endpoints, an open interval with lo >= hi, a closed
-    one at infinity), raises ConfigError naming it."""
-    union = _SET_FORMS[kind][2]
-    return union(1, tuple(_interval(t, kind) for t in text.split(";") if t.strip()))
+    one at infinity), raises ConfigError naming it, as does a text with
+    no interval."""
+    boxes = tuple(_interval(t, kind) for t in text.split(";") if t.strip())
+    if not boxes:
+        raise ConfigError(f"no interval in set {text.strip()!r}")
+    return _SET_FORMS[kind][2](1, boxes)
 
 
 def _parse_aux(text, k):

@@ -2,14 +2,15 @@
 
 All randomness in the package flows from integer master seeds through
 ``substream``/``child_seed``, indexed by a path.  Both Monte Carlo sides
-draw a whole block of replications from one path: the limit blocks of
-``cpoisson`` and the data blocks of ``experiments._fit_blocks``.  A path
-always yields the same stream no matter which worker runs it, so results
-are independent of worker count.
+draw a whole block of replications from one path, and ``run_chunks`` is
+their one loop over blocks: the limit blocks of ``cpoisson`` and the data
+blocks of ``experiments._fit_block``.  A path always yields the same stream
+no matter which worker runs it, so results are independent of worker count.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 from concurrent.futures import ProcessPoolExecutor
 
@@ -33,29 +34,24 @@ def child_seed(master, *path):
     return int(seq.generate_state(1, np.uint64)[0])
 
 
-def _call_chunk(payload):
-    worker, args, lo, hi = payload
-    return worker(args, lo, hi)
-
-
-def run_chunks(worker, args, n_items, workers=1, block=1):
-    """Evaluate worker(args, lo, hi) over [0, n_items) and concatenate the
-    numpy arrays it returns, in order, along their first axis.
+def run_chunks(worker, args, n_items, workers, block):
+    """Items 0..n_items-1 in blocks of ``block``: worker(args, b, count) for
+    each block b in order, where count is ``block`` except for a last block
+    that n_items cuts, with the numpy arrays it returns concatenated along
+    their first axis.  Item i is row i % block of block i // block.
 
     ``worker`` must be a module-level function when workers > 1 (pickling).
-    Chunk edges fall on multiples of ``block``.  The chunk split depends on
-    ``workers`` but per-item results do not.  The pool holds at most
-    min(workers, chunks, CPUs) processes.
+    The pool holds at most min(workers, blocks, CPUs) processes, and each
+    of its tasks runs about a quarter of a worker's share of the blocks.
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
     n_blocks = -(-n_items // block)
-    n_chunks = min(n_blocks, workers * 4)
-    pool_size = min(workers, n_chunks, os.cpu_count() or 1)
+    counts = [min(block, n_items - b * block) for b in range(n_blocks)]
+    pool_size = min(workers, n_blocks, os.cpu_count() or 1)
     if pool_size <= 1:
-        return worker(args, 0, n_items)
-    edges = np.linspace(0, n_blocks, n_chunks + 1).astype(int) * block
-    edges[-1] = n_items
-    payloads = [(worker, args, int(lo), int(hi)) for lo, hi in zip(edges[:-1], edges[1:])]
+        return np.concatenate([worker(args, b, count) for b, count in enumerate(counts)])
+    task = functools.partial(worker, args)
+    chunksize = -(-n_blocks // (4 * workers))
     with ProcessPoolExecutor(max_workers=pool_size) as pool:
-        return np.concatenate(list(pool.map(_call_chunk, payloads)))
+        return np.concatenate(list(pool.map(task, range(n_blocks), counts, chunksize=chunksize)))

@@ -786,10 +786,6 @@ class NoiseLaw(Law):
         else:
             raise InvalidSpecError(f"unknown noise family {self.family!r}")
 
-    @property
-    def sd(self):
-        return math.sqrt(self.variance())
-
     def variance(self):
         if self.family == "gaussian":
             return self.params[1] ** 2
@@ -840,13 +836,12 @@ class RegressionModelSpec:
             raise InvalidSpecError("need k+1 segments and k+1 levels for k jumps")
         if any(tau[i] >= tau[i + 1] for i in range(k - 1)):
             raise InvalidSpecError("jump locations must be strictly increasing")
-        for j in range(k):
-            left = float(npoly.polyval(tau[j], segments[j]))
-            right = float(npoly.polyval(tau[j], segments[j + 1]))
+        for j in range(1, k + 1):
+            left, right = self.side_values(j)
             if left == right:
-                raise InvalidSpecError(f"regression function must jump at location {j + 1}")
-            if self.x_law.density(tau[j]) <= 0.0:
-                raise InvalidSpecError(f"covariate density vanishes at location {j + 1}")
+                raise InvalidSpecError(f"regression function must jump at location {j}")
+            if self.x_law.density(tau[j - 1]) <= 0.0:
+                raise InvalidSpecError(f"covariate density vanishes at location {j}")
 
     @property
     def k(self):

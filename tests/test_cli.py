@@ -180,7 +180,8 @@ class TestCapacity:
         assert "replications" in capsys.readouterr().err
 
     # ';' separates intervals, so "[1;2]" fails on its first piece "[1";
-    # a reversed or NaN interval used to read as the empty set (value 0.0)
+    # a reversed or NaN interval, and a set with no interval, used to read
+    # as the empty set (value 0.0)
     @pytest.mark.parametrize(
         "arg, message",
         [
@@ -191,6 +192,9 @@ class TestCapacity:
                 ("[3,1]", "empty interval", "'[3,1]'"),
                 ("[nan,1]", "empty interval", "'[nan,1]'"),
                 ("[-1,0];[1,nan]", "empty interval", "'[1,nan]'"),
+                ("", "no interval in set", "''"),
+                (";", "no interval in set", "';'"),
+                (" ; ; ", "no interval in set", "'; ;'"),
             ]
         ],
     )
@@ -365,7 +369,8 @@ class TestConfigErrors:
 
     # each of these used to crash mid-run (TypeError, IndexError or
     # ZeroDivisionError, exit 1), except the reversed interval, which read
-    # as the empty set
+    # as the empty set, and the slack, tail and tolerance values, which
+    # ran to a verdict that could not fail or could not pass
     @pytest.mark.parametrize(
         "command, old, new, named",
         [
@@ -376,6 +381,17 @@ class TestConfigErrors:
             ("coverage", "coverage_n = 80", "coverage_n = 1", "coverage_n"),
             ("verify", "rho = 0.1", "rho = 0.1\ntail_grid =", "tail_grid"),
             ("verify", "n_grid = 40, 80", "n_grid = 0, 250", "n_grid"),
+            ("verify", "rho = 0.1", "rho = 0.1\nmc_slack = nan", "mc_slack"),
+            ("verify", "rho = 0.1", "rho = 0.1\nmc_slack = -1", "mc_slack"),
+            ("verify", "rho = 0.1", "rho = 0.1\ntail_threshold = nan", "tail_threshold"),
+            ("verify", "rho = 0.1", "rho = 0.1\ntail_threshold = 1.5", "tail_threshold"),
+            ("verify", "rho = 0.1", "rho = 0.1\ntail_grid = 0, nan", "tail_grid"),
+            ("verify", "rho = 0.1", "rho = 0.1\ntail_grid = 0, 4, 2", "tail_grid"),
+            ("verify", "rho = 0.1", "rho = 0.1\ntail_grid = 0, 2, 2", "tail_grid"),
+            ("coverage", "coverage_tolerance = 0.03", "coverage_tolerance = inf",
+             "coverage_tolerance"),
+            ("coverage", "coverage_tolerance = 0.03", "coverage_tolerance = -0.01",
+             "coverage_tolerance"),
             ("coverage", "set closed all = [-inf,inf]", "set closed all = [1,-1]",
              "empty interval '[1,-1]'"),
         ],

@@ -27,7 +27,7 @@ from stepargmin.experiments import (
     tail_probability_table,
     verify_limit_bounds,
 )
-from stepargmin.rng import substream
+from stepargmin.rng import run_chunks, substream
 from stepargmin.stepfit import (
     Dataset,
     NoiseLaw,
@@ -383,22 +383,23 @@ class TestFitBlocks:
         n = 60
         if rows is not None:
             monkeypatch.setattr(experiments, "_BLOCK_CELLS", rows * n)
-        fits = experiments._fit_worker((TWO_JUMPS, k, n, 77, (1, n)), 3, 40)
-        assert fits.shape == (37, 3 * k + 2)
-        for row, rep in zip(fits, range(3, 40)):
+        args = (TWO_JUMPS, k, n, 77, (1, n))
+        fits = run_chunks(experiments._fit_worker, args, 40, 1, experiments._block_rows(n))
+        assert fits.shape == (40, 3 * k + 2)
+        for rep, row in enumerate(fits):
             fit = fit_step(_replication(TWO_JUMPS, n, 77, (1, n), rep), k)
             assert row.tobytes() == np.array(fit.tau + fit.alpha + fit.sigma_hat).tobytes()
 
-    @pytest.mark.parametrize("rows", [None, 7])
-    def test_cut_blocks_are_sliced(self, monkeypatch, rows):
-        # chunks that start or end inside a block see the same rows
-        n = 60
-        if rows is not None:
-            monkeypatch.setattr(experiments, "_BLOCK_CELLS", rows * n)
-        args = (TWO_JUMPS, 2, n, 77, (1, n))
-        whole = experiments._fit_worker(args, 0, 40)
-        assert experiments._fit_worker(args, 3, 40).tobytes() == whole[3:].tobytes()
-        assert experiments._fit_worker(args, 3, 11).tobytes() == whole[3:11].tobytes()
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_short_run_is_prefix_of_long_run(self, workers):
+        # n = 1000 puts 8 replications in a block, so 11 replications cut
+        # block 1 and 40 fill five blocks
+        n = 1000
+        args, block = (TWO_JUMPS, 2, n, 77, (1, n)), experiments._block_rows(n)
+        short = run_chunks(experiments._fit_worker, args, 11, workers, block)
+        long = run_chunks(experiments._fit_worker, args, 40, workers, block)
+        assert short.shape == (11, 8)
+        assert short.tobytes() == long[:11].tobytes()
 
     @pytest.mark.parametrize("rows", [None, 7])
     def test_coverage_rows_match_build_rectangle(self, monkeypatch, rows):
@@ -407,7 +408,9 @@ class TestFitBlocks:
             monkeypatch.setattr(experiments, "_BLOCK_CELLS", rows * n)
         bounds_tau = ((-3.0, 2.5), (-2.0, 4.0))
         z_lo, z_hi = -1.5, 1.7
-        got = experiments._coverage_worker((TWO_JUMPS, 2, n, 5, bounds_tau, z_lo, z_hi), 0, 40)
+        args, block = (TWO_JUMPS, 2, n, 5), experiments._block_rows(n)
+        fits = run_chunks(experiments._coverage_worker, args, 40, 1, block)
+        got, widths = experiments._rectangle_coverage(TWO_JUMPS, n, fits, bounds_tau, z_lo, z_hi)
         truth = TWO_JUMPS.true_tau + TWO_JUMPS.true_alpha
         covered = []
         for rep in range(40):
@@ -415,7 +418,8 @@ class TestFitBlocks:
             bounds_alpha = [(s * z_lo, s * z_hi) for s in fit.sigma_hat]
             rect = build_rectangle(fit, n, bounds_tau, bounds_alpha)
             covered.append(all(iv.contains(t) for iv, t in zip(rect, truth)))
-            assert got[rep].tolist() == [float(covered[-1])] + [iv.width for iv in rect]
+            assert widths[rep].tolist() == [iv.width for iv in rect]
+        assert got.tolist() == covered
         assert 0 < sum(covered) < 40
 
 
@@ -576,6 +580,8 @@ class TestConfigParsing:
             ("set open o = (2,2)", "(2,2)"),
             ("set closed c = [0,1] @ [2,-2] | [0,1]", "[2,-2]"),
             ("set closed c = [0,1] @ [0,1] | [nan,1]", "[nan,1]"),
+            ("set closed c = ;", ";"),
+            ("set open o = ; ;", "; ;"),
         ],
     )
     def test_malformed_interval_named(self, line, token):

@@ -44,7 +44,7 @@ from stepargmin.cpoisson import (
     simulate_trajectory,
     spec_from_text,
 )
-from stepargmin.rng import substream
+from stepargmin.rng import run_chunks, substream
 from stepargmin.stepfun import StepFunction1D
 
 
@@ -291,6 +291,16 @@ class TestFunctionalEstimates:
         one = samples_to_csv(sample_extreme_minimizers(spec, 1077, 21, workers=1))
         two = samples_to_csv(sample_extreme_minimizers(spec, 1077, 21, workers=2))
         assert one.encode() == two.encode()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_short_run_is_prefix_of_long_run(self, workers):
+        # at seed 38, replication 2 of block 0 is a boundary row and redrawn
+        spec = unit_spec(jump_right=NEGATIVE_SUPPORT, jump_left=NEGATIVE_SUPPORT)
+        args = (spec, 38, (("closed", closed((-1.0, 1.0))),))
+        short = run_chunks(cpoisson._predicate_worker, args, 11, workers, _BLOCK)
+        long = run_chunks(cpoisson._predicate_worker, args, 40, workers, _BLOCK)
+        assert short.shape == (11, 4) and short[:, 2].sum() > 0
+        assert short.tobytes() == long[:11].tobytes()
 
 
 def closed(*pairs):

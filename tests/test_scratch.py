@@ -1,6 +1,6 @@
-"""The block kernels' scratch arrays (stepargmin._scratch): a worker chunk
-allocates no large array per block, and scratch never shows up in a
-result."""
+"""The block kernels' scratch arrays (stepargmin._scratch): a run of
+blocks allocates no large array per block, and scratch never shows up in
+a result."""
 
 import sys
 import threading
@@ -14,7 +14,7 @@ import stepargmin
 from stepargmin import _scratch, cpoisson, experiments
 from stepargmin.argmin import argmin_set
 from stepargmin.cpoisson import CompoundPoissonSpec, JumpLaw, sample_extreme_minimizers
-from stepargmin.rng import substream
+from stepargmin.rng import run_chunks, substream
 from stepargmin.stepfit import NoiseLaw, XLaw, draw_rows, fit_rows, pure_step_model
 from stepargmin.stepfun import GridFunction, StepFunction1D
 
@@ -68,17 +68,18 @@ def large_allocations(fn, *args):
 
 
 def chunk_allocations(worker, args, block, blocks):
-    """Large allocations of worker(args, 0, blocks·block), not counting the
-    chunk's result array itself."""
-    result, count = large_allocations(worker, args, 0, blocks * block)
+    """Large allocations of a one-worker run of `blocks` whole blocks
+    through worker, not counting the run's result array itself."""
+    result, count = large_allocations(run_chunks, worker, args, blocks * block, 1, block)
+    assert len(result) == blocks * block
     return count - (result.nbytes >= LARGE)
 
 
 def warm_counts(worker, args, block, few, many):
-    """Large allocations of chunks of `many` and `few` blocks, after one
-    traced chunk of `many` has sized the scratch arrays and paid the
+    """Large allocations of runs of `many` and `few` blocks, after one
+    traced run of `many` has sized the scratch arrays and paid the
     tracing's own one-time costs."""
-    large_allocations(worker, args, 0, many * block)
+    chunk_allocations(worker, args, block, many)
     return (
         chunk_allocations(worker, args, block, many),
         chunk_allocations(worker, args, block, few),
@@ -98,7 +99,7 @@ def test_limit_chunk_allocations_do_not_grow():
     # of these 40 blocks needs `_arrivals`' top-up, which still allocates
     args = (TWO_POINT_SPEC, 7, ())
     block = cpoisson._BLOCK
-    assert cpoisson._predicate_worker(args, 0, 40 * block)[:, 2].sum() > 0
+    assert run_chunks(cpoisson._predicate_worker, args, 40 * block, 1, block)[:, 2].sum() > 0
     many, few = warm_counts(cpoisson._predicate_worker, args, block, 2, 40)
     assert many <= few
 
@@ -136,9 +137,11 @@ class TestResultsOwnTheirMemory:
         assert_owned(*first)
 
     def test_fit_worker(self):
-        first = experiments._fit_worker((MODELS[2], 2, 100, 5, (1, 100)), 0, 200)
+        args = (MODELS[2], 2, 100, 5, (1, 100))
+        first = run_chunks(experiments._fit_worker, args, 200, 1, experiments._block_rows(100))
         kept = first.copy()
-        experiments._fit_worker((MODELS[1], 1, 300, 6, (1, 300)), 0, 100)
+        args = (MODELS[1], 1, 300, 6, (1, 300))
+        run_chunks(experiments._fit_worker, args, 100, 1, experiments._block_rows(300))
         assert np.array_equal(first, kept)
         assert_owned(first)
 
