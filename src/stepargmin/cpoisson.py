@@ -359,21 +359,33 @@ def _predicate_worker(args, b, count):
 _extremes_worker = _predicate_worker
 
 
-def _limit_columns(spec, seed, replications, workers, menu=()):
-    """The `_predicate_worker` columns of replications 0..replications-1.
-    Menu sets must be 1-D, checked before anything is drawn; boundary
-    redraws above 1% of the replications raise TooManyRedrawsError."""
+def _limit_job(spec, seed, replications, menu=()):
+    """The `run_chunks` job of the `_predicate_worker` columns of
+    replications 0..replications-1.  Menu sets must be 1-D, checked here,
+    before anything is drawn."""
     if replications < 1:
         raise ValueError("replications must be at least 1")
     if any(union.dim != 1 for _, union in menu):
         raise ValueError("dimension mismatch")
-    cols = run_chunks(_predicate_worker, (spec, seed, tuple(menu)), replications, workers, _BLOCK)
+    return _predicate_worker, (spec, seed, tuple(menu)), replications, _BLOCK
+
+
+def _redraw_rule(cols):
+    """`cols` of a limit job, once its boundary redraws are checked: above
+    1% of its replications they raise TooManyRedrawsError."""
     total_redraws = int(cols[:, 2].sum())
-    if total_redraws > 0.01 * replications:
+    if total_redraws > 0.01 * len(cols):
         raise TooManyRedrawsError(
-            f"{total_redraws} boundary redraws exceed 1% of {replications} replications"
+            f"{total_redraws} boundary redraws exceed 1% of {len(cols)} replications"
         )
     return cols
+
+
+def _limit_columns(spec, seed, replications, workers, menu=()):
+    """The `_predicate_worker` columns of replications 0..replications-1,
+    through `_limit_job` and `_redraw_rule`."""
+    job = _limit_job(spec, seed, replications, menu)
+    return _redraw_rule(run_chunks([job], workers)[0])
 
 
 def sample_extreme_minimizers(spec, replications, seed, workers=1):

@@ -27,12 +27,12 @@ from stepargmin.argmin import (
 )
 from stepargmin.cpoisson import (
     OutOfDomainError,
-    _limit_columns,
+    _limit_job,
     _predicate_worker,
+    _redraw_rule,
     choose_interval_bounds,
     inverse_normal_cdf,
     normal_cdf,
-    sample_extreme_minimizers,
 )
 from stepargmin.rng import child_seed, run_chunks, substream
 from stepargmin.stepfit import (
@@ -251,13 +251,23 @@ def _fit_worker(args, b, count):
     return _fit_block(args, b, count, lambda x, y, *fit: np.hstack(fit))
 
 
-def _fit_arrays(model, k, n, master, tag, reps, workers):
-    args = (model, k, n, master, (tag, n))
-    rows = run_chunks(_fit_worker, args, reps, workers, _block_rows(n))
+def _fit_job(model, k, n, master, tag, reps):
+    """The `run_chunks` job of the `_fit_worker` rows of `reps` datasets
+    of size n on the data-side path (tag, n)."""
+    return _fit_worker, (model, k, n, master, (tag, n)), reps, _block_rows(n)
+
+
+def _deviations(model, k, n, rows):
+    """Rescaled deviations xi and aux and the plug-in scales of fit rows."""
     taus, alphas, sigmas = (np.ascontiguousarray(a) for a in np.split(rows, [k, 2 * k + 1], axis=1))
     xi = n * (taus - np.asarray(model.true_tau)[None, :])
     aux = math.sqrt(n) * (alphas - np.asarray(model.true_alpha)[None, :])
     return xi, aux, sigmas
+
+
+def _fit_arrays(model, k, n, master, tag, reps, workers):
+    rows = run_chunks([_fit_job(model, k, n, master, tag, reps)], workers)[0]
+    return _deviations(model, k, n, rows)
 
 
 def _data_fits(config, n, workers):
@@ -270,8 +280,11 @@ def fit_table(config, workers=1):
     """{n: (xi, aux, sigmas)} for every n in the grid: rescaled deviations
     and plug-in level scales of the data fits, one row per replication.
     Passed as `fits=` to the verify harnesses, it lets a run fit each
-    dataset once."""
-    return {n: _data_fits(config, n, workers) for n in config.n_grid}
+    dataset once.  All of the grid's fits run in one `run_chunks` call."""
+    model, k, reps = config.model, config.k, config.replications_data
+    jobs = [_fit_job(model, k, n, config.master_seed, _TAG_DATA, reps) for n in config.n_grid]
+    rows = run_chunks(jobs, workers)
+    return {n: _deviations(model, k, n, r) for n, r in zip(config.n_grid, rows)}
 
 
 def _margins(st, xi, aux):
@@ -368,21 +381,28 @@ class InequalityReport:
         return "\n".join(lines) + "\n"
 
 
+def _limit_jobs(config, menu):
+    """Per breakpoint j, the `_limit_job` of limit process j on its own
+    stream, flagging the j-th set of each row of `menu`."""
+    return [
+        _limit_job(
+            derive_limit_spec(config.model, j),
+            child_seed(config.master_seed, _TAG_LIMIT, j),
+            config.replications_limit,
+            tuple((st.kind, st.sets[j - 1]) for st in menu),
+        )
+        for j in range(1, config.k + 1)
+    ]
+
+
 def _limit_functionals(config, workers):
     """Per breakpoint j: a (menu rows, replications) flag array.  Row m says
     per replication whether the limit argmin set hits (closed row) or lies
     inside (open row) the j-th set of menu row m; one replication stream
     serves the whole menu.  Boundary redraws above 1% of the replications
-    raise TooManyRedrawsError."""
-    reps = config.replications_limit
-    out = []
-    for j in range(1, config.k + 1):
-        spec = derive_limit_spec(config.model, j)
-        menu = tuple((st.kind, st.sets[j - 1]) for st in config.menu)
-        seed = child_seed(config.master_seed, _TAG_LIMIT, j)
-        cols = _limit_columns(spec, seed, reps, workers, menu)
-        out.append(cols[:, 3:].T.astype(bool))
-    return out
+    raise TooManyRedrawsError.  Every j runs in one `run_chunks` call."""
+    cols = run_chunks(_limit_jobs(config, config.menu), workers)
+    return [_redraw_rule(c)[:, 3:].T.astype(bool) for c in cols]
 
 
 def _bootstrap_functionals(config, workers):
@@ -595,28 +615,27 @@ def _rectangle_coverage(model, n, fits, bounds_tau, z_lo, z_hi):
 
 def coverage_experiment(config, workers=1):
     """Coverage of the confidence rectangle built from limit-process
-    extreme-minimizer bounds and plug-in normal quantiles."""
+    extreme-minimizer bounds and plug-in normal quantiles.  The coverage
+    fits and the k limit samples run in one `run_chunks` call, the fits
+    first, so the shorter limit tasks fill the tail of the pool."""
     k, n = config.k, config.coverage_n
     gamma = gamma_of(config.rho, k)
     z_lo = inverse_normal_cdf((1.0 - gamma) / 2.0)
     z_hi = inverse_normal_cdf((gamma + 1.0) / 2.0)
-    bounds_tau = []
-    for j in range(1, k + 1):
-        spec = derive_limit_spec(config.model, j)
-        samples = sample_extreme_minimizers(
-            spec, config.replications_limit, child_seed(config.master_seed, _TAG_LIMIT, j), workers
-        )
-        bounds_tau.append(choose_interval_bounds(samples.xi_min, samples.xi_max, gamma))
     args = (config.model, k, n, config.master_seed)
-    fits = run_chunks(_coverage_worker, args, config.coverage_replications, workers, _block_rows(n))
-    covered, widths = _rectangle_coverage(config.model, n, fits, tuple(bounds_tau), z_lo, z_hi)
+    fit_job = (_coverage_worker, args, config.coverage_replications, _block_rows(n))
+    fits, *limits = run_chunks([fit_job, *_limit_jobs(config, ())], workers)
+    bounds_tau = tuple(
+        choose_interval_bounds(cols[:, 0], cols[:, 1], gamma) for cols in map(_redraw_rule, limits)
+    )
+    covered, widths = _rectangle_coverage(config.model, n, fits, bounds_tau, z_lo, z_hi)
     return CoverageReport(
         coverage=float(np.mean(covered)),
         target=1.0 - config.rho,
         replications=config.coverage_replications,
         mean_widths=tuple(float(w) for w in np.mean(widths, axis=0)),
         covered=tuple(covered.tolist()),
-        bounds_tau=tuple(bounds_tau),
+        bounds_tau=bounds_tau,
         gamma=gamma,
     )
 
@@ -675,7 +694,7 @@ def membership_report(model, k, n, replications, master_seed, workers=1):
     if k != len(model.true_tau):
         raise ValueError(f"k = {k} must equal the model's breakpoint count {len(model.true_tau)}")
     args = (model, k, n, master_seed)
-    cols = run_chunks(_membership_worker, args, replications, workers, _block_rows(n))
+    cols = run_chunks([(_membership_worker, args, replications, _block_rows(n))], workers)[0]
     return MembershipReport(
         n=n,
         replications=replications,

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from corpus import joint_membership
-from stepargmin import experiments
+from stepargmin import experiments, rng
 from stepargmin.argmin import INF, Box, BoxUnion, OpenBox, OpenBoxUnion, argmin_set
 from stepargmin.cpoisson import OutOfDomainError
 from stepargmin.experiments import (
@@ -171,14 +171,17 @@ class TestVerify:
         assert verify_limit_bounds(cfg) == verify_limit_bounds(cfg)
 
     def test_worker_count_invariance(self):
-        cfg = k1_config()
-        assert verify_limit_bounds(cfg, workers=1) == verify_limit_bounds(cfg, workers=2)
         # 1001 replications: blocks of 81 rows at n = 100, of 273 and 136
         # rows at n = 30 and 60, each with a partial last block
-        cfg = k1_config(coverage_replications=1001)
-        assert coverage_experiment(cfg, workers=1) == coverage_experiment(cfg, workers=2)
-        cfg = k2_config(replications_data=1001)
-        assert verify_limit_bounds(cfg, workers=1) == verify_limit_bounds(cfg, workers=2)
+        k1, cover, k2 = k1_config(), k1_config(coverage_replications=1001), k2_config(
+            replications_data=1001
+        )
+        one = (verify_limit_bounds(k1), coverage_experiment(cover), verify_limit_bounds(k2))
+        # 3 workers cut the blocks into other tasks than 2, on any pool size
+        for workers in (2, 3):
+            assert verify_limit_bounds(k1, workers=workers) == one[0]
+            assert coverage_experiment(cover, workers=workers) == one[1]
+            assert verify_limit_bounds(k2, workers=workers) == one[2]
 
     def test_bootstrap_mode_runs(self):
         cfg = k1_config(rhs_mode="empirical-bootstrap", bootstrap_n=400)
@@ -373,6 +376,50 @@ def _replication(model, n, master, path, rep):
     return Dataset(x[rep % rows], y[rep % rows])
 
 
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The size of every process pool that rng.run_chunks starts, on a
+    machine taken to have 2 CPUs."""
+    sizes = []
+
+    class CountingPool(rng.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(rng, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(rng.os, "cpu_count", lambda: 2)
+    return sizes
+
+
+class TestOnePoolPerRun:
+    """A run whose sides each have several blocks starts one pool for all
+    of them: 1000 limit replications are 16 blocks, and every data side
+    below has at least 3."""
+
+    @pytest.mark.parametrize("make", [k1_config, k2_config])
+    def test_coverage(self, pool_sizes, make):
+        cfg = make(coverage_n=100, coverage_replications=300)
+        report = coverage_experiment(cfg, workers=2)
+        assert pool_sizes == [2]
+        assert report == coverage_experiment(cfg, workers=1)
+
+    def test_fit_table(self, pool_sizes):
+        cfg = k1_config()
+        table = fit_table(cfg, workers=2)
+        assert pool_sizes == [2]
+        for n, arrays in fit_table(cfg, workers=1).items():
+            assert all(np.array_equal(a, b) for a, b in zip(arrays, table[n]))
+
+    def test_limit_functionals(self, pool_sizes):
+        cfg = k2_config()
+        flags = experiments._limit_functionals(cfg, 2)
+        assert pool_sizes == [2]
+        assert len(flags) == 2
+        for got, one in zip(flags, experiments._limit_functionals(cfg, 1)):
+            assert np.array_equal(got, one)
+
+
 class TestFitBlocks:
     """The block worker against one fit_step per replication of the block
     layout, at the default block size and at blocks of 1 and 7 rows."""
@@ -384,7 +431,7 @@ class TestFitBlocks:
         if rows is not None:
             monkeypatch.setattr(experiments, "_BLOCK_CELLS", rows * n)
         args = (TWO_JUMPS, k, n, 77, (1, n))
-        fits = run_chunks(experiments._fit_worker, args, 40, 1, experiments._block_rows(n))
+        fits = run_chunks([(experiments._fit_worker, args, 40, experiments._block_rows(n))], 1)[0]
         assert fits.shape == (40, 3 * k + 2)
         for rep, row in enumerate(fits):
             fit = fit_step(_replication(TWO_JUMPS, n, 77, (1, n), rep), k)
@@ -396,8 +443,8 @@ class TestFitBlocks:
         # block 1 and 40 fill five blocks
         n = 1000
         args, block = (TWO_JUMPS, 2, n, 77, (1, n)), experiments._block_rows(n)
-        short = run_chunks(experiments._fit_worker, args, 11, workers, block)
-        long = run_chunks(experiments._fit_worker, args, 40, workers, block)
+        worker = experiments._fit_worker
+        short, long = run_chunks([(worker, args, 11, block), (worker, args, 40, block)], workers)
         assert short.shape == (11, 8)
         assert short.tobytes() == long[:11].tobytes()
 
@@ -409,7 +456,7 @@ class TestFitBlocks:
         bounds_tau = ((-3.0, 2.5), (-2.0, 4.0))
         z_lo, z_hi = -1.5, 1.7
         args, block = (TWO_JUMPS, 2, n, 5), experiments._block_rows(n)
-        fits = run_chunks(experiments._coverage_worker, args, 40, 1, block)
+        fits = run_chunks([(experiments._coverage_worker, args, 40, block)], 1)[0]
         got, widths = experiments._rectangle_coverage(TWO_JUMPS, n, fits, bounds_tau, z_lo, z_hi)
         truth = TWO_JUMPS.true_tau + TWO_JUMPS.true_alpha
         covered = []

@@ -279,26 +279,28 @@ class TestFunctionalEstimates:
     def test_worker_count_invariance(self):
         spec = unit_spec(jump_right=JumpLaw("gaussian", (1.0, 0.5)))
         e = BoxUnion(1, (Box((-1.0,), (1.0,)),))
-        assert estimate_capacity(spec, e, 300, 13, workers=1) == estimate_capacity(
-            spec, e, 300, 13, workers=2
-        )
-        assert np.array_equal(
-            sample_extreme_minimizers(spec, 200, 13, workers=1),
-            sample_extreme_minimizers(spec, 200, 13, workers=2),
-        )
         # several blocks, the last one partial, and boundary redraws
-        spec = unit_spec(jump_right=NEGATIVE_SUPPORT, jump_left=NEGATIVE_SUPPORT)
-        one = samples_to_csv(sample_extreme_minimizers(spec, 1077, 21, workers=1))
-        two = samples_to_csv(sample_extreme_minimizers(spec, 1077, 21, workers=2))
-        assert one.encode() == two.encode()
+        redrawn = unit_spec(jump_right=NEGATIVE_SUPPORT, jump_left=NEGATIVE_SUPPORT)
+        one = samples_to_csv(sample_extreme_minimizers(redrawn, 1077, 21, workers=1))
+        # 3 workers cut the blocks into other tasks than 2, on any pool size
+        for workers in (2, 3):
+            assert estimate_capacity(spec, e, 300, 13, workers=1) == estimate_capacity(
+                spec, e, 300, 13, workers=workers
+            )
+            assert np.array_equal(
+                sample_extreme_minimizers(spec, 200, 13, workers=1),
+                sample_extreme_minimizers(spec, 200, 13, workers=workers),
+            )
+            many = samples_to_csv(sample_extreme_minimizers(redrawn, 1077, 21, workers=workers))
+            assert one.encode() == many.encode()
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_short_run_is_prefix_of_long_run(self, workers):
         # at seed 38, replication 2 of block 0 is a boundary row and redrawn
         spec = unit_spec(jump_right=NEGATIVE_SUPPORT, jump_left=NEGATIVE_SUPPORT)
         args = (spec, 38, (("closed", closed((-1.0, 1.0))),))
-        short = run_chunks(cpoisson._predicate_worker, args, 11, workers, _BLOCK)
-        long = run_chunks(cpoisson._predicate_worker, args, 40, workers, _BLOCK)
+        worker = cpoisson._predicate_worker
+        short, long = run_chunks([(worker, args, 11, _BLOCK), (worker, args, 40, _BLOCK)], workers)
         assert short.shape == (11, 4) and short[:, 2].sum() > 0
         assert short.tobytes() == long[:11].tobytes()
 

@@ -70,7 +70,8 @@ def large_allocations(fn, *args):
 def chunk_allocations(worker, args, block, blocks):
     """Large allocations of a one-worker run of `blocks` whole blocks
     through worker, not counting the run's result array itself."""
-    result, count = large_allocations(run_chunks, worker, args, blocks * block, 1, block)
+    result, count = large_allocations(run_chunks, [(worker, args, blocks * block, block)], 1)
+    result = result[0]
     assert len(result) == blocks * block
     return count - (result.nbytes >= LARGE)
 
@@ -99,7 +100,8 @@ def test_limit_chunk_allocations_do_not_grow():
     # of these 40 blocks needs `_arrivals`' top-up, which still allocates
     args = (TWO_POINT_SPEC, 7, ())
     block = cpoisson._BLOCK
-    assert run_chunks(cpoisson._predicate_worker, args, 40 * block, 1, block)[:, 2].sum() > 0
+    cols = run_chunks([(cpoisson._predicate_worker, args, 40 * block, block)], 1)[0]
+    assert cols[:, 2].sum() > 0
     many, few = warm_counts(cpoisson._predicate_worker, args, block, 2, 40)
     assert many <= few
 
@@ -138,10 +140,11 @@ class TestResultsOwnTheirMemory:
 
     def test_fit_worker(self):
         args = (MODELS[2], 2, 100, 5, (1, 100))
-        first = run_chunks(experiments._fit_worker, args, 200, 1, experiments._block_rows(100))
+        first = run_chunks([(experiments._fit_worker, args, 200, experiments._block_rows(100))], 1)
+        first = first[0]
         kept = first.copy()
         args = (MODELS[1], 1, 300, 6, (1, 300))
-        run_chunks(experiments._fit_worker, args, 100, 1, experiments._block_rows(300))
+        run_chunks([(experiments._fit_worker, args, 100, experiments._block_rows(300))], 1)
         assert np.array_equal(first, kept)
         assert_owned(first)
 
