@@ -9,9 +9,8 @@ temporaries through numpy ``out=`` into ``scratch`` arrays: per thread, one
 buffer per name, which every later request for that name reuses.
 
 Rules for a name:
-- It belongs to one function, or to the functions that evaluate one
-  expression and share its temporaries (stepfit's segment-cost names);
-  no other kernel runs while such a name is held.
+- It belongs to one function, which does not run again while it holds
+  the name.
 - Its array is dead once the function returns.  It is never returned,
   except as the ``out`` array that the caller passed in, and a kernel
   that hands a scratch block on does so to a callback that returns fresh

@@ -179,6 +179,8 @@ class VerificationConfig:
     def __post_init__(self):
         if self.k != self.model.k:
             raise ConfigError("k must match the model")
+        if not all(float(n).is_integer() for n in self.n_grid):
+            raise ConfigError("n_grid entries must be finite whole numbers")
         grid = tuple(int(n) for n in self.n_grid)
         if not grid or grid[0] < 2 or any(a >= b for a, b in zip(grid, grid[1:])):
             raise ConfigError("n_grid must be strictly increasing from at least 2")

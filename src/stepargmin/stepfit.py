@@ -159,33 +159,49 @@ class FitResult:
         return "\n".join(lines) + "\n"
 
 
-def _blocks(data):
-    # prefix sums of y minus its middle order statistic: segment costs are
-    # translation-invariant, so the shift only removes the cancellation in
-    # sq - tot^2/n that a large offset in y would cause, and integer y
-    # stays integer
-    order = np.argsort(data.x, kind="stable")
-    xs = data.x[order]
-    ys = data.y[order]
-    mid = ys.size // 2
-    yc = ys - np.partition(ys, mid)[mid]
-    starts = np.flatnonzero(np.concatenate(([True], xs[1:] != xs[:-1])))
-    vals = xs[starts]
-    cum_n = np.append(starts, xs.size).astype(np.int64)
-    cum_s = np.concatenate(([0.0], np.cumsum(np.add.reduceat(yc, starts))))
-    cum_q = np.concatenate(([0.0], np.cumsum(np.add.reduceat(yc * yc, starts))))
-    return vals, ys, cum_n, cum_s, cum_q
+def _prefix_sums(xs, ys, starts=None, out=None):
+    """(vals, cum_n, cum_s, cum_q), the blocks that `_cuts` fits, of the
+    (B, n) rows of x-sorted x and y.  The blocks are single observations
+    when `starts` is None; otherwise B = 1, and they are the runs of tied
+    x, which start at the positions `starts`.  vals (B, m) holds the
+    blocks' x, cum_n (m+1,) the count of observations before each block
+    and after the last, cum_s and cum_q (B, m+1) the prefix sums of y and
+    y² over the blocks, written into the leading columns of the pair of
+    (B, n+1) arrays `out` when given.  y is centred at each row's middle
+    order statistic first: segment costs are translation-invariant, so
+    the shift only removes the cancellation in sq - tot²/cnt that a large
+    offset in y would cause, and integer y stays integer.  Raises
+    YRangeError when the centred squares would overflow."""
+    rows, n = ys.shape
+    m = n if starts is None else starts.size
+    if out is None:
+        out = np.empty((rows, n + 1)), np.empty((rows, n + 1))
+    cum_s, cum_q = (a[:, : m + 1] for a in out)
+    cum_s[:, 0] = cum_q[:, 0] = 0.0
+    yc = scratch("_prefix_sums.yc", ys.shape)
+    np.copyto(yc, ys)
+    yc.partition(n // 2, axis=1)
+    middle = yc[:, n // 2].copy()
+
+    def blocks(a):
+        # per-block sums of a, which on single observations are a itself
+        return a if starts is None else np.add.reduceat(a, starts, axis=1)
+
+    with np.errstate(over="ignore"):
+        np.subtract(ys, middle[:, None], out=yc)
+        np.cumsum(blocks(yc), axis=1, out=cum_s[:, 1:])
+        yc *= yc
+        np.cumsum(blocks(yc), axis=1, out=cum_q[:, 1:])
+    _check_spread(n, cum_q[:, -1])
+    if starts is None:
+        return xs, np.arange(n + 1), cum_s, cum_q
+    return xs[:, starts], np.append(starts, n), cum_s, cum_q
 
 
 # cells per chunk of the k >= 2 suffix sweep: 64 KB per float64
-# temporary, written into the `_TOT` and `_COST` scratch arrays, which the
-# next chunk and the next block reuse
+# temporary, written into scratch arrays, which the next chunk and the
+# next block reuse
 _CHUNK_CELLS = 8192
-
-# scratch names of the temporaries of one evaluation of the segment-cost
-# expression sq - tot²/cnt, shared by every function that evaluates it: no
-# other kernel runs while they are held
-_TOT, _CNT, _COST = "segment_cost.tot", "segment_cost.cnt", "segment_cost.cost"
 
 # argsort has no out=: `fit_rows` sorts in strips of rows of at most this
 # many cells, so that its index arrays stay small enough for malloc to
@@ -209,9 +225,9 @@ def _suffix_layer(nxt, cmax, cum_n, cum_s, cum_q, first, last, out=None):
     wider), so memory is O(B·m + _CHUNK_CELLS).  A chunk also takes the
     cells between a row's own band and the chunk's; they are segments of
     that row too, so its minimum can only come closer to the full sweep's.
-    The cost is the `_start_costs` expression, so every entry is
-    bit-identical to what tie extraction recomputes.  The layer is written
-    into `out`, of nxt's shape, or into a fresh array when it is None."""
+    The costs are `_cost`'s, so every entry is bit-identical to what tie
+    extraction recomputes.  The layer is written into `out`, of nxt's
+    shape, or into a fresh array when it is None."""
     if out is None:
         out = np.empty(nxt.shape)
     out.fill(np.inf)
@@ -219,8 +235,6 @@ def _suffix_layer(nxt, cmax, cum_n, cum_s, cum_q, first, last, out=None):
     # runs start..stop-1 of consecutive live rows
     live = np.concatenate(([False], last >= first, [False]))
     edges = np.flatnonzero(live[1:] != live[:-1]).tolist()
-    # counts as floats, which int64 division converts them to anyway
-    counts = cum_n.astype(float)
     with np.errstate(divide="ignore", invalid="ignore"):
         for r1, stop in zip(edges[::2], edges[1::2]):
             while r1 < stop:
@@ -236,18 +250,12 @@ def _suffix_layer(nxt, cmax, cum_n, cum_s, cum_q, first, last, out=None):
                     c1 = widest
                 rows = slice(r0, r1)
                 cols = slice(c0 + 1, widest + 2)
-                cells = (r1 - r0, widest + 1 - c0)
-                chunk = nxt.shape[:-1] + cells
-                start_s, start_q = cum_s[..., rows, None], cum_q[..., rows, None]
-                n = np.subtract(counts[None, cols], counts[rows, None], out=scratch(_CNT, cells))
-                tot = np.subtract(cum_s[..., None, cols], start_s, out=scratch(_TOT, chunk))
-                cost = np.subtract(cum_q[..., None, cols], start_q, out=scratch(_COST, chunk))
-                tot *= tot
-                tot /= n
-                cost -= tot
-                if c0 < r1 - 1:
-                    # columns c < s of row s are not segments
-                    np.copyto(cost, np.inf, where=n <= 0)
+                chunk = nxt.shape[:-1] + (r1 - r0, widest + 1 - c0)
+                cost = _cost(
+                    cum_n[rows, None], cum_s[..., rows, None], cum_q[..., rows, None],
+                    cum_n[None, cols], cum_s[..., None, cols], cum_q[..., None, cols],
+                    scratch("_suffix_layer.cost", chunk),
+                )
                 cost += nxt[..., None, cols]
                 out[..., rows] = cost.min(axis=-1)
     return out
@@ -301,36 +309,22 @@ def _levels_and_scales(x, y, ys, tau, ends):
     return alpha, np.sqrt(var / (sizes / n)), sizes
 
 
-@kernel
 def fit_step(data, k):
-    """Least-squares k-jump fit by dynamic programming over prefix segment
-    costs (`_cuts`).  The breakpoints minimize the total cost as the float
-    program folds it, and ties between equal float totals go to the
-    lexicographically smallest breakpoint vector.  Totals that tie in
-    exact arithmetic can differ by rounding, so such a tie can go the
-    other way (an open defect, ROADMAP item 3).  For k >= 2 the sweep
-    skips the pairs that a certified upper bound rules out, which changes
-    no breakpoint."""
-    k = int(k)
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    vals, ys_sorted, cum_n, cum_s, cum_q = _blocks(data)
-    m = vals.size
-    if m < k + 1:
-        raise TooFewDistinctXError(f"need at least {k + 1} distinct x values, have {m}")
-
-    cuts = _cuts(cum_n, cum_s[None], cum_q[None], k)
-    tau = vals[cuts]
-    alpha, sigma, sizes = _levels_and_scales(
-        data.x[None], data.y[None], ys_sorted[None], tau, cum_n[cuts + 1]
-    )
-    tau, alpha = tuple(tau[0].tolist()), tuple(alpha[0].tolist())
+    """Least-squares k-jump fit of one dataset: `fit_rows` on its one row,
+    with the loss and the sizes of the left-closed segments.  The
+    breakpoints minimize the total cost as the float program folds it, and
+    ties between equal float totals go to the lexicographically smallest
+    breakpoint vector.  Totals that tie in exact arithmetic can differ by
+    rounding, so such a tie can go the other way (an open defect, ROADMAP
+    item 3)."""
+    tau, alpha, sigma = (tuple(a[0].tolist()) for a in fit_rows(data.x[None], data.y[None], k))
+    counts = np.bincount(np.searchsorted(tau, data.x, side="left"), minlength=len(alpha))
     return FitResult(
         tau=tau,
         alpha=alpha,
         sse=sse(data, StepModel(tau, alpha)),
-        segment_counts=tuple(sizes[0].tolist()),
-        sigma_hat=tuple(sigma[0].tolist()),
+        segment_counts=tuple(counts.tolist()),
+        sigma_hat=sigma,
     )
 
 
@@ -343,8 +337,8 @@ def _cuts(cum_n, cum_s, cum_q, k):
     last k+1-j segments, suffix[k] the single trailing segment's.  Each
     cut then takes the first minimum over its candidates, which puts ties
     toward the lexicographically smallest breakpoint vector among the
-    float totals; the candidate costs are the `_start_costs` expression,
-    so they are bit-identical to what `_suffix_layer` compares.
+    float totals; every cost is `_cost`'s, so the candidates are
+    bit-identical to what `_suffix_layer` compares.
 
     For k >= 2 the layers skip pairs that a bound rules out: row s of
     layer j is swept only over its band first(s)..last(s) (`_band`).  UB
@@ -367,14 +361,11 @@ def _cuts(cum_n, cum_s, cum_q, k):
     is not finite or exceeds UB raises RuntimeError."""
     rows, m = cum_s.shape[0], cum_n.size - 1
     with np.errstate(divide="ignore", invalid="ignore"):
-        # suffix[k], the trailing segment's cost, with the candidates'
-        # array as its temporary
-        tail = scratch(f"_cuts.suffix{k}", (rows, m))
-        tmp = np.subtract(cum_s[:, m:], cum_s[:, :m], out=scratch("_cuts.cand", (rows, m)))
-        tmp *= tmp
-        tmp /= cum_n[m] - cum_n[:m]
-        np.subtract(cum_q[:, m:], cum_q[:, :m], out=tail)
-        tail -= tmp
+        # suffix[k], the trailing segment's cost
+        tail = _cost(
+            cum_n[:m], cum_s[:, :m], cum_q[:, :m], cum_n[m], cum_s[:, m:], cum_q[:, m:],
+            scratch(f"_cuts.suffix{k}", (rows, m)),
+        )
         suffix = {k: tail}
         # head[:, c] is the cost of blocks 0..c: the first cut's candidates
         head = scratch("_cuts.head", (rows, m - 1))
@@ -421,28 +412,37 @@ def _at(cum, idx):
     return cum[np.arange(cum.shape[0])[:, None], idx]
 
 
-def _start_costs(cum_n, cum_s, cum_q, s, cmax, out):
-    """Per row r, the within-segment squared deviation of the blocks
-    s[r]..c, c = 0..cmax, from the prefix sums as sq - tot²/cnt, and inf
-    where c < s[r] is not a segment, written into the (B, cmax+1) array
-    `out`.  Every segment cost of the fit is this expression, so the costs
-    that the sweep, the band and tie extraction compare are
-    bit-identical."""
-    ends = slice(1, cmax + 2)
-    cnt = np.subtract(cum_n[None, ends], cum_n[s], out=scratch(_CNT, out.shape, np.int64))
-    tot = np.subtract(cum_s[:, ends], _at(cum_s, s), out=scratch(_TOT, out.shape))
-    np.subtract(cum_q[:, ends], _at(cum_q, s), out=out)
+def _sums_at(cum_n, cum_s, cum_q, idx):
+    """The prefix sums (count, sum, sum of squares) at block idx[r, i] of
+    row r."""
+    return cum_n[idx], _at(cum_s, idx), _at(cum_q, idx)
+
+
+def _cost(n0, s0, q0, n1, s1, q1, out):
+    """The within-segment squared deviation sq - tot²/cnt of the segments
+    whose prefix sums are (n0, s0, q0) at their first block and (n1, s1,
+    q1) one past their last, broadcast together, written into `out` and
+    returned; inf where cnt <= 0, which is not a segment.  It is the one
+    place that computes a segment cost, so the costs that the sweep, the
+    band, the bound and tie extraction compare are bit-identical, as the
+    pruning proof of `_cuts` needs."""
+    cnt = np.subtract(n1, n0, out=scratch("_cost.cnt", np.broadcast(n0, n1).shape))
+    tot = np.subtract(s1, s0, out=scratch("_cost.tot", out.shape))
+    np.subtract(q1, q0, out=out)
     tot *= tot
     tot /= cnt
     out -= tot
-    np.copyto(out, np.inf, where=cnt <= 0)
+    if np.minimum.reduce(cnt, axis=None, initial=1) <= 0:
+        np.copyto(out, np.inf, where=cnt <= 0)
+    return out
 
 
-def _segment_costs(cum_n, cum_s, cum_q, lo, hi):
-    """Per row r, the `_start_costs` expression for the blocks lo[r, i]..hi[r, i]."""
-    tot = _at(cum_s, hi + 1) - _at(cum_s, lo)
-    sq = _at(cum_q, hi + 1) - _at(cum_q, lo)
-    return sq - (tot * tot) / (cum_n[hi + 1] - cum_n[lo])
+def _start_costs(cum_n, cum_s, cum_q, s, cmax, out):
+    """Per row r, the cost of the blocks s[r]..c, c = 0..cmax, and inf
+    where c < s[r], written into the (B, cmax+1) array `out`."""
+    ends = slice(1, cmax + 2)
+    sums = _sums_at(cum_n, cum_s, cum_q, s)
+    return _cost(*sums, cum_n[None, ends], cum_s[:, ends], cum_q[:, ends], out)
 
 
 def _upper_bound(cum_n, cum_s, cum_q, k, head, tail):
@@ -458,34 +458,30 @@ def _upper_bound(cum_n, cum_s, cum_q, k, head, tail):
     ends = np.concatenate((np.full((rows, 1), -1), np.full((rows, 1), m - 1)), axis=1)
     gain = scratch("_upper_bound.gain", (rows, m - 1))
     split = scratch("_upper_bound.split", (rows, m - 1))
+    whole = np.empty((rows, 1))
     for t in range(k):
         gain.fill(np.inf)
         for i in range(t + 1):
             # cutting the segment lo..hi at c leaves lo..c and c+1..hi
             lo, hi = ends[:, i, None] + 1, ends[:, i + 1, None]
+            start, stop = (_sums_at(cum_n, cum_s, cum_q, e) for e in (lo, hi + 1))
             left = head
             if i > 0:
-                left = split
-                _start_costs(cum_n, cum_s, cum_q, lo, m - 2, left)
+                left = _start_costs(cum_n, cum_s, cum_q, lo, m - 2, split)
             if i == t:
                 right = tail[:, after]
             else:
-                shape = split.shape
-                cnt = scratch(_CNT, shape, np.int64)
-                np.subtract(cum_n[hi + 1], cum_n[None, after], out=cnt)
-                tot = np.subtract(_at(cum_s, hi + 1), cum_s[:, after], out=scratch(_TOT, shape))
-                right = np.subtract(_at(cum_q, hi + 1), cum_q[:, after], out=scratch(_COST, shape))
-                tot *= tot
-                tot /= cnt
-                right -= tot
+                at_c = cum_n[None, after], cum_s[:, after], cum_q[:, after]
+                right = _cost(*at_c, *stop, scratch("_upper_bound.right", split.shape))
             np.add(left, right, out=split)
-            split -= _segment_costs(cum_n, cum_s, cum_q, lo, hi)
+            split -= _cost(*start, *stop, whole)
             # the cuts lo <= c < hi
             inside = np.greater_equal(c, lo, out=scratch("_upper_bound.inside", split.shape, bool))
             inside &= np.less(c, hi, out=scratch("_upper_bound.below", split.shape, bool))
             np.copyto(gain, split, where=inside)
         ends = np.sort(np.concatenate((ends, np.argmin(gain, axis=1)[:, None]), axis=1), axis=1)
-    cost = _segment_costs(cum_n, cum_s, cum_q, ends[:, :-1] + 1, ends[:, 1:])
+    starts, stops = (_sums_at(cum_n, cum_s, cum_q, e) for e in (ends[:, :-1] + 1, ends[:, 1:] + 1))
+    cost = _cost(*starts, *stops, np.empty((rows, k + 1)))
     total = cost[:, k]
     for j in range(k - 1, -1, -1):
         total = cost[:, j] + total
@@ -538,7 +534,7 @@ def _band(nxt, cmax, cum_n, cum_s, cum_q, budget):
     The first end is one binary search per dataset on the prefix minimum
     of nxt[c + 1].  For the last end every row is tested at first[s], and
     every live row then binary-searches its last column, each step one
-    (B, live rows) evaluation of the `_start_costs` expression.  The
+    (B, live rows) evaluation of `_cost`.  The
     predicate "some dataset keeps (s, c)" is monotone along a row only in
     exact arithmetic; the contract rests on the one column tested last."""
     rows, shape = nxt.shape[0], (nxt.shape[0], cmax + 1)
@@ -566,15 +562,11 @@ def _band(nxt, cmax, cum_n, cum_s, cum_q, budget):
         return base_s, base_q, cum_n[s], gather("_band.budget", budget, s)
 
     def keeps(c):
-        # per row s[i], whether some dataset keeps the pair (s[i], c[i])
-        tot = gather(_TOT, cum_s, c + 1)
-        tot -= base_s
-        cost = gather(_COST, cum_q, c + 1)
-        cost -= base_q
-        tot *= tot
-        tot /= cum_n[c + 1] - base_n
-        cost -= tot
-        cost += gather(_TOT, minima, cmax - c)
+        # per row s[i], whether some dataset keeps the pair (s[i], c[i]);
+        # the cost overwrites the sums of y², sufmin those of y
+        stop_s, stop_q = gather("_band.stop_s", cum_s, c + 1), gather("_band.stop_q", cum_q, c + 1)
+        cost = _cost(base_n, base_s, base_q, cum_n[c + 1], stop_s, stop_q, stop_q)
+        cost += gather("_band.stop_s", minima, cmax - c)
         return np.any(cost <= budget_s, axis=0)
 
     s = np.flatnonzero(first <= cmax)
@@ -596,16 +588,22 @@ def _band(nxt, cmax, cum_n, cum_s, cum_q, budget):
 
 @kernel
 def fit_rows(x, y, k):
-    """`fit_step` on every row of the (B, n) arrays x and y at once:
-    (tau, alpha, sigma_hat) as (B, k), (B, k+1) and (B, k+1) arrays, each
-    row bit-identical to the scalar fit of that row's dataset.  Rows share
-    one sort, centred prefix sums over single-observation blocks, `_cuts`
-    and `_levels_and_scales`; a row whose x repeats a value goes through
-    `fit_step` itself."""
+    """The least-squares k-jump fit of every row of the (B, n) arrays x and
+    y, by dynamic programming over prefix segment costs (`_cuts`):
+    (tau, alpha, sigma_hat) as (B, k), (B, k+1) and (B, k+1) arrays.  For
+    k >= 2 the sweep skips the pairs that a certified upper bound rules
+    out, which changes no breakpoint.  The rows whose x are all distinct
+    are one block over single observations; a row whose x repeats a value
+    is a block of its own over its runs of tied x, in stable order.  Every
+    block goes through `_prefix_sums`, `_cuts` and `_levels_and_scales`,
+    and a row's bits do not depend on the rows fitted with it.  k < 0 and
+    a row with fewer than k + 1 distinct x raise before anything is sized
+    by k."""
     k = int(k)
+    if k < 0:
+        raise ValueError("k must be nonnegative")
     rows, n = x.shape
-    # the flat index of each row's j-th smallest x; the temporary array
-    # holds it, then the centred y
+    # the flat index of each row's j-th smallest x
     tmp = scratch("fit_rows.tmp", (rows, n), np.intp)
     strip = max(1, _SORT_CELLS // n)
     for r in range(0, rows, strip):
@@ -613,36 +611,31 @@ def fit_rows(x, y, k):
         np.add(np.argsort(x[r : r + strip], axis=1), offsets, out=tmp[r : r + strip])
     xs = np.take(x, tmp, out=scratch("fit_rows.xs", (rows, n)), mode="clip")
     ys = np.take(y, tmp, out=scratch("fit_rows.ys", (rows, n)), mode="clip")
-    # on distinct x the permutation is unique, so any sort is the stable one
-    distinct = np.all(xs[:, 1:] != xs[:, :-1], axis=1) & (n > k)
+    new = np.not_equal(xs[:, 1:], xs[:, :-1], out=scratch("fit_rows.new", (rows, n - 1), bool))
+    runs = 1 + np.count_nonzero(new, axis=1)
+    few = np.flatnonzero(runs < k + 1)
+    if few.size:
+        raise TooFewDistinctXError(f"need at least {k + 1} distinct x values, have {runs[few[0]]}")
     tau = np.empty((rows, k))
     alpha = np.empty((rows, k + 1))
     sigma = np.empty((rows, k + 1))
-    for r in np.flatnonzero(~distinct):
-        fit = fit_step(Dataset(x[r], y[r]), k)
-        tau[r], alpha[r], sigma[r] = fit.tau, fit.alpha, fit.sigma_hat
-    fast = np.flatnonzero(distinct)
-    if not fast.size:
-        return tau, alpha, sigma
-    if fast.size < rows:
-        x, y, xs, ys = x[fast], y[fast], xs[fast], ys[fast]
-    # `_blocks`' centring and prefix sums, by row
-    yc = scratch("fit_rows.tmp", (fast.size, n))
-    np.copyto(yc, ys)
-    yc.partition(n // 2, axis=1)
-    cum_s = scratch("fit_rows.cum_s", (fast.size, n + 1))
-    cum_q = scratch("fit_rows.cum_q", (fast.size, n + 1))
-    cum_s[:, 0] = cum_q[:, 0] = 0.0
-    middle = yc[:, n // 2].copy()
-    with np.errstate(over="ignore"):
-        np.subtract(ys, middle[:, None], out=yc)
-        np.cumsum(yc, axis=1, out=cum_s[:, 1:])
-        yc *= yc
-        np.cumsum(yc, axis=1, out=cum_q[:, 1:])
-    _check_spread(n, cum_q[:, -1])
-    cuts = _cuts(np.arange(n + 1), cum_s, cum_q, k)
-    tau[fast] = _at(xs, cuts)
-    alpha[fast], sigma[fast], _ = _levels_and_scales(x, y, ys, tau[fast], cuts + 1)
+    # a row whose x repeats a value is a block of its own, in stable order;
+    # on distinct x the permutation is unique, so any sort is the stable one
+    tied = np.flatnonzero(runs < n)
+    blocks = []
+    for r in tied:
+        order = np.argsort(x[r], kind="stable")
+        xs[r], ys[r] = x[r, order], y[r, order]
+        blocks.append(([r], np.flatnonzero(np.append(True, new[r]))))
+    if tied.size < rows:
+        blocks.append((np.flatnonzero(runs == n) if tied.size else slice(None), None))
+    for b, starts in blocks:
+        x_b, y_b, ys_b = x[b], y[b], ys[b]
+        out = tuple(scratch(f"fit_rows.cum_{v}", (x_b.shape[0], n + 1)) for v in "sq")
+        vals, cum_n, cum_s, cum_q = _prefix_sums(xs[b], ys_b, starts, out)
+        cuts = _cuts(cum_n, cum_s, cum_q, k)
+        tau[b] = _at(vals, cuts)
+        alpha[b], sigma[b], _ = _levels_and_scales(x_b, y_b, ys_b, tau[b], cum_n[cuts + 1])
     return tau, alpha, sigma
 
 

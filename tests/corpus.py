@@ -186,12 +186,12 @@ def joint_membership(data, tau_ref, alpha_ref, scale, point):
     return in_window and hits(argmin_set(joint), point_union(point))
 
 
-def exhaustive_fit(data, k):
-    """Enumerates every admissible breakpoint subset; totals are folded from
-    the trailing segment so exact-equality comparison against the dynamic
-    program is meaningful; for the same reason y is centred at its middle
-    order statistic before the prefix sums, as in `fit_step`.  Returns
-    (total cost, breakpoints)."""
+def block_sums(data):
+    """(vals, cum_n, cum_s, cum_q): the distinct x of `data`, the count of
+    observations before each and after the last, and the prefix sums of y
+    and y² over them, in stable x order, with y centred at its middle
+    order statistic as in `stepfit._prefix_sums`, which builds the same
+    sums another way."""
     order = np.argsort(data.x, kind="stable")
     xs = data.x[order]
     ys = data.y[order]
@@ -200,6 +200,16 @@ def exhaustive_fit(data, k):
     cum_n = np.append(starts, xs.size).astype(np.int64)
     cum_s = np.concatenate(([0.0], np.cumsum(np.add.reduceat(ys, starts))))
     cum_q = np.concatenate(([0.0], np.cumsum(np.add.reduceat(ys * ys, starts))))
+    return vals, cum_n, cum_s, cum_q
+
+
+def exhaustive_fit(data, k):
+    """Enumerates every admissible breakpoint subset; totals are folded from
+    the trailing segment so exact-equality comparison against the dynamic
+    program is meaningful; for the same reason the costs come from
+    `block_sums`, the fit's prefix sums.  Returns (total cost,
+    breakpoints)."""
+    vals, cum_n, cum_s, cum_q = block_sums(data)
     m = vals.size
 
     def cost(i, j):
@@ -223,8 +233,8 @@ def exhaustive_fit(data, k):
 
 def cost_row(s, cum_n, cum_s, cum_q):
     """Within-segment squared deviation of blocks s..c for every c >= s,
-    from prefix sums: the expression of `stepfit._start_costs`, so its
-    costs are the fit's bit for bit."""
+    from prefix sums: the expression of `stepfit._cost`, so its costs are
+    the fit's bit for bit."""
     n = cum_n[s + 1 :] - cum_n[s]
     tot = cum_s[s + 1 :] - cum_s[s]
     sq = cum_q[s + 1 :] - cum_q[s]

@@ -98,8 +98,10 @@ class TestFit:
         assert "line 1" in capsys.readouterr().err
 
     def test_k_too_large(self, workdir):
-        code = run(["fit", "--data", str(workdir / "data.csv"), "--k", "9", "--out", str(workdir / "o")])
-        assert code == 3
+        # a k far beyond the data fails before anything is sized by k
+        for k in ("9", "1000000000000"):
+            out = str(workdir / f"o{k}")
+            assert run(["fit", "--data", str(workdir / "data.csv"), "--k", k, "--out", out]) == 3
 
     def test_malformed_row_names_line(self, workdir, capsys):
         (workdir / "bad.csv").write_text("x,y\n1.0,2.0\noops\n")
@@ -381,6 +383,9 @@ class TestConfigErrors:
             ("coverage", "coverage_n = 80", "coverage_n = 1", "coverage_n"),
             ("verify", "rho = 0.1", "rho = 0.1\ntail_grid =", "tail_grid"),
             ("verify", "n_grid = 40, 80", "n_grid = 0, 250", "n_grid"),
+            ("verify", "n_grid = 40, 80", "n_grid = 40, inf", "n_grid"),
+            ("coverage", "n_grid = 40, 80", "n_grid = nan, 80", "n_grid"),
+            ("verify", "n_grid = 40, 80", "n_grid = 2.5, 300", "n_grid"),
             ("verify", "rho = 0.1", "rho = 0.1\nmc_slack = nan", "mc_slack"),
             ("verify", "rho = 0.1", "rho = 0.1\nmc_slack = -1", "mc_slack"),
             ("verify", "rho = 0.1", "rho = 0.1\ntail_threshold = nan", "tail_threshold"),

@@ -14,7 +14,7 @@ from stepargmin.cpoisson import (
     sample_extreme_minimizers,
     samples_to_csv,
 )
-from stepargmin.stepfit import fit_rows
+from stepargmin.stepfit import Dataset, fit_rows, fit_step
 
 SEED = 20261019
 
@@ -65,6 +65,19 @@ FITS = {
     3: (12, 300, "a466836b9b896d5b30c53adb8784f64423a98621b64aaa5c9c0c72cf86d0b6b9"),
 }
 
+# (x tied, k): digest of fit_step's to_text(), which holds tau, alpha, sse,
+# segment_counts and sigma_hat
+STEP_FITS = {
+    (False, 0): "d21128e2b71975ded55bcbe5174a706f510a245889cae50264c029b49bd0ce88",
+    (False, 1): "66f4bde463723542b738fa52646713b7c0faf70e8bad4f20a4544c2724fe24d3",
+    (False, 2): "4b4bbc9faa97a49c97fe0323532373b5db2c3214bde73dcf6afb92f3500225c3",
+    (False, 3): "bd77017fa5633f5e400186655dec652b57f33294a069963d2afdbe36a0bb1c8d",
+    (True, 0): "c947bf0765a9775191697539feb099489cfe71c6bec4a5b4519e375ef0aa3719",
+    (True, 1): "bcb496236eca7667262147671c4f21ca061658d3d9db920b635ddcd7d05ce9a3",
+    (True, 2): "6f09a2a61a7f2ce9b5a6101f7e4f92a495c6c1ceebbb4bf086b81f2ba03894a4",
+    (True, 3): "bc4510bb7af8e0c4044c8ccc1fe75a847453669799686d813221274fe3e3f663",
+}
+
 
 @pytest.mark.parametrize("name", SAMPLES)
 def test_limit_samples(name):
@@ -74,8 +87,8 @@ def test_limit_samples(name):
 
 
 def _block(k, rows, n, seed):
-    # every fifth row has x rounded to two decimals, so tied x send those
-    # rows through fit_step
+    # every fifth row has x rounded to two decimals, so each of those rows
+    # is fitted as a block of its own over its runs of tied x
     rng = np.random.default_rng(seed)
     x = rng.random((rows, n))
     x[::5] = np.round(x[::5], 2)
@@ -90,3 +103,20 @@ def test_fit_rows(k):
     for a in fit_rows(*_block(k, rows, n, 100 + k), k):
         h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
     assert h.hexdigest() == digest
+
+
+def _dataset(tied):
+    # 300 observations of a two-jump step; tied x are rounded to two
+    # decimals, so most values repeat
+    rng = np.random.default_rng(SEED)
+    x = rng.random(300)
+    if tied:
+        x = np.round(x, 2)
+    steps = np.searchsorted([1.0 / 3.0, 2.0 / 3.0], x) % 2
+    return Dataset(x, steps + 0.25 * rng.standard_normal(300))
+
+
+@pytest.mark.parametrize("tied, k", STEP_FITS)
+def test_fit_step(tied, k):
+    text = fit_step(_dataset(tied), k).to_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == STEP_FITS[tied, k]

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from corpus import cost_row, exhaustive_fit, reference_cuts
+from corpus import block_sums, cost_row, exhaustive_fit, reference_cuts
 from stepargmin import stepfit
 from stepargmin.argmin import _argmin_cells, argmin_set
 from stepargmin.cpoisson import InvalidSpecError, JumpLaw
@@ -151,11 +151,21 @@ class TestFitStep:
         assert fit_step(d, 2) == fit_step(d, 2)
 
 
+def _prefix_sums(data):
+    # `stepfit._prefix_sums` of the dataset as one row in stable x order,
+    # over its runs of tied x
+    order = np.argsort(data.x, kind="stable")
+    xs, ys = data.x[order], data.y[order]
+    starts = np.flatnonzero(np.append(True, xs[1:] != xs[:-1]))
+    vals, cum_n, cum_s, cum_q = stepfit._prefix_sums(xs[None], ys[None], starts)
+    return vals[0], cum_n, cum_s[0], cum_q[0]
+
+
 def _last_layer_inputs(data):
     # arguments of the k=2 fit's one suffix layer: the trailing-segment
     # costs, the last admissible first breakpoint and the full band, every
     # row s from column s to cmax
-    vals, _, cum_n, cum_s, cum_q = stepfit._blocks(data)
+    vals, cum_n, cum_s, cum_q = _prefix_sums(data)
     m = vals.size
     tail_s = cum_s[m] - cum_s[:m]
     tail = (cum_q[m] - cum_q[:m]) - (tail_s * tail_s) / (cum_n[m] - cum_n[:m])
@@ -311,17 +321,20 @@ def _masked_mean(mask, values):
     return np.add.reduce(np.where(mask, values, 0.0)) / np.count_nonzero(mask)
 
 
-def assert_rows_match_fit_step(x, y, k):
+def assert_rows_match_reference(x, y, k):
     """fit_rows on the block (x, y) gives, row by row, the bits of
-    fit_step's tau, alpha and sigma_hat.  alpha is also the masked mean of
-    y per segment in the original order (and optimal_levels), sigma_hat
-    the two-pass masked variance over the x-sorted row; both lie within a
-    few rounding errors of np.mean and np.var per segment."""
+    fit_step's tau, alpha and sigma_hat.  tau is also the unpruned
+    reference program's on the row's own `block_sums`; alpha the masked
+    mean of y per segment in the original order (and optimal_levels),
+    sigma_hat the two-pass masked variance over the x-sorted row; both lie
+    within a few rounding errors of np.mean and np.var per segment."""
     tau, alpha, sigma = fit_rows(x, y, k)
     assert tau.shape == (x.shape[0], k) and alpha.shape == sigma.shape == (x.shape[0], k + 1)
     eps = np.finfo(float).eps
     for r in range(x.shape[0]):
         d = Dataset(x[r], y[r])
+        vals, cum_n, cum_s, cum_q = block_sums(d)
+        assert _bits(tau[r]) == _bits(vals[reference_cuts(cum_n, cum_s[None], cum_q[None], k)[0]])
         fit = fit_step(d, k)
         assert _bits(tau[r]) == _bits(fit.tau)
         assert _bits(alpha[r]) == _bits(fit.alpha)
@@ -331,6 +344,7 @@ def assert_rows_match_fit_step(x, y, k):
         assert _bits(fit.alpha) == _bits(levels)
         assert _bits(fit.alpha) == _bits(optimal_levels(d, fit.tau))
         ys = d.y[np.argsort(d.x, kind="stable")]
+        assert fit.segment_counts == tuple(np.bincount(seg, minlength=k + 1).tolist())
         edges = np.cumsum((0,) + fit.segment_counts)
         pos = np.arange(d.n)
         scales = []
@@ -358,7 +372,7 @@ class TestFitRows:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_synthesized_rows(self, n, rows, k):
         x, y = draw_rows(self.TWO_JUMPS, substream(1000 * n, rows), (rows, n))
-        assert_rows_match_fit_step(x, y, k)
+        assert_rows_match_reference(x, y, k)
 
     # the k>=2 layers swept with a leading axis of 12 datasets: chunks of
     # one row of every dataset, then of 4 and 17 rows at first
@@ -367,7 +381,7 @@ class TestFitRows:
         monkeypatch.setattr(stepfit, "_CHUNK_CELLS", cells)
         x, y = _stacked(self.TWO_JUMPS, 40, range(12))
         for k in (2, 3):
-            assert_rows_match_fit_step(x, y, k)
+            assert_rows_match_reference(x, y, k)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_integer_ties_in_y(self, k):
@@ -375,17 +389,36 @@ class TestFitRows:
         rng = np.random.default_rng(51)
         x = np.array([rng.permutation(40) for _ in range(30)], dtype=float)
         y = rng.integers(0, 3, size=x.shape).astype(float)
-        assert_rows_match_fit_step(x, y, k)
+        assert_rows_match_reference(x, y, k)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_repeated_x_row_falls_back(self, k, monkeypatch):
+        # the row whose x repeats is a block of its own over its 40 runs of
+        # tied x; the other three rows are one block of single observations
         x, y = _stacked(self.TWO_JUMPS, 50, [7, 8, 9, 10])
         x[2, :10] = x[2, 10:20]
-        scalar = []
-        fit = stepfit.fit_step
-        monkeypatch.setattr(stepfit, "fit_step", lambda d, k: scalar.append(d.n) or fit(d, k))
-        assert_rows_match_fit_step(x, y, k)
-        assert scalar == [50]
+        blocks = []
+        cuts = stepfit._cuts
+        monkeypatch.setattr(
+            stepfit, "_cuts", lambda n, s, q, k: blocks.append(s.shape) or cuts(n, s, q, k)
+        )
+        assert_rows_match_reference(x, y, k)
+        assert blocks[:2] == [(1, 41), (3, 51)]
+        tau = fit_rows(x[2:3], y[2:3], k)[0][0]
+        assert tuple(tau.tolist()) == exhaustive_fit(Dataset(x[2], y[2]), k)[1]
+
+    def test_prefix_sums_match_block_sums(self):
+        # the builder's sums over single observations (no starts) and over
+        # the runs of tied x are `block_sums`' bit for bit
+        x, y = _stacked(self.TWO_JUMPS, 50, [7, 8])
+        x[1, :10] = x[1, 10:20]
+        distinct = Dataset(x[0], y[0])
+        order = np.argsort(distinct.x)
+        got = stepfit._prefix_sums(distinct.x[order][None], distinct.y[order][None])
+        assert [_bits(a) for a in got] == [_bits(a) for a in block_sums(distinct)]
+        tied = Dataset(x[1], y[1])
+        assert [_bits(a) for a in _prefix_sums(tied)] == [_bits(a) for a in block_sums(tied)]
+        assert _prefix_sums(tied)[0].size == 40
 
     def test_too_few_distinct_x(self):
         with pytest.raises(TooFewDistinctXError):
@@ -534,9 +567,9 @@ class TestPrunedSweep:
 
 
 def _block_sums(x, y):
-    """`_cuts`' inputs for the rows of (x, y), each through `_blocks`; the
-    rows' x are permutations of one multiset, so they share cum_n."""
-    sums = [stepfit._blocks(Dataset(a, b))[2:] for a, b in zip(x, y)]
+    """`_cuts`' inputs for the rows of (x, y), each through `_prefix_sums`;
+    the rows' x are permutations of one multiset, so they share cum_n."""
+    sums = [_prefix_sums(Dataset(a, b))[1:] for a, b in zip(x, y)]
     cum_n = sums[0][0]
     assert all(np.array_equal(cn, cum_n) for cn, _, _ in sums)
     return cum_n, np.array([cs for _, cs, _ in sums]), np.array([cq for _, _, cq in sums])
