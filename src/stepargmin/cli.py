@@ -24,12 +24,12 @@ from stepargmin.cpoisson import (
 )
 from stepargmin.experiments import (
     coverage_experiment,
-    fit_table,
     parse_set_1d,
     parse_verification_config,
     product_form_check,
     tail_probability_table,
     verify_limit_bounds,
+    verify_tables,
 )
 from stepargmin.stepfit import (
     StepModel,
@@ -138,14 +138,14 @@ def _cmd_coverage(args):
 def _cmd_verify(args):
     config = _load_config(args)
     out = _start_run(args.out, "verify", args.config, config.master_seed, args.workers)
-    fits = fit_table(config, workers=args.workers)
-    inequalities = verify_limit_bounds(config, workers=args.workers, fits=fits)
+    tables = verify_tables(config, workers=args.workers)
+    inequalities = verify_limit_bounds(config, tables=tables)
     _write(out / "inequalities.csv", inequalities.to_csv())
-    tails = tail_probability_table(config, fits=fits)
+    tails = tail_probability_table(config, tables=tables)
     _write(out / "tails.csv", tails.to_csv())
     product_note = "product_form = skipped (k < 2)"
     if config.k >= 2:
-        product = product_form_check(config, fits=fits)
+        product = product_form_check(config, tables=tables)
         _write(out / "product_form.csv", product.to_csv())
         product_note = f"product_max_discrepancy = {product.max_discrepancy!r}"
     passed = inequalities.passed and tails.passed

@@ -74,26 +74,6 @@ class JumpLaw(Law):
             return p[0] + p[1]
         return float(np.mean(p))
 
-    def sample(self, rng, n, out=None):
-        """n draws, into the array `out` when given."""
-        p = self.params
-        out = np.empty(n) if out is None else out
-        if self.family == "point":
-            out.fill(p[0])
-        elif self.family == "two_point":
-            first = rng.random(n, out=out) < p[2]
-            out.fill(p[1])
-            np.copyto(out, p[0], where=first)
-        elif self.family == "empirical":
-            out[...] = rng.choice(np.asarray(p), size=n, replace=True)
-        else:
-            # p[0] + p[1] times a standard draw
-            draw = rng.standard_normal if self.family == "gaussian" else rng.standard_exponential
-            draw(n, out=out)
-            out *= p[1]
-            out += p[0]
-        return out
-
 
 def jump_law_from_token(token):
     return JumpLaw(*parse_law_token(token, InvalidSpecError))
@@ -103,17 +83,22 @@ def jump_law_from_token(token):
 class CompoundPoissonSpec:
     """Rates, jump laws, and the adaptive-window policy of a two-sided
     compound Poisson process.  Positive jump means force the trajectory
-    upward on both sides, so the argmin set is almost surely compact."""
+    upward on both sides, so the argmin set is almost surely compact.
+    window_initial defaults to min(8, max_window).  A side whose rate and
+    max_window would draw more than _MAX_GAPS gaps per row is rejected, so
+    a block's arrays stay bounded."""
 
     rate_right: float
     rate_left: float
     jump_right: JumpLaw
     jump_left: JumpLaw
-    window_initial: float = 8.0
+    window_initial: float = None
     window_growth: float = 2.0
     max_window: float = 64.0
 
     def __post_init__(self):
+        if self.window_initial is None:
+            object.__setattr__(self, "window_initial", min(8.0, self.max_window))
         for name in ("rate_right", "rate_left", "window_initial", "window_growth", "max_window"):
             if not math.isfinite(getattr(self, name)):
                 raise InvalidSpecError(f"{name} must be finite")
@@ -121,12 +106,23 @@ class CompoundPoissonSpec:
             raise InvalidSpecError("rates must be strictly positive")
         if self.jump_right.mean() <= 0 or self.jump_left.mean() <= 0:
             raise InvalidSpecError("jump laws must have strictly positive mean")
+        if self.max_window <= 0:
+            raise InvalidSpecError("max_window must be positive")
         if self.window_initial <= 0:
             raise InvalidSpecError("window_initial must be positive")
         if self.window_growth <= 1:
             raise InvalidSpecError("window_growth must exceed 1")
         if self.max_window < self.window_initial:
             raise InvalidSpecError("max_window must be at least window_initial")
+        for side in ("right", "left"):
+            rate = getattr(self, f"rate_{side}")
+            # a product that overflows has no count, and is above the cap
+            gaps = _gap_count(rate, self.max_window) if rate * self.max_window < INF else INF
+            if gaps > _MAX_GAPS:
+                raise InvalidSpecError(
+                    f"the {side} side would draw {gaps} gaps per row for rate_{side} = "
+                    f"{rate!r} and max_window = {self.max_window!r}, above the cap of {_MAX_GAPS}"
+                )
 
     def to_text(self):
         lines = [
@@ -171,9 +167,14 @@ class FunctionalEstimate:
     replications: int
 
 
+def _binom_se(p, n):
+    """Standard error sqrt(p(1 - p) / n) of a frequency p over n trials."""
+    return math.sqrt(max(p * (1.0 - p), 0.0) / n)
+
+
 def _proportion(flags, n):
     value = float(np.sum(flags)) / n
-    return FunctionalEstimate(value, math.sqrt(value * (1.0 - value) / n), n)
+    return FunctionalEstimate(value, _binom_se(value, n), n)
 
 
 # --- block simulation kernel ----------------------------------------------
@@ -184,6 +185,10 @@ def _proportion(flags, n):
 # replications are split between workers.
 
 _BLOCK = 64
+
+# gaps per row and side that a spec may ask for: a 64-row block's cell
+# edges then stay near 17 MB
+_MAX_GAPS = 2**14
 
 
 def _gap_count(rate, horizon):

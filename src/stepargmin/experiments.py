@@ -27,6 +27,7 @@ from stepargmin.argmin import (
 )
 from stepargmin.cpoisson import (
     OutOfDomainError,
+    _binom_se,
     _limit_job,
     _predicate_worker,
     _redraw_rule,
@@ -267,28 +268,6 @@ def _deviations(model, k, n, rows):
     return xi, aux, sigmas
 
 
-def _fit_arrays(model, k, n, master, tag, reps, workers):
-    rows = run_chunks([_fit_job(model, k, n, master, tag, reps)], workers)[0]
-    return _deviations(model, k, n, rows)
-
-
-def _data_fits(config, n, workers):
-    return _fit_arrays(
-        config.model, config.k, n, config.master_seed, _TAG_DATA, config.replications_data, workers
-    )
-
-
-def fit_table(config, workers=1):
-    """{n: (xi, aux, sigmas)} for every n in the grid: rescaled deviations
-    and plug-in level scales of the data fits, one row per replication.
-    Passed as `fits=` to the verify harnesses, it lets a run fit each
-    dataset once.  All of the grid's fits run in one `run_chunks` call."""
-    model, k, reps = config.model, config.k, config.replications_data
-    jobs = [_fit_job(model, k, n, config.master_seed, _TAG_DATA, reps) for n in config.n_grid]
-    rows = run_chunks(jobs, workers)
-    return {n: _deviations(model, k, n, r) for n, r in zip(config.n_grid, rows)}
-
-
 def _margins(st, xi, aux):
     """Per replication flags of menu row `st`: one array per breakpoint j
     (xi[:, j] in the j-th set), then one for the aux box (every scaled level
@@ -300,10 +279,6 @@ def _margins(st, xi, aux):
     for i, (lo, hi) in enumerate(st.aux or ()):
         in_box &= (aux[:, i] >= lo) & (aux[:, i] <= hi)
     return margins + [in_box]
-
-
-def _binom_se(p, n):
-    return math.sqrt(max(p * (1.0 - p), 0.0) / n)
 
 
 def _product_with_se(means, reps):
@@ -397,24 +372,32 @@ def _limit_jobs(config, menu):
     ]
 
 
-def _limit_functionals(config, workers):
-    """Per breakpoint j: a (menu rows, replications) flag array.  Row m says
-    per replication whether the limit argmin set hits (closed row) or lies
-    inside (open row) the j-th set of menu row m; one replication stream
-    serves the whole menu.  Boundary redraws above 1% of the replications
-    raise TooManyRedrawsError.  Every j runs in one `run_chunks` call."""
-    cols = run_chunks(_limit_jobs(config, config.menu), workers)
-    return [_redraw_rule(c)[:, 3:].T.astype(bool) for c in cols]
+def verify_tables(config, workers=1):
+    """(fits, rhs) of a verify run, from one `run_chunks` call whose jobs
+    are the data fits of every n, then the k limit jobs or, under
+    empirical-bootstrap, the one fit at bootstrap_n.
 
-
-def _bootstrap_functionals(config, workers):
-    """The same flag arrays from the empirical law of the rescaled
-    deviations at a much larger sample size."""
-    reps = config.replications_limit
-    xi, _, _ = _fit_arrays(
-        config.model, config.k, config.bootstrap_n, config.master_seed, _TAG_BOOT, reps, workers
-    )
-    return [
+    fits is {n: (xi, aux, sigmas)}: rescaled deviations and plug-in level
+    scales, one row per replication.  rhs holds per breakpoint j a (menu
+    rows, replications) flag array: whether the limit argmin set (or the
+    bootstrap deviation) hits the j-th set of a closed row, or lies inside
+    that of an open row.  Boundary redraws above 1% of the replications
+    raise TooManyRedrawsError."""
+    model, k, master = config.model, config.k, config.master_seed
+    jobs = [_fit_job(model, k, n, master, _TAG_DATA, config.replications_data) for n in config.n_grid]
+    derived = config.rhs_mode == "derived"
+    if derived:
+        jobs += _limit_jobs(config, config.menu)
+    else:
+        boot_n = config.bootstrap_n
+        jobs.append(_fit_job(model, k, boot_n, master, _TAG_BOOT, config.replications_limit))
+    rows = run_chunks(jobs, workers)
+    fits = {n: _deviations(model, k, n, r) for n, r in zip(config.n_grid, rows)}
+    rest = rows[len(fits) :]
+    if derived:
+        return fits, [_redraw_rule(c)[:, 3:].T.astype(bool) for c in rest]
+    xi = _deviations(model, k, boot_n, rest[0])[0]
+    return fits, [
         np.array([IntervalRows.from_points(x).meets(st.kind, st.sets[j]) for st in config.menu])
         for j, x in enumerate(xi.T)
     ]
@@ -427,22 +410,17 @@ def _sigmas_for(config, fit_sigmas_at_largest):
     return tuple(float(v) for v in np.mean(fit_sigmas_at_largest, axis=0))
 
 
-def verify_limit_bounds(config, workers=1, *, fits=None):
+def verify_limit_bounds(config, workers=1, *, tables=None):
     """Empirical check that hitting/containment functionals of the limit
     argmin sets bound the deviation probabilities of the fitted breakpoints:
     closed-set rows must not exceed the capacity side, open-set rows must
     not fall below the containment side, judged at the largest sample size
-    with a standard-error slack.  `fits` is the run's `fit_table`, built
-    here when omitted."""
+    with a standard-error slack.  `tables` is the run's `verify_tables`,
+    built here when omitted."""
     reps = config.replications_data
-    if fits is None:
-        fits = fit_table(config, workers)
+    fits, limit_flags = tables or verify_tables(config, workers)
     n_max = max(config.n_grid)
     sigmas = _sigmas_for(config, fits[n_max][2])
-    if config.rhs_mode == "derived":
-        limit_flags = _limit_functionals(config, workers)
-    else:
-        limit_flags = _bootstrap_functionals(config, workers)
 
     rows = []
     violations = 0
@@ -486,12 +464,11 @@ class TailTable:
         return "\n".join(lines) + "\n"
 
 
-def tail_probability_table(config, workers=1, *, fits=None):
+def tail_probability_table(config, workers=1, *, tables=None):
     """Empirical survival probabilities of the sup-norm of the rescaled
-    breakpoint deviations over the configured threshold grid.  `fits` is
-    the run's `fit_table`, built here when omitted."""
-    if fits is None:
-        fits = fit_table(config, workers)
+    breakpoint deviations over the configured threshold grid.  `tables`
+    is the run's `verify_tables`, built here when omitted."""
+    fits, _ = tables or verify_tables(config, workers)
     rows = []
     verdicts = []
     for n in config.n_grid:
@@ -537,16 +514,17 @@ class ProductFormTable:
         return "\n".join(lines) + "\n"
 
 
-def product_form_check(config, workers=1, *, fits=None):
+def product_form_check(config, workers=1, *, tables=None):
     """Joint probability versus the product of its marginals at the largest
     sample size, over the configured set menu; the same replication set
-    feeds both sides.  `fits` is the run's `fit_table`; when omitted, only
-    the largest sample size is fitted."""
+    feeds both sides.  `tables` is the run's `verify_tables`, built here
+    when omitted."""
     if config.k < 2:
         raise ConfigError("product-form check needs k >= 2")
     reps = config.replications_data
     n = max(config.n_grid)
-    xi, aux, _ = fits[n] if fits is not None else _data_fits(config, n, workers)
+    fits, _ = tables or verify_tables(config, workers)
+    xi, aux, _ = fits[n]
     rows = []
     for st in config.menu:
         margins = _margins(st, xi, aux)

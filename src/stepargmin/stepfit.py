@@ -725,20 +725,6 @@ class XLaw(Law):
         else:
             raise InvalidSpecError(f"unknown covariate family {self.family!r}")
 
-    def sample(self, rng, n, out=None):
-        """n draws, into the array `out` when given."""
-        if self.family == "uniform":
-            lo, hi = self.params
-            u = rng.random(n, out=out)
-            u *= hi - lo
-            u += lo
-            return u
-        mean, sd = self.params
-        z = rng.standard_normal(n, out=out)
-        z *= sd
-        z += mean
-        return z
-
     def density(self, x):
         if self.family == "uniform":
             lo, hi = self.params
@@ -784,19 +770,6 @@ class NoiseLaw(Law):
             return self.params[1] ** 2
         v1, v2, p = self.params
         return p * v1 * v1 + (1.0 - p) * v2 * v2
-
-    def sample(self, rng, n, out=None):
-        """n draws, into the array `out` when given."""
-        if self.family == "gaussian":
-            z = rng.standard_normal(n, out=out)
-            z *= self.params[1]
-            return z
-        v1, v2, p = self.params
-        u = rng.random(n, out=out)
-        first = u < p
-        u.fill(v2)
-        np.copyto(u, v1, where=first)
-        return u
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,16 @@
 """Text formats shared by the spec files and the experiment configs: files
 of `key = value` lines, comma lists of numbers, and tokens
 'family(p1, p2, ...)' for jump, covariate and noise laws and polynomial
-segments.  Each parser raises the error class its caller passes in."""
+segments.  Each parser raises the error class its caller passes in.
+`Law.sample` draws every family of the jump, covariate and noise laws, so
+laws of one family and parameters draw alike from equal generators."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 
 class InvalidSpecError(ValueError):
@@ -52,6 +56,31 @@ class Law:
         if not all(math.isfinite(p) for p in params):
             raise InvalidSpecError(f"{self.family} law parameters must be finite")
         object.__setattr__(self, "params", params)
+
+    def sample(self, rng, n, out=None):
+        """n draws, into the array `out` when given.  two_point(v1, v2, p)
+        is v1 where a uniform falls below p; gaussian, shifted_exp and
+        uniform scale a standard draw, then shift it."""
+        p = self.params
+        out = np.empty(n) if out is None else out
+        if self.family == "point":
+            out.fill(p[0])
+        elif self.family == "two_point":
+            first = rng.random(n, out=out) < p[2]
+            out.fill(p[1])
+            np.copyto(out, p[0], where=first)
+        elif self.family == "empirical":
+            out[...] = rng.choice(np.asarray(p), size=n, replace=True)
+        else:
+            draw, scale, shift = {
+                "gaussian": (rng.standard_normal, p[1], p[0]),
+                "shifted_exp": (rng.standard_exponential, p[1], p[0]),
+                "uniform": (rng.random, p[1] - p[0], p[0]),
+            }[self.family]
+            draw(n, out=out)
+            out *= scale
+            out += shift
+        return out
 
     def to_token(self):
         return f"{self.family}({', '.join(repr(v) for v in self.params)})"

@@ -161,6 +161,37 @@ class TestSimulateLimit:
         assert code == 2
         assert named in capsys.readouterr().err
 
+    def test_window_initial_defaults_below_max_window(self, workdir):
+        # an unset window_initial follows a max_window below 8
+        text = SPEC_TEXT.replace("window_initial = 8.0\n", "").replace("= 64.0", "= 4.0")
+        (workdir / "small.txt").write_text(text)
+        out = workdir / "o"
+        code = run(
+            ["simulate-limit", "--spec", str(workdir / "small.txt"), "--reps", "5",
+             "--seed", "1", "--out", str(out)]
+        )
+        assert code == 0
+        assert len((out / "samples.csv").read_text().splitlines()) == 6
+
+    @pytest.mark.parametrize(
+        "old, new, named",
+        [
+            ("= 64.0", "= 4.0", "max_window must be at least window_initial"),
+            # the default window_initial follows max_window; the message
+            # names the key that was written
+            ("window_initial = 8.0\nwindow_growth = 2.0\nmax_window = 64.0",
+             "max_window = -5", "max_window must be positive"),
+        ],
+    )
+    def test_bad_window_exit_2(self, workdir, capsys, old, new, named):
+        (workdir / "bad_spec.txt").write_text(SPEC_TEXT.replace(old, new))
+        code = run(
+            ["simulate-limit", "--spec", str(workdir / "bad_spec.txt"), "--reps", "5",
+             "--seed", "1", "--out", str(workdir / "o")]
+        )
+        assert code == 2
+        assert named in capsys.readouterr().err
+
 
 class TestCapacity:
     def test_prints_estimate(self, workdir, capsys):
@@ -223,6 +254,9 @@ class TestNonFiniteSpec:
              "gaussian law parameters must be finite"),
             ("jump_left = point(1.0)", "jump_left = two_point(nan, 1, 0.5)",
              "two_point law parameters must be finite"),
+            # a block of this spec's arrays would take about 900 PiB
+            ("max_window = 64.0", "max_window = 1e15",
+             "the right side would draw 1000000126491111 gaps per row"),
         ],
     )
     @pytest.mark.parametrize(
@@ -408,6 +442,17 @@ class TestConfigErrors:
         assert code == 2
         assert named in capsys.readouterr().err
         assert not out.exists()
+
+    # noise of sd 20 around a unit jump derives a limit whose window asks
+    # for 25 600 arrivals per side and row
+    @pytest.mark.parametrize("command", ["verify", "coverage"])
+    def test_derived_spec_above_gap_cap_exit_2(self, workdir, capsys, command):
+        (workdir / "wide.cfg").write_text(CONFIG_TEXT.replace("gaussian(0, 0.25)", "gaussian(0, 20)"))
+        out = workdir / "out_wide"
+        code = run([command, "--config", str(workdir / "wide.cfg"), "--out", str(out)])
+        assert code == 2
+        assert "the right side would draw 26244 gaps per row" in capsys.readouterr().err
+        assert not (out / "DONE").exists()
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from corpus import joint_membership
-from stepargmin import experiments, rng
+from stepargmin import cli, experiments, rng
 from stepargmin.argmin import INF, Box, BoxUnion, OpenBox, OpenBoxUnion, argmin_set
 from stepargmin.cpoisson import OutOfDomainError
 from stepargmin.experiments import (
@@ -18,7 +18,6 @@ from stepargmin.experiments import (
     alpha_limit_sigmas,
     build_rectangle,
     coverage_experiment,
-    fit_table,
     gamma_of,
     membership_report,
     parse_verification_config,
@@ -26,6 +25,7 @@ from stepargmin.experiments import (
     rectangle_columns,
     tail_probability_table,
     verify_limit_bounds,
+    verify_tables,
 )
 from stepargmin.rng import run_chunks, substream
 from stepargmin.stepfit import (
@@ -256,21 +256,34 @@ class TestVerifyOracle:
             bootstrap_n=160,
         )
 
+    @staticmethod
+    def _oracle_deviations(cfg, n, tag, reps):
+        """xi and aux of `reps` fits at n on the data-side path (tag, n),
+        from the block fit job alone."""
+        k, model = cfg.k, cfg.model
+        rows = run_chunks([experiments._fit_job(model, k, n, cfg.master_seed, tag, reps)], 1)[0]
+        xi = n * (rows[:, :k] - np.asarray(model.true_tau))
+        aux = math.sqrt(n) * (rows[:, k : 2 * k + 1] - np.asarray(model.true_alpha))
+        return xi, aux
+
     def test_lhs_and_bootstrap_rhs_match_oracle(self):
         cfg = self._cfg()
-        fits = fit_table(cfg)
-        boot_xi, _, _ = experiments._fit_arrays(
-            cfg.model, 2, cfg.bootstrap_n, cfg.master_seed, experiments._TAG_BOOT, 1000, 1
+        fits = {
+            n: self._oracle_deviations(cfg, n, experiments._TAG_DATA, cfg.replications_data)
+            for n in cfg.n_grid
+        }
+        boot_xi, _ = self._oracle_deviations(
+            cfg, cfg.bootstrap_n, experiments._TAG_BOOT, cfg.replications_limit
         )
         sigmas = alpha_limit_sigmas(cfg.model)
-        bootstrap = verify_limit_bounds(cfg, fits=fits)
-        derived = verify_limit_bounds(dataclasses.replace(cfg, rhs_mode="derived"), fits=fits)
+        bootstrap = verify_limit_bounds(cfg)
+        derived = verify_limit_bounds(dataclasses.replace(cfg, rhs_mode="derived"))
         menu = cfg.closed_sets + cfg.open_sets
         assert [(r.n, r.kind, r.name) for r in bootstrap.rows] == [
             (n, st.kind, st.name) for n in cfg.n_grid for st in menu
         ]
         for row, st in zip(bootstrap.rows, menu * len(cfg.n_grid)):
-            xi, aux, _ = fits[row.n]
+            xi, aux = fits[row.n]
             assert row.lhs == _oracle_frequency(st, xi, aux)
             rhs = 1.0
             for j, union in enumerate(st.sets):
@@ -392,6 +405,22 @@ def pool_sizes(monkeypatch):
     return sizes
 
 
+VERIFY_TEXT = """\
+master_seed = 4242
+k = 1
+n_grid = 40, 80
+replications_data = 1000
+replications_limit = 1000
+rho = 0.1
+model.tau = 0.5
+model.alpha = 0, 1
+model.x_law = uniform(0, 1)
+model.noise = gaussian(0, 0.25)
+set closed lower = [-inf,0]
+set open win4 = (-4,4)
+"""
+
+
 class TestOnePoolPerRun:
     """A run whose sides each have several blocks starts one pool for all
     of them: 1000 limit replications are 16 blocks, and every data side
@@ -404,20 +433,35 @@ class TestOnePoolPerRun:
         assert pool_sizes == [2]
         assert report == coverage_experiment(cfg, workers=1)
 
-    def test_fit_table(self, pool_sizes):
-        cfg = k1_config()
-        table = fit_table(cfg, workers=2)
+    @pytest.mark.parametrize("make", [k1_config, k2_config])
+    @pytest.mark.parametrize("mode", ["derived", "empirical-bootstrap"])
+    def test_verify_tables(self, pool_sizes, make, mode):
+        cfg = make(rhs_mode=mode, bootstrap_n=200)
+        fits, rhs = verify_tables(cfg, workers=2)
         assert pool_sizes == [2]
-        for n, arrays in fit_table(cfg, workers=1).items():
-            assert all(np.array_equal(a, b) for a, b in zip(arrays, table[n]))
-
-    def test_limit_functionals(self, pool_sizes):
-        cfg = k2_config()
-        flags = experiments._limit_functionals(cfg, 2)
-        assert pool_sizes == [2]
-        assert len(flags) == 2
-        for got, one in zip(flags, experiments._limit_functionals(cfg, 1)):
+        one_fits, one_rhs = verify_tables(cfg, workers=1)
+        assert list(fits) == list(one_fits) == list(cfg.n_grid)
+        for n, arrays in one_fits.items():
+            assert [a.shape for a in arrays] == [(1000, cfg.k), (1000, cfg.k + 1), (1000, cfg.k + 1)]
+            assert all(np.array_equal(a, b) for a, b in zip(arrays, fits[n]))
+        assert len(rhs) == len(one_rhs) == cfg.k
+        for got, one in zip(rhs, one_rhs):
+            assert got.dtype == bool and got.shape == (len(cfg.menu), cfg.replications_limit)
             assert np.array_equal(got, one)
+
+    @pytest.mark.parametrize("mode", ["", "rhs_mode = empirical-bootstrap\nbootstrap_n = 160\n"])
+    def test_verify(self, pool_sizes, tmp_path, mode):
+        (tmp_path / "cfg.txt").write_text(VERIFY_TEXT + mode)
+        runs = []
+        for workers in ("2", "1"):
+            out = tmp_path / f"w{workers}"
+            argv = ["verify", "--config", str(tmp_path / "cfg.txt"), "--out", str(out)]
+            code = cli.run(argv + ["--workers", workers])
+            reports = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.txt"}
+            runs.append((code, reports))
+        assert pool_sizes == [2]
+        assert "inequalities.csv" in runs[0][1]
+        assert runs[0] == runs[1]
 
 
 class TestFitBlocks:

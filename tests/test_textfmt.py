@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from stepargmin.cpoisson import JumpLaw
@@ -25,6 +26,27 @@ EVERY_FAMILY = [
 @pytest.mark.parametrize("law", EVERY_FAMILY, ids=lambda law: f"{type(law).__name__}-{law.family}")
 def test_token_roundtrip(law):
     assert type(law)(*parse_law_token(law.to_token(), ValueError)) == law
+
+
+@pytest.mark.parametrize(
+    "family, params, classes",
+    [
+        ("gaussian", (0.0, 0.7), (JumpLaw, XLaw, NoiseLaw)),
+        ("two_point", (-1.5, 3.0, 2.0 / 3.0), (JumpLaw, NoiseLaw)),
+    ],
+)
+@pytest.mark.parametrize("shape", [5, (3, 4)])
+def test_one_draw_per_family(family, params, classes, shape):
+    # jump, covariate and noise laws share Law.sample: equal generators give
+    # equal bits, into `out` or into a fresh array
+    draws = []
+    for cls in classes:
+        law = cls(family, params)
+        draws.append(law.sample(np.random.default_rng(11), shape).tobytes())
+        out = np.empty(shape)
+        assert law.sample(np.random.default_rng(11), shape, out=out) is out
+        draws.append(out.tobytes())
+    assert len(set(draws)) == 1
 
 
 class TestLawToken:
