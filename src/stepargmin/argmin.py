@@ -268,10 +268,15 @@ def _argmin_cells(edges, values):
     spans [edges[j], edges[j + 1])."""
     lo_edges, hi_edges = edges[:, :-1], edges[:, 1:]
     masked = scratch("_argmin_cells.masked", values.shape)
+    empty = scratch("_argmin_cells.empty", values.shape, bool)
     np.copyto(masked, values)
     # cells of no width take no part
-    np.putmask(masked, lo_edges >= hi_edges, INF)
-    row, col = np.nonzero(masked == masked.min(axis=1, keepdims=True))
+    np.greater_equal(lo_edges, hi_edges, out=empty)
+    np.copyto(masked, INF, where=empty)
+    # flat indices run in row order, as np.nonzero's pairs do, and come
+    # several times faster on a wide block
+    minimal = np.flatnonzero(masked == masked.min(axis=1, keepdims=True))
+    row, col = np.divmod(minimal, values.shape[1])
     lo = lo_edges[row, col]
     hi = hi_edges[row, col]
     first = np.ones(row.size, dtype=bool)

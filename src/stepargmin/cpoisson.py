@@ -11,6 +11,7 @@ compact intervals.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
@@ -74,6 +75,73 @@ class JumpLaw(Law):
             return p[0] + p[1]
         return float(np.mean(p))
 
+    @functools.cached_property
+    def lundberg(self):
+        """The Lundberg exponent: the root R > 0 of E[exp(-R J)] = 1.
+
+        It is inf for a law with no mass below 0, 2 mean / sd^2 for a
+        gaussian, and otherwise found by bisection and rounded down, so
+        E[exp(-R J)] <= 1 holds at the R returned.  It reads 0 for a law of
+        nonpositive mean, which has no such root, and where the root
+        underflows (below 2**-200 for the bisection)."""
+        p = self.params
+        if self.family == "gaussian" and p[1] > 0:
+            return max(2.0 * p[0] / p[1] / p[1], 0.0)
+        if self.family in ("two_point", "empirical"):
+            atoms, weights = _atoms(self)
+            negative = bool(np.any(atoms[weights > 0] < 0))
+        else:
+            # point(c), gaussian(c, 0) and shifted_exp(c, scale) reach down to c
+            negative = p[0] < 0
+        if not negative:
+            return INF
+        if self.mean() <= 0:
+            return 0.0
+        return _lundberg_root(functools.partial(_log_laplace, self))
+
+
+def _atoms(law):
+    """Values and probabilities of a two_point or empirical law."""
+    p = law.params
+    if law.family == "two_point":
+        return np.array(p[:2]), np.array([p[2], 1.0 - p[2]])
+    return np.array(p), np.full(len(p), 1.0 / len(p))
+
+
+def _log_laplace(law, r):
+    """log E[exp(-r J)] of a shifted_exp, two_point or empirical law."""
+    p = law.params
+    if law.family == "shifted_exp":
+        return -r * p[0] - math.log1p(r * p[1])
+    atoms, weights = _atoms(law)
+    keep = weights > 0
+    exponents = np.log(weights[keep]) - r * atoms[keep]
+    top = float(exponents.max())
+    return top + math.log(float(np.exp(exponents - top).sum()))
+
+
+def _lundberg_root(log_laplace):
+    """The positive root of a convex log_laplace that is 0 at 0 and
+    negative just above it: doubling, then bisection to the last bit, and
+    the lower end rounded down by a relative 1e-9.  0 when the root lies
+    below 2**-200, the largest finite bound tried when above 2**1000."""
+    lo, hi = 0.0, 1.0
+    for _ in range(1000):
+        if log_laplace(hi) > 0:
+            break
+        lo, hi = hi, 2.0 * hi
+    else:
+        return lo
+    for _ in range(1200):
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi) or hi < 2.0**-200:
+            break
+        if log_laplace(mid) > 0:
+            hi = mid
+        else:
+            lo = mid
+    return lo * (1.0 - 1e-9)
+
 
 def jump_law_from_token(token):
     return JumpLaw(*parse_law_token(token, InvalidSpecError))
@@ -86,7 +154,13 @@ class CompoundPoissonSpec:
     upward on both sides, so the argmin set is almost surely compact.
     window_initial defaults to min(8, max_window).  A side whose rate and
     max_window would draw more than _MAX_GAPS gaps per row is rejected, so
-    a block's arrays stay bounded."""
+    a block's arrays stay bounded.
+
+    Every block draws all arrivals of [-max_window, max_window], but a
+    side's argmin cells are taken over its certified prefix (`_arrivals`),
+    which agrees with the whole window except on an event of probability
+    at most _EPSILON = 1e-12 per row and side, fixed and not a spec key;
+    jump laws too close to driftless take the whole window."""
 
     rate_right: float
     rate_left: float
@@ -190,6 +264,15 @@ _BLOCK = 64
 # edges then stay near 17 MB
 _MAX_GAPS = 2**14
 
+# each side of a row is scanned until the chance that the arrivals not
+# scanned change its argmin set is at most _EPSILON (see _arrivals)
+_EPSILON = 1e-12
+_HEIGHT = math.log(1.0 / _EPSILON)
+# a side's first prefix spans _FIRST times the arrivals that a drift of
+# E[J] takes to climb _HEIGHT / R; it grows _GROWTH-fold
+_FIRST = 3
+_GROWTH = 4
+
 
 def _gap_count(rate, horizon):
     """Gaps drawn per row and side before any top-up: the mean arrival count
@@ -198,33 +281,90 @@ def _gap_count(rate, horizon):
     return math.ceil(mean + 4.0 * math.sqrt(mean)) + 4
 
 
-def _arrivals(rng, rate, law, horizon, times, sums):
-    """Arrival times and running jump sums of one side, written into the
-    (rows, width) arrays times and sums and returned.
+def _arrivals(rng, rate, law, horizon, times, sums, whole):
+    """Arrival times and running jump sums of one side, drawn into the
+    (rows, width) arrays times and sums and returned as their first c
+    columns; arrival times beyond the horizon read +inf.
 
-    While some row's last arrival does not pass the horizon, every row is
-    topped up from the same generator, and the times and sums are returned
-    as new, wider arrays instead; arrival times beyond the horizon read
-    +inf."""
+    c is the certified prefix: every row has an arrival past the horizon
+    among its first c, or a running sum S_c above min(0, S_1, ..., S_c)
+    by more than _HEIGHT / R, R being the law's Lundberg exponent.  By the
+    Lundberg inequality, the sums after S_c of such a row fall back to
+    that minimum with probability at most _EPSILON, so the columns from c
+    on hold no cell of its argmin set.  c starts at 1 + _FIRST _HEIGHT /
+    (R E[J]), which is 1 for jumps that are never negative, and grows
+    _GROWTH-fold until every row is certified.  The running sums of a
+    longer prefix continue those of the shorter one bit for bit, so the c
+    columns are those of the whole window.  Both cases are cut after the
+    first column that is past the horizon in every row.
+
+    The whole window, c = width, is taken when `whole` is set, when that
+    first c would exceed half the width, and when some row's last arrival
+    may not pass the horizon.  In that last case every row is topped up
+    from the same generator while some row's last arrival does not pass
+    the horizon, and the times and sums are returned as new, wider arrays
+    instead.  Every case draws the same gaps, jumps and top-ups."""
     rows, width = times.shape
     gaps = rng.standard_exponential(out=scratch("_arrivals.gaps", times.shape))
-    np.cumsum(gaps, axis=1, out=times)
-    times /= rate
-    jumps = law.sample(rng, (rows, width), out=gaps)
-    while np.any(times[:, -1] <= horizon):
-        more = np.cumsum(rng.standard_exponential((rows, width)), axis=1) / rate
-        times = np.hstack([times, times[:, -1:] + more])
-        jumps = np.hstack([jumps, law.sample(rng, (rows, width))])
-    times[times > horizon] = INF
-    return times, np.cumsum(jumps, axis=1, out=sums if jumps is gaps else None)
+    height = _HEIGHT / law.lundberg if law.lundberg > 0 else INF
+    first = 1.0 + _FIRST * height / law.mean()
+    # the half-width rule keeps nearly driftless laws, whose R is swamped by
+    # rounding, on the whole window; a row's pairwise sum of gaps is off
+    # from cumsum's sequential one by far less than the margin
+    if (
+        whole
+        or 2.0 * first > width
+        or not np.all(np.add.reduce(gaps, axis=1) > rate * horizon * (1.0 + 1e-9))
+    ):
+        np.cumsum(gaps, axis=1, out=times)
+        times /= rate
+        jumps = law.sample(rng, (rows, width), out=gaps)
+        while np.any(times[:, -1] <= horizon):
+            more = np.cumsum(rng.standard_exponential((rows, width)), axis=1) / rate
+            times = np.hstack([times, times[:, -1:] + more])
+            jumps = np.hstack([jumps, law.sample(rng, (rows, width))])
+        stop = _cut(times, horizon)
+        sums = sums[:, :stop] if jumps is gaps else None
+        return times[:, :stop], np.cumsum(jumps[:, :stop], axis=1, out=sums)
+    jumps = law.sample(rng, (rows, width), out=scratch("_arrivals.jumps", times.shape))
+    done, stop = 0, math.ceil(first)
+    while True:
+        # in place, continuing from the last column summed
+        run = slice(max(done - 1, 0), stop)
+        np.cumsum(gaps[:, run], axis=1, out=gaps[:, run])
+        np.cumsum(jumps[:, run], axis=1, out=jumps[:, run])
+        rise = jumps[:, stop - 1] - np.minimum(jumps[:, :stop].min(axis=1), 0.0)
+        if stop == width or np.all((rise > height) | (gaps[:, stop - 1] / rate > horizon)):
+            break
+        done, stop = stop, min(width, _GROWTH * stop)
+    times = np.divide(gaps[:, :stop], rate, out=times[:, :stop])
+    stop = _cut(times, horizon)
+    np.copyto(sums[:, :stop], jumps[:, :stop])
+    return times[:, :stop], sums[:, :stop]
+
+
+def _cut(times, horizon):
+    """Sets the arrival times beyond the horizon to +inf.  Returns the
+    number of columns up to the first that is past the horizon in every
+    row, from which on all cells have no width, or all columns."""
+    past = times > horizon
+    times[past] = INF
+    every = past.all(axis=0)
+    return int(np.argmax(every)) + 1 if every[-1] else times.shape[1]
 
 
 @kernel
-def _draw_block(spec, rng, rows, reduce):
-    """reduce(edges, values) of ``rows`` trajectories on [-max_window,
-    max_window], as cell edges (rows, n + 2) and cell values (rows, n + 1);
-    cell j of a row spans [edges[j], edges[j + 1]).  The two arrays are
-    scratch, which the next block reuses, so reduce must not keep them.
+def _draw_block(spec, rng, rows, reduce, whole=False):
+    """reduce(edges, values) of ``rows`` trajectories as cell edges
+    (rows, n + 2) and cell values (rows, n + 1); cell j of a row spans
+    [edges[j], edges[j + 1]).  The two arrays are scratch, which the next
+    block reuses, so reduce must not keep them.
+
+    Each side holds its certified prefix of arrivals (`_arrivals`): the
+    argmin cells of a row are those of the whole window [-max_window,
+    max_window], except on an event of probability at most _EPSILON per
+    row and side.  With `whole` set, both sides hold the whole window.
+    Either way the block draws the same numbers from rng.
 
     Left cells hold the partial sums of jumps strictly beyond the cell, the
     center cell spanning zero holds 0, right cells the running sums.  Cells
@@ -236,25 +376,40 @@ def _draw_block(spec, rng, rows, reduce):
     values = scratch("_draw_block.values", (rows, n_left + n_right + 1))
     # each side lands in its place unless it is topped up; the left side's
     # arrivals run outwards from the origin, so into reversed views
-    right = _arrivals(
-        rng, spec.rate_right, spec.jump_right, w, edges[:, n_left + 1 : -1], values[:, n_left + 1 :]
+    t_right, s_right = _arrivals(
+        rng,
+        spec.rate_right,
+        spec.jump_right,
+        w,
+        edges[:, n_left + 1 : -1],
+        values[:, n_left + 1 :],
+        whole,
     )
-    left = _arrivals(
-        rng, spec.rate_left, spec.jump_left, w, edges[:, n_left:0:-1], values[:, n_left - 1 :: -1]
+    t_left, s_left = _arrivals(
+        rng,
+        spec.rate_left,
+        spec.jump_left,
+        w,
+        edges[:, n_left:0:-1],
+        values[:, n_left - 1 :: -1],
+        whole,
     )
-    if right[0].shape[1] != n_right or left[0].shape[1] != n_left:
-        (t_right, c_right), (t_left, c_left) = right, left
-        n_left = t_left.shape[1]
-        edges = np.empty((rows, n_left + t_right.shape[1] + 2))
-        edges[:, 1 : n_left + 1] = t_left[:, ::-1]
-        edges[:, n_left + 1 : -1] = t_right
+    c_left, c_right = t_left.shape[1], t_right.shape[1]
+    if c_left <= n_left and c_right <= n_right:
+        # the two prefixes are the columns next to the center cell
+        edges = edges[:, n_left - c_left : n_left + c_right + 2]
+        values = values[:, n_left - c_left : n_left + c_right + 1]
+        np.negative(edges[:, 1 : c_left + 1], out=edges[:, 1 : c_left + 1])
+    else:
+        edges = np.empty((rows, c_left + c_right + 2))
+        edges[:, 1 : c_left + 1] = -t_left[:, ::-1]
+        edges[:, c_left + 1 : -1] = t_right
         values = np.empty((rows, edges.shape[1] - 1))
-        values[:, :n_left] = c_left[:, ::-1]
-        values[:, n_left + 1 :] = c_right
+        values[:, :c_left] = s_left[:, ::-1]
+        values[:, c_left + 1 :] = s_right
     edges[:, 0] = -INF
-    np.negative(edges[:, 1 : n_left + 1], out=edges[:, 1 : n_left + 1])
     edges[:, -1] = INF
-    values[:, n_left] = 0.0
+    values[:, c_left] = 0.0
     return reduce(edges, values)
 
 
@@ -269,7 +424,9 @@ def _build_trajectory(spec, seed):
     """Full-horizon trajectory on [-max_window, max_window] as breakpoint
     and value arrays: the one-row case of the block kernel.  Pure in
     (spec, seed)."""
-    return _draw_block(spec, substream(seed), 1, lambda e, v: _row_function(e[0], v[0]))
+    return _draw_block(
+        spec, substream(seed), 1, lambda e, v: _row_function(e[0], v[0]), whole=True
+    )
 
 
 def _window_grid(spec):
@@ -317,12 +474,14 @@ _MAX_ATTEMPTS = 10_000
 
 def _draw_accepted(spec, master_seed, rep):
     """Redraws a boundary replication from fresh one-row streams, attempt 1
-    onward (attempt 0 is its row in its block); returns (argmin BoxUnion,
-    redraw count)."""
+    onward (attempt 0 is its row in its block); returns the lower and upper
+    ends of the accepted argmin set's intervals and the redraw count."""
+    w = spec.max_window
     for attempt in range(1, _MAX_ATTEMPTS):
-        _, a, boundary = _simulate(spec, child_seed(master_seed, rep, attempt))
-        if not boundary:
-            return a, attempt
+        rng = substream(child_seed(master_seed, rep, attempt))
+        _, lo, hi = _draw_block(spec, rng, 1, _argmin_cells)
+        if -w < lo[0] and hi[-1] < w:
+            return lo, hi, attempt
     raise TooManyRedrawsError(f"replication {rep} exhausted {_MAX_ATTEMPTS} attempts")
 
 
@@ -340,24 +499,26 @@ def _predicate_worker(args, b, count):
     w = spec.max_window
     row, a, z = _draw_block(spec, substream(seed, b), _BLOCK, _argmin_cells)
     block = IntervalRows.from_cells(row, a, z)
+    smallest, largest = block.smallest(), block.largest()
     redraws = np.zeros(_BLOCK, dtype=np.int64)
-    boundary = np.flatnonzero((block.smallest() <= -w) | (block.largest() >= w))
+    boundary = np.flatnonzero((smallest <= -w) | (largest >= w))
     boundary = boundary[boundary < count]
     if boundary.size:
         keep = ~np.isin(row, boundary)
         reps, los, his = [row[keep]], [a[keep]], [z[keep]]
         for r in boundary.tolist():
-            union, redraws[r] = _draw_accepted(spec, seed, b * _BLOCK + r)
-            reps.append(np.full(len(union.boxes), r))
-            los.append([box.lo[0] for box in union.boxes])
-            his.append([box.hi[0] for box in union.boxes])
+            lo, hi, redraws[r] = _draw_accepted(spec, seed, b * _BLOCK + r)
+            reps.append(np.full(lo.size, r))
+            los.append(lo)
+            his.append(hi)
         rep = np.concatenate(reps)
         order = np.argsort(rep, kind="stable")
         block = IntervalRows.from_cells(
             rep[order], np.concatenate(los)[order], np.concatenate(his)[order]
         )
+        smallest, largest = block.smallest(), block.largest()
     flags = [block.meets(kind, union) for kind, union in menu]
-    return np.column_stack([block.smallest(), block.largest(), redraws, *flags])[:count]
+    return np.column_stack([smallest, largest, redraws, *flags])[:count]
 
 
 # the benchmark tracer wraps this name

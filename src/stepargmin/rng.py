@@ -8,12 +8,18 @@ blocks of ``experiments._fit_block``.  It takes every independent job of a
 run at once, so a run starts at most one process pool, and each pool task
 sends back its blocks as one array.  A path always yields the same stream
 no matter which worker runs it, so results are independent of worker count.
+
+``ProcessPoolExecutor`` is a lazy module attribute: ``concurrent.futures``
+and ``multiprocessing`` are imported when a pool first starts, not with the
+package.  ``run_chunks`` reads the attribute off the module, so a class
+set in its place (``monkeypatch.setattr``, a counting subclass) is the one
+that runs.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
+import sys
 
 import numpy as np
 
@@ -33,6 +39,14 @@ def child_seed(master, *path):
     """64-bit integer seed derived from (master, *path)."""
     seq = np.random.SeedSequence(_entropy(master, path))
     return int(seq.generate_state(1, np.uint64)[0])
+
+
+def __getattr__(name):
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _run_blocks(worker, args, first, counts):
@@ -66,7 +80,7 @@ def run_chunks(jobs, workers):
     pool_size = min(workers, sum(len(counts) for *_, counts in plans), os.cpu_count() or 1)
     if pool_size <= 1:
         return [_run_blocks(worker, args, 0, counts) for worker, args, counts in plans]
-    with ProcessPoolExecutor(max_workers=pool_size) as pool:
+    with sys.modules[__name__].ProcessPoolExecutor(max_workers=pool_size) as pool:
         tasks = []
         for worker, args, counts in plans:
             size = -(-len(counts) // (4 * workers))

@@ -1,11 +1,13 @@
 import dataclasses
+import functools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from corpus import oracle_argmin
 
-from stepargmin import cpoisson
+from stepargmin import cpoisson, experiments, stepfit
 from stepargmin.argmin import (
     INF,
     Box,
@@ -24,6 +26,7 @@ from stepargmin.argmin import (
 )
 from stepargmin.cpoisson import (
     _BLOCK,
+    _HEIGHT,
     _draw_block,
     _row_function,
     CompoundPoissonSpec,
@@ -81,6 +84,71 @@ class TestJumpLaws:
     def test_token_roundtrip(self):
         law = JumpLaw("two_point", (1.5, -0.5, 0.25))
         assert jump_law_from_token(law.to_token()) == law
+
+
+def laplace(law, r):
+    """E[exp(-r J)], summed atom by atom or in closed form."""
+    p = law.params
+    if law.family == "two_point":
+        return p[2] * math.exp(-r * p[0]) + (1.0 - p[2]) * math.exp(-r * p[1])
+    if law.family == "shifted_exp":
+        return math.exp(-r * p[0]) / (1.0 + r * p[1])
+    return math.fsum(math.exp(-r * v) for v in p) / len(p)
+
+
+class TestLundberg:
+    def test_gaussian_closed_form(self):
+        assert JumpLaw("gaussian", (1.0, 0.5)).lundberg == 8.0
+        assert JumpLaw("gaussian", (0.3, 2.0)).lundberg == 2.0 * 0.3 / 4.0
+
+    @pytest.mark.parametrize(
+        "law",
+        [
+            JumpLaw("two_point", (-3.0, 5.0, 0.5)),
+            JumpLaw("two_point", (-1.0, 1.02, 0.5)),
+            JumpLaw("two_point", (4.0, -1e-3, 0.999)),
+            JumpLaw("shifted_exp", (-0.5, 1.5)),
+            JumpLaw("shifted_exp", (-2.0, 40.0)),
+            JumpLaw("empirical", (-1.0, 1.0, 1.0, 2.0)),
+            JumpLaw("empirical", (-7.0, 0.0, 3.0, 3.0, 3.0)),
+        ],
+    )
+    def test_root_rounded_down(self, law):
+        r = law.lundberg
+        assert 0.0 < r < INF
+        assert laplace(law, r) <= 1.0
+        assert laplace(law, r * (1.0 + 1e-6)) > 1.0
+
+    @pytest.mark.parametrize(
+        "law, negative",
+        [
+            (JumpLaw("point", (1.0,)), False),
+            (JumpLaw("point", (0.0,)), False),
+            (JumpLaw("point", (-1.0,)), True),
+            (JumpLaw("gaussian", (1.0, 0.0)), False),
+            (JumpLaw("gaussian", (1.0, 0.5)), True),
+            (JumpLaw("two_point", (-3.0, 5.0, 0.5)), True),
+            (JumpLaw("two_point", (5.0, -3.0, 0.5)), True),
+            (JumpLaw("two_point", (-3.0, 5.0, 0.0)), False),
+            (JumpLaw("two_point", (5.0, -3.0, 1.0)), False),
+            (JumpLaw("two_point", (0.0, 2.0, 0.5)), False),
+            (JumpLaw("shifted_exp", (0.0, 1.0)), False),
+            (JumpLaw("shifted_exp", (-0.1, 1.0)), True),
+            (JumpLaw("empirical", (0.0, 1.0)), False),
+            (JumpLaw("empirical", (-1.0, 1.0, 1.0, 2.0)), True),
+        ],
+    )
+    def test_infinite_exactly_without_negative_support(self, law, negative):
+        assert (law.lundberg == INF) is not negative
+
+    def test_nonpositive_mean_has_no_root(self):
+        for law in (
+            JumpLaw("point", (-1.0,)),
+            JumpLaw("gaussian", (-1.0, 1.0)),
+            JumpLaw("two_point", (-1.0, 1.0, 0.5)),
+            JumpLaw("empirical", (-2.0, 1.0)),
+        ):
+            assert law.lundberg == 0.0
 
 
 class TestSpec:
@@ -279,9 +347,11 @@ class TestFunctionalEstimates:
     def test_worker_count_invariance(self):
         spec = unit_spec(jump_right=JumpLaw("gaussian", (1.0, 0.5)))
         e = BoxUnion(1, (Box((-1.0,), (1.0,)),))
-        # several blocks, the last one partial, and boundary redraws
+        # several blocks, the last one partial, and boundary redraws; the
+        # point and derived gaussian specs take certified prefixes
         redrawn = unit_spec(jump_right=NEGATIVE_SUPPORT, jump_left=NEGATIVE_SUPPORT)
-        one = samples_to_csv(sample_extreme_minimizers(redrawn, 1077, 21, workers=1))
+        several = (redrawn, unit_spec(), derived_specs()[0])
+        one = [samples_to_csv(sample_extreme_minimizers(s, 1077, 21, workers=1)) for s in several]
         # 3 workers cut the blocks into other tasks than 2, on any pool size
         for workers in (2, 3):
             assert estimate_capacity(spec, e, 300, 13, workers=1) == estimate_capacity(
@@ -291,17 +361,28 @@ class TestFunctionalEstimates:
                 sample_extreme_minimizers(spec, 200, 13, workers=1),
                 sample_extreme_minimizers(spec, 200, 13, workers=workers),
             )
-            many = samples_to_csv(sample_extreme_minimizers(redrawn, 1077, 21, workers=workers))
-            assert one.encode() == many.encode()
+            for s, text in zip(several, one):
+                many = samples_to_csv(sample_extreme_minimizers(s, 1077, 21, workers=workers))
+                assert text.encode() == many.encode()
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_short_run_is_prefix_of_long_run(self, workers):
-        # at seed 38, replication 2 of block 0 is a boundary row and redrawn
-        spec = unit_spec(jump_right=NEGATIVE_SUPPORT, jump_left=NEGATIVE_SUPPORT)
+    @pytest.mark.parametrize(
+        "workers, law",
+        [pytest.param(w, "two_point", id=str(w)) for w in (1, 2)]
+        + [pytest.param(w, law, id=f"{law}-{w}") for law in ("point", "derived") for w in (1, 2)],
+    )
+    def test_short_run_is_prefix_of_long_run(self, workers, law):
+        # at seed 38, replication 2 of block 0 is a two_point boundary row
+        # and redrawn; the point and derived gaussian specs take certified
+        # prefixes
+        spec = {
+            "two_point": unit_spec(jump_right=NEGATIVE_SUPPORT, jump_left=NEGATIVE_SUPPORT),
+            "point": unit_spec(),
+            "derived": derived_specs()[0],
+        }[law]
         args = (spec, 38, (("closed", closed((-1.0, 1.0))),))
         worker = cpoisson._predicate_worker
         short, long = run_chunks([(worker, args, 11, _BLOCK), (worker, args, 40, _BLOCK)], workers)
-        assert short.shape == (11, 4) and short[:, 2].sum() > 0
+        assert short.shape == (11, 4) and bool(short[:, 2].sum()) == (law == "two_point")
         assert short.tobytes() == long[:11].tobytes()
 
 
@@ -423,6 +504,127 @@ class TestBlockKernel:
         row, lo, hi = _argmin_cells(edges, values)
         assert list(zip(lo.tolist(), hi.tolist())) == [(-1.0, 1.0)]
         assert_rows_exact(edges, values)
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def derived_specs():
+    """The limit specs that the reference configs derive, one per jump."""
+    specs = []
+    for path in sorted(CONFIGS.glob("*.cfg")):
+        model = experiments.parse_verification_config(path.read_text()).model
+        specs.extend(stepfit.derive_limit_spec(model, j) for j in range(1, model.k + 1))
+    return specs
+
+
+def uncertified(spec, edges, values):
+    """Per row of a block, whether some side's running sums never rise more
+    than _HEIGHT / R above their running minimum at an arrival inside
+    max_window: the rows that reach max_window uncertified."""
+    c_left = int(np.count_nonzero(edges[0] < 0.0)) - 1
+    sides = (
+        (spec.jump_right, edges[:, c_left + 1 : -1], values[:, c_left + 1 :]),
+        (spec.jump_left, -edges[:, c_left:0:-1], values[:, c_left - 1 :: -1]),
+    )
+    out = np.zeros(edges.shape[0], dtype=bool)
+    for law, times, sums in sides:
+        low = np.minimum.accumulate(np.minimum(sums, 0.0), axis=1)
+        risen = (sums - low > _HEIGHT / law.lundberg) & (times <= spec.max_window)
+        out |= ~risen.any(axis=1)
+    return out
+
+
+# each law with whether its sides take a certified prefix rather than the
+# whole window
+PREFIX_LAWS = (
+    (JumpLaw("point", (1.0,)), True),
+    (JumpLaw("gaussian", (1.0, 0.5)), True),
+    (JumpLaw("shifted_exp", (-0.5, 1.5)), True),
+    (JumpLaw("empirical", (-1.0, 2.0, 2.0, 3.0)), True),
+    (JumpLaw("empirical", (0.0, 1.0)), True),
+    (JumpLaw("two_point", (-1.0, 3.0, 0.25)), True),
+    (NEGATIVE_SUPPORT, False),
+)
+
+
+class TestCertifiedPrefix:
+    @pytest.mark.parametrize(
+        "law, prefix", PREFIX_LAWS, ids=[law.to_token() for law, _ in PREFIX_LAWS]
+    )
+    def test_cells_are_whole_window_cells(self, law, prefix):
+        # 1563 blocks of 64 rows, 100 032 rows: their argmin cells through
+        # the certified prefix equal those through the whole window
+        spec = unit_spec(jump_right=law, jump_left=law)
+        widths = []
+
+        def cells(edges, values):
+            widths.append(edges.shape[1])
+            return _argmin_cells(edges, values)
+
+        for b in range(1563):
+            certified = _draw_block(spec, substream(8, b), _BLOCK, cells)
+            whole = _draw_block(spec, substream(8, b), _BLOCK, cells, whole=True)
+            assert all(np.array_equal(c, w) for c, w in zip(certified, whole)), b
+        certified, whole = np.array(widths[::2]), np.array(widths[1::2])
+        assert np.all(certified <= whole)
+        cut = int(np.count_nonzero(certified < whole))
+        assert cut > 1400 if prefix else cut == 0
+
+    @pytest.mark.parametrize(
+        "law", [JumpLaw("gaussian", (1e-320, 1e10)), JumpLaw("two_point", (-1.0, 1.0 + 1e-14, 0.5))]
+    )
+    def test_nearly_driftless_laws_take_the_whole_window(self, law):
+        # R reads 0 for the first and carries rounding error for the second
+        spec = unit_spec(jump_right=law, jump_left=law)
+
+        def cells(edges, values):
+            return edges.copy(), values.copy()
+
+        for b in range(4):
+            certified = _draw_block(spec, substream(8, b), _BLOCK, cells)
+            whole = _draw_block(spec, substream(8, b), _BLOCK, cells, whole=True)
+            assert all(np.array_equal(c, w) for c, w in zip(certified, whole))
+
+    def test_point_jumps_take_one_arrival(self):
+        widths = []
+        for b in range(20):
+            _draw_block(unit_spec(), substream(3, b), _BLOCK, lambda e, v: widths.append(v.shape))
+        assert widths == [(_BLOCK, 3)] * 20
+
+    def test_top_up_beside_a_prefix(self, monkeypatch):
+        # two gaps per row on the right side force its top-up; the left side
+        # is certified after a few arrivals, and the two are joined
+        gap_count = cpoisson._gap_count
+        monkeypatch.setattr(
+            cpoisson, "_gap_count", lambda rate, w: 2 if rate == 5.0 else gap_count(rate, w)
+        )
+        spec = unit_spec(rate_right=5.0, jump_left=JumpLaw("gaussian", (1.0, 0.5)))
+        for b in range(8):
+            shapes = []
+
+            def cells(edges, values):
+                shapes.append(edges.shape[1])
+                return assert_rows_exact(edges, values)
+
+            prefix = _draw_block(spec, substream(9, b), _BLOCK, cells)
+            whole = _draw_block(spec, substream(9, b), _BLOCK, cells, whole=True)
+            assert prefix == whole
+            assert shapes[0] < shapes[1]
+
+    def test_derived_specs_certify_inside_max_window(self):
+        specs = derived_specs()
+        assert len(specs) == 4
+        for spec in specs:
+            flags = functools.partial(uncertified, spec)
+            for b in range(1000):
+                assert not _draw_block(spec, substream(12, b), _BLOCK, flags).any()
+
+    def test_two_point_rows_reach_max_window_uncertified(self):
+        spec = unit_spec(jump_right=NEGATIVE_SUPPORT, jump_left=NEGATIVE_SUPPORT)
+        flags = functools.partial(uncertified, spec)
+        for b in range(10):
+            assert _draw_block(spec, substream(12, b), _BLOCK, flags).all()
 
 
 class TestIntervalRows:

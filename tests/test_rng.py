@@ -1,4 +1,7 @@
+import subprocess
+import sys
 from concurrent.futures import Future
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -182,3 +185,16 @@ class TestRunChunks:
     def test_failure_without_fake_pool(self, workers):
         with pytest.raises(Boom, match="^block 2 failed$"):
             rng.run_chunks([(_tagged, 0, 10, 4), (_raising, 2, 10, 1)], workers)
+
+
+def test_import_leaves_process_pools_unloaded():
+    # the pool class is imported when a pool first starts, not with the CLI
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import stepargmin.cli; "
+        "print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))"
+    )
+    src = str(Path(rng.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code, src], capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "[]"
