@@ -10,9 +10,9 @@ value.  All comparisons are exact; no tolerances enter set membership.
 
 from __future__ import annotations
 
+import functools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -250,10 +250,6 @@ class OpenBoxUnion:
         return any(b.contains_point(point) for b in self.boxes)
 
 
-def open_union(dim, boxes):
-    return OpenBoxUnion(dim, tuple(boxes))
-
-
 # --- 1-D interval rows ------------------------------------------------------
 #
 # One kernel answers every 1-D set question: the argmin sets of many step
@@ -353,16 +349,35 @@ def _prenormalized_union(dim, boxes):
     return union
 
 
+# (function, argmin set) of the last build: one tuple, read once, so a
+# thread race can only cost a rebuild.  Functions and unions are immutable,
+# so a kept set stays the answer
+_last = (None, None)
+
+
 def argmin_set(f):
     """Exact argmin set as a normalized BoxUnion.
 
     The result is the union of the closures of all cells attaining the
     infimum; closures enter because a boundary point reaches the minimal
     cell through one of its quadrant limits.  It can be unbounded, e.g. the
-    whole space for a constant function.
+    whole space for a constant function.  A call on the function object of
+    the previous call returns the previous set itself; any other call
+    builds a new one, so a pass over many functions builds every set again
+    on the next pass.
     """
+    global _last
     if not isinstance(f, GridFunction):
         raise TypeError("argmin_set expects a GridFunction")
+    last_f, last_set = _last
+    if f is last_f:
+        return last_set
+    a = _build_argmin_set(f)
+    _last = (f, a)
+    return a
+
+
+def _build_argmin_set(f):
     if f.dim == 1:
         # the kernel's intervals are disjoint and increasing: canonical form
         edges = np.concatenate(([-INF], f.axes[0], [INF]))
@@ -380,12 +395,33 @@ def argmin_set(f):
     return _prenormalized_union(f.dim, boxes)
 
 
+def _kept(union, name, build):
+    # the extreme `name` of the union, built on first use and then kept in
+    # the instance dict, which the dataclass's eq and repr never read; a
+    # raised error is not kept
+    kept = vars(union)
+    if name not in kept:
+        kept[name] = build(union)
+    return kept[name]
+
+
 def sargmin(union):
     """Lexicographically smallest point: filter boxes coordinate by
-    coordinate, keeping those that reach the running minimum."""
+    coordinate, keeping those that reach the running minimum.  Computed
+    once per union and kept on it."""
+    return _kept(union, "sargmin", _smallest)
+
+
+def largmin(union):
+    """Lexicographically largest point (mirror image of sargmin), computed
+    once per union and kept on it."""
+    return _kept(union, "largmin", _largest)
+
+
+def _smallest(union):
     if union.is_empty:
         raise EmptySetError("sargmin of an empty set")
-    boxes = list(union.boxes)
+    boxes = union.boxes
     coords = []
     for i in range(union.dim):
         m = min(b.lo[i] for b in boxes)
@@ -396,11 +432,10 @@ def sargmin(union):
     return tuple(coords)
 
 
-def largmin(union):
-    """Lexicographically largest point (mirror image of sargmin)."""
+def _largest(union):
     if union.is_empty:
         raise EmptySetError("largmin of an empty set")
-    boxes = list(union.boxes)
+    boxes = union.boxes
     coords = []
     for i in range(union.dim):
         m = max(b.hi[i] for b in boxes)
@@ -456,6 +491,16 @@ def closed_complement(g):
     return BoxUnion(dim, tuple(current))
 
 
+@functools.cache
+def _corner_signs(dim):
+    # the (2,) * dim inclusion-exclusion signs: -1 per lower coordinate
+    sign = np.ones((), dtype=np.int64)
+    for _ in range(dim):
+        sign = np.multiply.outer(sign, [-1, 1])
+    sign.flags.writeable = False
+    return sign
+
+
 def contained_in_open(a, g):
     """True iff the closed union lies inside the open union.
 
@@ -490,19 +535,26 @@ def contained_in_open(a, g):
     for i in range(dim):
         table.cumsum(axis=i, out=table)
     # a closed box meets the atoms from the one holding its lower corner to
-    # the one holding its upper corner; x lies in atom left + right
-    ends = np.array([b.lo + b.hi for b in a.boxes])
-    bounds = []
-    for i, c in enumerate(cuts):
-        c, x = np.array(c), ends[:, i::dim]
-        index = c.searchsorted(x) + c.searchsorted(x, "right")
-        bounds.append((index[:, 0], index[:, 1] + 1))
-    # inclusion-exclusion over the 2**dim corners counts the uncovered
-    # atoms each box meets; the counts are >= 0, so a sum of 0 means none
-    met = 0
-    for upper in product((0, 1), repeat=dim):
-        corner = tuple(b[u] for b, u in zip(bounds, upper))
-        met += (-1) ** (dim - sum(upper)) * table[corner].sum()
+    # the one holding its upper corner; x lies in atom left + right.
+    # Inclusion-exclusion over the 2**dim corners counts the uncovered atoms
+    # each box meets, in one gather from the flat table: corner axis i of
+    # `flat` takes the box's lower (0) or upper (1) atom on axis i.  The
+    # counts are >= 0, so a sum of 0 means none
+    steps = [s // table.itemsize for s in table.strides]
+    offsets = np.array(
+        [
+            [
+                ((bisect_left(c, l) + bisect_right(c, l)) * step,
+                 (bisect_left(c, h) + bisect_right(c, h) + 1) * step)
+                for c, step, l, h in zip(cuts, steps, b.lo, b.hi)
+            ]
+            for b in a.boxes
+        ]
+    )
+    flat = 0
+    for i in range(dim):
+        flat = flat + offsets[:, i].reshape((-1,) + (1,) * i + (2,) + (1,) * (dim - 1 - i))
+    met = (table.ravel()[flat] * _corner_signs(dim)).sum()
     return not met
 
 
@@ -527,6 +579,10 @@ def orthant_checks(f, x):
     not be the coordinatewise ones.  Both orthants are single boxes, so A
     hits (-inf, x] iff some box of A has lo <= x, and lies inside
     (-inf, x) iff every box has hi < x, coordinatewise.
+
+    Calls on the same f at several points, one after another, share one
+    A from `argmin_set`'s slot and the extremes kept on it, so each call
+    after the first costs only the orthant tests.
     """
     a = argmin_set(f)
     if a.is_empty or not a.bounded:

@@ -87,20 +87,6 @@ def _inside(lo, hi, closed, v):
     return np.where(closed, (lo <= v) & (v <= hi), (lo < v) & (v < hi))
 
 
-@dataclass(frozen=True)
-class RectInterval:
-    lo: float
-    hi: float
-    closed: bool
-
-    def contains(self, v):
-        return bool(_inside(self.lo, self.hi, self.closed, v))
-
-    @property
-    def width(self):
-        return self.hi - self.lo
-
-
 def rectangle_columns(tau, alpha, n, bounds_tau, u, v):
     """Confidence rectangles of B fits, by column: open intervals
     (tau_j - b_j/n, tau_j - a_j/n) per breakpoint, closed intervals
@@ -122,16 +108,6 @@ def rectangle_columns(tau, alpha, n, bounds_tau, u, v):
     lo = np.hstack((tau - b / n, alpha - v / root))
     hi = np.hstack((tau - a / n, alpha - u / root))
     return lo, hi, np.arange(2 * k + 1) >= k
-
-
-def build_rectangle(fit, n, bounds_tau, bounds_alpha):
-    """`rectangle_columns` for one fit, with its level bounds (u_i, v_i)
-    in `bounds_alpha`, as a list of intervals."""
-    u, v = np.array(bounds_alpha, dtype=float).reshape(-1, 2).T[:, None]
-    lo, hi, closed = rectangle_columns(
-        np.array([fit.tau], dtype=float), np.array([fit.alpha], dtype=float), n, bounds_tau, u, v
-    )
-    return [RectInterval(float(a), float(b), bool(c)) for a, b, c in zip(lo[0], hi[0], closed)]
 
 
 @dataclass(frozen=True)

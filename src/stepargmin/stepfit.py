@@ -956,10 +956,3 @@ def dataset_from_csv(text):
     if len(xs) < 2:
         raise DatasetFormatError("need at least two data rows", line=len(lines))
     return Dataset(xs, ys)
-
-
-def dataset_to_csv(data):
-    lines = ["x,y"]
-    for xv, yv in zip(data.x, data.y):
-        lines.append(f"{float(xv)!r},{float(yv)!r}")
-    return "\n".join(lines) + "\n"

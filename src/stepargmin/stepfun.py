@@ -52,10 +52,6 @@ class QuadrantSpec:
     def dim(self):
         return len(self.relations)
 
-    @classmethod
-    def all_ge(cls, dim):
-        return cls((GE,) * dim)
-
 
 def all_quadrants(dim):
     """All 2^dim quadrant specs in a fixed order."""

@@ -8,15 +8,19 @@ program with every suffix layer swept over its whole triangle, the float
 arithmetic that the pruned `stepfit._cuts` must reproduce bit for bit.
 `joint_membership` answers the membership question on the local
 landscape's k-D grid, where the library checks one section at a time.
+The small builders at the end (`all_ge`, `build_rectangle`,
+`dataset_to_csv`) are conveniences that only the tests call.
 """
 
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
 from stepargmin import stepfit
 from stepargmin.argmin import INF, Box, BoxUnion, argmin_set, hits
-from stepargmin.stepfun import GridFunction, StepFunction1D
+from stepargmin.experiments import _inside, rectangle_columns
+from stepargmin.stepfun import GE, GridFunction, QuadrantSpec, StepFunction1D
 
 VALUE_POOL = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
 BREAK_LATTICE = np.arange(-6.0, 6.5, 0.5)
@@ -290,3 +294,39 @@ def reference_cuts(cum_n, cum_s, cum_q, k):
         cuts[:, j] = np.argmin(cand, axis=1)
         s = cuts[:, j, None] + 1
     return cuts
+
+
+def all_ge(dim):
+    """The quadrant spec ('>=',) * dim, whose limit is the value itself."""
+    return QuadrantSpec((GE,) * dim)
+
+
+@dataclass(frozen=True)
+class RectInterval:
+    lo: float
+    hi: float
+    closed: bool
+
+    def contains(self, v):
+        return bool(_inside(self.lo, self.hi, self.closed, v))
+
+    @property
+    def width(self):
+        return self.hi - self.lo
+
+
+def build_rectangle(fit, n, bounds_tau, bounds_alpha):
+    """`rectangle_columns` for one fit, with its level bounds (u_i, v_i)
+    in `bounds_alpha`, as a list of intervals."""
+    u, v = np.array(bounds_alpha, dtype=float).reshape(-1, 2).T[:, None]
+    lo, hi, closed = rectangle_columns(
+        np.array([fit.tau], dtype=float), np.array([fit.alpha], dtype=float), n, bounds_tau, u, v
+    )
+    return [RectInterval(float(a), float(b), bool(c)) for a, b, c in zip(lo[0], hi[0], closed)]
+
+
+def dataset_to_csv(data):
+    lines = ["x,y"]
+    for xv, yv in zip(data.x, data.y):
+        lines.append(f"{float(xv)!r},{float(yv)!r}")
+    return "\n".join(lines) + "\n"

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -139,6 +141,85 @@ class TestExtremes:
             assert a.bounded and not a.is_empty
             assert hits(a, point_union(sargmin(a)))
             assert hits(a, point_union(largmin(a)))
+
+
+class TestKeptSets:
+    """`argmin_set` keeps one (function, set) slot, and a union keeps its
+    lexicographic extremes; neither may outlive a pass over a corpus."""
+
+    def test_same_function_same_set(self):
+        f = StepFunction1D([0.0, 1.0], [1.0, 0.0, 1.0])
+        assert argmin_set(f) is argmin_set(f)
+
+    def test_equal_distinct_function_gets_its_own_set(self):
+        f = StepFunction1D([0.0, 1.0], [1.0, 0.0, 1.0])
+        g = StepFunction1D([0.0, 1.0], [1.0, 0.0, 1.0])
+        a = argmin_set(f)
+        b = argmin_set(g)
+        assert b is not a and b == a
+        # one slot: f after g is built again
+        c = argmin_set(f)
+        assert c is not a and c == a
+
+    def test_each_pass_rebuilds_every_set(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        functions = [random_shelled_function(rng, dim) for dim in (1, 2, 3, 1, 2, 3)]
+        functions = [f for f in functions if f is not None]
+        points = [[tuple(rng.uniform(-7.0, 7.0, size=f.dim)) for _ in range(3)] for f in functions]
+        assert len(functions) >= 2
+        build = argmin_module._build_argmin_set
+        builds = Counter()
+
+        def counting(f):
+            builds[id(f)] += 1
+            return build(f)
+
+        monkeypatch.setattr(argmin_module, "_build_argmin_set", counting)
+        passes = []
+        for _ in range(2):
+            answers = []
+            for f, xs in zip(functions, points):
+                a = argmin_set(f)
+                answers.append((a, [orthant_checks(f, x) for x in xs]))
+            passes.append(answers)
+        assert builds == {id(f): 2 for f in functions}
+        for (a1, checks1), (a2, checks2) in zip(*passes):
+            assert a2 is not a1 and a2 == a1 and checks2 == checks1
+
+    def test_kept_extremes_stay_with_their_union(self, monkeypatch):
+        a = BoxUnion(2, (Box((0.0, 0.0), (1.0, 1.0)), Box((-1.0, 2.0), (0.0, 3.0))))
+        b = BoxUnion(2, a.boxes)
+        c = BoxUnion(2, (Box((5.0, 5.0), (6.0, 6.0)),))
+        smallest = argmin_module._smallest
+        built = []
+
+        def counting(union):
+            built.append(union)
+            return smallest(union)
+
+        monkeypatch.setattr(argmin_module, "_smallest", counting)
+        assert sargmin(a) == (-1.0, 2.0) and sargmin(a) == (-1.0, 2.0)
+        assert (sargmin(b), sargmin(c)) == ((-1.0, 2.0), (5.0, 5.0))
+        assert largmin(a) == (1.0, 1.0) and largmin(c) == (6.0, 6.0)
+        assert [id(u) for u in built] == [id(a), id(b), id(c)]
+        # the kept values are no fields: equality, hash and repr ignore them
+        fresh = BoxUnion(2, a.boxes)
+        assert a == fresh and hash(a) == hash(fresh) and repr(a) == repr(fresh)
+
+    def test_errors_are_not_kept(self, monkeypatch):
+        largest = argmin_module._largest
+        built = []
+
+        def counting(union):
+            built.append(union)
+            return largest(union)
+
+        monkeypatch.setattr(argmin_module, "_largest", counting)
+        a = BoxUnion(1, (interval(0.0, INF),))
+        for _ in range(2):
+            with pytest.raises(UnboundedSetError):
+                largmin(a)
+        assert len(built) == 2
 
 
 class TestBox:

@@ -5,7 +5,7 @@ from decimal import Decimal, getcontext
 import numpy as np
 import pytest
 
-from corpus import joint_membership
+from corpus import build_rectangle, joint_membership
 from stepargmin import cli, experiments, rng
 from stepargmin.argmin import INF, Box, BoxUnion, OpenBox, OpenBoxUnion, argmin_set
 from stepargmin.cpoisson import OutOfDomainError
@@ -16,7 +16,6 @@ from stepargmin.experiments import (
     OpenSetTuple,
     VerificationConfig,
     alpha_limit_sigmas,
-    build_rectangle,
     coverage_experiment,
     gamma_of,
     membership_report,

@@ -1,13 +1,16 @@
-"""Golden sha256 digests of limit samples and block fits.  They pin the
-random-stream layout of both Monte Carlo sides and the bits of the fit, so
-a change of either fails here and has to be declared (ROADMAP: a
-deliberate stream-layout change is allowed when CHANGES.md says so)."""
+"""Golden sha256 digests of limit samples, block fits and argmin sets.
+They pin the random-stream layout of both Monte Carlo sides, the bits of
+the fit and the exact argmin sets with their lexicographic extremes, so a
+change of any fails here and has to be declared (ROADMAP: a deliberate
+stream-layout change is allowed when CHANGES.md says so)."""
 
 import hashlib
 
 import numpy as np
 import pytest
 
+from corpus import random_shelled_function
+from stepargmin.argmin import argmin_set, largmin, sargmin
 from stepargmin.cpoisson import (
     CompoundPoissonSpec,
     JumpLaw,
@@ -78,6 +81,11 @@ STEP_FITS = {
     (True, 3): "bc4510bb7af8e0c4044c8ccc1fe75a847453669799686d813221274fe3e3f663",
 }
 
+# argmin_set(f).to_text() and (sargmin, largmin) of the compact functions
+# among 600 `random_shelled_function`s of dimension 1, 2, 3, 1, ...; 393 of
+# them, 146 with a set of several boxes
+ARGMIN_SETS = "b4e880e8a996cd1809d0c5e304a273aebdc228038ba6a51629c52f5d35d5fd17"
+
 
 @pytest.mark.parametrize("name", SAMPLES)
 def test_limit_samples(name):
@@ -120,3 +128,15 @@ def _dataset(tied):
 def test_fit_step(tied, k):
     text = fit_step(_dataset(tied), k).to_text()
     assert hashlib.sha256(text.encode()).hexdigest() == STEP_FITS[tied, k]
+
+
+def test_argmin_sets():
+    rng = np.random.default_rng(SEED)
+    h = hashlib.sha256()
+    for j in range(600):
+        f = random_shelled_function(rng, j % 3 + 1)
+        if f is not None:
+            a = argmin_set(f)
+            h.update(a.to_text().encode())
+            h.update(repr((sargmin(a), largmin(a))).encode())
+    assert h.hexdigest() == ARGMIN_SETS

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from corpus import block_sums, cost_row, exhaustive_fit, reference_cuts
+from corpus import block_sums, cost_row, dataset_to_csv, exhaustive_fit, reference_cuts
 from stepargmin import stepfit
 from stepargmin.argmin import _argmin_cells, argmin_set
 from stepargmin.cpoisson import InvalidSpecError, JumpLaw
@@ -24,7 +24,6 @@ from stepargmin.stepfit import (
     XLaw,
     YRangeError,
     dataset_from_csv,
-    dataset_to_csv,
     derive_limit_spec,
     draw_rows,
     fit_rows,

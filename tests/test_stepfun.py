@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from corpus import all_ge
 from stepargmin.stepfun import (
     GE,
     LT,
@@ -97,7 +98,7 @@ class TestQuadrantLimits:
     @given(step_functions(), st.sampled_from(HALF_LATTICE))
     @settings(max_examples=60, deadline=None)
     def test_all_ge_equals_value(self, f, t):
-        assert f.quadrant_limit(t, QuadrantSpec.all_ge(1)) == f.value_at(t)
+        assert f.quadrant_limit(t, all_ge(1)) == f.value_at(t)
 
     def test_all_ge_equals_value_grid(self):
         rng = np.random.default_rng(0)
@@ -108,7 +109,7 @@ class TestQuadrantLimits:
             )
             f = GridFunction(axes, rng.integers(-2, 3, size=tuple(a.size + 1 for a in axes)).astype(float))
             t = tuple(rng.choice(np.concatenate([ax, ax - 0.25, ax + 10])) for ax in axes)
-            assert f.quadrant_limit(t, QuadrantSpec.all_ge(2)) == f.value_at(t)
+            assert f.quadrant_limit(t, all_ge(2)) == f.value_at(t)
 
 
 class TestLowerEnvelope:

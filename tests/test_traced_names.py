@@ -51,7 +51,7 @@ def test_hooks_read_what_they_expect(tmp_path):
         assert cpoisson._simulate is not original
         cpoisson.simulate_trajectory(spec, 3)
         stepfit.fit_step(stepfit.synthesize(model, 30, 5), 2)
-        argmin.closed_complement(argmin.open_union(2, [argmin.OpenBox((0.0, 0.0), (1.0, 1.0))]))
+        argmin.closed_complement(argmin.OpenBoxUnion(2, (argmin.OpenBox((0.0, 0.0), (1.0, 1.0)),)))
         out = tmp_path / "fit"
         data = str(tmp_path / "data.csv")
         assert cli.run(["fit", "--data", data, "--k", "1", "--out", str(out)]) == 0
@@ -88,3 +88,36 @@ def test_each_construction_is_one_span():
         tracer.uninstall()
     assert tracer.totals()["stepfun.construct"][0] == 2
     assert tracer.counters["stepfun.cells"] == 3 + 6
+
+
+def test_argmin_set_calls_count_every_call():
+    # argmin_set hands a repeated call on one function its last set, and
+    # a union keeps its extremes, but every call still passes through the
+    # traced public names, so argmin.argmin_set.calls counts calls, not
+    # builds, on an argmin_grid-style pass
+    from corpus import random_shelled_function
+    from stepargmin import argmin
+
+    rng = np.random.default_rng(11)
+    functions = [random_shelled_function(rng, dim) for dim in (1, 2, 3) * 4]
+    functions = [f for f in functions if f is not None]
+    points = [tuple(rng.uniform(-7.0, 7.0, size=3)) for _ in range(3)]
+    tracing = _tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for _ in range(2):
+            for f in functions:
+                s = argmin.argmin_set(f)
+                argmin.sargmin(s)
+                argmin.largmin(s)
+                for x in points:
+                    argmin.orthant_checks(f, x[: f.dim])
+    finally:
+        tracer.uninstall()
+    n = 2 * len(functions)
+    totals = tracer.totals()
+    assert totals["argmin.argmin_set"][0] == 4 * n
+    assert totals["argmin.sargmin"][0] == totals["argmin.largmin"][0] == 4 * n
+    assert totals["argmin.orthant_checks"][0] == 3 * n
+    assert tracing.layer_metrics(tracer, 1, 1.0)["argmin.argmin_set.calls"] == 4 * n
