@@ -1,12 +1,14 @@
-"""Scratch arrays for the block kernels, reused from block to block.
+"""Scratch arrays for the data-side block kernels, reused from block to
+block.
 
-Both Monte Carlo sides work in blocks of about 8192 cells: a (B, n) data
-block, a chunk of the k >= 2 sweep, a 64-row limit block.  A temporary of
-such a block is 64 KB or more.  When every block allocates and frees its
-temporaries, glibc trims the freed top of the heap and the next block
-faults the same pages in again.  The kernels instead write their
-temporaries through numpy ``out=`` into ``scratch`` arrays: per thread, one
-buffer per name, which every later request for that name reuses.
+The data side works in blocks of about 8192 cells: a (B, n) data block, a
+chunk of the k >= 2 sweep.  A temporary of such a block is 64 KB or more.
+When every block allocates and frees its temporaries, glibc trims the
+freed top of the heap and the next block faults the same pages in again.
+The kernels instead write their temporaries through numpy ``out=`` into
+``scratch`` arrays: per thread, one buffer per name, which every later
+request for that name reuses.  The limit side's 64-row blocks allocate
+theirs fresh: there reuse measured no faster.
 
 Rules for a name:
 - It belongs to one function, which does not run again while it holds
@@ -39,8 +41,7 @@ import numpy as np
 
 # twice the 8192 cells of a data block (experiments._BLOCK_CELLS) and of a
 # sweep chunk (stepfit._CHUNK_CELLS), in float64 bytes: room for the
-# (B, n + 1) prefix sums of a block and for the cells of a 64-row limit
-# block at up to about 100 arrivals per side
+# (B, n + 1) prefix sums of a block
 _CAP_BYTES = 2 * 8192 * 8
 
 _UFUNC_BUFSIZE = 1024

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from stepargmin._scratch import scratch
 from stepargmin.stepfun import GridFunction
 
 INF = float("inf")
@@ -263,12 +262,9 @@ def _argmin_cells(edges, values):
     cells of positive width, touching closures merged.  Cell j of a row
     spans [edges[j], edges[j + 1])."""
     lo_edges, hi_edges = edges[:, :-1], edges[:, 1:]
-    masked = scratch("_argmin_cells.masked", values.shape)
-    empty = scratch("_argmin_cells.empty", values.shape, bool)
-    np.copyto(masked, values)
     # cells of no width take no part
-    np.greater_equal(lo_edges, hi_edges, out=empty)
-    np.copyto(masked, INF, where=empty)
+    masked = values.copy()
+    np.copyto(masked, INF, where=lo_edges >= hi_edges)
     # flat indices run in row order, as np.nonzero's pairs do, and come
     # several times faster on a wide block
     minimal = np.flatnonzero(masked == masked.min(axis=1, keepdims=True))

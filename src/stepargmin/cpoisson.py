@@ -18,7 +18,6 @@ from statistics import NormalDist
 
 import numpy as np
 
-from stepargmin._scratch import kernel, scratch
 from stepargmin.argmin import INF, IntervalRows, _argmin_cells, argmin_set
 from stepargmin.rng import child_seed, run_chunks, substream
 from stepargmin.stepfun import StepFunction1D
@@ -152,9 +151,10 @@ class CompoundPoissonSpec:
     """Rates, jump laws, and the adaptive-window policy of a two-sided
     compound Poisson process.  Positive jump means force the trajectory
     upward on both sides, so the argmin set is almost surely compact.
-    window_initial defaults to min(8, max_window).  A side whose rate and
-    max_window would draw more than _MAX_GAPS gaps per row is rejected, so
-    a block's arrays stay bounded.
+    An unset window_initial stays None and reads as min(8, max_window)
+    (`_first_window`), so `dataclasses.replace` of max_window moves it
+    along.  A side whose rate and max_window would draw more than
+    _MAX_GAPS gaps per row is rejected, so a block's arrays stay bounded.
 
     Every block draws all arrivals of [-max_window, max_window], but a
     side's argmin cells are taken over its certified prefix (`_arrivals`),
@@ -171,10 +171,9 @@ class CompoundPoissonSpec:
     max_window: float = 64.0
 
     def __post_init__(self):
-        if self.window_initial is None:
-            object.__setattr__(self, "window_initial", min(8.0, self.max_window))
+        first = _first_window(self)
         for name in ("rate_right", "rate_left", "window_initial", "window_growth", "max_window"):
-            if not math.isfinite(getattr(self, name)):
+            if not math.isfinite(first if name == "window_initial" else getattr(self, name)):
                 raise InvalidSpecError(f"{name} must be finite")
         if self.rate_right <= 0 or self.rate_left <= 0:
             raise InvalidSpecError("rates must be strictly positive")
@@ -182,11 +181,11 @@ class CompoundPoissonSpec:
             raise InvalidSpecError("jump laws must have strictly positive mean")
         if self.max_window <= 0:
             raise InvalidSpecError("max_window must be positive")
-        if self.window_initial <= 0:
+        if first <= 0:
             raise InvalidSpecError("window_initial must be positive")
         if self.window_growth <= 1:
             raise InvalidSpecError("window_growth must exceed 1")
-        if self.max_window < self.window_initial:
+        if self.max_window < first:
             raise InvalidSpecError("max_window must be at least window_initial")
         for side in ("right", "left"):
             rate = getattr(self, f"rate_{side}")
@@ -199,16 +198,25 @@ class CompoundPoissonSpec:
                 )
 
     def to_text(self):
+        """The spec file text; window_initial is written only when set."""
         lines = [
             f"rate_right = {self.rate_right!r}",
             f"rate_left = {self.rate_left!r}",
             f"jump_right = {self.jump_right.to_token()}",
             f"jump_left = {self.jump_left.to_token()}",
-            f"window_initial = {self.window_initial!r}",
-            f"window_growth = {self.window_growth!r}",
-            f"max_window = {self.max_window!r}",
         ]
+        if self.window_initial is not None:
+            lines.append(f"window_initial = {self.window_initial!r}")
+        lines += [f"window_growth = {self.window_growth!r}", f"max_window = {self.max_window!r}"]
         return "\n".join(lines) + "\n"
+
+
+def _first_window(spec):
+    """The first window of the spec's policy: window_initial, or
+    min(8, max_window) when it is unset."""
+    if spec.window_initial is None:
+        return min(8.0, spec.max_window)
+    return spec.window_initial
 
 
 # the keys of a spec file; the first four are required
@@ -282,9 +290,9 @@ def _gap_count(rate, horizon):
 
 
 def _arrivals(rng, rate, law, horizon, times, sums, whole):
-    """Arrival times and running jump sums of one side, drawn into the
-    (rows, width) arrays times and sums and returned as their first c
-    columns; arrival times beyond the horizon read +inf.
+    """Arrival times and running jump sums of one side, written into the
+    first c columns of the (rows, width) arrays times and sums and returned
+    as those columns; arrival times beyond the horizon read +inf.
 
     c is the certified prefix: every row has an arrival past the horizon
     among its first c, or a running sum S_c above min(0, S_1, ..., S_c)
@@ -293,19 +301,19 @@ def _arrivals(rng, rate, law, horizon, times, sums, whole):
     that minimum with probability at most _EPSILON, so the columns from c
     on hold no cell of its argmin set.  c starts at 1 + _FIRST _HEIGHT /
     (R E[J]), which is 1 for jumps that are never negative, and grows
-    _GROWTH-fold until every row is certified.  The running sums of a
-    longer prefix continue those of the shorter one bit for bit, so the c
-    columns are those of the whole window.  Both cases are cut after the
-    first column that is past the horizon in every row.
+    _GROWTH-fold until every row is certified.  One loop sums the gaps and
+    jumps in place, each round continuing from the last column summed, so
+    the c columns are those of the whole window bit for bit.  The columns
+    are cut after the first that is past the horizon in every row.
 
-    The whole window, c = width, is taken when `whole` is set, when that
-    first c would exceed half the width, and when some row's last arrival
-    may not pass the horizon.  In that last case every row is topped up
-    from the same generator while some row's last arrival does not pass
-    the horizon, and the times and sums are returned as new, wider arrays
-    instead.  Every case draws the same gaps, jumps and top-ups."""
+    The whole window, c = width, is the loop's first round when `whole` is
+    set, when the first c would exceed half the width, and when some row's
+    last arrival may not pass the horizon.  Then, while some row's last
+    arrival does not pass the horizon, every row is topped up from the
+    same generator, and the times and sums are returned as new, wider
+    arrays instead.  Every case draws the same gaps, jumps and top-ups."""
     rows, width = times.shape
-    gaps = rng.standard_exponential(out=scratch("_arrivals.gaps", times.shape))
+    gaps = rng.standard_exponential((rows, width))
     height = _HEIGHT / law.lundberg if law.lundberg > 0 else INF
     first = 1.0 + _FIRST * height / law.mean()
     # the half-width rule keeps nearly driftless laws, whose R is swamped by
@@ -316,29 +324,34 @@ def _arrivals(rng, rate, law, horizon, times, sums, whole):
         or 2.0 * first > width
         or not np.all(np.add.reduce(gaps, axis=1) > rate * horizon * (1.0 + 1e-9))
     ):
-        np.cumsum(gaps, axis=1, out=times)
-        times /= rate
-        jumps = law.sample(rng, (rows, width), out=gaps)
-        while np.any(times[:, -1] <= horizon):
-            more = np.cumsum(rng.standard_exponential((rows, width)), axis=1) / rate
-            times = np.hstack([times, times[:, -1:] + more])
-            jumps = np.hstack([jumps, law.sample(rng, (rows, width))])
-        stop = _cut(times, horizon)
-        sums = sums[:, :stop] if jumps is gaps else None
-        return times[:, :stop], np.cumsum(jumps[:, :stop], axis=1, out=sums)
-    jumps = law.sample(rng, (rows, width), out=scratch("_arrivals.jumps", times.shape))
-    done, stop = 0, math.ceil(first)
+        stop = width
+    else:
+        stop = math.ceil(first)
+    jumps = law.sample(rng, (rows, width))
+    done = 0
     while True:
         # in place, continuing from the last column summed
         run = slice(max(done - 1, 0), stop)
         np.cumsum(gaps[:, run], axis=1, out=gaps[:, run])
         np.cumsum(jumps[:, run], axis=1, out=jumps[:, run])
+        if stop == width:
+            break
         rise = jumps[:, stop - 1] - np.minimum(jumps[:, :stop].min(axis=1), 0.0)
-        if stop == width or np.all((rise > height) | (gaps[:, stop - 1] / rate > horizon)):
+        if np.all((rise > height) | (gaps[:, stop - 1] / rate > horizon)):
             break
         done, stop = stop, min(width, _GROWTH * stop)
     times = np.divide(gaps[:, :stop], rate, out=times[:, :stop])
+    # only the whole window can end short of the horizon; the top-up
+    # continues its times and sums in new, wider arrays
+    while stop >= width and np.any(times[:, -1] <= horizon):
+        more = np.cumsum(rng.standard_exponential((rows, width)), axis=1) / rate
+        times = np.hstack([times, times[:, -1:] + more])
+        jumps = np.hstack([jumps, law.sample(rng, (rows, width))])
+        np.cumsum(jumps[:, stop - 1 :], axis=1, out=jumps[:, stop - 1 :])
+        stop += width
     stop = _cut(times, horizon)
+    if stop > width:
+        return times[:, :stop], jumps[:, :stop]
     np.copyto(sums[:, :stop], jumps[:, :stop])
     return times[:, :stop], sums[:, :stop]
 
@@ -353,12 +366,10 @@ def _cut(times, horizon):
     return int(np.argmax(every)) + 1 if every[-1] else times.shape[1]
 
 
-@kernel
-def _draw_block(spec, rng, rows, reduce, whole=False):
-    """reduce(edges, values) of ``rows`` trajectories as cell edges
-    (rows, n + 2) and cell values (rows, n + 1); cell j of a row spans
-    [edges[j], edges[j + 1]).  The two arrays are scratch, which the next
-    block reuses, so reduce must not keep them.
+def _draw_block(spec, rng, rows, whole=False):
+    """``rows`` trajectories as new arrays (edges, values): cell edges
+    (rows, n + 2) and cell values (rows, n + 1), cell j of a row spanning
+    [edges[j], edges[j + 1]).
 
     Each side holds its certified prefix of arrivals (`_arrivals`): the
     argmin cells of a row are those of the whole window [-max_window,
@@ -372,8 +383,8 @@ def _draw_block(spec, rng, rows, reduce, whole=False):
     times, are not part of the trajectory."""
     w = spec.max_window
     n_left, n_right = _gap_count(spec.rate_left, w), _gap_count(spec.rate_right, w)
-    edges = scratch("_draw_block.edges", (rows, n_left + n_right + 2))
-    values = scratch("_draw_block.values", (rows, n_left + n_right + 1))
+    edges = np.empty((rows, n_left + n_right + 2))
+    values = np.empty((rows, n_left + n_right + 1))
     # each side lands in its place unless it is topped up; the left side's
     # arrivals run outwards from the origin, so into reversed views
     t_right, s_right = _arrivals(
@@ -410,7 +421,7 @@ def _draw_block(spec, rng, rows, reduce, whole=False):
     edges[:, 0] = -INF
     edges[:, -1] = INF
     values[:, c_left] = 0.0
-    return reduce(edges, values)
+    return edges, values
 
 
 def _row_function(edges, values):
@@ -424,14 +435,13 @@ def _build_trajectory(spec, seed):
     """Full-horizon trajectory on [-max_window, max_window] as breakpoint
     and value arrays: the one-row case of the block kernel.  Pure in
     (spec, seed)."""
-    return _draw_block(
-        spec, substream(seed), 1, lambda e, v: _row_function(e[0], v[0]), whole=True
-    )
+    edges, values = _draw_block(spec, substream(seed), 1, whole=True)
+    return _row_function(edges[0], values[0])
 
 
 def _window_grid(spec):
     grid = []
-    w = spec.window_initial
+    w = _first_window(spec)
     while w < spec.max_window:
         grid.append(w)
         w *= spec.window_growth
@@ -474,51 +484,43 @@ _MAX_ATTEMPTS = 10_000
 
 def _draw_accepted(spec, master_seed, rep):
     """Redraws a boundary replication from fresh one-row streams, attempt 1
-    onward (attempt 0 is its row in its block); returns the lower and upper
-    ends of the accepted argmin set's intervals and the redraw count."""
+    onward (attempt 0 is its row in its block); returns the accepted argmin
+    set as a one-row IntervalRows and the redraw count."""
     w = spec.max_window
     for attempt in range(1, _MAX_ATTEMPTS):
         rng = substream(child_seed(master_seed, rep, attempt))
-        _, lo, hi = _draw_block(spec, rng, 1, _argmin_cells)
-        if -w < lo[0] and hi[-1] < w:
-            return lo, hi, attempt
+        accepted = IntervalRows.from_cells(*_argmin_cells(*_draw_block(spec, rng, 1)))
+        if -w < accepted.lo[0] and accepted.hi[-1] < w:
+            return accepted, attempt
     raise TooManyRedrawsError(f"replication {rep} exhausted {_MAX_ATTEMPTS} attempts")
 
 
+def _columns(rows, menu, redraws=0):
+    """Per row of an IntervalRows: its smallest and largest point, the
+    redraw count, then per (kind, 1-D union) of the menu whether the row's
+    set meets the union as IntervalRows.meets says."""
+    flags = [rows.meets(kind, union) for kind, union in menu]
+    return np.column_stack(
+        [rows.smallest(), rows.largest(), np.full(rows.starts.size, redraws), *flags]
+    )
+
+
 def _predicate_worker(args, b, count):
-    """The first `count` replications of block b as one (count, 3 + len(menu))
-    array: the smallest and largest minimizer of the accepted argmin set,
-    its redraw count, then per (kind, 1-D union) of the menu whether the set
-    meets the union as IntervalRows.meets says.
+    """The `_columns` of the accepted argmin sets of the first `count`
+    replications of block b, as one (count, 3 + len(menu)) array.
 
     Replication r is row r % _BLOCK of block r // _BLOCK.  A row whose
     argmin set does not lie strictly inside (-max_window, max_window) is a
     boundary row; among the first `count` it is redrawn through
-    _draw_accepted."""
+    _draw_accepted, whose one-row columns overwrite the row's own."""
     spec, seed, menu = args
     w = spec.max_window
-    row, a, z = _draw_block(spec, substream(seed, b), _BLOCK, _argmin_cells)
-    block = IntervalRows.from_cells(row, a, z)
-    smallest, largest = block.smallest(), block.largest()
-    redraws = np.zeros(_BLOCK, dtype=np.int64)
-    boundary = np.flatnonzero((smallest <= -w) | (largest >= w))
-    boundary = boundary[boundary < count]
-    if boundary.size:
-        keep = ~np.isin(row, boundary)
-        reps, los, his = [row[keep]], [a[keep]], [z[keep]]
-        for r in boundary.tolist():
-            lo, hi, redraws[r] = _draw_accepted(spec, seed, b * _BLOCK + r)
-            reps.append(np.full(lo.size, r))
-            los.append(lo)
-            his.append(hi)
-        rep = np.concatenate(reps)
-        order = np.argsort(rep, kind="stable")
-        block = IntervalRows.from_cells(
-            rep[order], np.concatenate(los)[order], np.concatenate(his)[order]
-        )
-        smallest, largest = block.smallest(), block.largest()
-    flags = [block.meets(kind, union) for kind, union in menu]
-    return np.column_stack([smallest, largest, redraws, *flags])[:count]
+    block = IntervalRows.from_cells(*_argmin_cells(*_draw_block(spec, substream(seed, b), _BLOCK)))
+    cols = _columns(block, menu)[:count]
+    for r in np.flatnonzero((cols[:, 0] <= -w) | (cols[:, 1] >= w)).tolist():
+        accepted, attempt = _draw_accepted(spec, seed, b * _BLOCK + r)
+        cols[r] = _columns(accepted, menu, attempt)[0]
+    return cols
 
 
 # the benchmark tracer wraps this name

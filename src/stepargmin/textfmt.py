@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from stepargmin._scratch import scratch
-
 
 class InvalidSpecError(ValueError):
     """Raised for rates, windows or laws outside the supported family."""
@@ -69,11 +67,10 @@ class Law:
             out.fill(p[0])
         elif self.family == "two_point":
             # a lookup, not a masked copy, which the random mask makes
-            # mispredict.  The index is an intp scratch array and the mode
-            # "clip", since take would copy any other index type, and fill
-            # a temporary of out's size in its default mode
-            first = scratch("Law.sample.first", out.shape, np.intp)
-            np.less(rng.random(n, out=out), p[2], out=first)
+            # mispredict.  The index is an intp array and the mode "clip",
+            # since take would copy any other index type, and fill a
+            # temporary of out's size in its default mode
+            first = np.less(rng.random(n, out=out), p[2], out=np.empty(out.shape, np.intp))
             np.take(np.array([p[1], p[0]]), first, out=out, mode="clip")
         elif self.family == "empirical":
             out[...] = rng.choice(np.asarray(p), size=n, replace=True)

@@ -10,13 +10,18 @@ import numpy as np
 import pytest
 
 from corpus import random_shelled_function
-from stepargmin.argmin import argmin_set, largmin, sargmin
+from stepargmin import cpoisson
+from stepargmin.argmin import Box, BoxUnion, OpenBox, OpenBoxUnion, argmin_set, largmin, sargmin
 from stepargmin.cpoisson import (
+    _BLOCK,
     CompoundPoissonSpec,
     JumpLaw,
+    _draw_block,
+    _limit_job,
     sample_extreme_minimizers,
     samples_to_csv,
 )
+from stepargmin.rng import run_chunks, substream
 from stepargmin.stepfit import Dataset, fit_rows, fit_step
 
 SEED = 20261019
@@ -61,6 +66,22 @@ SAMPLES = {
     ),
 }
 
+# the limit columns of 1000 replications and the raw cells of four blocks,
+# certified and whole, per law on both sides at rate 5 and max_window 4
+# (two_point makes 61 redraws in 59 rows at seed 7); then with two gaps per
+# row and side, so every block and redraw is topped up; then with only the
+# rate-5 right side topped up, beside a certified gaussian left side
+TOP_UP_LAWS = (
+    JumpLaw("empirical", (-1.0, 2.0, 2.0, 3.0)),
+    JumpLaw("gaussian", (1.0, 0.5)),
+    JumpLaw("two_point", (-3.0, 5.0, 0.5)),
+)
+TOP_UP_MENU = (
+    ("closed", BoxUnion(1, [Box((-1.0,), (0.5,)), Box((1.5,), (2.0,))])),
+    ("open", OpenBoxUnion(1, [OpenBox((-2.0,), (1.0,))])),
+)
+TOP_UP = "6df64be4c156bd205f92cac94a51e57ab370e0d8be0f6b007c0ba12ef59faaa5"
+
 # k: (rows, n, digest of tau, alpha and sigma_hat)
 FITS = {
     1: (16, 500, "eaf4e0eebcca9ceb8bb1255f5f802a2add42a317bec0edb4eb9e35816fb590cc"),
@@ -92,6 +113,31 @@ def test_limit_samples(name):
     right, left, rate, reps, digest = SAMPLES[name]
     samples = sample_extreme_minimizers(CompoundPoissonSpec(rate, rate, right, left), reps, SEED)
     assert hashlib.sha256(samples_to_csv(samples).encode()).hexdigest() == digest
+
+
+def test_top_up_and_redraws(monkeypatch):
+    gap_count = cpoisson._gap_count
+    certified = JumpLaw("gaussian", (1.0, 0.5))
+    h = hashlib.sha256()
+    for case in ("drawn", "both", "right"):
+        if case == "both":
+            monkeypatch.setattr(cpoisson, "_gap_count", lambda rate, w: 2)
+        elif case == "right":
+            monkeypatch.setattr(
+                cpoisson, "_gap_count", lambda rate, w: 2 if rate == 5.0 else gap_count(rate, w)
+            )
+        for law in TOP_UP_LAWS:
+            if case == "right":
+                spec = CompoundPoissonSpec(5.0, 4.0, law, certified, max_window=4.0)
+            else:
+                spec = CompoundPoissonSpec(5.0, 5.0, law, law, max_window=4.0)
+            cols = run_chunks([_limit_job(spec, 7, 1000, TOP_UP_MENU)], 1)[0]
+            h.update(np.ascontiguousarray(cols, dtype="<f8").tobytes())
+            for whole in (False, True):
+                for b in range(4):
+                    for a in _draw_block(spec, substream(7, b), _BLOCK, whole=whole):
+                        h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    assert h.hexdigest() == TOP_UP
 
 
 def _block(k, rows, n, seed):

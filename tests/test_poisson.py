@@ -170,6 +170,20 @@ class TestSpec:
         spec = unit_spec(jump_right=JumpLaw("gaussian", (1.0, 0.5)))
         assert spec_from_text(spec.to_text()) == spec
 
+    def test_unset_window_initial_follows_max_window(self):
+        # replace passes an unset window_initial on as unset, so it still
+        # reads min(8, max_window); one that was set stays and is checked
+        point = JumpLaw("point", (1.0,))
+        spec = CompoundPoissonSpec(1.0, 1.0, point, point)
+        small = dataclasses.replace(spec, max_window=4.0)
+        assert small.window_initial is None
+        assert cpoisson._window_grid(spec) == [8.0, 16.0, 32.0, 64.0]
+        assert cpoisson._window_grid(small) == [4.0]
+        assert "window_initial" not in small.to_text()
+        assert spec_from_text(small.to_text()) == small
+        with pytest.raises(InvalidSpecError, match="at least window_initial"):
+            dataclasses.replace(unit_spec(), max_window=4.0)
+
     def test_missing_key(self):
         with pytest.raises(InvalidSpecError, match="rate_left"):
             spec_from_text("rate_right = 1.0\njump_right = point(1)\njump_left = point(1)\n")
@@ -457,7 +471,7 @@ class TestBlockKernel:
         for spec in kernel_specs():
             w = spec.max_window
             for b in range(4):
-                for a in _draw_block(spec, substream(11, b), _BLOCK, assert_rows_exact):
+                for a in assert_rows_exact(*_draw_block(spec, substream(11, b), _BLOCK)):
                     several += len(a.boxes) > 1
                     boundary += not (-w < a.boxes[0].lo[0] and a.boxes[-1].hi[0] < w)
         # the corpus must exercise ties and boundary rows
@@ -480,7 +494,7 @@ class TestBlockKernel:
                 counts.append(int(np.sum((bp > 0.0) & (bp <= 4.0))))
 
         for b in range(40):
-            _draw_block(spec, substream(5, b), _BLOCK, count_arrivals)
+            count_arrivals(*_draw_block(spec, substream(5, b), _BLOCK))
         counts = np.array(counts, dtype=float)
         lam = 20.0
         assert abs(counts.mean() - lam) <= 5 * math.sqrt(lam / counts.size)
@@ -563,8 +577,8 @@ class TestCertifiedPrefix:
             return _argmin_cells(edges, values)
 
         for b in range(1563):
-            certified = _draw_block(spec, substream(8, b), _BLOCK, cells)
-            whole = _draw_block(spec, substream(8, b), _BLOCK, cells, whole=True)
+            certified = cells(*_draw_block(spec, substream(8, b), _BLOCK))
+            whole = cells(*_draw_block(spec, substream(8, b), _BLOCK, whole=True))
             assert all(np.array_equal(c, w) for c, w in zip(certified, whole)), b
         certified, whole = np.array(widths[::2]), np.array(widths[1::2])
         assert np.all(certified <= whole)
@@ -578,18 +592,13 @@ class TestCertifiedPrefix:
         # R reads 0 for the first and carries rounding error for the second
         spec = unit_spec(jump_right=law, jump_left=law)
 
-        def cells(edges, values):
-            return edges.copy(), values.copy()
-
         for b in range(4):
-            certified = _draw_block(spec, substream(8, b), _BLOCK, cells)
-            whole = _draw_block(spec, substream(8, b), _BLOCK, cells, whole=True)
+            certified = _draw_block(spec, substream(8, b), _BLOCK)
+            whole = _draw_block(spec, substream(8, b), _BLOCK, whole=True)
             assert all(np.array_equal(c, w) for c, w in zip(certified, whole))
 
     def test_point_jumps_take_one_arrival(self):
-        widths = []
-        for b in range(20):
-            _draw_block(unit_spec(), substream(3, b), _BLOCK, lambda e, v: widths.append(v.shape))
+        widths = [_draw_block(unit_spec(), substream(3, b), _BLOCK)[1].shape for b in range(20)]
         assert widths == [(_BLOCK, 3)] * 20
 
     def test_top_up_beside_a_prefix(self, monkeypatch):
@@ -607,8 +616,8 @@ class TestCertifiedPrefix:
                 shapes.append(edges.shape[1])
                 return assert_rows_exact(edges, values)
 
-            prefix = _draw_block(spec, substream(9, b), _BLOCK, cells)
-            whole = _draw_block(spec, substream(9, b), _BLOCK, cells, whole=True)
+            prefix = cells(*_draw_block(spec, substream(9, b), _BLOCK))
+            whole = cells(*_draw_block(spec, substream(9, b), _BLOCK, whole=True))
             assert prefix == whole
             assert shapes[0] < shapes[1]
 
@@ -618,13 +627,13 @@ class TestCertifiedPrefix:
         for spec in specs:
             flags = functools.partial(uncertified, spec)
             for b in range(1000):
-                assert not _draw_block(spec, substream(12, b), _BLOCK, flags).any()
+                assert not flags(*_draw_block(spec, substream(12, b), _BLOCK)).any()
 
     def test_two_point_rows_reach_max_window_uncertified(self):
         spec = unit_spec(jump_right=NEGATIVE_SUPPORT, jump_left=NEGATIVE_SUPPORT)
         flags = functools.partial(uncertified, spec)
         for b in range(10):
-            assert _draw_block(spec, substream(12, b), _BLOCK, flags).all()
+            assert flags(*_draw_block(spec, substream(12, b), _BLOCK)).all()
 
 
 class TestIntervalRows:

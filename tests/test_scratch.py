@@ -1,6 +1,7 @@
-"""The block kernels' scratch arrays (stepargmin._scratch): a run of
-blocks allocates no large array per block, and scratch never shows up in
-a result."""
+"""The data-side block kernels' scratch arrays (stepargmin._scratch): a
+run of blocks allocates no large array per block, and scratch never shows
+up in a result.  The limit side allocates fresh arrays per block, within a
+bound on a block's peak memory."""
 
 import sys
 import threading
@@ -94,16 +95,28 @@ def test_fit_chunk_allocations_do_not_grow(k, n):
     assert many <= few
 
 
-def test_limit_chunk_allocations_do_not_grow():
-    # the two-point jumps reach below the running minimum, so some rows
-    # lie on the boundary and are redrawn through the one-row path; no row
-    # of these 40 blocks needs `_arrivals`' top-up, which still allocates
-    args = (TWO_POINT_SPEC, 7, ())
+@pytest.mark.parametrize(
+    "law, max_window",
+    [(TWO_POINT, 64.0), (TWO_POINT, 1024.0), (JumpLaw("gaussian", (1.0, 0.5)), 64.0)],
+    ids=["two_point-64", "two_point-1024", "gaussian-64"],
+)
+def test_limit_block_peak_is_a_few_edge_arrays(law, max_window):
+    # the limit side allocates its block arrays fresh, but one block holds
+    # no more than a few arrays the size of its cell edges at a time
+    spec = CompoundPoissonSpec(1.0, 1.0, law, law, max_window=max_window)
     block = cpoisson._BLOCK
-    cols = run_chunks([(cpoisson._predicate_worker, args, 40 * block, block)], 1)[0]
-    assert cols[:, 2].sum() > 0
-    many, few = warm_counts(cpoisson._predicate_worker, args, block, 2, 40)
-    assert many <= few
+    edges = block * (2 * cpoisson._gap_count(1.0, max_window) + 2) * 8
+    args = (spec, 7, ())
+    # the first call also computes the law's Lundberg exponent
+    cpoisson._predicate_worker(args, 0, block)
+    tracemalloc.start()
+    try:
+        cols = cpoisson._predicate_worker(args, 0, block)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cols.shape == (block, 3)
+    assert peak <= 8 * edges
 
 
 def test_counter_sees_per_block_temporaries():
