@@ -495,89 +495,116 @@ def _draw_accepted(spec, master_seed, rep):
     raise TooManyRedrawsError(f"replication {rep} exhausted {_MAX_ATTEMPTS} attempts")
 
 
-def _columns(rows, menu, redraws=0):
-    """Per row of an IntervalRows: its smallest and largest point, the
-    redraw count, then per (kind, 1-D union) of the menu whether the row's
-    set meets the union as IntervalRows.meets says."""
-    flags = [rows.meets(kind, union) for kind, union in menu]
-    return np.column_stack(
-        [rows.smallest(), rows.largest(), np.full(rows.starts.size, redraws), *flags]
-    )
-
-
 def _predicate_worker(args, b, count):
-    """The `_columns` of the accepted argmin sets of the first `count`
-    replications of block b, as one (count, 3 + len(menu)) array.
+    """The accepted argmin sets of the first `count` replications of block
+    b as one (intervals, 4) array: per interval, its replication's global
+    index, its lo and hi, and that replication's redraw count.  Rows run in
+    replication order, intervals increasing within a row.
 
     Replication r is row r % _BLOCK of block r // _BLOCK.  A row whose
     argmin set does not lie strictly inside (-max_window, max_window) is a
     boundary row; among the first `count` it is redrawn through
-    _draw_accepted, whose one-row columns overwrite the row's own."""
-    spec, seed, menu = args
+    _draw_accepted, whose intervals replace the row's own."""
+    spec, seed = args
     w = spec.max_window
-    block = IntervalRows.from_cells(*_argmin_cells(*_draw_block(spec, substream(seed, b), _BLOCK)))
-    cols = _columns(block, menu)[:count]
-    for r in np.flatnonzero((cols[:, 0] <= -w) | (cols[:, 1] >= w)).tolist():
+    row, lo, hi = _argmin_cells(*_draw_block(spec, substream(seed, b), _BLOCK))
+    n = int(np.searchsorted(row, count))
+    cells = np.column_stack((row[:n] + b * _BLOCK, lo[:n], hi[:n], np.zeros(n)))
+    # a row's first interval holds its smallest point, its last its largest
+    boundary = np.zeros(_BLOCK, dtype=bool)
+    boundary[row[:n][(lo[:n] <= -w) | (hi[:n] >= w)]] = True
+    if not boundary.any():
+        return cells
+    redrawn = []
+    for r in np.flatnonzero(boundary).tolist():
         accepted, attempt = _draw_accepted(spec, seed, b * _BLOCK + r)
-        cols[r] = _columns(accepted, menu, attempt)[0]
-    return cols
+        ends = np.broadcast_arrays(b * _BLOCK + r, accepted.lo, accepted.hi, attempt)
+        redrawn.append(np.column_stack(ends))
+    cells = np.concatenate([cells[~boundary[row[:n]]], *redrawn])
+    return cells[np.argsort(cells[:, 0], kind="stable")]
 
 
 # the benchmark tracer wraps this name
 _extremes_worker = _predicate_worker
 
 
-def _limit_job(spec, seed, replications, menu=()):
-    """The `run_chunks` job of the `_predicate_worker` columns of
-    replications 0..replications-1.  Menu sets must be 1-D, checked here,
-    before anything is drawn."""
+def _limit_job(spec, seed, replications):
+    """The `run_chunks` job of the `_predicate_worker` intervals of
+    replications 0..replications-1; read its array with `_accepted_sets`."""
     if replications < 1:
         raise ValueError("replications must be at least 1")
-    if any(union.dim != 1 for _, union in menu):
-        raise ValueError("dimension mismatch")
-    return _predicate_worker, (spec, seed, tuple(menu)), replications, _BLOCK
+    return _predicate_worker, (spec, seed), replications, _BLOCK
 
 
-def _redraw_rule(cols):
-    """`cols` of a limit job, once its boundary redraws are checked: above
-    1% of its replications they raise TooManyRedrawsError."""
-    total_redraws = int(cols[:, 2].sum())
-    if total_redraws > 0.01 * len(cols):
+def _accepted_sets(cells):
+    """The argmin sets of a limit job's array as (IntervalRows, redraws per
+    replication), once its boundary redraws are checked: above 1% of its
+    replications they raise TooManyRedrawsError."""
+    rows = IntervalRows.from_cells(cells[:, 0], cells[:, 1], cells[:, 2])
+    redraws = cells[rows.starts, 3]
+    total_redraws = int(redraws.sum())
+    if total_redraws > 0.01 * redraws.size:
         raise TooManyRedrawsError(
-            f"{total_redraws} boundary redraws exceed 1% of {len(cols)} replications"
+            f"{total_redraws} boundary redraws exceed 1% of {redraws.size} replications"
         )
-    return cols
+    return rows, redraws
 
 
-def _limit_columns(spec, seed, replications, workers, menu=()):
-    """The `_predicate_worker` columns of replications 0..replications-1,
-    through `_limit_job` and `_redraw_rule`."""
-    job = _limit_job(spec, seed, replications, menu)
-    return _redraw_rule(run_chunks([job], workers)[0])
+# (key, sets) of the last limit sample that the public estimators drew:
+# one tuple, read once, as argmin._last is.  The key is (spec, seed,
+# replications, workers); workers is part of it so that a call with a new
+# worker count runs its own blocks.  The kept arrays are read-only
+_kept = (None, None)
+
+
+def _limit_sets(spec, seed, replications, workers):
+    """The `_accepted_sets` of replications 0..replications-1, drawn through
+    `_limit_job`.  A call with the key of the previous call that returned
+    returns its sets without drawing; a sample that raises is not kept."""
+    global _kept
+    key = (spec, seed, replications, workers)
+    kept_key, sets = _kept
+    if kept_key == key:
+        return sets
+    sets = _accepted_sets(run_chunks([_limit_job(spec, seed, replications)], workers)[0])
+    rows, redraws = sets
+    for a in (rows.lo, rows.hi, rows.starts, redraws):
+        a.flags.writeable = False
+    _kept = (key, sets)
+    return sets
 
 
 def sample_extreme_minimizers(spec, replications, seed, workers=1):
     """Smallest and largest minimizer per replication as a record array
     with fields xi_min, xi_max and redraws; boundary draws are discarded
-    and redrawn, and redraws counts them."""
-    cols = _limit_columns(spec, seed, replications, workers)
+    and redrawn, and redraws counts them.  The sample is the `_limit_sets`
+    one that a capacity or containment estimate on the same (spec, seed,
+    replications, workers) reads; the record array is a new copy."""
+    rows, redraws = _limit_sets(spec, seed, replications, workers)
     return np.rec.fromarrays(
-        (cols[:, 0], cols[:, 1], cols[:, 2].astype(np.int64)), names="xi_min,xi_max,redraws"
+        (rows.smallest(), rows.largest(), redraws.astype(np.int64)),
+        names="xi_min,xi_max,redraws",
     )
 
 
 def _estimate(spec, kind, target, replications, seed, workers):
-    cols = _limit_columns(spec, seed, replications, workers, ((kind, target),))
-    return _proportion(cols[:, 3], replications)
+    # the set is checked before the kept sample is looked up or drawn
+    if target.dim != 1:
+        raise ValueError("dimension mismatch")
+    rows, _ = _limit_sets(spec, seed, replications, workers)
+    return _proportion(rows.meets(kind, target), replications)
 
 
 def estimate_capacity(spec, e, replications, seed, workers=1):
-    """Monte Carlo estimate of P(argmin set hits the closed 1-D union e)."""
+    """Monte Carlo estimate of P(argmin set hits the closed 1-D union e),
+    on the `_limit_sets` sample of (spec, seed, replications, workers)."""
     return _estimate(spec, "closed", e, replications, seed, workers)
 
 
 def estimate_containment(spec, g, replications, seed, workers=1):
-    """Monte Carlo estimate of P(argmin set lies inside the open 1-D union g)."""
+    """Monte Carlo estimate of P(argmin set lies inside the open 1-D union
+    g), on the `_limit_sets` sample of (spec, seed, replications,
+    workers)."""
     return _estimate(spec, "open", g, replications, seed, workers)
 
 

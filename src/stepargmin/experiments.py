@@ -27,10 +27,10 @@ from stepargmin.argmin import (
 )
 from stepargmin.cpoisson import (
     OutOfDomainError,
+    _accepted_sets,
     _binom_se,
     _limit_job,
     _predicate_worker,
-    _redraw_rule,
     choose_interval_bounds,
     inverse_normal_cdf,
     normal_cdf,
@@ -53,8 +53,8 @@ _TAG_COVER = 3
 _TAG_BOOT = 4
 _TAG_MEMBER = 5
 
-# the benchmark tracer wraps this name; the limit columns run through it as
-# cpoisson._predicate_worker
+# the benchmark tracer wraps this name; the limit jobs' argmin sets are
+# drawn through it as cpoisson._predicate_worker
 _limit_worker = _predicate_worker
 
 
@@ -334,15 +334,14 @@ class InequalityReport:
         return "\n".join(lines) + "\n"
 
 
-def _limit_jobs(config, menu):
+def _limit_jobs(config):
     """Per breakpoint j, the `_limit_job` of limit process j on its own
-    stream, flagging the j-th set of each row of `menu`."""
+    stream."""
     return [
         _limit_job(
             derive_limit_spec(config.model, j),
             child_seed(config.master_seed, _TAG_LIMIT, j),
             config.replications_limit,
-            tuple((st.kind, st.sets[j - 1]) for st in menu),
         )
         for j in range(1, config.k + 1)
     ]
@@ -357,25 +356,28 @@ def verify_tables(config, workers=1):
     scales, one row per replication.  rhs holds per breakpoint j a (menu
     rows, replications) flag array: whether the limit argmin set (or the
     bootstrap deviation) hits the j-th set of a closed row, or lies inside
-    that of an open row.  Boundary redraws above 1% of the replications
-    raise TooManyRedrawsError."""
+    that of an open row, each asked of the breakpoint's `IntervalRows`.
+    Boundary redraws above 1% of the replications raise
+    TooManyRedrawsError."""
     model, k, master = config.model, config.k, config.master_seed
     jobs = [_fit_job(model, k, n, master, _TAG_DATA, config.replications_data) for n in config.n_grid]
     derived = config.rhs_mode == "derived"
     if derived:
-        jobs += _limit_jobs(config, config.menu)
+        jobs += _limit_jobs(config)
     else:
         boot_n = config.bootstrap_n
         jobs.append(_fit_job(model, k, boot_n, master, _TAG_BOOT, config.replications_limit))
-    rows = run_chunks(jobs, workers)
-    fits = {n: _deviations(model, k, n, r) for n, r in zip(config.n_grid, rows)}
-    rest = rows[len(fits) :]
+    results = run_chunks(jobs, workers)
+    fits = {n: _deviations(model, k, n, r) for n, r in zip(config.n_grid, results)}
+    rest = results[len(fits) :]
     if derived:
-        return fits, [_redraw_rule(c)[:, 3:].T.astype(bool) for c in rest]
-    xi = _deviations(model, k, boot_n, rest[0])[0]
+        # breakpoint j's limit argmin sets, replication r in row r
+        sets = [_accepted_sets(a)[0] for a in rest]
+    else:
+        sets = [IntervalRows.from_points(x) for x in _deviations(model, k, boot_n, rest[0])[0].T]
     return fits, [
-        np.array([IntervalRows.from_points(x).meets(st.kind, st.sets[j]) for st in config.menu])
-        for j, x in enumerate(xi.T)
+        np.array([rows.meets(st.kind, st.sets[j]) for st in config.menu])
+        for j, rows in enumerate(sets)
     ]
 
 
@@ -580,9 +582,10 @@ def coverage_experiment(config, workers=1):
     z_hi = inverse_normal_cdf((gamma + 1.0) / 2.0)
     args = (config.model, k, n, config.master_seed)
     fit_job = (_coverage_worker, args, config.coverage_replications, _block_rows(n))
-    fits, *limits = run_chunks([fit_job, *_limit_jobs(config, ())], workers)
+    fits, *limits = run_chunks([fit_job, *_limit_jobs(config)], workers)
     bounds_tau = tuple(
-        choose_interval_bounds(cols[:, 0], cols[:, 1], gamma) for cols in map(_redraw_rule, limits)
+        choose_interval_bounds(rows.smallest(), rows.largest(), gamma)
+        for rows, _ in map(_accepted_sets, limits)
     )
     covered, widths = _rectangle_coverage(config.model, n, fits, bounds_tau, z_lo, z_hi)
     return CoverageReport(

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import math
+import types
 from pathlib import Path
 
 import numpy as np
@@ -393,11 +394,12 @@ class TestFunctionalEstimates:
             "point": unit_spec(),
             "derived": derived_specs()[0],
         }[law]
-        args = (spec, 38, (("closed", closed((-1.0, 1.0))),))
-        worker = cpoisson._predicate_worker
-        short, long = run_chunks([(worker, args, 11, _BLOCK), (worker, args, 40, _BLOCK)], workers)
-        assert short.shape == (11, 4) and bool(short[:, 2].sum()) == (law == "two_point")
-        assert short.tobytes() == long[:11].tobytes()
+        job = cpoisson._limit_job
+        short, long = run_chunks([job(spec, 38, 11), job(spec, 38, 40)], workers)
+        rows = IntervalRows.from_cells(short[:, 0], short[:, 1], short[:, 2])
+        assert rows.starts.size == 11 and short.shape[1] == 4
+        assert bool(short[rows.starts, 3].sum()) == (law == "two_point")
+        assert short.tobytes() == long[: len(short)].tobytes()
 
 
 def closed(*pairs):
@@ -691,6 +693,86 @@ class TestStreamLayout:
                 cont = estimate_containment(spec, opened((-INF, x)), 500, 44)
                 assert cap.value == float(np.mean(lo <= x))
                 assert cont.value == float(np.mean(hi < x))
+
+
+class TestKeptSample:
+    """The public estimators draw one (spec, seed, replications, workers)
+    sample once and answer every later call on that key from it."""
+
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        """draws.blocks counts the blocks and redraw attempts drawn in this
+        process, draws.runs lists the workers of each `run_chunks` call
+        that cpoisson makes."""
+        calls = types.SimpleNamespace(blocks=[], runs=[])
+        draw, run = cpoisson._draw_block, cpoisson.run_chunks
+
+        def counted_draw(*args, **kwargs):
+            calls.blocks.append(1)
+            return draw(*args, **kwargs)
+
+        def counted_run(jobs, workers):
+            calls.runs.append(workers)
+            return run(jobs, workers)
+
+        monkeypatch.setattr(cpoisson, "_draw_block", counted_draw)
+        monkeypatch.setattr(cpoisson, "run_chunks", counted_run)
+        # a sample kept by an earlier test must not stand in for a draw
+        monkeypatch.setattr(cpoisson, "_kept", (None, None))
+        return calls
+
+    def test_three_estimators_draw_once(self, draws):
+        spec = unit_spec(jump_right=NEGATIVE_SUPPORT, jump_left=NEGATIVE_SUPPORT)
+        samples = sample_extreme_minimizers(spec, 1000, 20261019)
+        # 16 blocks, then one draw per redraw attempt
+        assert samples.redraws.sum() > 0
+        assert len(draws.blocks) == 16 + samples.redraws.sum()
+        drawn = len(draws.blocks)
+        cap = estimate_capacity(spec, closed((-INF, 0.5)), 1000, 20261019)
+        cont = estimate_containment(spec, opened((-INF, 0.5)), 1000, 20261019)
+        assert len(draws.blocks) == drawn and draws.runs == [1]
+        assert cap.value == float(np.mean(samples.xi_min <= 0.5))
+        assert cont.value == float(np.mean(samples.xi_max < 0.5))
+
+    @pytest.mark.parametrize("change", ["spec", "seed", "replications", "workers"])
+    def test_a_new_key_draws_again(self, draws, change):
+        spec = unit_spec(jump_right=NEGATIVE_SUPPORT, jump_left=NEGATIVE_SUPPORT)
+        args = dict(spec=spec, replications=1000, seed=20261019, workers=1)
+        first = sample_extreme_minimizers(**args)
+        drawn = len(draws.blocks)
+        # another window_growth leaves every argmin set as it is
+        args[change] = {
+            "spec": dataclasses.replace(spec, window_growth=3.0),
+            "seed": 20261020,
+            "replications": 999,
+            "workers": 2,
+        }[change]
+        again = sample_extreme_minimizers(**args)
+        assert draws.runs == [1, args["workers"]]
+        if change == "workers":
+            # a pool's processes draw, out of this process's count
+            assert np.array_equal(again, first)
+        else:
+            assert len(draws.blocks) > drawn
+            assert len(again) == args["replications"]
+
+    def test_a_sample_that_raises_is_not_kept(self, draws):
+        spec = unit_spec(
+            rate_right=5.0,
+            rate_left=5.0,
+            jump_right=NEGATIVE_SUPPORT,
+            jump_left=NEGATIVE_SUPPORT,
+            window_initial=4.0,
+            max_window=4.0,
+        )
+        counts = []
+        for _ in range(2):
+            with pytest.raises(TooManyRedrawsError):
+                estimate_capacity(spec, closed((-INF, 0.0)), 200, 7)
+            counts.append(len(draws.blocks))
+        # 4 blocks and their redraw attempts, twice
+        assert counts[0] > 4 and counts[1] == 2 * counts[0]
+        assert cpoisson._kept == (None, None)
 
 
 class TestIntervalBounds:

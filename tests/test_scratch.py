@@ -106,16 +106,16 @@ def test_limit_block_peak_is_a_few_edge_arrays(law, max_window):
     spec = CompoundPoissonSpec(1.0, 1.0, law, law, max_window=max_window)
     block = cpoisson._BLOCK
     edges = block * (2 * cpoisson._gap_count(1.0, max_window) + 2) * 8
-    args = (spec, 7, ())
+    args = (spec, 7)
     # the first call also computes the law's Lundberg exponent
     cpoisson._predicate_worker(args, 0, block)
     tracemalloc.start()
     try:
-        cols = cpoisson._predicate_worker(args, 0, block)
+        cells = cpoisson._predicate_worker(args, 0, block)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert cols.shape == (block, 3)
+    assert cells.shape[1] == 4 and np.unique(cells[:, 0]).size == block
     assert peak <= 8 * edges
 
 
@@ -165,10 +165,23 @@ class TestResultsOwnTheirMemory:
         first = sample_extreme_minimizers(TWO_POINT_SPEC, 1000, 20261019)
         assert first.redraws.sum() > 0
         kept = first.copy()
+        # the same key answers from the kept sample, whose arrays are
+        # read-only and never handed out: writes into one result do not
+        # reach the next
+        rows, redraws = cpoisson._kept[1]
+        held = (rows.lo, rows.hi, rows.starts, redraws)
+        assert not any(a.flags.writeable for a in held)
+        first.xi_min[:] = first.xi_max[:] = 0.0
+        first.redraws[:] = -1
+        again = sample_extreme_minimizers(TWO_POINT_SPEC, 1000, 20261019)
+        assert cpoisson._kept[1][0] is rows
+        assert np.array_equal(again, kept)
+        assert not np.shares_memory(again, first)
+        assert not any(np.shares_memory(r, a) for r in (first, again) for a in held)
         jumps = JumpLaw("gaussian", (1.0, 0.5))
         sample_extreme_minimizers(CompoundPoissonSpec(2.0, 0.5, jumps, jumps), 300, 3)
-        assert np.array_equal(first, kept)
-        assert_owned(first)
+        assert np.array_equal(again, kept)
+        assert_owned(first, again)
 
     def test_argmin_set(self):
         first = argmin_set(StepFunction1D([-1.0, 0.0, 2.0], [3.0, 1.0, 1.0, 2.0]))
