@@ -7,8 +7,12 @@ When every block allocates and frees its temporaries, glibc trims the
 freed top of the heap and the next block faults the same pages in again.
 The kernels instead write their temporaries through numpy ``out=`` into
 ``scratch`` arrays: per thread, one buffer per name, which every later
-request for that name reuses.  The limit side's 64-row blocks allocate
-theirs fresh: there reuse measured no faster.
+request for that name reuses.  The limit side's 64-row blocks keep
+their largest arrays, each side's first walk chunk and the block's cell
+edges and values, in scratch too: fresh, they were freed at the top of
+the heap, glibc trimmed it, and the next block faulted the pages in
+again, 600 to 1200 minor faults per `limit_mc` benchmark operation with
+glibc's mmap threshold pinned at its default.
 
 Rules for a name:
 - It belongs to one function, which does not run again while it holds
@@ -16,7 +20,9 @@ Rules for a name:
 - Its array is dead once the function returns.  It is never returned,
   except as the ``out`` array that the caller passed in, and a kernel
   that hands a scratch block on does so to a callback that returns fresh
-  arrays.
+  arrays.  The one exception is ``cpoisson._draw_block``, whose cell
+  arrays are valid until the thread's next block draw; its callers read
+  them at once, and none returns them.
 - A request above ``_CAP_BYTES`` gets a fresh array, as before, so a
   large single fit keeps nothing.
 

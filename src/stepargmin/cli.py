@@ -3,8 +3,8 @@
 Subcommands: fit, simulate-limit, capacity, coverage, verify.  Every run
 writes a manifest into the output directory before computing and a DONE
 marker after the last report, so interrupted runs are recognizable.  Exit
-codes: 0 success, 1 verdict failure, 2 input or configuration error,
-3 data-shape error.
+codes: 0 success, 1 verdict failure or a limit walk still uncertified at
+the jump cap, 2 input or configuration error, 3 data-shape error.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from pathlib import Path
 
 from stepargmin import __version__
 from stepargmin.cpoisson import (
-    TooManyRedrawsError,
+    UncertifiedWalkError,
     estimate_capacity,
     sample_extreme_minimizers,
     samples_to_csv,
@@ -216,7 +216,7 @@ def run(argv=None):
     except TooFewDistinctXError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA_SHAPE
-    except TooManyRedrawsError as exc:
+    except UncertifiedWalkError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERDICT
     except (ValueError, OSError) as exc:

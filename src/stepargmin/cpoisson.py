@@ -13,21 +13,18 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from statistics import NormalDist
 
 import numpy as np
 
+from stepargmin._scratch import scratch
 from stepargmin.argmin import INF, IntervalRows, _argmin_cells, argmin_set
-from stepargmin.rng import child_seed, run_chunks, substream
+from stepargmin.rng import run_chunks, substream
 from stepargmin.stepfun import StepFunction1D
 from stepargmin.textfmt import InvalidSpecError, Law, convert, parse_law_token, read_key_values
 
 _SQRT2 = math.sqrt(2.0)
-
-
-class TooManyRedrawsError(RuntimeError):
-    """Raised when boundary redraws exceed 1% of the requested replications."""
 
 
 class EmptySamplesError(ValueError):
@@ -148,78 +145,76 @@ def jump_law_from_token(token):
 
 @dataclass(frozen=True)
 class CompoundPoissonSpec:
-    """Rates, jump laws, and the adaptive-window policy of a two-sided
-    compound Poisson process.  Positive jump means force the trajectory
-    upward on both sides, so the argmin set is almost surely compact.
-    An unset window_initial stays None and reads as min(8, max_window)
-    (`_first_window`), so `dataclasses.replace` of max_window moves it
-    along.  A side whose rate and max_window would draw more than
-    _MAX_GAPS gaps per row is rejected, so a block's arrays stay bounded.
+    """Rates and jump laws of a two-sided compound Poisson process.
+    Positive jump means force the trajectory upward on both sides, so the
+    argmin set is almost surely compact.
 
-    Every block draws all arrivals of [-max_window, max_window], but a
-    side's argmin cells are taken over its certified prefix (`_arrivals`),
-    which agrees with the whole window except on an event of probability
-    at most _EPSILON = 1e-12 per row and side, fixed and not a spec key;
-    jump laws too close to driftless take the whole window."""
+    A block draws each side's jump walk until it is certified (`_walk`):
+    the argmin cells it hands on are those of the endless walk, except on
+    an event of probability at most _EPSILON = 1e-12 per row and side,
+    fixed and not a spec key.  A side whose jump law climbs ln(1/_EPSILON)
+    / R in more than _MAX_GAPS jumps of its mean drift, or whose Lundberg
+    exponent R reads 0, is rejected, so a block's arrays stay bounded.
+
+    window_initial, window_growth and max_window are accepted and checked
+    (finite, max_window positive and at least window_initial, which reads
+    min(8, max_window) when unset, and window_growth above 1), so spec
+    files written with them stay valid; they are not stored and change no
+    draw, since the walks have no time window."""
 
     rate_right: float
     rate_left: float
     jump_right: JumpLaw
     jump_left: JumpLaw
-    window_initial: float = None
-    window_growth: float = 2.0
-    max_window: float = 64.0
+    window_initial: InitVar[float] = None
+    window_growth: InitVar[float] = 2.0
+    max_window: InitVar[float] = 64.0
 
-    def __post_init__(self):
-        first = _first_window(self)
-        for name in ("rate_right", "rate_left", "window_initial", "window_growth", "max_window"):
-            if not math.isfinite(first if name == "window_initial" else getattr(self, name)):
+    def __post_init__(self, window_initial, window_growth, max_window):
+        first = min(8.0, max_window) if window_initial is None else window_initial
+        values = {
+            "rate_right": self.rate_right,
+            "rate_left": self.rate_left,
+            "window_initial": first,
+            "window_growth": window_growth,
+            "max_window": max_window,
+        }
+        for name, value in values.items():
+            if not math.isfinite(value):
                 raise InvalidSpecError(f"{name} must be finite")
         if self.rate_right <= 0 or self.rate_left <= 0:
             raise InvalidSpecError("rates must be strictly positive")
         if self.jump_right.mean() <= 0 or self.jump_left.mean() <= 0:
             raise InvalidSpecError("jump laws must have strictly positive mean")
-        if self.max_window <= 0:
+        if max_window <= 0:
             raise InvalidSpecError("max_window must be positive")
         if first <= 0:
             raise InvalidSpecError("window_initial must be positive")
-        if self.window_growth <= 1:
+        if window_growth <= 1:
             raise InvalidSpecError("window_growth must exceed 1")
-        if self.max_window < first:
+        if max_window < first:
             raise InvalidSpecError("max_window must be at least window_initial")
         for side in ("right", "left"):
-            rate = getattr(self, f"rate_{side}")
-            # a product that overflows has no count, and is above the cap
-            gaps = _gap_count(rate, self.max_window) if rate * self.max_window < INF else INF
-            if gaps > _MAX_GAPS:
+            law = getattr(self, f"jump_{side}")
+            if _climb(law) > _MAX_GAPS:
                 raise InvalidSpecError(
-                    f"the {side} side would draw {gaps} gaps per row for rate_{side} = "
-                    f"{rate!r} and max_window = {self.max_window!r}, above the cap of {_MAX_GAPS}"
+                    f"jump_{side} = {law.to_token()} cannot be certified: its drift climbs "
+                    f"ln(1/eps)/R in {_climb(law):.6g} jumps (R = {law.lundberg!r}), "
+                    f"above the cap of {_MAX_GAPS}"
                 )
 
     def to_text(self):
-        """The spec file text; window_initial is written only when set."""
-        lines = [
-            f"rate_right = {self.rate_right!r}",
-            f"rate_left = {self.rate_left!r}",
-            f"jump_right = {self.jump_right.to_token()}",
-            f"jump_left = {self.jump_left.to_token()}",
-        ]
-        if self.window_initial is not None:
-            lines.append(f"window_initial = {self.window_initial!r}")
-        lines += [f"window_growth = {self.window_growth!r}", f"max_window = {self.max_window!r}"]
-        return "\n".join(lines) + "\n"
+        """The spec file text of the rates and jump laws."""
+        return (
+            f"rate_right = {self.rate_right!r}\n"
+            f"rate_left = {self.rate_left!r}\n"
+            f"jump_right = {self.jump_right.to_token()}\n"
+            f"jump_left = {self.jump_left.to_token()}\n"
+        )
 
 
-def _first_window(spec):
-    """The first window of the spec's policy: window_initial, or
-    min(8, max_window) when it is unset."""
-    if spec.window_initial is None:
-        return min(8.0, spec.max_window)
-    return spec.window_initial
-
-
-# the keys of a spec file; the first four are required
+# the keys of a spec file; the first four are required, the last three are
+# the window keys, checked and ignored
 _SPEC_KEYS = (
     "rate_right",
     "rate_left",
@@ -264,163 +259,171 @@ def _proportion(flags, n):
 # Replications are simulated in blocks of _BLOCK rows, and block b draws
 # everything from substream(seed, b), so the draw of replication r depends
 # on (spec, seed, r) only: not on the replication count, nor on how the
-# replications are split between workers.
+# replications are split between workers.  A block draws the right side's
+# jump walks, then the left side's, then the right side's arrival gaps,
+# then the left side's.
 
 _BLOCK = 64
 
-# gaps per row and side that a spec may ask for: a 64-row block's cell
-# edges then stay near 17 MB
+# jumps per row and side that a walk may take: a 64-row block's walk then
+# stays near 8 MB
 _MAX_GAPS = 2**14
 
-# each side of a row is scanned until the chance that the arrivals not
-# scanned change its argmin set is at most _EPSILON (see _arrivals)
+# each side of a row is drawn until the chance that the jumps not drawn
+# change its argmin set is at most _EPSILON (see _walk)
 _EPSILON = 1e-12
 _HEIGHT = math.log(1.0 / _EPSILON)
-# a side's first prefix spans _FIRST times the arrivals that a drift of
-# E[J] takes to climb _HEIGHT / R; it grows _GROWTH-fold
-_FIRST = 3
-_GROWTH = 4
+# a walk's first chunk spans _FIRST times the jumps that a drift of E[J]
+# takes to climb _HEIGHT / R, each later chunk _STEP times, and at least
+# _MIN_STEP jumps
+_FIRST = 1.2
+_STEP = 1.0
+_MIN_STEP = 8
 
 
-def _gap_count(rate, horizon):
-    """Gaps drawn per row and side before any top-up: the mean arrival count
-    over the horizon plus four standard deviations."""
-    mean = rate * horizon
-    return math.ceil(mean + 4.0 * math.sqrt(mean)) + 4
+class UncertifiedWalkError(RuntimeError):
+    """Raised when a row's jump walk is still uncertified at _MAX_GAPS jumps."""
 
 
-def _arrivals(rng, rate, law, horizon, times, sums, whole):
-    """Arrival times and running jump sums of one side, written into the
-    first c columns of the (rows, width) arrays times and sums and returned
-    as those columns; arrival times beyond the horizon read +inf.
+def _climb(law):
+    """ln(1/_EPSILON) / (R E[J]): the jumps that the law's mean drift takes
+    to climb the certified height; 0 when R is inf, inf when R is 0."""
+    drift = law.lundberg * law.mean()
+    return _HEIGHT / drift if drift > 0 else INF
 
-    c is the certified prefix: every row has an arrival past the horizon
-    among its first c, or a running sum S_c above min(0, S_1, ..., S_c)
-    by more than _HEIGHT / R, R being the law's Lundberg exponent.  By the
-    Lundberg inequality, the sums after S_c of such a row fall back to
-    that minimum with probability at most _EPSILON, so the columns from c
-    on hold no cell of its argmin set.  c starts at 1 + _FIRST _HEIGHT /
-    (R E[J]), which is 1 for jumps that are never negative, and grows
-    _GROWTH-fold until every row is certified.  One loop sums the gaps and
-    jumps in place, each round continuing from the last column summed, so
-    the c columns are those of the whole window bit for bit.  The columns
-    are cut after the first that is past the horizon in every row.
 
-    The whole window, c = width, is the loop's first round when `whole` is
-    set, when the first c would exceed half the width, and when some row's
-    last arrival may not pass the horizon.  Then, while some row's last
-    arrival does not pass the horizon, every row is topped up from the
-    same generator, and the times and sums are returned as new, wider
-    arrays instead.  Every case draws the same gaps, jumps and top-ups."""
-    rows, width = times.shape
-    gaps = rng.standard_exponential((rows, width))
-    height = _HEIGHT / law.lundberg if law.lundberg > 0 else INF
-    first = 1.0 + _FIRST * height / law.mean()
-    # the half-width rule keeps nearly driftless laws, whose R is swamped by
-    # rounding, on the whole window; a row's pairwise sum of gaps is off
-    # from cumsum's sequential one by far less than the margin
-    if (
-        whole
-        or 2.0 * first > width
-        or not np.all(np.add.reduce(gaps, axis=1) > rate * horizon * (1.0 + 1e-9))
-    ):
-        stop = width
-    else:
-        stop = math.ceil(first)
-    jumps = law.sample(rng, (rows, width))
-    done = 0
-    while True:
-        # in place, continuing from the last column summed
-        run = slice(max(done - 1, 0), stop)
-        np.cumsum(gaps[:, run], axis=1, out=gaps[:, run])
-        np.cumsum(jumps[:, run], axis=1, out=jumps[:, run])
-        if stop == width:
+def _jumps(rng, law, out):
+    """Jumps of the law into the array `out`.  A two_point law of p = 1/2
+    takes its atoms from fair random bits, 64 to a generator word, which
+    is several times cheaper than a uniform per jump."""
+    if law.family != "two_point" or law.params[2] != 0.5:
+        return law.sample(rng, out.shape, out=out)
+    rows, cols = out.shape
+    words = rng.bit_generator.random_raw(rows * -(-cols // 64)).astype("<u8", copy=False)
+    bits = np.unpackbits(words.view(np.uint8).reshape(rows, -1), axis=1, count=cols)
+    # take with an intp index, which it does not copy
+    index = scratch("cpoisson.jumps", out.shape, np.intp)
+    np.copyto(index, bits)
+    return np.take(np.array(law.params[1::-1]), index, out=out, mode="clip")
+
+
+def _walk(rng, spec, side, rows):
+    """The running jump sums S_1, S_2, ... of one side for `rows` rows, as
+    (chunks, low, at).  chunks lists (rows, first column, sums): the first
+    chunk holds every row, a later one the rows still pending then, with
+    their sums continued.  low is min(0, S_1, ..., S_L) of each row's walk
+    of L jumps, and at the last index that attains it (0: the origin).
+
+    A row's walk is drawn chunk by chunk until S_L > low + _HEIGHT / R, R
+    being the law's Lundberg exponent.  By the Lundberg inequality, the
+    walk after S_L then falls back to low or below with probability at
+    most _EPSILON, so the jumps not drawn change no argmin set but on that
+    event.  A row still uncertified at _MAX_GAPS jumps raises
+    UncertifiedWalkError."""
+    law = getattr(spec, f"jump_{side}")
+    height = _HEIGHT / law.lundberg
+    climb = _climb(law)
+    width = min(max(1, math.ceil(_FIRST * climb)), _MAX_GAPS)
+    step = max(_MIN_STEP, math.ceil(_STEP * climb))
+    sums = _jumps(rng, law, scratch(f"cpoisson.{side}", (rows, width)))
+    np.cumsum(sums, axis=1, out=sums)
+    # the last minimum of each row: argmin of the reversed row
+    at = width - np.argmin(sums[:, ::-1], axis=1)
+    low = sums[np.arange(rows), at - 1]
+    at[low > 0.0] = 0
+    np.minimum(low, 0.0, out=low)
+    end = sums[:, -1].copy()
+    chunks = [(slice(None), 0, sums)]
+    pending = np.flatnonzero(end - low <= height)
+    length = width
+    while pending.size:
+        if length == _MAX_GAPS:
+            raise UncertifiedWalkError(
+                f"a {side} walk of the spec ({'; '.join(spec.to_text().splitlines())}) "
+                f"is still uncertified after {_MAX_GAPS} jumps"
+            )
+        more = _jumps(rng, law, np.empty((pending.size, min(step, _MAX_GAPS - length))))
+        more[:, 0] += end[pending]
+        np.cumsum(more, axis=1, out=more)
+        last = more.shape[1] - np.argmin(more[:, ::-1], axis=1)
+        least = more[np.arange(pending.size), last - 1]
+        # a tie with low is a later index that attains it
+        lower = least <= low[pending]
+        low[pending[lower]] = least[lower]
+        at[pending[lower]] = length + last[lower]
+        end[pending] = more[:, -1]
+        chunks.append((pending, length, more))
+        length += more.shape[1]
+        pending = pending[end[pending] - low[pending] <= height]
+    return chunks, low, at
+
+
+def _arrivals(rng, chunks, count, rate, times, sums):
+    """Writes one side's arrival times over `rate` into `times` and its
+    running sums into `sums`, (rows, n) views with n = max(count).  A row
+    draws count gaps, each over `rate`, and its later times repeat its last
+    one; its sums past its walk repeat its last sum."""
+    n = times.shape[1]
+    for rows, offset, more in chunks:
+        if offset >= n:
             break
-        rise = jumps[:, stop - 1] - np.minimum(jumps[:, :stop].min(axis=1), 0.0)
-        if np.all((rise > height) | (gaps[:, stop - 1] / rate > horizon)):
-            break
-        done, stop = stop, min(width, _GROWTH * stop)
-    times = np.divide(gaps[:, :stop], rate, out=times[:, :stop])
-    # only the whole window can end short of the horizon; the top-up
-    # continues its times and sums in new, wider arrays
-    while stop >= width and np.any(times[:, -1] <= horizon):
-        more = np.cumsum(rng.standard_exponential((rows, width)), axis=1) / rate
-        times = np.hstack([times, times[:, -1:] + more])
-        jumps = np.hstack([jumps, law.sample(rng, (rows, width))])
-        np.cumsum(jumps[:, stop - 1 :], axis=1, out=jumps[:, stop - 1 :])
-        stop += width
-    stop = _cut(times, horizon)
-    if stop > width:
-        return times[:, :stop], jumps[:, :stop]
-    np.copyto(sums[:, :stop], jumps[:, :stop])
-    return times[:, :stop], sums[:, :stop]
-
-
-def _cut(times, horizon):
-    """Sets the arrival times beyond the horizon to +inf.  Returns the
-    number of columns up to the first that is past the horizon in every
-    row, from which on all cells have no width, or all columns."""
-    past = times > horizon
-    times[past] = INF
-    every = past.all(axis=0)
-    return int(np.argmax(every)) + 1 if every[-1] else times.shape[1]
+        part = more[:, : n - offset]
+        sums[rows, offset : offset + part.shape[1]] = part
+        sums[rows, offset + part.shape[1] :] = part[:, -1:]
+    gaps = np.zeros(times.shape)
+    gaps[np.arange(n) < count[:, None]] = rng.standard_exponential(int(count.sum())) / rate
+    np.cumsum(gaps, axis=1, out=times)
 
 
 def _draw_block(spec, rng, rows, whole=False):
-    """``rows`` trajectories as new arrays (edges, values): cell edges
-    (rows, n + 2) and cell values (rows, n + 1), cell j of a row spanning
-    [edges[j], edges[j + 1]).
+    """``rows`` trajectories as arrays (edges, values): cell edges (rows, n
+    + 2) and cell values (rows, n + 1), cell j of a row spanning [edges[j],
+    edges[j + 1]).  Both are this thread's scratch buffers, valid until
+    its next block draw.
 
-    Each side holds its certified prefix of arrivals (`_arrivals`): the
-    argmin cells of a row are those of the whole window [-max_window,
-    max_window], except on an event of probability at most _EPSILON per
-    row and side.  With `whole` set, both sides hold the whole window.
-    Either way the block draws the same numbers from rng.
+    Each side draws its certified walk (`_walk`), then per row the arrival
+    gaps up to one past the last index that attains the row's minimum
+    min(0, left walk, right walk): so the argmin cells of a row are those
+    of its endless trajectory, except on an event of probability at most
+    _EPSILON per row and side.  Past its last gap a row's cells have no
+    width, but for the outermost one, which holds a value above the
+    minimum.  With `whole` set, the gaps span each row's whole walk
+    instead, and the cells are the trajectory up to its last arrival.
 
     Left cells hold the partial sums of jumps strictly beyond the cell, the
     center cell spanning zero holds 0, right cells the running sums.  Cells
-    of zero width, from arrivals beyond the horizon or coinciding arrival
-    times, are not part of the trajectory."""
-    w = spec.max_window
-    n_left, n_right = _gap_count(spec.rate_left, w), _gap_count(spec.rate_right, w)
-    edges = np.empty((rows, n_left + n_right + 2))
-    values = np.empty((rows, n_left + n_right + 1))
-    # each side lands in its place unless it is topped up; the left side's
-    # arrivals run outwards from the origin, so into reversed views
-    t_right, s_right = _arrivals(
-        rng,
-        spec.rate_right,
-        spec.jump_right,
-        w,
-        edges[:, n_left + 1 : -1],
-        values[:, n_left + 1 :],
-        whole,
+    of zero width are not part of the trajectory."""
+    walks = [_walk(rng, spec, side, rows) for side in ("right", "left")]
+    low = np.minimum(walks[0][1], walks[1][1])
+    counts = []
+    for chunks, side_low, at in walks:
+        if whole:
+            count = np.full(rows, chunks[0][2].shape[1])
+            for pending, offset, more in chunks[1:]:
+                count[pending] = offset + more.shape[1]
+        else:
+            # a side that does not attain the row's minimum needs no gap
+            count = np.where(side_low == low, at + 1, 0)
+        counts.append(count)
+    n_right, n_left = (int(count.max()) for count in counts)
+    edges = scratch("cpoisson.edges", (rows, n_left + n_right + 2))
+    values = scratch("cpoisson.values", (rows, n_left + n_right + 1))
+    # the left side's arrivals run outwards from the origin, so into
+    # reversed views
+    _arrivals(
+        rng, walks[0][0], counts[0], spec.rate_right, edges[:, n_left + 1 : -1], values[:, n_left + 1 :]
     )
-    t_left, s_left = _arrivals(
+    _arrivals(
         rng,
-        spec.rate_left,
-        spec.jump_left,
-        w,
-        edges[:, n_left:0:-1],
-        values[:, n_left - 1 :: -1],
-        whole,
+        walks[1][0],
+        counts[1],
+        -spec.rate_left,
+        edges[:, 1 : n_left + 1][:, ::-1],
+        values[:, :n_left][:, ::-1],
     )
-    c_left, c_right = t_left.shape[1], t_right.shape[1]
-    if c_left <= n_left and c_right <= n_right:
-        # the two prefixes are the columns next to the center cell
-        edges = edges[:, n_left - c_left : n_left + c_right + 2]
-        values = values[:, n_left - c_left : n_left + c_right + 1]
-        np.negative(edges[:, 1 : c_left + 1], out=edges[:, 1 : c_left + 1])
-    else:
-        edges = np.empty((rows, c_left + c_right + 2))
-        edges[:, 1 : c_left + 1] = -t_left[:, ::-1]
-        edges[:, c_left + 1 : -1] = t_right
-        values = np.empty((rows, edges.shape[1] - 1))
-        values[:, :c_left] = s_left[:, ::-1]
-        values[:, c_left + 1 :] = s_right
     edges[:, 0] = -INF
     edges[:, -1] = INF
-    values[:, c_left] = 0.0
+    values[:, n_left] = 0.0
     return edges, values
 
 
@@ -432,125 +435,59 @@ def _row_function(edges, values):
 
 
 def _build_trajectory(spec, seed):
-    """Full-horizon trajectory on [-max_window, max_window] as breakpoint
-    and value arrays: the one-row case of the block kernel.  Pure in
-    (spec, seed)."""
+    """The trajectory over both whole certified walks as breakpoint and
+    value arrays: the one-row case of the block kernel.  Pure in (spec,
+    seed)."""
     edges, values = _draw_block(spec, substream(seed), 1, whole=True)
     return _row_function(edges[0], values[0])
 
 
-def _window_grid(spec):
-    grid = []
-    w = _first_window(spec)
-    while w < spec.max_window:
-        grid.append(w)
-        w *= spec.window_growth
-    grid.append(spec.max_window)
-    return grid
-
-
-def _truncate(breaks, values, window):
-    i0 = np.searchsorted(breaks, -window, side="left")
-    i1 = np.searchsorted(breaks, window, side="right")
-    return StepFunction1D(breaks[i0:i1], values[i0 : i1 + 1])
-
-
 def _simulate(spec, seed):
-    """Returns (trajectory, argmin BoxUnion, boundary_flag).
-
-    The argmin set is computed on the full generated horizon; the reported
-    window is the smallest policy window strictly containing it.  Growing
-    window_initial therefore never changes the argmin set of an accepted
-    draw.
-    """
+    """Returns (trajectory, argmin BoxUnion, False): the trajectory over
+    both whole certified walks and its argmin set.  The benchmark tracer
+    reads the third entry as a boundary flag; no window bounds the walks,
+    so it is always False."""
     breaks, values = _build_trajectory(spec, seed)
-    a_full = argmin_set(StepFunction1D(breaks, values))
-    lo, hi = a_full.boxes[0].lo[0], a_full.boxes[-1].hi[0]
-    for w in _window_grid(spec):
-        if -w < lo and hi < w:
-            return _truncate(breaks, values, w), a_full, False
-    return _truncate(breaks, values, spec.max_window), a_full, True
+    trajectory = StepFunction1D(breaks, values)
+    return trajectory, argmin_set(trajectory), False
 
 
 def simulate_trajectory(spec, seed):
-    """One trajectory plus a boundary flag; the flag reports that even the
-    maximal window failed to contain the argmin set strictly."""
-    trajectory, _, boundary = _simulate(spec, seed)
-    return trajectory, boundary
-
-
-_MAX_ATTEMPTS = 10_000
-
-
-def _draw_accepted(spec, master_seed, rep):
-    """Redraws a boundary replication from fresh one-row streams, attempt 1
-    onward (attempt 0 is its row in its block); returns the accepted argmin
-    set as a one-row IntervalRows and the redraw count."""
-    w = spec.max_window
-    for attempt in range(1, _MAX_ATTEMPTS):
-        rng = substream(child_seed(master_seed, rep, attempt))
-        accepted = IntervalRows.from_cells(*_argmin_cells(*_draw_block(spec, rng, 1)))
-        if -w < accepted.lo[0] and accepted.hi[-1] < w:
-            return accepted, attempt
-    raise TooManyRedrawsError(f"replication {rep} exhausted {_MAX_ATTEMPTS} attempts")
+    """One trajectory over both whole certified walks."""
+    return _simulate(spec, seed)[0]
 
 
 def _predicate_worker(args, b, count):
-    """The accepted argmin sets of the first `count` replications of block
-    b as one (intervals, 4) array: per interval, its replication's global
-    index, its lo and hi, and that replication's redraw count.  Rows run in
-    replication order, intervals increasing within a row.
-
-    Replication r is row r % _BLOCK of block r // _BLOCK.  A row whose
-    argmin set does not lie strictly inside (-max_window, max_window) is a
-    boundary row; among the first `count` it is redrawn through
-    _draw_accepted, whose intervals replace the row's own."""
+    """The argmin sets of the first `count` replications of block b as one
+    (intervals, 3) array: per interval, its replication's global index and
+    its lo and hi.  Rows run in replication order, intervals increasing
+    within a row.  Replication r is row r % _BLOCK of block r // _BLOCK."""
     spec, seed = args
-    w = spec.max_window
     row, lo, hi = _argmin_cells(*_draw_block(spec, substream(seed, b), _BLOCK))
     n = int(np.searchsorted(row, count))
-    cells = np.column_stack((row[:n] + b * _BLOCK, lo[:n], hi[:n], np.zeros(n)))
-    # a row's first interval holds its smallest point, its last its largest
-    boundary = np.zeros(_BLOCK, dtype=bool)
-    boundary[row[:n][(lo[:n] <= -w) | (hi[:n] >= w)]] = True
-    if not boundary.any():
-        return cells
-    redrawn = []
-    for r in np.flatnonzero(boundary).tolist():
-        accepted, attempt = _draw_accepted(spec, seed, b * _BLOCK + r)
-        ends = np.broadcast_arrays(b * _BLOCK + r, accepted.lo, accepted.hi, attempt)
-        redrawn.append(np.column_stack(ends))
-    cells = np.concatenate([cells[~boundary[row[:n]]], *redrawn])
-    return cells[np.argsort(cells[:, 0], kind="stable")]
+    return np.column_stack((row[:n] + b * _BLOCK, lo[:n], hi[:n]))
 
 
-# the benchmark tracer wraps this name
+# the benchmark tracer wraps these names; no caller uses them, so their
+# spans read 0 until the tracer drops them
 _extremes_worker = _predicate_worker
+_draw_accepted = _predicate_worker
 
 
 def _limit_job(spec, seed, replications):
     """The `run_chunks` job of the `_predicate_worker` intervals of
-    replications 0..replications-1; read its array with `_accepted_sets`."""
+    replications 0..replications-1; read its array with `_job_sets`."""
     if replications < 1:
         raise ValueError("replications must be at least 1")
     return _predicate_worker, (spec, seed), replications, _BLOCK
 
 
-def _accepted_sets(cells):
-    """The argmin sets of a limit job's array as (IntervalRows, redraws per
-    replication), once its boundary redraws are checked: above 1% of its
-    replications they raise TooManyRedrawsError."""
-    rows = IntervalRows.from_cells(cells[:, 0], cells[:, 1], cells[:, 2])
-    redraws = cells[rows.starts, 3]
-    total_redraws = int(redraws.sum())
-    if total_redraws > 0.01 * redraws.size:
-        raise TooManyRedrawsError(
-            f"{total_redraws} boundary redraws exceed 1% of {redraws.size} replications"
-        )
-    return rows, redraws
+def _job_sets(cells):
+    """The argmin sets of a limit job's array as IntervalRows."""
+    return IntervalRows.from_cells(cells[:, 0], cells[:, 1], cells[:, 2])
 
 
-# (key, sets) of the last limit sample that the public estimators drew:
+# (key, rows) of the last limit sample that the public estimators drew:
 # one tuple, read once, as argmin._last is.  The key is (spec, seed,
 # replications, workers); workers is part of it so that a call with a new
 # worker count runs its own blocks.  The kept arrays are read-only
@@ -558,40 +495,35 @@ _kept = (None, None)
 
 
 def _limit_sets(spec, seed, replications, workers):
-    """The `_accepted_sets` of replications 0..replications-1, drawn through
+    """The `_job_sets` of replications 0..replications-1, drawn through
     `_limit_job`.  A call with the key of the previous call that returned
     returns its sets without drawing; a sample that raises is not kept."""
     global _kept
     key = (spec, seed, replications, workers)
-    kept_key, sets = _kept
+    kept_key, rows = _kept
     if kept_key == key:
-        return sets
-    sets = _accepted_sets(run_chunks([_limit_job(spec, seed, replications)], workers)[0])
-    rows, redraws = sets
-    for a in (rows.lo, rows.hi, rows.starts, redraws):
+        return rows
+    rows = _job_sets(run_chunks([_limit_job(spec, seed, replications)], workers)[0])
+    for a in (rows.lo, rows.hi, rows.starts):
         a.flags.writeable = False
-    _kept = (key, sets)
-    return sets
+    _kept = (key, rows)
+    return rows
 
 
 def sample_extreme_minimizers(spec, replications, seed, workers=1):
     """Smallest and largest minimizer per replication as a record array
-    with fields xi_min, xi_max and redraws; boundary draws are discarded
-    and redrawn, and redraws counts them.  The sample is the `_limit_sets`
-    one that a capacity or containment estimate on the same (spec, seed,
+    with fields xi_min and xi_max.  The sample is the `_limit_sets` one
+    that a capacity or containment estimate on the same (spec, seed,
     replications, workers) reads; the record array is a new copy."""
-    rows, redraws = _limit_sets(spec, seed, replications, workers)
-    return np.rec.fromarrays(
-        (rows.smallest(), rows.largest(), redraws.astype(np.int64)),
-        names="xi_min,xi_max,redraws",
-    )
+    rows = _limit_sets(spec, seed, replications, workers)
+    return np.rec.fromarrays((rows.smallest(), rows.largest()), names="xi_min,xi_max")
 
 
 def _estimate(spec, kind, target, replications, seed, workers):
     # the set is checked before the kept sample is looked up or drawn
     if target.dim != 1:
         raise ValueError("dimension mismatch")
-    rows, _ = _limit_sets(spec, seed, replications, workers)
+    rows = _limit_sets(spec, seed, replications, workers)
     return _proportion(rows.meets(kind, target), replications)
 
 
@@ -609,11 +541,10 @@ def estimate_containment(spec, g, replications, seed, workers=1):
 
 
 def samples_to_csv(samples):
-    lines = ["rep,xi_min,xi_max,redraws"]
+    lines = ["rep,xi_min,xi_max"]
     # Python floats: their repr is the report format, a numpy scalar's is not
-    columns = (samples.xi_min.tolist(), samples.xi_max.tolist(), samples.redraws.tolist())
-    for rep, (lo, hi, redraws) in enumerate(zip(*columns)):
-        lines.append(f"{rep},{lo!r},{hi!r},{redraws}")
+    for rep, (lo, hi) in enumerate(zip(samples.xi_min.tolist(), samples.xi_max.tolist())):
+        lines.append(f"{rep},{lo!r},{hi!r}")
     return "\n".join(lines) + "\n"
 
 

@@ -27,8 +27,8 @@ from stepargmin.argmin import (
 )
 from stepargmin.cpoisson import (
     OutOfDomainError,
-    _accepted_sets,
     _binom_se,
+    _job_sets,
     _limit_job,
     _predicate_worker,
     choose_interval_bounds,
@@ -357,8 +357,8 @@ def verify_tables(config, workers=1):
     rows, replications) flag array: whether the limit argmin set (or the
     bootstrap deviation) hits the j-th set of a closed row, or lies inside
     that of an open row, each asked of the breakpoint's `IntervalRows`.
-    Boundary redraws above 1% of the replications raise
-    TooManyRedrawsError."""
+    A limit walk still uncertified at the jump cap raises
+    UncertifiedWalkError."""
     model, k, master = config.model, config.k, config.master_seed
     jobs = [_fit_job(model, k, n, master, _TAG_DATA, config.replications_data) for n in config.n_grid]
     derived = config.rhs_mode == "derived"
@@ -372,7 +372,7 @@ def verify_tables(config, workers=1):
     rest = results[len(fits) :]
     if derived:
         # breakpoint j's limit argmin sets, replication r in row r
-        sets = [_accepted_sets(a)[0] for a in rest]
+        sets = [_job_sets(a) for a in rest]
     else:
         sets = [IntervalRows.from_points(x) for x in _deviations(model, k, boot_n, rest[0])[0].T]
     return fits, [
@@ -585,7 +585,7 @@ def coverage_experiment(config, workers=1):
     fits, *limits = run_chunks([fit_job, *_limit_jobs(config)], workers)
     bounds_tau = tuple(
         choose_interval_bounds(rows.smallest(), rows.largest(), gamma)
-        for rows, _ in map(_accepted_sets, limits)
+        for rows in map(_job_sets, limits)
     )
     covered, widths = _rectangle_coverage(config.model, n, fits, bounds_tau, z_lo, z_hi)
     return CoverageReport(

@@ -912,26 +912,16 @@ def derive_limit_spec(model, j):
     """Plug-in limit process for the rescaled breakpoint deviation at jump
     j (1-based): arrival rate equal to the covariate density at the jump,
     jump laws equal to the loss increments of reclassifying one observation
-    drawn from the matching side."""
+    drawn from the matching side.  The spec has no time window to size:
+    its walks are certified in index space, and a jump law too close to
+    driftless for that raises InvalidSpecError."""
     if not 1 <= j <= model.k:
         raise ValueError("jump index out of range")
     rate = model.x_law.density(model.true_tau[j - 1])
     if rate <= 0:
         raise InvalidSpecError("covariate density must be positive at the jump")
     right, left = _derived_jump_laws(model, j)
-    ratio_sq = 0.0
-    for law in (right, left):
-        if law.family == "gaussian":
-            ratio_sq = max(ratio_sq, (law.params[1] / law.params[0]) ** 2)
-    max_window = max(64.0, 16.0 * ratio_sq) / rate
-    return CompoundPoissonSpec(
-        rate_right=rate,
-        rate_left=rate,
-        jump_right=right,
-        jump_left=left,
-        window_initial=min(8.0 / rate, max_window),
-        max_window=max_window,
-    )
+    return CompoundPoissonSpec(rate_right=rate, rate_left=rate, jump_right=right, jump_left=left)
 
 
 def dataset_from_csv(text):

@@ -8,6 +8,8 @@ program with every suffix layer swept over its whole triangle, the float
 arithmetic that the pruned `stepfit._cuts` must reproduce bit for bit.
 `joint_membership` answers the membership question on the local
 landscape's k-D grid, where the library checks one section at a time.
+`long_walk_extremes` draws limit-process extreme minimizers from jump
+walks of a fixed length, with no certificate and no time window.
 The small builders at the end (`all_ge`, `build_rectangle`,
 `dataset_to_csv`) are conveniences that only the tests call.
 """
@@ -294,6 +296,48 @@ def reference_cuts(cum_n, cum_s, cum_q, k):
         cuts[:, j] = np.argmin(cand, axis=1)
         s = cuts[:, j, None] + 1
     return cuts
+
+
+def _attained(law, rows, length, rng):
+    """Per row of `rows` jump walks of `length` jumps: (low, first, last),
+    low = min(0, S_1, ..., S_length) and the first and last index j >= 1
+    with S_j == low, 0 for both where no jump sum attains low."""
+    sums = np.cumsum(law.sample(rng, (rows, length)), axis=1)
+    low = np.minimum(sums.min(axis=1), 0.0)
+    hit = sums == low[:, None]
+    some = hit.any(axis=1)
+    first = np.where(some, np.argmax(hit, axis=1) + 1, 0)
+    last = np.where(some, length - np.argmax(hit[:, ::-1], axis=1), 0)
+    return low, first, last
+
+
+def long_walk_extremes(spec, rows, length, rng, block=64):
+    """Smallest and largest minimizer of `rows` trajectories of the
+    compound Poisson `spec`, each side a walk of `length` jumps: no
+    certificate and no time window.  An argmin set's ends are arrival
+    times at indices where a walk attains the row's minimum, and the time
+    of arrival j is a Gamma(j) variate over the rate, so only those times
+    are drawn.  Blocks of `block` rows keep the arrays small."""
+    xi_min, xi_max = [], []
+    for start in range(0, rows, block):
+        n = min(block, rows - start)
+        sides = []
+        for law, rate in ((spec.jump_left, spec.rate_left), (spec.jump_right, spec.rate_right)):
+            low, first, last = _attained(law, n, length, rng)
+            # T_first, then T_(last + 1); T_0 = 0, so a side that attains
+            # nothing reads T_1 as its second time
+            t_first = rng.standard_gamma(first.astype(float))
+            t_after = t_first + rng.standard_gamma((last + 1 - first).astype(float))
+            sides.append((low, first > 0, t_first / rate, t_after / rate))
+        (low_l, at_l, first_l, after_l), (low_r, at_r, first_r, after_r) = sides
+        low = np.minimum(low_l, low_r)
+        at_l &= low_l == low
+        at_r &= low_r == low
+        # the origin's cell (-T'_1, T_1) is minimal when low is 0
+        origin = low == 0.0
+        xi_min.append(np.where(at_l | origin, -after_l, first_r))
+        xi_max.append(np.where(at_r | origin, after_r, -first_l))
+    return np.concatenate(xi_min), np.concatenate(xi_max)
 
 
 def all_ge(dim):

@@ -134,7 +134,7 @@ class TestSimulateLimit:
         )
         assert code == 0
         lines = (out / "samples.csv").read_text().splitlines()
-        assert lines[0] == "rep,xi_min,xi_max,redraws"
+        assert lines[0] == "rep,xi_min,xi_max"
         assert len(lines) == 21
 
     def test_bad_spec(self, workdir):
@@ -192,6 +192,21 @@ class TestSimulateLimit:
         assert code == 2
         assert named in capsys.readouterr().err
 
+    def test_uncertified_walk_exit_1(self, workdir, capsys):
+        # gaussian(0.03, 1) passes the spec check, but about 40% of its
+        # walks are still uncertified at the cap of 16 384 jumps
+        text = SPEC_TEXT.replace("jump_left = point(1.0)", "jump_left = gaussian(0.03, 1)")
+        (workdir / "weak.txt").write_text(text)
+        out = workdir / "o"
+        code = run(
+            ["simulate-limit", "--spec", str(workdir / "weak.txt"), "--reps", "5",
+             "--seed", "1", "--out", str(out)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "a left walk of the spec" in err and "gaussian(0.03, 1.0)" in err
+        assert (out / "manifest.txt").exists() and not (out / "DONE").exists()
+
 
 class TestCapacity:
     def test_prints_estimate(self, workdir, capsys):
@@ -241,9 +256,9 @@ class TestCapacity:
 
 
 class TestNonFiniteSpec:
-    # each of these used to crash with a traceback: an infinite rate or
-    # window overflowed the gap count, a non-finite jump law broke the
-    # argmin cells
+    # each of these but the last used to crash with a traceback: an
+    # infinite rate or window overflowed the gap count, a non-finite jump
+    # law broke the argmin cells
     @pytest.mark.parametrize(
         "old, new, named",
         [
@@ -254,9 +269,9 @@ class TestNonFiniteSpec:
              "gaussian law parameters must be finite"),
             ("jump_left = point(1.0)", "jump_left = two_point(nan, 1, 0.5)",
              "two_point law parameters must be finite"),
-            # a block of this spec's arrays would take about 900 PiB
-            ("max_window = 64.0", "max_window = 1e15",
-             "the right side would draw 1000000126491111 gaps per row"),
+            # its drift would climb ln(1/eps)/R in 13.8 million jumps
+            ("jump_right = point(1.0)", "jump_right = gaussian(0.001, 1)",
+             "jump_right = gaussian(0.001, 1.0) cannot be certified"),
         ],
     )
     @pytest.mark.parametrize(
@@ -338,15 +353,18 @@ class TestVerify:
         assert code == 1
         assert "verdict = fail" in (out / "summary.txt").read_text()
 
-    def test_too_many_redraws_exit_1(self, workdir, capsys):
-        # noise of +-5 around a unit jump lets the limit process drift down
-        # far enough that over 1% of its argmin sets reach the window edge
-        text = CONFIG_TEXT.replace("gaussian(0, 0.25)", "two_point(-5, 5, 0.5)")
-        (workdir / "cfg_redraw.txt").write_text(text)
-        out = workdir / "out_redraw"
-        code = run(["verify", "--config", str(workdir / "cfg_redraw.txt"), "--out", str(out)])
+    def test_uncertified_walk_exit_1(self, workdir, capsys):
+        # noise of sd 17 around a unit jump derives gaussian(1, 34) jumps,
+        # which pass the spec check but leave about half their walks
+        # uncertified at the cap of 16 384 jumps
+        text = CONFIG_TEXT.replace("gaussian(0, 0.25)", "gaussian(0, 17)")
+        (workdir / "cfg_walk.txt").write_text(text)
+        out = workdir / "out_walk"
+        code = run(["verify", "--config", str(workdir / "cfg_walk.txt"), "--out", str(out)])
         assert code == 1
-        assert "boundary redraws exceed 1%" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "jump_right = gaussian(1.0, 34.0)" in err
+        assert "uncertified after 16384 jumps" in err
         assert not (out / "DONE").exists()
 
 
@@ -443,15 +461,15 @@ class TestConfigErrors:
         assert named in capsys.readouterr().err
         assert not out.exists()
 
-    # noise of sd 20 around a unit jump derives a limit whose window asks
-    # for 25 600 arrivals per side and row
+    # noise of sd 20 around a unit jump derives gaussian(1, 40) jumps,
+    # whose drift climbs ln(1/eps)/R in 22 105 jumps
     @pytest.mark.parametrize("command", ["verify", "coverage"])
     def test_derived_spec_above_gap_cap_exit_2(self, workdir, capsys, command):
         (workdir / "wide.cfg").write_text(CONFIG_TEXT.replace("gaussian(0, 0.25)", "gaussian(0, 20)"))
         out = workdir / "out_wide"
         code = run([command, "--config", str(workdir / "wide.cfg"), "--out", str(out)])
         assert code == 2
-        assert "the right side would draw 26244 gaps per row" in capsys.readouterr().err
+        assert "jump_right = gaussian(1.0, 40.0) cannot be certified" in capsys.readouterr().err
         assert not (out / "DONE").exists()
 
 

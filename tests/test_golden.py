@@ -14,7 +14,6 @@ from stepargmin import cpoisson
 from stepargmin.argmin import (
     Box,
     BoxUnion,
-    IntervalRows,
     OpenBox,
     OpenBoxUnion,
     argmin_set,
@@ -26,6 +25,7 @@ from stepargmin.cpoisson import (
     CompoundPoissonSpec,
     JumpLaw,
     _draw_block,
+    _job_sets,
     _limit_job,
     sample_extreme_minimizers,
     samples_to_csv,
@@ -42,44 +42,43 @@ SAMPLES = {
         JumpLaw("point", (1.0,)),
         1.0,
         300,
-        "3718f449bb5bf4e5bcd041e540055e5759b034fe80556a5e919f91be592fc7e6",
+        "d0c46b1f6be17627ac3100586661edb9a117d689dedc6afff74a82d50705d45d",
     ),
-    # five of the 1000 rows are boundary redraws
     "two_point": (
         JumpLaw("two_point", (-3.0, 5.0, 0.5)),
         JumpLaw("two_point", (-3.0, 5.0, 0.5)),
         1.0,
         1000,
-        "5e15e5e0206eeeb2079be55aeec19a48d29dbb433c6a3b89a71f1240b14e23f4",
+        "65b5b0973da6a196a28eb56700e001fad66f59da503228e7835a531c7df1ebf4",
     ),
     "gaussian": (
         JumpLaw("gaussian", (1.0, 0.5)),
         JumpLaw("gaussian", (0.5, 1.0)),
         2.0,
         300,
-        "695cc58a54de274981ff4fd656bb7599733b47cf980b3a58f1faa5f6c528be89",
+        "e70aacaadae080d5efbceb7e6d46651da4e697f68a7c1b5fd30a5259ff358081",
     ),
     "shifted_exp": (
         JumpLaw("shifted_exp", (0.5, 1.0)),
         JumpLaw("shifted_exp", (-0.25, 0.5)),
         0.5,
         300,
-        "da7a06cd93fd66a0018253b099a18dafc08029d30593c36375669c6ffba8bfcc",
+        "bebe64e2b625219bd6ef6be06bb64f0b0df63d2105635123288de194f1a02013",
     ),
     "empirical": (
         JumpLaw("empirical", (0.5, 1.0, 2.0)),
         JumpLaw("empirical", (-1.0, 3.0)),
         1.0,
         300,
-        "db51816800be4f57a0e4ba7d4d4907d39d81c3a2bfebb79348d3a3fb44fbea37",
+        "f0309fc6d664b0df884eaf6bc6e2e5fb3e3f304dddfce203659737693368a212",
     ),
 }
 
 # the limit columns of 1000 replications and the raw cells of four blocks,
-# certified and whole, per law on both sides at rate 5 and max_window 4
-# (two_point makes 61 redraws in 59 rows at seed 7); then with two gaps per
-# row and side, so every block and redraw is topped up; then with only the
-# rate-5 right side topped up, beside a certified gaussian left side
+# certified and whole, per law on both sides at rate 5; then with chunks of
+# a tenth of the drift's climb, so every walk is topped up over many
+# chunks; then with the law on the rate-5 right side only, beside left
+# walks that one jump certifies
 TOP_UP_LAWS = (
     JumpLaw("empirical", (-1.0, 2.0, 2.0, 3.0)),
     JumpLaw("gaussian", (1.0, 0.5)),
@@ -89,7 +88,7 @@ TOP_UP_MENU = (
     ("closed", BoxUnion(1, [Box((-1.0,), (0.5,)), Box((1.5,), (2.0,))])),
     ("open", OpenBoxUnion(1, [OpenBox((-2.0,), (1.0,))])),
 )
-TOP_UP = "6df64be4c156bd205f92cac94a51e57ab370e0d8be0f6b007c0ba12ef59faaa5"
+TOP_UP = "b8e057f83c3aaaae42afd3fdc99cad08fb92e09d1ce61cdf6782f6f39c34c85d"
 
 # k: (rows, n, digest of tau, alpha and sigma_hat)
 FITS = {
@@ -125,31 +124,27 @@ def test_limit_samples(name):
 
 
 def _menu_columns(spec):
-    # per replication of the limit job: smallest and largest point, redraw
-    # count, then one flag per TOP_UP_MENU set; two_point breaks the 1%
-    # redraw rule here, so the job's array is read without it
-    cells = run_chunks([_limit_job(spec, 7, 1000)], 1)[0]
-    rows = IntervalRows.from_cells(cells[:, 0], cells[:, 1], cells[:, 2])
+    # per replication of the limit job: smallest and largest point, then
+    # one flag per TOP_UP_MENU set
+    rows = _job_sets(run_chunks([_limit_job(spec, 7, 1000)], 1)[0])
     flags = [rows.meets(kind, union) for kind, union in TOP_UP_MENU]
-    return np.column_stack([rows.smallest(), rows.largest(), cells[rows.starts, 3], *flags])
+    return np.column_stack([rows.smallest(), rows.largest(), *flags])
 
 
-def test_top_up_and_redraws(monkeypatch):
-    gap_count = cpoisson._gap_count
-    certified = JumpLaw("gaussian", (1.0, 0.5))
+def test_top_up(monkeypatch):
+    certified = JumpLaw("shifted_exp", (0.5, 1.0))
     h = hashlib.sha256()
     for case in ("drawn", "both", "right"):
         if case == "both":
-            monkeypatch.setattr(cpoisson, "_gap_count", lambda rate, w: 2)
+            monkeypatch.setattr(cpoisson, "_FIRST", 0.1)
+            monkeypatch.setattr(cpoisson, "_STEP", 0.1)
         elif case == "right":
-            monkeypatch.setattr(
-                cpoisson, "_gap_count", lambda rate, w: 2 if rate == 5.0 else gap_count(rate, w)
-            )
+            monkeypatch.undo()
         for law in TOP_UP_LAWS:
             if case == "right":
-                spec = CompoundPoissonSpec(5.0, 4.0, law, certified, max_window=4.0)
+                spec = CompoundPoissonSpec(5.0, 4.0, law, certified)
             else:
-                spec = CompoundPoissonSpec(5.0, 5.0, law, law, max_window=4.0)
+                spec = CompoundPoissonSpec(5.0, 5.0, law, law)
             h.update(np.ascontiguousarray(_menu_columns(spec), dtype="<f8").tobytes())
             for whole in (False, True):
                 for b in range(4):

@@ -3,6 +3,7 @@ run of blocks allocates no large array per block, and scratch never shows
 up in a result.  The limit side allocates fresh arrays per block, within a
 bound on a block's peak memory."""
 
+import math
 import sys
 import threading
 import tracemalloc
@@ -102,10 +103,13 @@ def test_fit_chunk_allocations_do_not_grow(k, n):
 )
 def test_limit_block_peak_is_a_few_edge_arrays(law, max_window):
     # the limit side allocates its block arrays fresh, but one block holds
-    # no more than a few arrays the size of its cell edges at a time
+    # no more than a few arrays the size of the cell edges that both sides'
+    # first walk chunks would make at a time.  max_window is ignored: both
+    # two_point cases draw the same
     spec = CompoundPoissonSpec(1.0, 1.0, law, law, max_window=max_window)
     block = cpoisson._BLOCK
-    edges = block * (2 * cpoisson._gap_count(1.0, max_window) + 2) * 8
+    columns = max(1, math.ceil(cpoisson._FIRST * cpoisson._climb(law)))
+    edges = block * (2 * columns + 2) * 8
     args = (spec, 7)
     # the first call also computes the law's Lundberg exponent
     cpoisson._predicate_worker(args, 0, block)
@@ -115,7 +119,7 @@ def test_limit_block_peak_is_a_few_edge_arrays(law, max_window):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert cells.shape[1] == 4 and np.unique(cells[:, 0]).size == block
+    assert cells.shape[1] == 3 and np.unique(cells[:, 0]).size == block
     assert peak <= 8 * edges
 
 
@@ -161,20 +165,18 @@ class TestResultsOwnTheirMemory:
         assert np.array_equal(first, kept)
         assert_owned(first)
 
-    def test_sample_extreme_minimizers_with_redraws(self):
+    def test_sample_extreme_minimizers_two_point(self):
         first = sample_extreme_minimizers(TWO_POINT_SPEC, 1000, 20261019)
-        assert first.redraws.sum() > 0
         kept = first.copy()
         # the same key answers from the kept sample, whose arrays are
         # read-only and never handed out: writes into one result do not
         # reach the next
-        rows, redraws = cpoisson._kept[1]
-        held = (rows.lo, rows.hi, rows.starts, redraws)
+        rows = cpoisson._kept[1]
+        held = (rows.lo, rows.hi, rows.starts)
         assert not any(a.flags.writeable for a in held)
         first.xi_min[:] = first.xi_max[:] = 0.0
-        first.redraws[:] = -1
         again = sample_extreme_minimizers(TWO_POINT_SPEC, 1000, 20261019)
-        assert cpoisson._kept[1][0] is rows
+        assert cpoisson._kept[1] is rows
         assert np.array_equal(again, kept)
         assert not np.shares_memory(again, first)
         assert not any(np.shares_memory(r, a) for r in (first, again) for a in held)
