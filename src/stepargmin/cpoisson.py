@@ -18,7 +18,6 @@ from statistics import NormalDist
 
 import numpy as np
 
-from stepargmin._scratch import scratch
 from stepargmin.argmin import INF, IntervalRows, _argmin_cells, argmin_set
 from stepargmin.rng import run_chunks, substream
 from stepargmin.stepfun import StepFunction1D
@@ -302,9 +301,7 @@ def _jumps(rng, law, out):
     words = rng.bit_generator.random_raw(rows * -(-cols // 64)).astype("<u8", copy=False)
     bits = np.unpackbits(words.view(np.uint8).reshape(rows, -1), axis=1, count=cols)
     # take with an intp index, which it does not copy
-    index = scratch("cpoisson.jumps", out.shape, np.intp)
-    np.copyto(index, bits)
-    return np.take(np.array(law.params[1::-1]), index, out=out, mode="clip")
+    return np.take(np.array(law.params[1::-1]), bits.astype(np.intp), out=out, mode="clip")
 
 
 def _walk(rng, spec, side, rows):
@@ -325,7 +322,7 @@ def _walk(rng, spec, side, rows):
     climb = _climb(law)
     width = min(max(1, math.ceil(_FIRST * climb)), _MAX_GAPS)
     step = max(_MIN_STEP, math.ceil(_STEP * climb))
-    sums = _jumps(rng, law, scratch(f"cpoisson.{side}", (rows, width)))
+    sums = _jumps(rng, law, np.empty((rows, width)))
     np.cumsum(sums, axis=1, out=sums)
     # the last minimum of each row: argmin of the reversed row
     at = width - np.argmin(sums[:, ::-1], axis=1)
@@ -378,8 +375,7 @@ def _arrivals(rng, chunks, count, rate, times, sums):
 def _draw_block(spec, rng, rows, whole=False):
     """``rows`` trajectories as arrays (edges, values): cell edges (rows, n
     + 2) and cell values (rows, n + 1), cell j of a row spanning [edges[j],
-    edges[j + 1]).  Both are this thread's scratch buffers, valid until
-    its next block draw.
+    edges[j + 1]).
 
     Each side draws its certified walk (`_walk`), then per row the arrival
     gaps up to one past the last index that attains the row's minimum
@@ -406,8 +402,8 @@ def _draw_block(spec, rng, rows, whole=False):
             count = np.where(side_low == low, at + 1, 0)
         counts.append(count)
     n_right, n_left = (int(count.max()) for count in counts)
-    edges = scratch("cpoisson.edges", (rows, n_left + n_right + 2))
-    values = scratch("cpoisson.values", (rows, n_left + n_right + 1))
+    edges = np.empty((rows, n_left + n_right + 2))
+    values = np.empty((rows, n_left + n_right + 1))
     # the left side's arrivals run outwards from the origin, so into
     # reversed views
     _arrivals(

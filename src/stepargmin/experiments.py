@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from stepargmin._scratch import scratch
 from stepargmin.argmin import (
     Box,
     BoxUnion,
@@ -197,9 +196,8 @@ class VerificationConfig:
 
 # observations per block of replications: B = _BLOCK_CELLS // n datasets
 # share one substream, one sort and the vectorized fit; each (B, n) float64
-# array stays at 64 KB, and the block kernels keep theirs as scratch
-# arrays that the next block reuses (stepargmin._scratch).  B is part of
-# the stream layout: changing it changes every dataset
+# array stays at 64 KB.  B is part of the stream layout: changing it
+# changes every dataset
 _BLOCK_CELLS = 8192
 
 
@@ -207,27 +205,25 @@ def _block_rows(n):
     return max(1, _BLOCK_CELLS // n)
 
 
-def _fit_block(args, b, count, reduce):
-    """reduce(x, y, tau, alpha, sigma_hat) of the first `count` datasets of
-    block b as (count, n) arrays x and y and their fits as `fit_rows`
-    returns them.  x and y are scratch, which the next block reuses, so
-    reduce must not keep them.  Block b draws B = _BLOCK_CELLS // n
-    datasets from substream(master, *path, b), x first, then the noise
-    (`draw_rows`), and replication `rep` is row rep % B of block rep // B.
-    A block is drawn whole however many of its rows are kept, so a
-    replication's dataset does not depend on the replication count."""
+def _fit_block(args, b, count):
+    """(x, y, tau, alpha, sigma_hat): the first `count` datasets of block b
+    as (count, n) arrays x and y, and their fits as `fit_rows` returns
+    them.  Block b draws B = _BLOCK_CELLS // n datasets from
+    substream(master, *path, b), x first, then the noise (`draw_rows`),
+    and replication `rep` is row rep % B of block rep // B.  A block is
+    drawn whole however many of its rows are kept, so a replication's
+    dataset does not depend on the replication count."""
     model, k, n, master, path = args
     size = _block_rows(n)
-    x, y = scratch("_fit_block.x", (size, n)), scratch("_fit_block.y", (size, n))
-    draw_rows(model, substream(master, *path, b), (size, n), out=(x, y))
+    x, y = draw_rows(model, substream(master, *path, b), (size, n))
     x, y = x[:count], y[:count]
-    return reduce(x, y, *fit_rows(x, y, k))
+    return (x, y, *fit_rows(x, y, k))
 
 
 def _fit_worker(args, b, count):
     """The fits of the first `count` replications of block b as one
     (count, 3k + 2) array: the columns are tau, alpha and sigma_hat."""
-    return _fit_block(args, b, count, lambda x, y, *fit: np.hstack(fit))
+    return np.hstack(_fit_block(args, b, count)[2:])
 
 
 def _fit_job(model, k, n, master, tag, reps):
@@ -636,12 +632,9 @@ def _membership_worker(args, b, count):
     its local landscape, then the k coordinates of that deviation, as one
     (count, k + 1) array."""
     model, k, n, master = args
-
-    def block(x, y, taus, alphas, _):
-        points = n * (taus - np.asarray(model.true_tau))
-        return np.column_stack((_member(x, y, model.true_tau, alphas, n, points), points))
-
-    return _fit_block((model, k, n, master, (_TAG_MEMBER,)), b, count, block)
+    x, y, taus, alphas, _ = _fit_block((model, k, n, master, (_TAG_MEMBER,)), b, count)
+    points = n * (taus - np.asarray(model.true_tau))
+    return np.column_stack((_member(x, y, model.true_tau, alphas, n, points), points))
 
 
 def membership_report(model, k, n, replications, master_seed, workers=1):

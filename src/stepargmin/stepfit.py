@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from stepargmin._scratch import kernel, scratch
+from stepargmin._alloc import kernel
 from stepargmin.cpoisson import CompoundPoissonSpec, InvalidSpecError, JumpLaw
 from stepargmin.stepfun import StepFunction1D, _readonly
 from stepargmin.textfmt import Law
@@ -159,27 +159,23 @@ class FitResult:
         return "\n".join(lines) + "\n"
 
 
-def _prefix_sums(xs, ys, starts=None, out=None):
+def _prefix_sums(xs, ys, starts=None):
     """(vals, cum_n, cum_s, cum_q), the blocks that `_cuts` fits, of the
     (B, n) rows of x-sorted x and y.  The blocks are single observations
     when `starts` is None; otherwise B = 1, and they are the runs of tied
     x, which start at the positions `starts`.  vals (B, m) holds the
     blocks' x, cum_n (m+1,) the count of observations before each block
     and after the last, cum_s and cum_q (B, m+1) the prefix sums of y and
-    y² over the blocks, written into the leading columns of the pair of
-    (B, n+1) arrays `out` when given.  y is centred at each row's middle
-    order statistic first: segment costs are translation-invariant, so
-    the shift only removes the cancellation in sq - tot²/cnt that a large
-    offset in y would cause, and integer y stays integer.  Raises
-    YRangeError when the centred squares would overflow."""
+    y² over the blocks.  y is centred at each row's middle order statistic
+    first: segment costs are translation-invariant, so the shift only
+    removes the cancellation in sq - tot²/cnt that a large offset in y
+    would cause, and integer y stays integer.  Raises YRangeError when the
+    centred squares would overflow."""
     rows, n = ys.shape
     m = n if starts is None else starts.size
-    if out is None:
-        out = np.empty((rows, n + 1)), np.empty((rows, n + 1))
-    cum_s, cum_q = (a[:, : m + 1] for a in out)
+    cum_s, cum_q = np.empty((rows, m + 1)), np.empty((rows, m + 1))
     cum_s[:, 0] = cum_q[:, 0] = 0.0
-    yc = scratch("_prefix_sums.yc", ys.shape)
-    np.copyto(yc, ys)
+    yc = ys.copy()
     yc.partition(n // 2, axis=1)
     middle = yc[:, n // 2].copy()
 
@@ -199,20 +195,19 @@ def _prefix_sums(xs, ys, starts=None, out=None):
 
 
 # cells per chunk of the k >= 2 suffix sweep: 64 KB per float64
-# temporary, written into scratch arrays, which the next chunk and the
-# next block reuse
+# temporary
 _CHUNK_CELLS = 8192
 
-# argsort has no out=: `fit_rows` sorts in strips of rows of at most this
-# many cells, so that its index arrays stay small enough for malloc to
-# recycle
+# `fit_rows` sorts in strips of rows of at most this many cells: one
+# argsort of the whole block read x0.97 (5 pairs) and x0.99 (7 more, 5 of
+# them worse) in `verify_k2` work per second
 _SORT_CELLS = 2048
 
 # unit roundoff of float64
 _UNIT = 2.0**-53
 
 
-def _suffix_layer(nxt, cmax, cum_n, cum_s, cum_q, first, last, out=None):
+def _suffix_layer(nxt, cmax, cum_n, cum_s, cum_q, first, last):
     """out[s] = min over first[s] <= c <= last[s] of cost(s, c) + nxt[c + 1]
     for s <= cmax, and inf for s > cmax and for the dead rows, those with
     last[s] < first[s], which are never swept.  `first` is nondecreasing
@@ -226,11 +221,9 @@ def _suffix_layer(nxt, cmax, cum_n, cum_s, cum_q, first, last, out=None):
     cells between a row's own band and the chunk's; they are segments of
     that row too, so its minimum can only come closer to the full sweep's.
     The costs are `_cost`'s, so every entry is bit-identical to what tie
-    extraction recomputes.  The layer is written into `out`, of nxt's
-    shape, or into a fresh array when it is None."""
-    if out is None:
-        out = np.empty(nxt.shape)
-    out.fill(np.inf)
+    extraction recomputes.  Returns the layer in an array of nxt's
+    shape."""
+    out = np.full(nxt.shape, np.inf)
     lead = nxt.size // nxt.shape[-1]
     # runs start..stop-1 of consecutive live rows
     live = np.concatenate(([False], last >= first, [False]))
@@ -254,7 +247,7 @@ def _suffix_layer(nxt, cmax, cum_n, cum_s, cum_q, first, last, out=None):
                 cost = _cost(
                     cum_n[rows, None], cum_s[..., rows, None], cum_q[..., rows, None],
                     cum_n[None, cols], cum_s[..., None, cols], cum_q[..., None, cols],
-                    scratch("_suffix_layer.cost", chunk),
+                    np.empty(chunk),
                 )
                 cost += nxt[..., None, cols]
                 out[..., rows] = cost.min(axis=-1)
@@ -266,8 +259,8 @@ def _segment_means(seg, y, sizes):
     of y where seg == j, over sizes[:, j].  The sum is np.add.reduce over
     the whole row with the other entries zeroed, so a row's means are the
     same bits in a block of any height."""
-    keep = scratch("_segment_means.keep", seg.shape, bool)
-    masked = scratch("_segment_means.masked", seg.shape)
+    keep = np.empty(seg.shape, bool)
+    masked = np.empty(seg.shape)
     sums = np.empty(sizes.shape)
     for j in range(sizes.shape[1]):
         np.equal(seg, j, out=keep)
@@ -287,10 +280,8 @@ def _levels_and_scales(x, y, ys, tau, ends):
     n = x.shape[1]
     sizes = np.diff(ends, axis=1, prepend=0, append=n)
     # each observation's segment, in the original and in the sorted order
-    seg = scratch("_levels_and_scales.seg", x.shape, np.intp)
-    sorted_seg = scratch("_levels_and_scales.sorted_seg", x.shape, np.intp)
-    seg.fill(0)
-    sorted_seg.fill(0)
+    seg = np.zeros(x.shape, np.intp)
+    sorted_seg = np.zeros(x.shape, np.intp)
     positions = np.arange(n)
     for t, e in zip(tau.T, ends.T):
         seg += x > t[:, None]
@@ -298,8 +289,8 @@ def _levels_and_scales(x, y, ys, tau, ends):
     alpha = _segment_means(seg, y, sizes)
     # the deviation of each sorted observation from its segment's mean
     means = _segment_means(sorted_seg, ys, sizes)
-    dev = scratch("_levels_and_scales.dev", x.shape)
-    keep = scratch("_levels_and_scales.keep", x.shape, bool)
+    dev = np.empty(x.shape)
+    keep = np.empty(x.shape, bool)
     for j in range(sizes.shape[1]):
         np.equal(sorted_seg, j, out=keep)
         np.copyto(dev, means[:, j, None], where=keep)
@@ -364,11 +355,11 @@ def _cuts(cum_n, cum_s, cum_q, k):
         # suffix[k], the trailing segment's cost
         tail = _cost(
             cum_n[:m], cum_s[:, :m], cum_q[:, :m], cum_n[m], cum_s[:, m:], cum_q[:, m:],
-            scratch(f"_cuts.suffix{k}", (rows, m)),
+            np.empty((rows, m)),
         )
         suffix = {k: tail}
         # head[:, c] is the cost of blocks 0..c: the first cut's candidates
-        head = scratch("_cuts.head", (rows, m - 1))
+        head = np.empty((rows, m - 1))
         _start_costs(cum_n, cum_s, cum_q, np.zeros((rows, 1), dtype=np.int64), m - 2, head)
         if k >= 2:
             ub = _upper_bound(cum_n, cum_s, cum_q, k, head, tail)
@@ -377,24 +368,21 @@ def _cuts(cum_n, cum_s, cum_q, k):
             cmax = m - 1 - (k - j)
             # limit - head_j(s): head_1(s) is the cost of blocks 0..s-1, and
             # there is no row 0
-            budget = scratch("_cuts.budget", (rows, cmax + 1))
-            budget[...] = limit[:, None]
+            budget = np.repeat(limit[:, None], cmax + 1, axis=1)
             if j == 1:
                 budget[:, 0] = -np.inf
                 budget[:, 1:] -= head[:, :cmax]
             first, last = _band(suffix[j + 1], cmax, cum_n, cum_s, cum_q, budget)
-            layer = scratch(f"_cuts.suffix{j}", (rows, m))
-            suffix[j] = _suffix_layer(suffix[j + 1], cmax, cum_n, cum_s, cum_q, first, last, layer)
+            suffix[j] = _suffix_layer(suffix[j + 1], cmax, cum_n, cum_s, cum_q, first, last)
         cuts = np.empty((rows, k), dtype=np.int64)
         cost = head[:, : m - k]
         for j in range(k):
-            cand = scratch("_cuts.cand", cost.shape)
-            np.add(cost, suffix[j + 1][:, 1 : m + 1 - (k - j)], out=cand)
+            cand = cost + suffix[j + 1][:, 1 : m + 1 - (k - j)]
             cuts[:, j] = np.argmin(cand, axis=1)
             if j == 0:
                 total = cand[np.arange(rows), cuts[:, 0]]
             if j + 1 < k:
-                cost = scratch("_cuts.cost", (rows, m - k + j + 1))
+                cost = np.empty((rows, m - k + j + 1))
                 _start_costs(cum_n, cum_s, cum_q, cuts[:, j, None] + 1, m - k + j, cost)
     if k >= 2:
         lost = np.flatnonzero(~(np.isfinite(total) & (total <= ub)))
@@ -426,8 +414,8 @@ def _cost(n0, s0, q0, n1, s1, q1, out):
     place that computes a segment cost, so the costs that the sweep, the
     band, the bound and tie extraction compare are bit-identical, as the
     pruning proof of `_cuts` needs."""
-    cnt = np.subtract(n1, n0, out=scratch("_cost.cnt", np.broadcast(n0, n1).shape))
-    tot = np.subtract(s1, s0, out=scratch("_cost.tot", out.shape))
+    cnt = n1 - n0
+    tot = s1 - s0
     np.subtract(q1, q0, out=out)
     tot *= tot
     tot /= cnt
@@ -456,8 +444,8 @@ def _upper_bound(cum_n, cum_s, cum_q, k, head, tail):
     c = np.arange(m - 1)
     after = slice(1, m)
     ends = np.concatenate((np.full((rows, 1), -1), np.full((rows, 1), m - 1)), axis=1)
-    gain = scratch("_upper_bound.gain", (rows, m - 1))
-    split = scratch("_upper_bound.split", (rows, m - 1))
+    gain = np.empty((rows, m - 1))
+    split = np.empty((rows, m - 1))
     whole = np.empty((rows, 1))
     for t in range(k):
         gain.fill(np.inf)
@@ -472,12 +460,11 @@ def _upper_bound(cum_n, cum_s, cum_q, k, head, tail):
                 right = tail[:, after]
             else:
                 at_c = cum_n[None, after], cum_s[:, after], cum_q[:, after]
-                right = _cost(*at_c, *stop, scratch("_upper_bound.right", split.shape))
+                right = _cost(*at_c, *stop, np.empty(split.shape))
             np.add(left, right, out=split)
             split -= _cost(*start, *stop, whole)
             # the cuts lo <= c < hi
-            inside = np.greater_equal(c, lo, out=scratch("_upper_bound.inside", split.shape, bool))
-            inside &= np.less(c, hi, out=scratch("_upper_bound.below", split.shape, bool))
+            inside = (c >= lo) & (c < hi)
             np.copyto(gain, split, where=inside)
         ends = np.sort(np.concatenate((ends, np.argmin(gain, axis=1)[:, None]), axis=1), axis=1)
     starts, stops = (_sums_at(cum_n, cum_s, cum_q, e) for e in (ends[:, :-1] + 1, ends[:, 1:] + 1))
@@ -537,12 +524,12 @@ def _band(nxt, cmax, cum_n, cum_s, cum_q, budget):
     (B, live rows) evaluation of `_cost`.  The
     predicate "some dataset keeps (s, c)" is monotone along a row only in
     exact arithmetic; the contract rests on the one column tested last."""
-    rows, shape = nxt.shape[0], (nxt.shape[0], cmax + 1)
+    shape = (nxt.shape[0], cmax + 1)
     # the first c whose prefix minimum is <= budget[s] counts the c with
     # -prefmin(c) < -budget[s]
-    minima = scratch("_band.minima", shape)
+    minima = np.empty(shape)
     low = np.negative(np.minimum.accumulate(nxt[:, 1 : cmax + 2], axis=1, out=minima), out=minima)
-    neg = np.negative(budget, out=scratch("_band.budget", shape))
+    neg = -budget
     first = np.searchsorted(low[0], neg[0])
     for lo, t in zip(low[1:], neg[1:]):
         np.minimum(first, np.searchsorted(lo, t), out=first)
@@ -552,21 +539,16 @@ def _band(nxt, cmax, cum_n, cum_s, cum_q, budget):
     np.minimum.accumulate(nxt[:, cmax + 1 : 0 : -1], axis=1, out=minima)
     last = np.full(cmax + 1, -1)
 
-    def gather(name, a, cols):
-        # a[:, cols] of a C-contiguous a, which np.take does not copy
-        return np.take(a, cols, axis=1, out=scratch(name, (rows, cols.size)), mode="clip")
-
     def bases(s):
         # the prefix sums at, the counts at and the budgets of the rows s
-        base_s, base_q = gather("_band.base_s", cum_s, s), gather("_band.base_q", cum_q, s)
-        return base_s, base_q, cum_n[s], gather("_band.budget", budget, s)
+        return cum_s[:, s], cum_q[:, s], cum_n[s], budget[:, s]
 
     def keeps(c):
         # per row s[i], whether some dataset keeps the pair (s[i], c[i]);
-        # the cost overwrites the sums of y², sufmin those of y
-        stop_s, stop_q = gather("_band.stop_s", cum_s, c + 1), gather("_band.stop_q", cum_q, c + 1)
-        cost = _cost(base_n, base_s, base_q, cum_n[c + 1], stop_s, stop_q, stop_q)
-        cost += gather("_band.stop_s", minima, cmax - c)
+        # the cost overwrites the sums of y²
+        stop_q = cum_q[:, c + 1]
+        cost = _cost(base_n, base_s, base_q, cum_n[c + 1], cum_s[:, c + 1], stop_q, stop_q)
+        cost += minima[:, cmax - c]
         return np.any(cost <= budget_s, axis=0)
 
     s = np.flatnonzero(first <= cmax)
@@ -604,14 +586,13 @@ def fit_rows(x, y, k):
         raise ValueError("k must be nonnegative")
     rows, n = x.shape
     # the flat index of each row's j-th smallest x
-    tmp = scratch("fit_rows.tmp", (rows, n), np.intp)
+    tmp = np.empty((rows, n), np.intp)
     strip = max(1, _SORT_CELLS // n)
     for r in range(0, rows, strip):
         offsets = np.arange(r, min(r + strip, rows))[:, None] * n
         np.add(np.argsort(x[r : r + strip], axis=1), offsets, out=tmp[r : r + strip])
-    xs = np.take(x, tmp, out=scratch("fit_rows.xs", (rows, n)), mode="clip")
-    ys = np.take(y, tmp, out=scratch("fit_rows.ys", (rows, n)), mode="clip")
-    new = np.not_equal(xs[:, 1:], xs[:, :-1], out=scratch("fit_rows.new", (rows, n - 1), bool))
+    xs, ys = np.take(x, tmp), np.take(y, tmp)
+    new = xs[:, 1:] != xs[:, :-1]
     runs = 1 + np.count_nonzero(new, axis=1)
     few = np.flatnonzero(runs < k + 1)
     if few.size:
@@ -631,8 +612,7 @@ def fit_rows(x, y, k):
         blocks.append((np.flatnonzero(runs == n) if tied.size else slice(None), None))
     for b, starts in blocks:
         x_b, y_b, ys_b = x[b], y[b], ys[b]
-        out = tuple(scratch(f"fit_rows.cum_{v}", (x_b.shape[0], n + 1)) for v in "sq")
-        vals, cum_n, cum_s, cum_q = _prefix_sums(xs[b], ys_b, starts, out)
+        vals, cum_n, cum_s, cum_q = _prefix_sums(xs[b], ys_b, starts)
         cuts = _cuts(cum_n, cum_s, cum_q, k)
         tau[b] = _at(vals, cuts)
         alpha[b], sigma[b], _ = _levels_and_scales(x_b, y_b, ys_b, tau[b], cum_n[cuts + 1])
@@ -820,7 +800,7 @@ class RegressionModelSpec:
         applies."""
         x = np.asarray(x, dtype=float)
         out = _polyval(x, self.segments[0], np.empty(x.shape) if out is None else out)
-        piece = scratch("regression_values.piece", x.shape)
+        piece = np.empty(x.shape)
         for tau, seg in zip(self.true_tau, self.segments[1:]):
             np.copyto(out, _polyval(x, seg, piece), where=x > tau)
         return out
@@ -857,16 +837,14 @@ def pure_step_model(tau, alpha, x_law, noise):
 
 
 @kernel
-def draw_rows(model, rng, shape, out=None):
-    """Datasets drawn from `rng` as arrays x and y of `shape`, written into
-    the pair of arrays `out` when given: every covariate first, then every
-    noise term, in C order.  A (1, n) draw is the same stream as an n draw,
-    and row r of a (B, n) draw is observations r·n .. r·n + n - 1 of
-    each."""
-    x, y = (np.empty(shape), np.empty(shape)) if out is None else out
-    model.x_law.sample(rng, shape, out=x)
-    model.regression_values(x, out=y)
-    y += model.noise.sample(rng, shape, out=scratch("draw_rows.noise", shape))
+def draw_rows(model, rng, shape):
+    """Datasets drawn from `rng` as arrays x and y of `shape`: every
+    covariate first, then every noise term, in C order.  A (1, n) draw is
+    the same stream as an n draw, and row r of a (B, n) draw is
+    observations r·n .. r·n + n - 1 of each."""
+    x = model.x_law.sample(rng, shape)
+    y = model.regression_values(x)
+    y += model.noise.sample(rng, shape)
     return x, y
 
 

@@ -1,9 +1,13 @@
-"""The data-side block kernels' scratch arrays (stepargmin._scratch): a
-run of blocks allocates no large array per block, and scratch never shows
-up in a result.  The limit side allocates fresh arrays per block, within a
-bound on a block's peak memory."""
+"""Memory of the block kernels: with the allocator policy of
+stepargmin._alloc a warm run faults in few pages, a limit block's peak is a
+few edge arrays, and results own their memory, so later calls do not
+change them."""
 
+import json
 import math
+import os
+import resource
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -13,15 +17,12 @@ import numpy as np
 import pytest
 
 import stepargmin
-from stepargmin import _scratch, cpoisson, experiments
+from stepargmin import _alloc, cli, cpoisson, experiments
 from stepargmin.argmin import argmin_set
 from stepargmin.cpoisson import CompoundPoissonSpec, JumpLaw, sample_extreme_minimizers
 from stepargmin.rng import run_chunks, substream
 from stepargmin.stepfit import NoiseLaw, XLaw, draw_rows, fit_rows, pure_step_model
 from stepargmin.stepfun import GridFunction, StepFunction1D
-
-LARGE = 32 * 1024
-PACKAGE = str(Path(stepargmin.__file__).parent)
 
 UNIFORM01 = XLaw("uniform", (0.0, 1.0))
 NOISE = NoiseLaw("gaussian", (0.0, 0.25))
@@ -32,68 +33,72 @@ MODELS = {
 TWO_POINT = JumpLaw("two_point", (-3.0, 5.0, 0.5))
 TWO_POINT_SPEC = CompoundPoissonSpec(1.0, 1.0, TWO_POINT, TWO_POINT)
 
-
-def large_allocations(fn, *args):
-    """fn(*args) and the number of its steps that allocated at least LARGE
-    bytes.  A step runs from one trace event (call, line or return) of a
-    stepargmin frame to the next, and counts once when the memory that
-    tracemalloc traces peaked at least LARGE above its level at the step's
-    start; what numpy allocates counts toward the step that called it."""
-    count = 0
-
-    def close_step():
-        nonlocal count, level
-        count += tracemalloc.get_traced_memory()[1] - level >= LARGE
-        tracemalloc.reset_peak()
-        level = tracemalloc.get_traced_memory()[0]
-
-    def step(frame, event, arg):
-        close_step()
-        return step
-
-    def enter(frame, event, arg):
-        if frame.f_code.co_filename.startswith(PACKAGE):
-            return step(frame, event, arg)
-        return None
-
-    old = sys.gettrace()
-    tracemalloc.start()
-    level = tracemalloc.get_traced_memory()[0]
-    sys.settrace(enter)
-    try:
-        result = fn(*args)
-    finally:
-        sys.settrace(old)
-        close_step()
-        tracemalloc.stop()
-    return result, count
+# configs/verify_k2.cfg with a shorter menu
+VERIFY_K2 = """\
+master_seed = 20260818
+k = 2
+n_grid = 250, 1000
+replications_data = 1000
+replications_limit = 1000
+rho = 0.1
+model.tau = 0.3333333333333333, 0.6666666666666666
+model.alpha = 0, 1, 0
+model.x_law = uniform(0, 1)
+model.noise = gaussian(0, 0.25)
+set closed lower-both = [-inf,0] | [-inf,0]
+set closed bands = [-3,3] | [-3,3]
+set open win-both = (-4,4) | (-4,4)
+"""
 
 
-def chunk_allocations(worker, args, block, blocks):
-    """Large allocations of a one-worker run of `blocks` whole blocks
-    through worker, not counting the run's result array itself."""
-    result, count = large_allocations(run_chunks, [(worker, args, blocks * block, block)], 1)
-    result = result[0]
-    assert len(result) == blocks * block
-    return count - (result.nbytes >= LARGE)
+def warm_faults(run):
+    """The minor page faults of this process during run(1), after run(0)
+    has done the same work once."""
+    run(0)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    run(1)
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
 
 
-def warm_counts(worker, args, block, few, many):
-    """Large allocations of runs of `many` and `few` blocks, after one
-    traced run of `many` has sized the scratch arrays and paid the
-    tracing's own one-time costs."""
-    chunk_allocations(worker, args, block, many)
-    return (
-        chunk_allocations(worker, args, block, many),
-        chunk_allocations(worker, args, block, few),
+def print_warm_faults(out):
+    """Prints the warm_faults of a k=2 verify run, written under the
+    directory `out`, and of a 32-block two_point limit job, as one JSON
+    object."""
+    config = Path(out) / "verify_k2.cfg"
+    config.write_text(VERIFY_K2)
+    def verify(i):
+        cli.run(["verify", "--config", str(config), "--out", f"{out}/v{i}"])
+
+    def limit(i):
+        run_chunks([cpoisson._limit_job(TWO_POINT_SPEC, 7 + i, 32 * cpoisson._BLOCK)], 1)
+
+    faults = {"verify": warm_faults(verify), "limit": warm_faults(limit)}
+    print(json.dumps(faults))
+
+
+@pytest.mark.skipif(not _alloc.TRIM_SET, reason="the C library has no mallopt")
+def test_warm_runs_fault_in_few_pages(tmp_path):
+    # with the trim threshold raised, a block's freed temporaries stay in
+    # the heap, and a second run of the same work faults in almost no new
+    # pages.  The child pins glibc's mmap threshold as the benchmark does,
+    # which stops glibc from raising the trim threshold itself: at its
+    # default each fresh block faults its pages in again, thousands of
+    # faults for either run
+    code = (
+        "import sys; sys.path[:0] = sys.argv[1:3]; import test_memory; "
+        "test_memory.print_warm_faults(sys.argv[3])"
     )
-
-
-@pytest.mark.parametrize("k, n", [(1, 500), (2, 100), (2, 300)])
-def test_fit_chunk_allocations_do_not_grow(k, n):
-    args = (MODELS[k], k, n, 20261019, (1, n))
-    many, few = warm_counts(experiments._fit_worker, args, experiments._block_rows(n), 2, 20)
-    assert many <= few
+    paths = (str(Path(stepargmin.__file__).parents[1]), str(Path(__file__).parent))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *paths, str(tmp_path)],
+        env=dict(os.environ, MALLOC_MMAP_THRESHOLD_="131072"),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    faults = json.loads(proc.stdout.splitlines()[-1])
+    assert (tmp_path / "v1" / "DONE").is_file()
+    assert all(count < 1000 for count in faults.values()), faults
 
 
 @pytest.mark.parametrize(
@@ -123,24 +128,6 @@ def test_limit_block_peak_is_a_few_edge_arrays(law, max_window):
     assert peak <= 8 * edges
 
 
-def test_counter_sees_per_block_temporaries():
-    # the membership worker's `_sections` still allocates (B, n) arrays per
-    # block, and the count grows with the chunk
-    args, block = (MODELS[1], 1, 500, 3), experiments._block_rows(500)
-    many, few = warm_counts(experiments._membership_worker, args, block, 2, 20)
-    assert many >= few + 18
-
-
-def _scratch_buffers():
-    return list(_scratch._buffers().values())
-
-
-def assert_owned(*arrays):
-    """No array shares memory with this thread's scratch buffers."""
-    for a in arrays:
-        assert not any(np.shares_memory(a, buf) for buf in _scratch_buffers())
-
-
 def _rows(k, b, n, seed):
     return draw_rows(MODELS[k], substream(seed), (b, n))
 
@@ -153,7 +140,6 @@ class TestResultsOwnTheirMemory:
         kept = [a.copy() for a in first]
         fit_rows(*_rows(model_k, 40, 120, 2), k)
         assert all(np.array_equal(a, b) for a, b in zip(first, kept))
-        assert_owned(*first)
 
     def test_fit_worker(self):
         args = (MODELS[2], 2, 100, 5, (1, 100))
@@ -163,7 +149,6 @@ class TestResultsOwnTheirMemory:
         args = (MODELS[1], 1, 300, 6, (1, 300))
         run_chunks([(experiments._fit_worker, args, 100, experiments._block_rows(300))], 1)
         assert np.array_equal(first, kept)
-        assert_owned(first)
 
     def test_sample_extreme_minimizers_two_point(self):
         first = sample_extreme_minimizers(TWO_POINT_SPEC, 1000, 20261019)
@@ -183,7 +168,6 @@ class TestResultsOwnTheirMemory:
         jumps = JumpLaw("gaussian", (1.0, 0.5))
         sample_extreme_minimizers(CompoundPoissonSpec(2.0, 0.5, jumps, jumps), 300, 3)
         assert np.array_equal(again, kept)
-        assert_owned(first, again)
 
     def test_argmin_set(self):
         first = argmin_set(StepFunction1D([-1.0, 0.0, 2.0], [3.0, 1.0, 1.0, 2.0]))
@@ -195,7 +179,7 @@ class TestResultsOwnTheirMemory:
 
 def test_threads_reproduce_serial_fits():
     # more threads than cores fit different block shapes at once, switching
-    # often; each fits on its own scratch, so each gets a serial fit's bits
+    # often; each gets a serial fit's bits
     jobs = [
         (_rows(2, 27, 300, 11), 2),
         (_rows(1, 16, 500, 12), 1),
@@ -227,11 +211,3 @@ def test_threads_reproduce_serial_fits():
         assert len(got) == 5
         for fit in got:
             assert all(np.array_equal(a, b) for a, b in zip(fit, expected))
-
-
-def test_cap_gives_fresh_arrays():
-    small = _scratch.scratch("test.small", (8, 8))
-    assert _scratch.scratch("test.small", (4, 4)).base is small.base
-    big = (_scratch._CAP_BYTES // 8 + 1,)
-    assert _scratch.scratch("test.big", big).base is None
-    assert "test.big" not in _scratch._buffers()

@@ -557,8 +557,7 @@ def derived_specs():
 
 
 def recorded_walks(monkeypatch):
-    """A list that collects (law, chunks, low, at) of every `_walk` call.
-    A first chunk is scratch memory, valid until the next block draw."""
+    """A list that collects (law, chunks, low, at) of every `_walk` call."""
     walks = []
     walk = cpoisson._walk
 
@@ -668,7 +667,6 @@ class TestCertifiedPrefix:
         early = []
         for b in range(10):
             _draw_block(spec, substream(12, b), _BLOCK)
-            # a walk's first chunk is scratch that the next block reuses
             for _, chunks, _, _ in walks[-2:]:
                 sums = chunks[0][2][:, :100]
                 rise = sums - np.minimum(np.minimum.accumulate(sums, axis=1), 0.0)

@@ -504,12 +504,12 @@ class TestPrunedSweep:
         layer = stepfit._suffix_layer
         kept, triangle, dead = [], [], []
 
-        def counting(nxt, cmax, cum_n, cum_s, cum_q, first, last, out):
+        def counting(nxt, cmax, cum_n, cum_s, cum_q, first, last):
             live = last >= first
             kept.append(int(np.sum((last - first + 1)[live])))
             triangle.append((cmax + 1) * (cmax + 2) // 2)
             dead.append(np.flatnonzero((first <= cmax) & ~live))
-            out = layer(nxt, cmax, cum_n, cum_s, cum_q, first, last, out)
+            out = layer(nxt, cmax, cum_n, cum_s, cum_q, first, last)
             # a dead row is never swept: its cells are finite, its value not
             assert np.all(np.isinf(out[:, dead[-1]]))
             return out
