@@ -1,8 +1,9 @@
 """Memory of the block kernels: with the allocator policy of
 stepargmin._alloc a warm run faults in few pages, a limit block's peak is a
-few edge arrays, and results own their memory, so later calls do not
-change them."""
+few edge arrays, results own their memory, so later calls do not change
+them, and `kernel` restores numpy's ufunc buffer size."""
 
+import ctypes
 import json
 import math
 import os
@@ -60,45 +61,102 @@ def warm_faults(run):
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
 
 
-def print_warm_faults(out):
-    """Prints the warm_faults of a k=2 verify run, written under the
-    directory `out`, and of a 32-block two_point limit job, as one JSON
-    object."""
+def print_warm_faults(out, which, trim):
+    """Prints the warm_faults of one kind of run as a JSON number: `verify`,
+    a k=2 verify run written under the directory `out`, or `limit`, a
+    32-block two_point limit job.  A nonzero `trim` first sets glibc's trim
+    threshold to that many bytes, undoing stepargmin._alloc's setting."""
+    if trim:
+        ctypes.CDLL(None).mallopt(_alloc._M_TRIM_THRESHOLD, trim)
     config = Path(out) / "verify_k2.cfg"
     config.write_text(VERIFY_K2)
+
     def verify(i):
         cli.run(["verify", "--config", str(config), "--out", f"{out}/v{i}"])
 
     def limit(i):
         run_chunks([cpoisson._limit_job(TWO_POINT_SPEC, 7 + i, 32 * cpoisson._BLOCK)], 1)
 
-    faults = {"verify": warm_faults(verify), "limit": warm_faults(limit)}
-    print(json.dumps(faults))
+    print(json.dumps(warm_faults({"verify": verify, "limit": limit}[which])))
 
 
-@pytest.mark.skipif(not _alloc.TRIM_SET, reason="the C library has no mallopt")
-def test_warm_runs_fault_in_few_pages(tmp_path):
-    # with the trim threshold raised, a block's freed temporaries stay in
-    # the heap, and a second run of the same work faults in almost no new
-    # pages.  The child pins glibc's mmap threshold as the benchmark does,
-    # which stops glibc from raising the trim threshold itself: at its
-    # default each fresh block faults its pages in again, thousands of
-    # faults for either run
+def child_warm_faults(out, which, trim=0):
+    """print_warm_faults run in a child process that pins glibc's mmap
+    threshold as the benchmark does; its count."""
     code = (
         "import sys; sys.path[:0] = sys.argv[1:3]; import test_memory; "
-        "test_memory.print_warm_faults(sys.argv[3])"
+        "test_memory.print_warm_faults(sys.argv[3], sys.argv[4], int(sys.argv[5]))"
     )
     paths = (str(Path(stepargmin.__file__).parents[1]), str(Path(__file__).parent))
     proc = subprocess.run(
-        [sys.executable, "-c", code, *paths, str(tmp_path)],
+        [sys.executable, "-c", code, *paths, str(out), which, str(trim)],
         env=dict(os.environ, MALLOC_MMAP_THRESHOLD_="131072"),
         capture_output=True,
         text=True,
         check=True,
     )
-    faults = json.loads(proc.stdout.splitlines()[-1])
-    assert (tmp_path / "v1" / "DONE").is_file()
-    assert all(count < 1000 for count in faults.values()), faults
+    if which == "verify":
+        assert (Path(out) / "v1" / "DONE").is_file()
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+needs_mallopt = pytest.mark.skipif(not _alloc.TRIM_SET, reason="the C library has no mallopt")
+
+
+@needs_mallopt
+@pytest.mark.parametrize("which", ["verify", "limit"])
+def test_warm_runs_fault_in_few_pages(tmp_path, which):
+    # with the trim threshold raised, a block's freed temporaries stay in
+    # the heap, and a second run of the same work faults in almost no new
+    # pages.  The child pins glibc's mmap threshold as the benchmark does,
+    # which stops glibc from raising the trim threshold itself
+    assert child_warm_faults(tmp_path, which) < 1000
+
+
+@needs_mallopt
+def test_default_trim_threshold_faults_blocks_in_again(tmp_path):
+    # the verify run at glibc's default trim threshold, 128 KB: each fresh
+    # block faults its pages in again, more than 20 000 faults, so the
+    # bound above sees the setting.  The limit job's count at the default
+    # depends on what else sits at the top of the heap, from 2 to 2 000
+    # faults with the child's argv alone changed, so it has no such check
+    assert child_warm_faults(tmp_path, "verify", trim=128 << 10) > 1000
+
+
+def test_kernel_sets_and_restores_bufsize():
+    @_alloc.kernel
+    def inside(a):
+        return np.getbufsize(), a
+
+    before = np.getbufsize()
+    assert inside(3) == (_alloc._UFUNC_BUFSIZE, 3)
+    assert inside.__name__ == "inside"
+    assert np.getbufsize() == before
+
+
+def test_nested_kernels_restore_the_outer_size():
+    @_alloc.kernel
+    def inner():
+        return np.getbufsize()
+
+    @_alloc.kernel
+    def outer():
+        return inner(), np.getbufsize()
+
+    before = np.getbufsize()
+    assert outer() == (_alloc._UFUNC_BUFSIZE, _alloc._UFUNC_BUFSIZE)
+    assert np.getbufsize() == before
+
+
+def test_kernel_restores_bufsize_when_it_raises():
+    @_alloc.kernel
+    def fails():
+        raise ValueError("inside")
+
+    before = np.getbufsize()
+    with pytest.raises(ValueError, match="inside"):
+        fails()
+    assert np.getbufsize() == before
 
 
 @pytest.mark.parametrize(
