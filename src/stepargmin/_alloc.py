@@ -1,8 +1,9 @@
 """The process's allocator policy, set once at import.
 
 Both Monte Carlo sides work in blocks: a (B, n) data block of about 8192
-cells, a chunk of the k >= 2 sweep, a 64-row block of limit walks.  Each
-block allocates its temporaries fresh and frees them when it is done.  At
+cells, a chunk of the k >= 2 sweep, a block of 64 to 1024 rows of limit
+walks whose first chunks stay under the mmap threshold.  Each block
+allocates its temporaries fresh and frees them when it is done.  At
 glibc's default trim threshold, 128 KB, freeing the top of the heap hands
 those pages back to the system, and the next block faults them in again.
 With the mmap threshold pinned at its default, which also pins the trim

@@ -255,17 +255,25 @@ def _proportion(flags, n):
 
 # --- block simulation kernel ----------------------------------------------
 #
-# Replications are simulated in blocks of _BLOCK rows, and block b draws
-# everything from substream(seed, b), so the draw of replication r depends
-# on (spec, seed, r) only: not on the replication count, nor on how the
-# replications are split between workers.  A block draws the right side's
-# jump walks, then the left side's, then the right side's arrival gaps,
-# then the left side's.
+# Replications are simulated in blocks of `_block_rows(spec)` rows, and
+# block b draws everything from substream(seed, b), so the draw of
+# replication r depends on (spec, seed, r) only: not on the replication
+# count, nor on how the replications are split between workers.  A block
+# draws the right side's jump walks, then the left side's, then the right
+# side's arrival gaps, then the left side's.
 
-_BLOCK = 64
+# a block holds from _MIN_ROWS to _MAX_ROWS rows, a power of two (see
+# _block_rows); _MAX_ROWS caps what a cut last block draws in vain, so
+# 2000 replications draw at most 2048 rows
+_MIN_ROWS = 64
+_MAX_ROWS = 1024
+# float64 cells of 128 KB, glibc's default mmap threshold, which
+# stepargmin._alloc's trim setting keeps from rising: a first walk chunk
+# under it comes from the heap, not from a fresh mmap per block
+_WALK_CELLS = 2**14
 
-# jumps per row and side that a walk may take: a 64-row block's walk then
-# stays near 8 MB
+# jumps per row and side that a walk may take: a block of the widest walks
+# has _MIN_ROWS rows, so its walk stays near 8 MB
 _MAX_GAPS = 2**14
 
 # each side of a row is drawn until the chance that the jumps not drawn
@@ -289,6 +297,30 @@ def _climb(law):
     to climb the certified height; 0 when R is inf, inf when R is 0."""
     drift = law.lundberg * law.mean()
     return _HEIGHT / drift if drift > 0 else INF
+
+
+def _width(law):
+    """The columns of a walk's first chunk: _FIRST climbs, 1 to _MAX_GAPS."""
+    return min(max(1, math.ceil(_FIRST * _climb(law))), _MAX_GAPS)
+
+
+def _block_rows(spec):
+    """The rows of the spec's limit blocks: the most, a power of two from
+    _MIN_ROWS to _MAX_ROWS, that keep each side's first walk chunk under
+    _WALK_CELLS cells, as a data block holds experiments._BLOCK_CELLS // n
+    datasets.  A block of walks that certify in a few jumps costs mostly
+    per numpy call, not per row: point(1) blocks took 1.9 us per row at 64
+    rows and 0.3 at 1024, gaussian(1, 0.5) blocks 3.4 and 0.7 (numpy 2.4,
+    one Xeon core, mmap threshold pinned at 128 KB).  A law whose
+    first chunk fills _MIN_ROWS rows, such as two_point(-3, 5, 1/2), keeps
+    them.  The cell arrays of a tall block may still pass the threshold
+    (shifted_exp(-0.5, 1.5) edges reach about 200 KB at 1024 rows), and it
+    still ran faster per row at 1024 rows than at 512."""
+    widest = max(_width(spec.jump_right), _width(spec.jump_left))
+    rows = _MAX_ROWS
+    while rows > _MIN_ROWS and rows * widest >= _WALK_CELLS:
+        rows //= 2
+    return rows
 
 
 def _jumps(rng, law, out):
@@ -319,9 +351,8 @@ def _walk(rng, spec, side, rows):
     UncertifiedWalkError."""
     law = getattr(spec, f"jump_{side}")
     height = _HEIGHT / law.lundberg
-    climb = _climb(law)
-    width = min(max(1, math.ceil(_FIRST * climb)), _MAX_GAPS)
-    step = max(_MIN_STEP, math.ceil(_STEP * climb))
+    width = _width(law)
+    step = max(_MIN_STEP, math.ceil(_STEP * _climb(law)))
     sums = _jumps(rng, law, np.empty((rows, width)))
     np.cumsum(sums, axis=1, out=sums)
     # the last minimum of each row: argmin of the reversed row
@@ -454,14 +485,15 @@ def simulate_trajectory(spec, seed):
 
 
 def _predicate_worker(args, b, count):
-    """The argmin sets of the first `count` replications of block b as one
-    (intervals, 3) array: per interval, its replication's global index and
-    its lo and hi.  Rows run in replication order, intervals increasing
-    within a row.  Replication r is row r % _BLOCK of block r // _BLOCK."""
-    spec, seed = args
-    row, lo, hi = _argmin_cells(*_draw_block(spec, substream(seed, b), _BLOCK))
+    """The argmin sets of the first `count` replications of block b, a block
+    of `rows` replications, as one (intervals, 3) array: per interval, its
+    replication's global index and its lo and hi.  Rows run in replication
+    order, intervals increasing within a row.  The whole block is drawn, so
+    replication r is row r % rows of block r // rows whatever the count."""
+    spec, seed, rows = args
+    row, lo, hi = _argmin_cells(*_draw_block(spec, substream(seed, b), rows))
     n = int(np.searchsorted(row, count))
-    return np.column_stack((row[:n] + b * _BLOCK, lo[:n], hi[:n]))
+    return np.column_stack((row[:n] + b * rows, lo[:n], hi[:n]))
 
 
 # the benchmark tracer wraps these names; no caller uses them, so their
@@ -475,7 +507,8 @@ def _limit_job(spec, seed, replications):
     replications 0..replications-1; read its array with `_job_sets`."""
     if replications < 1:
         raise ValueError("replications must be at least 1")
-    return _predicate_worker, (spec, seed), replications, _BLOCK
+    rows = _block_rows(spec)
+    return _predicate_worker, (spec, seed, rows), replications, rows
 
 
 def _job_sets(cells):

@@ -21,9 +21,9 @@ from stepargmin.argmin import (
     sargmin,
 )
 from stepargmin.cpoisson import (
-    _BLOCK,
     CompoundPoissonSpec,
     JumpLaw,
+    _block_rows,
     _draw_block,
     _job_sets,
     _limit_job,
@@ -35,14 +35,15 @@ from stepargmin.stepfit import Dataset, fit_rows, fit_step
 
 SEED = 20261019
 
-# name: (right jumps, left jumps, rate of both sides, replications, digest)
+# name: (right jumps, left jumps, rate of both sides, replications, digest);
+# the specs' blocks hold 1024, 64, 128, 512 and 256 rows
 SAMPLES = {
     "point": (
         JumpLaw("point", (1.0,)),
         JumpLaw("point", (1.0,)),
         1.0,
         300,
-        "d0c46b1f6be17627ac3100586661edb9a117d689dedc6afff74a82d50705d45d",
+        "fe76745b753b51646f1ef8dd3cfc0c7a560e10d956d997d234a2516893f57a0a",
     ),
     "two_point": (
         JumpLaw("two_point", (-3.0, 5.0, 0.5)),
@@ -56,29 +57,29 @@ SAMPLES = {
         JumpLaw("gaussian", (0.5, 1.0)),
         2.0,
         300,
-        "e70aacaadae080d5efbceb7e6d46651da4e697f68a7c1b5fd30a5259ff358081",
+        "97cdcc6bf0505481481af13ec7867d786b25537e50d67b1a378e95e5c92a9572",
     ),
     "shifted_exp": (
         JumpLaw("shifted_exp", (0.5, 1.0)),
         JumpLaw("shifted_exp", (-0.25, 0.5)),
         0.5,
         300,
-        "bebe64e2b625219bd6ef6be06bb64f0b0df63d2105635123288de194f1a02013",
+        "4e9db79284cb5256f16ea29c6deac5e7a44e7a5d396f09193e643bb0cad7eb1a",
     ),
     "empirical": (
         JumpLaw("empirical", (0.5, 1.0, 2.0)),
         JumpLaw("empirical", (-1.0, 3.0)),
         1.0,
         300,
-        "f0309fc6d664b0df884eaf6bc6e2e5fb3e3f304dddfce203659737693368a212",
+        "0b727b5b2931e905bef241b4c6c83e3a00f234bbaa4cb1e46d8c414d1a8afe30",
     ),
 }
 
-# the limit columns of 1000 replications and the raw cells of four blocks,
-# certified and whole, per law on both sides at rate 5; then with chunks of
-# a tenth of the drift's climb, so every walk is topped up over many
-# chunks; then with the law on the rate-5 right side only, beside left
-# walks that one jump certifies
+# the limit columns of 1000 replications and the raw cells of four of the
+# spec's blocks, certified and whole, per law on both sides at rate 5; then
+# with chunks of a tenth of the drift's climb, so every walk is topped up
+# over many chunks (and the blocks are taller); then with the law on the
+# rate-5 right side only, beside left walks that one jump certifies
 TOP_UP_LAWS = (
     JumpLaw("empirical", (-1.0, 2.0, 2.0, 3.0)),
     JumpLaw("gaussian", (1.0, 0.5)),
@@ -88,7 +89,7 @@ TOP_UP_MENU = (
     ("closed", BoxUnion(1, [Box((-1.0,), (0.5,)), Box((1.5,), (2.0,))])),
     ("open", OpenBoxUnion(1, [OpenBox((-2.0,), (1.0,))])),
 )
-TOP_UP = "b8e057f83c3aaaae42afd3fdc99cad08fb92e09d1ce61cdf6782f6f39c34c85d"
+TOP_UP = "187545aaf7c40ef03abe22b99e16d1c7327d2d5c6b39dff9fb93f01534888057"
 
 # k: (rows, n, digest of tau, alpha and sigma_hat)
 FITS = {
@@ -148,7 +149,7 @@ def test_top_up(monkeypatch):
             h.update(np.ascontiguousarray(_menu_columns(spec), dtype="<f8").tobytes())
             for whole in (False, True):
                 for b in range(4):
-                    for a in _draw_block(spec, substream(7, b), _BLOCK, whole=whole):
+                    for a in _draw_block(spec, substream(7, b), _block_rows(spec), whole=whole):
                         h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
     assert h.hexdigest() == TOP_UP
 

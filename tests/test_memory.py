@@ -75,7 +75,8 @@ def print_warm_faults(out, which, trim):
         cli.run(["verify", "--config", str(config), "--out", f"{out}/v{i}"])
 
     def limit(i):
-        run_chunks([cpoisson._limit_job(TWO_POINT_SPEC, 7 + i, 32 * cpoisson._BLOCK)], 1)
+        rows = cpoisson._block_rows(TWO_POINT_SPEC)
+        run_chunks([cpoisson._limit_job(TWO_POINT_SPEC, 7 + i, 32 * rows)], 1)
 
     print(json.dumps(warm_faults({"verify": verify, "limit": limit}[which])))
 
@@ -161,19 +162,24 @@ def test_kernel_restores_bufsize_when_it_raises():
 
 @pytest.mark.parametrize(
     "law, max_window",
-    [(TWO_POINT, 64.0), (TWO_POINT, 1024.0), (JumpLaw("gaussian", (1.0, 0.5)), 64.0)],
-    ids=["two_point-64", "two_point-1024", "gaussian-64"],
+    [
+        (TWO_POINT, 64.0),
+        (TWO_POINT, 1024.0),
+        (JumpLaw("gaussian", (1.0, 0.5)), 64.0),
+        (JumpLaw("point", (1.0,)), 64.0),
+    ],
+    ids=["two_point-64", "two_point-1024", "gaussian-64", "point-64"],
 )
 def test_limit_block_peak_is_a_few_edge_arrays(law, max_window):
-    # the limit side allocates its block arrays fresh, but one block holds
-    # no more than a few arrays the size of the cell edges that both sides'
-    # first walk chunks would make at a time.  max_window is ignored: both
-    # two_point cases draw the same
+    # the limit side allocates its block arrays fresh, but one block of the
+    # spec's own height holds no more than a few arrays the size of the
+    # cell edges that both sides' first walk chunks would make at a time.
+    # max_window is ignored: both two_point cases draw the same
     spec = CompoundPoissonSpec(1.0, 1.0, law, law, max_window=max_window)
-    block = cpoisson._BLOCK
+    block = cpoisson._block_rows(spec)
     columns = max(1, math.ceil(cpoisson._FIRST * cpoisson._climb(law)))
     edges = block * (2 * columns + 2) * 8
-    args = (spec, 7)
+    args = (spec, 7, block)
     # the first call also computes the law's Lundberg exponent
     cpoisson._predicate_worker(args, 0, block)
     tracemalloc.start()

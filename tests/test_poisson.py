@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from corpus import long_walk_extremes, oracle_argmin
+from test_golden import SAMPLES, TOP_UP_LAWS
 
 from stepargmin import cpoisson, experiments, stepfit
 from stepargmin.argmin import (
@@ -25,9 +26,9 @@ from stepargmin.argmin import (
     sargmin,
 )
 from stepargmin.cpoisson import (
-    _BLOCK,
     _HEIGHT,
     _MAX_GAPS,
+    _block_rows,
     _draw_block,
     _row_function,
     CompoundPoissonSpec,
@@ -383,11 +384,14 @@ class TestFunctionalEstimates:
     def test_worker_count_invariance(self):
         spec = unit_spec(jump_right=JumpLaw("gaussian", (1.0, 0.5)))
         e = BoxUnion(1, (Box((-1.0,), (1.0,)),))
-        # several blocks, the last one partial; two_point walks grow past
-        # their first chunk in some rows
+        # several blocks, the last one cut: 53 of 64 rows, the last of 17,
+        # for two_point, whose walks grow past their first chunk in some
+        # rows, and 77 of 1024 rows, the last of 4, for point and the
+        # derived gaussian
         grown = unit_spec(jump_right=NEGATIVE_SUPPORT, jump_left=NEGATIVE_SUPPORT)
-        several = (grown, unit_spec(), derived_specs()[0])
-        one = [samples_to_csv(sample_extreme_minimizers(s, 1077, 21, workers=1)) for s in several]
+        several = [(grown, 1077), (unit_spec(), 3 * 1024 + 77), (derived_specs()[0], 3 * 1024 + 77)]
+        assert [_block_rows(s) for s, _ in several] == [64, 1024, 1024]
+        one = [samples_to_csv(sample_extreme_minimizers(s, n, 21, workers=1)) for s, n in several]
         # 3 workers cut the blocks into other tasks than 2, on any pool size
         for workers in (2, 3):
             assert estimate_capacity(spec, e, 300, 13, workers=1) == estimate_capacity(
@@ -397,27 +401,39 @@ class TestFunctionalEstimates:
                 sample_extreme_minimizers(spec, 200, 13, workers=1),
                 sample_extreme_minimizers(spec, 200, 13, workers=workers),
             )
-            for s, text in zip(several, one):
-                many = samples_to_csv(sample_extreme_minimizers(s, 1077, 21, workers=workers))
+            for (s, n), text in zip(several, one):
+                many = samples_to_csv(sample_extreme_minimizers(s, n, 21, workers=workers))
                 assert text.encode() == many.encode()
 
     @pytest.mark.parametrize(
-        "workers, law",
-        [pytest.param(w, "two_point", id=str(w)) for w in (1, 2)]
-        + [pytest.param(w, law, id=f"{law}-{w}") for law in ("point", "derived") for w in (1, 2)],
+        "workers, law, counts",
+        [pytest.param(w, "two_point", (11, 40), id=str(w)) for w in (1, 2)]
+        + [
+            pytest.param(w, law, (11, 40), id=f"{law}-{w}")
+            for law in ("point", "derived")
+            for w in (1, 2)
+        ]
+        + [
+            pytest.param(w, law, (1500, 3000), id=f"{law}-{w}-across-blocks")
+            for law in ("point", "derived")
+            for w in (1, 2)
+        ],
     )
-    def test_short_run_is_prefix_of_long_run(self, workers, law):
+    def test_short_run_is_prefix_of_long_run(self, workers, law, counts):
         # a short block draws all its rows, so its first rows are the long
-        # run's; two_point walks grow past their first chunk in some rows
+        # run's; two_point walks grow past their first chunk in some rows.
+        # 1500 of 3000 point or derived replications cut their second
+        # 1024-row block
         spec = {
             "two_point": unit_spec(jump_right=NEGATIVE_SUPPORT, jump_left=NEGATIVE_SUPPORT),
             "point": unit_spec(),
             "derived": derived_specs()[0],
         }[law]
         job = cpoisson._limit_job
-        short, long = run_chunks([job(spec, 38, 11), job(spec, 38, 40)], workers)
+        n, m = counts
+        short, long = run_chunks([job(spec, 38, n), job(spec, 38, m)], workers)
         rows = IntervalRows.from_cells(short[:, 0], short[:, 1], short[:, 2])
-        assert rows.starts.size == 11 and short.shape[1] == 3
+        assert rows.starts.size == n and short.shape[1] == 3
         assert short.tobytes() == long[: len(short)].tobytes()
 
 
@@ -451,6 +467,11 @@ INTEGER_TIES = JumpLaw("empirical", (-1.0, 1.0, 1.0, 2.0))
 NEGATIVE_SUPPORT = JumpLaw("two_point", (-3.0, 5.0, 0.5))
 # a weak drift on a lattice: long walks and many tied minima
 WOBBLE = JumpLaw("two_point", (-1.0, 1.25, 0.5))
+
+
+# the rows of the raw blocks that the kernel tests draw: `_draw_block` takes
+# any count, and the limit jobs' own heights come from `_block_rows`
+ROWS = 64
 
 
 def kernel_specs():
@@ -493,7 +514,7 @@ class TestBlockKernel:
         for spec in kernel_specs():
             for whole in (False, True):
                 for b in range(4):
-                    block = _draw_block(spec, substream(11, b), _BLOCK, whole=whole)
+                    block = _draw_block(spec, substream(11, b), ROWS, whole=whole)
                     for a in assert_rows_exact(*block):
                         several += len(a.boxes) > 1
                         far += not a.contains_point((0.0,))
@@ -507,15 +528,15 @@ class TestBlockKernel:
         monkeypatch.setattr(cpoisson, "_FIRST", 0.1)
         monkeypatch.setattr(cpoisson, "_STEP", 0.1)
         spec = unit_spec(rate_right=5.0, jump_right=NEGATIVE_SUPPORT, jump_left=INTEGER_TIES)
-        chunks, _, _ = cpoisson._walk(substream(5, 0), spec, "right", _BLOCK)
+        chunks, _, _ = cpoisson._walk(substream(5, 0), spec, "right", ROWS)
         assert len(chunks) >= 5
         counts = []
         for b in range(40):
-            edges, values = _draw_block(spec, substream(5, b), _BLOCK, whole=True)
+            edges, values = _draw_block(spec, substream(5, b), ROWS, whole=True)
             if b < 4:
                 assert_rows_exact(edges, values)
-                assert_rows_exact(*_draw_block(spec, substream(5, b), _BLOCK))
-            for r in range(_BLOCK):
+                assert_rows_exact(*_draw_block(spec, substream(5, b), ROWS))
+            for r in range(ROWS):
                 bp, _ = _row_function(edges[r], values[r])
                 assert bp[-1] > 4.0
                 counts.append(int(np.sum((bp > 0.0) & (bp <= 4.0))))
@@ -597,23 +618,25 @@ EXTENSION_LAWS = (
 class TestCertifiedPrefix:
     @pytest.mark.parametrize("law", EXTENSION_LAWS, ids=[law.to_token() for law in EXTENSION_LAWS])
     def test_cells_are_whole_window_cells(self, law, monkeypatch):
-        # 32 blocks of 64 rows on both sides: every walk ends certified, and
-        # extended 32-fold with fresh jumps it never falls back to the
-        # row's minimum, so the extension changes none of the 2048 argmin
-        # sets.  The 32-fold walk stands where the whole window stood
+        # 32 of the spec's blocks (64 to 1024 rows) on both sides: every
+        # walk ends certified, and extended 32-fold with fresh jumps it
+        # never falls back to the row's minimum, so the extension changes
+        # none of the 2048 to 32 768 argmin sets.  The 32-fold walk stands
+        # where the whole window stood
         spec = unit_spec(jump_right=law, jump_left=law)
+        rows = _block_rows(spec)
         height = _HEIGHT / law.lundberg
         walks = recorded_walks(monkeypatch)
         rng = np.random.default_rng(99)
         changed = 0
         for b in range(32):
-            _draw_block(spec, substream(8, b), _BLOCK)
+            _draw_block(spec, substream(8, b), rows)
             (_, right, low_right, _), (_, left, low_left, _) = walks[-2:]
             low = np.minimum(low_right, low_left)
             for chunks, side_low in ((right, low_right), (left, low_left)):
                 length, end = walk_ends(chunks)
                 assert np.all(end - side_low > height)
-                more = np.cumsum(law.sample(rng, (_BLOCK, 31 * int(length.max()))), axis=1)
+                more = np.cumsum(law.sample(rng, (rows, 31 * int(length.max()))), axis=1)
                 changed += int(np.count_nonzero(end + more.min(axis=1) <= low))
         assert changed == 0
 
@@ -628,9 +651,11 @@ class TestCertifiedPrefix:
 
     def test_point_jumps_take_one_arrival(self, monkeypatch):
         walks = recorded_walks(monkeypatch)
-        widths = [_draw_block(unit_spec(), substream(3, b), _BLOCK)[1].shape for b in range(20)]
-        assert widths == [(_BLOCK, 3)] * 20
-        assert all(len(chunks) == 1 and chunks[0][2].shape == (_BLOCK, 1) for _, chunks, _, _ in walks)
+        rows = _block_rows(unit_spec())
+        assert rows == 1024
+        widths = [_draw_block(unit_spec(), substream(3, b), rows)[1].shape for b in range(20)]
+        assert widths == [(rows, 3)] * 20
+        assert all(len(chunks) == 1 and chunks[0][2].shape == (rows, 1) for _, chunks, _, _ in walks)
 
     def test_top_up_beside_a_prefix(self, monkeypatch):
         # the right side's two_point walks grow past their first chunk in
@@ -641,20 +666,22 @@ class TestCertifiedPrefix:
         spec = dataclasses.replace(spec, jump_right=NEGATIVE_SUPPORT)
         for b in range(8):
             for whole in (False, True):
-                assert_rows_exact(*_draw_block(spec, substream(9, b), _BLOCK, whole=whole))
+                assert_rows_exact(*_draw_block(spec, substream(9, b), ROWS, whole=whole))
         grown = [len(chunks) for law, chunks, _, _ in walks if law == NEGATIVE_SUPPORT]
         assert len(grown) == 16 and min(grown) >= 2
         assert all(len(chunks) == 1 for law, chunks, _, _ in walks if law != NEGATIVE_SUPPORT)
 
     def test_derived_specs_certify_inside_max_window(self):
         # the derived specs were drawn on [-64/rate, 64/rate]; their
-        # certified argmin sets all lie well inside it
+        # certified argmin sets all lie well inside it, over 64 000 rows
+        # or a few more
         specs = derived_specs()
         assert len(specs) == 4
         for spec in specs:
             w = 64.0 / spec.rate_right
-            for b in range(1000):
-                _, lo, hi = _argmin_cells(*_draw_block(spec, substream(12, b), _BLOCK))
+            rows = _block_rows(spec)
+            for b in range(-(-64_000 // rows)):
+                _, lo, hi = _argmin_cells(*_draw_block(spec, substream(12, b), rows))
                 assert np.all((-w < lo) & (hi < w))
 
     def test_two_point_rows_reach_max_window_uncertified(self, monkeypatch):
@@ -666,12 +693,56 @@ class TestCertifiedPrefix:
         height = _HEIGHT / NEGATIVE_SUPPORT.lundberg
         early = []
         for b in range(10):
-            _draw_block(spec, substream(12, b), _BLOCK)
+            _draw_block(spec, substream(12, b), _block_rows(spec))
             for _, chunks, _, _ in walks[-2:]:
                 sums = chunks[0][2][:, :100]
                 rise = sums - np.minimum(np.minimum.accumulate(sums, axis=1), 0.0)
                 early.append((rise > height).any(axis=1))
         assert len(early) == 20 and np.mean(np.concatenate(early)) < 0.01
+
+
+def rule_pairs():
+    """(right, left) jump laws of every law that the golden digests and this
+    file draw, on both sides, and of the golden samples' own specs."""
+    laws = [*EXTENSION_LAWS, *TOP_UP_LAWS]
+    for spec in kernel_specs():
+        laws += [spec.jump_right, spec.jump_left]
+    pairs = [(law, law) for law in laws] + [(right, left) for right, left, *_ in SAMPLES.values()]
+    return list(dict.fromkeys(pairs))
+
+
+class TestBlockRows:
+    def test_heights_of_named_laws(self):
+        heights = {
+            JumpLaw("point", (1.0,)): 1024,
+            JumpLaw("gaussian", (1.0, 0.5)): 1024,
+            JumpLaw("shifted_exp", (-0.5, 1.5)): 1024,
+            JumpLaw("two_point", (-1.0, 3.0, 0.25)): 1024,
+            JumpLaw("empirical", (-1.0, 2.0, 2.0, 3.0)): 512,
+            NEGATIVE_SUPPORT: 64,
+            JumpLaw("gaussian", (0.5, 1.5)): 64,
+        }
+        for law, rows in heights.items():
+            assert _block_rows(unit_spec(jump_right=law, jump_left=law)) == rows, law
+        # every derived spec of the reference configs draws 1024 rows
+        assert {_block_rows(spec) for spec in derived_specs()} == {1024}
+
+    @pytest.mark.parametrize(
+        "right, left", rule_pairs(), ids=[f"{r.to_token()}-{l.to_token()}" for r, l in rule_pairs()]
+    )
+    def test_first_chunks_stay_under_the_mmap_threshold(self, right, left):
+        # a power of two in [64, 1024]; above 64 rows, each side's first
+        # walk chunk is under 128 KB, and twice the rows would put one side
+        # at or above it
+        spec = unit_spec(jump_right=right, jump_left=left)
+        rows = _block_rows(spec)
+        assert rows in (64, 128, 256, 512, 1024)
+        widths = [cpoisson._walk(substream(1), spec, side, rows)[0][0][2].shape for side in ("right", "left")]
+        assert all(shape[0] == rows for shape in widths)
+        if rows > 64:
+            assert max(rows * width * 8 for _, width in widths) < 128 << 10
+        if rows < 1024:
+            assert max(2 * rows * width * 8 for _, width in widths) >= 128 << 10
 
 
 class TestLongWalkReference:
@@ -736,10 +807,11 @@ class TestStreamLayout:
         spec = unit_spec(jump_right=NEGATIVE_SUPPORT, jump_left=NEGATIVE_SUPPORT)
         long_run = sample_extreme_minimizers(spec, 2000, 31)
         assert np.array_equal(long_run[:1000], sample_extreme_minimizers(spec, 1000, 31))
+        # point blocks hold 1024 rows, so 1500 replications cut the second
         point = unit_spec()
         assert np.array_equal(
-            sample_extreme_minimizers(point, 200, 31)[:100],
-            sample_extreme_minimizers(point, 100, 31),
+            sample_extreme_minimizers(point, 3000, 31)[:1500],
+            sample_extreme_minimizers(point, 1500, 31),
         )
 
     def test_orthant_identities_on_shared_seed(self):
