@@ -10,8 +10,6 @@ value.  All comparisons are exact; no tolerances enter set membership.
 
 from __future__ import annotations
 
-import functools
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -222,7 +220,8 @@ class OpenBox:
 
     @property
     def is_empty(self):
-        return any(lo >= hi for lo, hi in zip(self.lo, self.hi))
+        # NaN fails every comparison, so a NaN end empties the box
+        return any(not lo < hi for lo, hi in zip(self.lo, self.hi))
 
     def contains_point(self, point):
         return all(lo < p < hi for lo, p, hi in zip(self.lo, point, self.hi))
@@ -487,71 +486,53 @@ def closed_complement(g):
     return BoxUnion(dim, tuple(current))
 
 
-@functools.cache
-def _corner_signs(dim):
-    # the (2,) * dim inclusion-exclusion signs: -1 per lower coordinate
-    sign = np.ones((), dtype=np.int64)
-    for _ in range(dim):
-        sign = np.multiply.outer(sign, [-1, 1])
-    sign.flags.writeable = False
-    return sign
+def _covered(lo, hi, boxes, start):
+    """True iff the closed box [lo, hi] lies in the union of the open boxes
+    boxes[start:].
+
+    Open boxes before the first one that meets the closed box hold none of
+    its points, so only that one, the piece, is peeled: on each axis in
+    turn, the slabs of the closed box at or below the piece's finite lower
+    face and at or above its finite upper face must lie in the later open
+    boxes, and the closed box is then clipped to the piece's closed range
+    on that axis, so the slabs overlap only on faces.  A point outside the
+    piece lies in a slab of the first axis on which it leaves the piece's
+    open range.  An infinite end counts as inside a piece that is infinite
+    on the same side; a NaN face meets nothing.
+    """
+    for j in range(start, len(boxes)):
+        piece = boxes[j]
+        if all(a < h and l < b for a, b, l, h in zip(piece.lo, piece.hi, lo, hi)):
+            break
+    else:
+        return False
+    lo, hi = list(lo), list(hi)
+    for i, (a, b) in enumerate(zip(piece.lo, piece.hi)):
+        if -INF < a and lo[i] <= a:
+            slab = hi.copy()
+            slab[i] = a
+            if not _covered(lo, slab, boxes, j + 1):
+                return False
+            lo[i] = a
+        if b < INF and b <= hi[i]:
+            slab = lo.copy()
+            slab[i] = b
+            if not _covered(slab, hi, boxes, j + 1):
+                return False
+            hi[i] = b
+    return True
 
 
 def contained_in_open(a, g):
-    """True iff the closed union lies inside the open union.
-
-    Each axis is cut at the finite endpoints of g into atoms, the cut points
-    and the open gaps between them.  A product of atoms lies wholly inside
-    or outside each open box, so a lies in g iff none of its boxes meets an
-    atom that no box of g covers.  Exact in every dimension.
+    """True iff the closed union lies inside the open union: every box of a
+    passes the box-difference recursion `_covered` over the boxes of g.
+    Exact in every dimension, and never builds the closed complement.
     """
     if a.is_empty:
         return True
     if a.dim != g.dim:
         raise ValueError("dimension mismatch")
-    dim = a.dim
-    # the ray below cuts[i][0] is atom 0 of axis i, cuts[i][p] is atom
-    # 2p + 1 and the open gap above it atom 2p + 2
-    cuts = [
-        sorted({v for b in g.boxes for v in (b.lo[i], b.hi[i])} - {INF, -INF})
-        for i in range(dim)
-    ]
-    table = np.zeros([2 * len(c) + 2 for c in cuts], dtype=np.int64)
-    uncovered = table[(slice(1, None),) * dim]
-    uncovered.fill(1)
-    for box in g.boxes:
-        # (l, h) holds the atoms from the one above l to the one below h
-        uncovered[
-            tuple(
-                slice(2 * bisect_right(c, l), 2 * bisect_left(c, h) + 1)
-                for c, l, h in zip(cuts, box.lo, box.hi)
-            )
-        ] = 0
-    # now table[j] counts the uncovered atoms below the index vector j
-    for i in range(dim):
-        table.cumsum(axis=i, out=table)
-    # a closed box meets the atoms from the one holding its lower corner to
-    # the one holding its upper corner; x lies in atom left + right.
-    # Inclusion-exclusion over the 2**dim corners counts the uncovered atoms
-    # each box meets, in one gather from the flat table: corner axis i of
-    # `flat` takes the box's lower (0) or upper (1) atom on axis i.  The
-    # counts are >= 0, so a sum of 0 means none
-    steps = [s // table.itemsize for s in table.strides]
-    offsets = np.array(
-        [
-            [
-                ((bisect_left(c, l) + bisect_right(c, l)) * step,
-                 (bisect_left(c, h) + bisect_right(c, h) + 1) * step)
-                for c, step, l, h in zip(cuts, steps, b.lo, b.hi)
-            ]
-            for b in a.boxes
-        ]
-    )
-    flat = 0
-    for i in range(dim):
-        flat = flat + offsets[:, i].reshape((-1,) + (1,) * i + (2,) + (1,) * (dim - 1 - i))
-    met = (table.ravel()[flat] * _corner_signs(dim)).sum()
-    return not met
+    return all(_covered(b.lo, b.hi, g.boxes, 0) for b in a.boxes)
 
 
 def lower_orthant_closed(x):

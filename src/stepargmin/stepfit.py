@@ -824,18 +824,6 @@ def _polyval(x, coeffs, out):
     return out
 
 
-def pure_step_model(tau, alpha, x_law, noise):
-    """Model whose regression function is itself the k-jump step function
-    with the given breakpoints and levels."""
-    return RegressionModelSpec(
-        segments=tuple((float(a),) for a in alpha),
-        x_law=x_law,
-        noise=noise,
-        true_tau=tuple(tau),
-        true_alpha=tuple(alpha),
-    )
-
-
 @kernel
 def draw_rows(model, rng, shape):
     """Datasets drawn from `rng` as arrays x and y of `shape`: every

@@ -11,7 +11,8 @@ landscape's k-D grid, where the library checks one section at a time.
 `long_walk_extremes` draws limit-process extreme minimizers from jump
 walks of a fixed length, with no certificate and no time window.
 The small builders at the end (`all_ge`, `build_rectangle`,
-`dataset_to_csv`) are conveniences that only the tests call.
+`dataset_to_csv`, `pure_step_model`) are conveniences that only the tests
+call.
 """
 
 import itertools
@@ -374,3 +375,15 @@ def dataset_to_csv(data):
     for xv, yv in zip(data.x, data.y):
         lines.append(f"{float(xv)!r},{float(yv)!r}")
     return "\n".join(lines) + "\n"
+
+
+def pure_step_model(tau, alpha, x_law, noise):
+    """Model whose regression function is itself the k-jump step function
+    with the given breakpoints and levels."""
+    return stepfit.RegressionModelSpec(
+        segments=tuple((float(a),) for a in alpha),
+        x_law=x_law,
+        noise=noise,
+        true_tau=tuple(tau),
+        true_alpha=tuple(alpha),
+    )

@@ -10,6 +10,7 @@ from scipy.stats import norm as scipy_norm
 from corpus import (
     exhaustive_fit,
     oracle_argmin,
+    pure_step_model,
     random_function,
     random_shelled_function,
     raster_membership,
@@ -52,7 +53,6 @@ from stepargmin.stepfit import (
     XLaw,
     fit_step,
     optimal_levels,
-    pure_step_model,
     sse,
 )
 

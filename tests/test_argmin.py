@@ -1,3 +1,4 @@
+import itertools
 from collections import Counter
 
 import numpy as np
@@ -234,6 +235,15 @@ class TestBox:
             assert box.bounded is expected
         assert not Box((np.nan,), (1.0,)).bounded
 
+    def test_nan_end_empties_an_open_box(self):
+        # no point lies strictly between a NaN and anything
+        assert OpenBox((np.nan,), (1.0,)).is_empty
+        assert OpenBox((0.0, 0.0), (1.0, np.nan)).is_empty
+        assert not OpenBox((-INF,), (INF,)).is_empty
+        assert OpenBoxUnion(2, (OpenBox((0.0, np.nan), (1.0, 1.0)),)).is_empty
+        assert lower_orthant_open((np.nan,)).is_empty
+        assert lower_orthant_open((1.0, np.nan)).is_empty
+
 
 class TestContainsPoint:
     @pytest.mark.parametrize("cls", [BoxUnion, OpenBoxUnion])
@@ -329,6 +339,65 @@ class TestContainment:
                 assert contained_in_open(a, g) == expected
                 inside += expected and not a.is_empty
             assert inside >= 50
+
+    def test_duality_faces_and_infinite_ends(self):
+        # open unions of up to 8 boxes; the closed boxes take their ends
+        # from the open boxes' faces, so they touch them, and ends may be
+        # infinite or NaN on both sides
+        lattice = np.array([-1.5, -0.5, 0.0, 0.5, 1.5])
+        for dim in (1, 2, 3):
+            rng = np.random.default_rng((31, dim))
+            inside = 0
+            for _ in range(400):
+                opens = []
+                for _ in range(rng.integers(0, 9)):
+                    lo, hi = np.sort(rng.choice(lattice, size=(2, dim)), axis=0)
+                    lo[rng.random(dim) < 0.4] = -INF
+                    hi[rng.random(dim) < 0.4] = INF
+                    lo[rng.random(dim) < 0.03] = np.nan
+                    opens.append(OpenBox(tuple(lo), tuple(hi)))
+                g = OpenBoxUnion(dim, tuple(opens))
+                ends = [
+                    np.concatenate([lattice, [-INF, INF, np.nan], [e for b in opens for e in (b.lo[i], b.hi[i])]])
+                    for i in range(dim)
+                ]
+                closed = []
+                for _ in range(rng.integers(1, 4)):
+                    lo, hi = np.sort([rng.choice(e, size=2) for e in ends], axis=1).T
+                    closed.append(Box(tuple(lo), tuple(hi)))
+                a = BoxUnion(dim, tuple(closed))
+                expected = not hits(a, closed_complement(g))
+                assert contained_in_open(a, g) is expected
+                inside += expected and not a.is_empty
+            assert inside >= 20
+
+    def test_calls_grow_polynomially_on_grid_covers(self, monkeypatch):
+        # the cube [0, n]^dim covered by a grid of r = n**dim open boxes
+        # that overlap their neighbours by half a unit.  Peeling only an
+        # open box that meets the closed one, and clipping after each axis,
+        # keep the recursion within r**2 calls; slabs that overlap blow up
+        covered = argmin_module._covered
+        calls = bound = 0
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            if calls > bound:
+                raise AssertionError(f"more than {bound} calls")
+            return covered(*args)
+
+        monkeypatch.setattr(argmin_module, "_covered", counting)
+        for n, dim in ((13, 2), (5, 3)):
+            a = BoxUnion(dim, (Box((0.0,) * dim, (float(n),) * dim),))
+            for shrink in (None, (n // 2,) * dim):
+                boxes = []
+                for cell in itertools.product(range(n), repeat=dim):
+                    # the shrunk box leaves a corner of its cell uncovered
+                    pad = -0.3 if cell == shrink else 0.25
+                    boxes.append(OpenBox(tuple(c - pad for c in cell), tuple(c + 1 + pad for c in cell)))
+                calls, bound = 0, len(boxes) ** 2
+                assert contained_in_open(a, OpenBoxUnion(dim, tuple(boxes))) is (shrink is None)
+                assert calls > len(boxes)
 
     def test_touching_and_infinite_covers(self):
         g = OpenBoxUnion(

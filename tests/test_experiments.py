@@ -5,7 +5,7 @@ from decimal import Decimal, getcontext
 import numpy as np
 import pytest
 
-from corpus import build_rectangle, joint_membership
+from corpus import build_rectangle, joint_membership, pure_step_model
 from stepargmin import cli, experiments, rng
 from stepargmin.argmin import INF, Box, BoxUnion, OpenBox, OpenBoxUnion, argmin_set
 from stepargmin.cpoisson import OutOfDomainError
@@ -34,7 +34,6 @@ from stepargmin.stepfit import (
     draw_rows,
     fit_rows,
     fit_step,
-    pure_step_model,
     rescaled_process,
 )
 

@@ -18,11 +18,12 @@ import numpy as np
 import pytest
 
 import stepargmin
+from corpus import pure_step_model
 from stepargmin import _alloc, cli, cpoisson, experiments
 from stepargmin.argmin import argmin_set
 from stepargmin.cpoisson import CompoundPoissonSpec, JumpLaw, sample_extreme_minimizers
 from stepargmin.rng import run_chunks, substream
-from stepargmin.stepfit import NoiseLaw, XLaw, draw_rows, fit_rows, pure_step_model
+from stepargmin.stepfit import NoiseLaw, XLaw, draw_rows, fit_rows
 from stepargmin.stepfun import GridFunction, StepFunction1D
 
 UNIFORM01 = XLaw("uniform", (0.0, 1.0))

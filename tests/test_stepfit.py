@@ -5,7 +5,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from corpus import block_sums, cost_row, dataset_to_csv, exhaustive_fit, reference_cuts
+from corpus import (
+    block_sums,
+    cost_row,
+    dataset_to_csv,
+    exhaustive_fit,
+    pure_step_model,
+    reference_cuts,
+)
 from stepargmin import stepfit
 from stepargmin.argmin import _argmin_cells, argmin_set
 from stepargmin.cpoisson import InvalidSpecError, JumpLaw
@@ -29,7 +36,6 @@ from stepargmin.stepfit import (
     fit_rows,
     fit_step,
     optimal_levels,
-    pure_step_model,
     rescaled_process,
     sse,
     synthesize,

@@ -9,6 +9,7 @@ import importlib.util
 from pathlib import Path
 
 import numpy as np
+from corpus import pure_step_model
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -36,7 +37,7 @@ def test_hooks_read_what_they_expect(tmp_path):
     tracing = _tracing()
     original = cpoisson._simulate
     (tmp_path / "data.csv").write_text("x,y\n1.0,0.0\n2.0,0.0\n3.0,1.0\n4.0,1.0\n")
-    model = stepfit.pure_step_model(
+    model = pure_step_model(
         (1.0 / 3.0, 2.0 / 3.0),
         (0.0, 1.0, 0.0),
         stepfit.XLaw("uniform", (0.0, 1.0)),
