@@ -8,13 +8,14 @@ glibc's default trim threshold, 128 KB, freeing the top of the heap hands
 those pages back to the system, and the next block faults them in again.
 With the mmap threshold pinned at its default, which also pins the trim
 threshold, a second `verify` run on a k = 2 config faulted in about
-26 000 pages and a second 32-block limit job about 2 000.  Raising the
-trim threshold to TRIM_BYTES keeps the freed pages in the heap for the
-next block: about 20 and 0 faults.  The setting is process-wide and only
-glibc reads it; where the C library has no ``mallopt`` the call is
-skipped.  It also stops glibc from raising its mmap threshold after a
-large mmapped chunk is freed, so chunks at or above that threshold are
-still mmapped and unmapped, and the heap keeps at most its own peak.
+26 000 pages and a second 32-block shifted_exp(-0.5, 1.5) limit job 2 800
+to 7 000.  Raising the trim threshold to TRIM_BYTES keeps the freed pages
+in the heap for the next block: about 20 and at most 30 faults.  The
+setting is process-wide and only glibc reads it; where the C library has
+no ``mallopt`` the call is skipped.  It also stops glibc from raising
+its mmap threshold after a large mmapped chunk is freed, so chunks at or
+above that threshold are still mmapped and unmapped, and the heap keeps
+at most its own peak.
 
 ``kernel`` shrinks numpy's ufunc buffers for the duration of a call.  At
 numpy's default of 8192 elements, a ufunc whose operands cannot run as

@@ -69,7 +69,8 @@ def _finish_run(out):
 
 def _cmd_fit(args):
     data = dataset_from_csv(Path(args.data).read_text())
-    out = _start_run(args.out, "fit", args.data, _seed_of(args), args.workers)
+    # the fit is deterministic and runs in one process
+    out = _start_run(args.out, "fit", args.data, 0, 1)
     fit = fit_step(data, args.k)
     _write(out / "fit.txt", fit.to_text())
     model = StepModel(fit.tau, fit.alpha)
@@ -139,13 +140,13 @@ def _cmd_verify(args):
     config = _load_config(args)
     out = _start_run(args.out, "verify", args.config, config.master_seed, args.workers)
     tables = verify_tables(config, workers=args.workers)
-    inequalities = verify_limit_bounds(config, tables=tables)
+    inequalities = verify_limit_bounds(config, tables)
     _write(out / "inequalities.csv", inequalities.to_csv())
-    tails = tail_probability_table(config, tables=tables)
+    tails = tail_probability_table(config, tables)
     _write(out / "tails.csv", tails.to_csv())
     product_note = "product_form = skipped (k < 2)"
     if config.k >= 2:
-        product = product_form_check(config, tables=tables)
+        product = product_form_check(config, tables)
         _write(out / "product_form.csv", product.to_csv())
         product_note = f"product_max_discrepancy = {product.max_discrepancy!r}"
     passed = inequalities.passed and tails.passed
@@ -176,7 +177,7 @@ def build_parser():
     p_fit = sub.add_parser("fit", help="least-squares k-jump step fit of a CSV dataset")
     p_fit.add_argument("--data", required=True)
     p_fit.add_argument("--k", type=int, required=True)
-    common(p_fit)
+    p_fit.add_argument("--out", required=True)
     p_fit.set_defaults(func=_cmd_fit)
 
     p_sim = sub.add_parser("simulate-limit", help="sample extreme minimizers of a limit process")
@@ -208,7 +209,7 @@ def build_parser():
 def run(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.workers < 1:
+    if getattr(args, "workers", 1) < 1:
         print("error: --workers must be at least 1", file=sys.stderr)
         return EXIT_INPUT
     try:

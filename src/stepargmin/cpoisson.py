@@ -323,19 +323,6 @@ def _block_rows(spec):
     return rows
 
 
-def _jumps(rng, law, out):
-    """Jumps of the law into the array `out`.  A two_point law of p = 1/2
-    takes its atoms from fair random bits, 64 to a generator word, which
-    is several times cheaper than a uniform per jump."""
-    if law.family != "two_point" or law.params[2] != 0.5:
-        return law.sample(rng, out.shape, out=out)
-    rows, cols = out.shape
-    words = rng.bit_generator.random_raw(rows * -(-cols // 64)).astype("<u8", copy=False)
-    bits = np.unpackbits(words.view(np.uint8).reshape(rows, -1), axis=1, count=cols)
-    # take with an intp index, which it does not copy
-    return np.take(np.array(law.params[1::-1]), bits.astype(np.intp), out=out, mode="clip")
-
-
 def _walk(rng, spec, side, rows):
     """The running jump sums S_1, S_2, ... of one side for `rows` rows, as
     (chunks, low, at).  chunks lists (rows, first column, sums): the first
@@ -353,7 +340,7 @@ def _walk(rng, spec, side, rows):
     height = _HEIGHT / law.lundberg
     width = _width(law)
     step = max(_MIN_STEP, math.ceil(_STEP * _climb(law)))
-    sums = _jumps(rng, law, np.empty((rows, width)))
+    sums = law.sample(rng, (rows, width))
     np.cumsum(sums, axis=1, out=sums)
     # the last minimum of each row: argmin of the reversed row
     at = width - np.argmin(sums[:, ::-1], axis=1)
@@ -370,7 +357,7 @@ def _walk(rng, spec, side, rows):
                 f"a {side} walk of the spec ({'; '.join(spec.to_text().splitlines())}) "
                 f"is still uncertified after {_MAX_GAPS} jumps"
             )
-        more = _jumps(rng, law, np.empty((pending.size, min(step, _MAX_GAPS - length))))
+        more = law.sample(rng, (pending.size, min(step, _MAX_GAPS - length)))
         more[:, 0] += end[pending]
         np.cumsum(more, axis=1, out=more)
         last = more.shape[1] - np.argmin(more[:, ::-1], axis=1)

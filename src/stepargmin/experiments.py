@@ -384,15 +384,14 @@ def _sigmas_for(config, fit_sigmas_at_largest):
     return tuple(float(v) for v in np.mean(fit_sigmas_at_largest, axis=0))
 
 
-def verify_limit_bounds(config, workers=1, *, tables=None):
+def verify_limit_bounds(config, tables):
     """Empirical check that hitting/containment functionals of the limit
     argmin sets bound the deviation probabilities of the fitted breakpoints:
     closed-set rows must not exceed the capacity side, open-set rows must
     not fall below the containment side, judged at the largest sample size
-    with a standard-error slack.  `tables` is the run's `verify_tables`,
-    built here when omitted."""
+    with a standard-error slack.  `tables` is the run's `verify_tables`."""
     reps = config.replications_data
-    fits, limit_flags = tables or verify_tables(config, workers)
+    fits, limit_flags = tables
     n_max = max(config.n_grid)
     sigmas = _sigmas_for(config, fits[n_max][2])
 
@@ -438,11 +437,11 @@ class TailTable:
         return "\n".join(lines) + "\n"
 
 
-def tail_probability_table(config, workers=1, *, tables=None):
+def tail_probability_table(config, tables):
     """Empirical survival probabilities of the sup-norm of the rescaled
     breakpoint deviations over the configured threshold grid.  `tables`
-    is the run's `verify_tables`, built here when omitted."""
-    fits, _ = tables or verify_tables(config, workers)
+    is the run's `verify_tables`."""
+    fits, _ = tables
     rows = []
     verdicts = []
     for n in config.n_grid:
@@ -488,16 +487,15 @@ class ProductFormTable:
         return "\n".join(lines) + "\n"
 
 
-def product_form_check(config, workers=1, *, tables=None):
+def product_form_check(config, tables):
     """Joint probability versus the product of its marginals at the largest
     sample size, over the configured set menu; the same replication set
-    feeds both sides.  `tables` is the run's `verify_tables`, built here
-    when omitted."""
+    feeds both sides.  `tables` is the run's `verify_tables`."""
     if config.k < 2:
         raise ConfigError("product-form check needs k >= 2")
     reps = config.replications_data
     n = max(config.n_grid)
-    fits, _ = tables or verify_tables(config, workers)
+    fits, _ = tables
     xi, aux, _ = fits[n]
     rows = []
     for st in config.menu:

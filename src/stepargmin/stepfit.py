@@ -243,11 +243,9 @@ def _suffix_layer(nxt, cmax, cum_n, cum_s, cum_q, first, last):
                     c1 = widest
                 rows = slice(r0, r1)
                 cols = slice(c0 + 1, widest + 2)
-                chunk = nxt.shape[:-1] + (r1 - r0, widest + 1 - c0)
                 cost = _cost(
                     cum_n[rows, None], cum_s[..., rows, None], cum_q[..., rows, None],
                     cum_n[None, cols], cum_s[..., None, cols], cum_q[..., None, cols],
-                    np.empty(chunk),
                 )
                 cost += nxt[..., None, cols]
                 out[..., rows] = cost.min(axis=-1)
@@ -276,7 +274,7 @@ def _levels_and_scales(x, y, ys, tau, ends):
     observations it holds in their original order, and its plug-in scale
     sqrt(var / share).  var is a two-pass masked variance over the x-sorted
     y `ys`, in which segment j + 1 starts at position ends[:, j].  Returns
-    (alpha, sigma_hat) as (B, k+1) arrays and the segment sizes."""
+    (alpha, sigma_hat) as (B, k+1) arrays."""
     n = x.shape[1]
     sizes = np.diff(ends, axis=1, prepend=0, append=n)
     # each observation's segment, in the original and in the sorted order
@@ -297,7 +295,7 @@ def _levels_and_scales(x, y, ys, tau, ends):
     np.subtract(ys, dev, out=dev)
     dev *= dev
     var = _segment_means(sorted_seg, dev, sizes)
-    return alpha, np.sqrt(var / (sizes / n)), sizes
+    return alpha, np.sqrt(var / (sizes / n))
 
 
 def fit_step(data, k):
@@ -353,14 +351,10 @@ def _cuts(cum_n, cum_s, cum_q, k):
     rows, m = cum_s.shape[0], cum_n.size - 1
     with np.errstate(divide="ignore", invalid="ignore"):
         # suffix[k], the trailing segment's cost
-        tail = _cost(
-            cum_n[:m], cum_s[:, :m], cum_q[:, :m], cum_n[m], cum_s[:, m:], cum_q[:, m:],
-            np.empty((rows, m)),
-        )
+        tail = _cost(cum_n[:m], cum_s[:, :m], cum_q[:, :m], cum_n[m], cum_s[:, m:], cum_q[:, m:])
         suffix = {k: tail}
         # head[:, c] is the cost of blocks 0..c: the first cut's candidates
-        head = np.empty((rows, m - 1))
-        _start_costs(cum_n, cum_s, cum_q, np.zeros((rows, 1), dtype=np.int64), m - 2, head)
+        head = _start_costs(cum_n, cum_s, cum_q, np.zeros((rows, 1), dtype=np.int64), m - 2)
         if k >= 2:
             ub = _upper_bound(cum_n, cum_s, cum_q, k, head, tail)
             limit = ub + _slack(int(cum_n[m]), cum_q[:, m], k)
@@ -382,8 +376,7 @@ def _cuts(cum_n, cum_s, cum_q, k):
             if j == 0:
                 total = cand[np.arange(rows), cuts[:, 0]]
             if j + 1 < k:
-                cost = np.empty((rows, m - k + j + 1))
-                _start_costs(cum_n, cum_s, cum_q, cuts[:, j, None] + 1, m - k + j, cost)
+                cost = _start_costs(cum_n, cum_s, cum_q, cuts[:, j, None] + 1, m - k + j)
     if k >= 2:
         lost = np.flatnonzero(~(np.isfinite(total) & (total <= ub)))
         if lost.size:
@@ -406,17 +399,16 @@ def _sums_at(cum_n, cum_s, cum_q, idx):
     return cum_n[idx], _at(cum_s, idx), _at(cum_q, idx)
 
 
-def _cost(n0, s0, q0, n1, s1, q1, out):
+def _cost(n0, s0, q0, n1, s1, q1):
     """The within-segment squared deviation sq - tot²/cnt of the segments
     whose prefix sums are (n0, s0, q0) at their first block and (n1, s1,
-    q1) one past their last, broadcast together, written into `out` and
-    returned; inf where cnt <= 0, which is not a segment.  It is the one
-    place that computes a segment cost, so the costs that the sweep, the
-    band, the bound and tie extraction compare are bit-identical, as the
-    pruning proof of `_cuts` needs."""
+    q1) one past their last, broadcast together; inf where cnt <= 0, which
+    is not a segment.  It is the one place that computes a segment cost,
+    so the costs that the sweep, the band, the bound and tie extraction
+    compare are bit-identical, as the pruning proof of `_cuts` needs."""
     cnt = n1 - n0
     tot = s1 - s0
-    np.subtract(q1, q0, out=out)
+    out = q1 - q0
     tot *= tot
     tot /= cnt
     out -= tot
@@ -425,12 +417,12 @@ def _cost(n0, s0, q0, n1, s1, q1, out):
     return out
 
 
-def _start_costs(cum_n, cum_s, cum_q, s, cmax, out):
+def _start_costs(cum_n, cum_s, cum_q, s, cmax):
     """Per row r, the cost of the blocks s[r]..c, c = 0..cmax, and inf
-    where c < s[r], written into the (B, cmax+1) array `out`."""
+    where c < s[r], as a (B, cmax+1) array."""
     ends = slice(1, cmax + 2)
     sums = _sums_at(cum_n, cum_s, cum_q, s)
-    return _cost(*sums, cum_n[None, ends], cum_s[:, ends], cum_q[:, ends], out)
+    return _cost(*sums, cum_n[None, ends], cum_s[:, ends], cum_q[:, ends])
 
 
 def _upper_bound(cum_n, cum_s, cum_q, k, head, tail):
@@ -444,31 +436,28 @@ def _upper_bound(cum_n, cum_s, cum_q, k, head, tail):
     c = np.arange(m - 1)
     after = slice(1, m)
     ends = np.concatenate((np.full((rows, 1), -1), np.full((rows, 1), m - 1)), axis=1)
-    gain = np.empty((rows, m - 1))
-    split = np.empty((rows, m - 1))
-    whole = np.empty((rows, 1))
     for t in range(k):
-        gain.fill(np.inf)
+        gain = np.full((rows, m - 1), np.inf)
         for i in range(t + 1):
             # cutting the segment lo..hi at c leaves lo..c and c+1..hi
             lo, hi = ends[:, i, None] + 1, ends[:, i + 1, None]
             start, stop = (_sums_at(cum_n, cum_s, cum_q, e) for e in (lo, hi + 1))
             left = head
             if i > 0:
-                left = _start_costs(cum_n, cum_s, cum_q, lo, m - 2, split)
+                left = _start_costs(cum_n, cum_s, cum_q, lo, m - 2)
             if i == t:
                 right = tail[:, after]
             else:
                 at_c = cum_n[None, after], cum_s[:, after], cum_q[:, after]
-                right = _cost(*at_c, *stop, np.empty(split.shape))
-            np.add(left, right, out=split)
-            split -= _cost(*start, *stop, whole)
+                right = _cost(*at_c, *stop)
+            split = left + right
+            split -= _cost(*start, *stop)
             # the cuts lo <= c < hi
             inside = (c >= lo) & (c < hi)
             np.copyto(gain, split, where=inside)
         ends = np.sort(np.concatenate((ends, np.argmin(gain, axis=1)[:, None]), axis=1), axis=1)
     starts, stops = (_sums_at(cum_n, cum_s, cum_q, e) for e in (ends[:, :-1] + 1, ends[:, 1:] + 1))
-    cost = _cost(*starts, *stops, np.empty((rows, k + 1)))
+    cost = _cost(*starts, *stops)
     total = cost[:, k]
     for j in range(k - 1, -1, -1):
         total = cost[:, j] + total
@@ -544,10 +533,8 @@ def _band(nxt, cmax, cum_n, cum_s, cum_q, budget):
         return cum_s[:, s], cum_q[:, s], cum_n[s], budget[:, s]
 
     def keeps(c):
-        # per row s[i], whether some dataset keeps the pair (s[i], c[i]);
-        # the cost overwrites the sums of y²
-        stop_q = cum_q[:, c + 1]
-        cost = _cost(base_n, base_s, base_q, cum_n[c + 1], cum_s[:, c + 1], stop_q, stop_q)
+        # per row s[i], whether some dataset keeps the pair (s[i], c[i])
+        cost = _cost(base_n, base_s, base_q, cum_n[c + 1], cum_s[:, c + 1], cum_q[:, c + 1])
         cost += minima[:, cmax - c]
         return np.any(cost <= budget_s, axis=0)
 
@@ -615,7 +602,7 @@ def fit_rows(x, y, k):
         vals, cum_n, cum_s, cum_q = _prefix_sums(xs[b], ys_b, starts)
         cuts = _cuts(cum_n, cum_s, cum_q, k)
         tau[b] = _at(vals, cuts)
-        alpha[b], sigma[b], _ = _levels_and_scales(x_b, y_b, ys_b, tau[b], cum_n[cuts + 1])
+        alpha[b], sigma[b] = _levels_and_scales(x_b, y_b, ys_b, tau[b], cum_n[cuts + 1])
     return tau, alpha, sigma
 
 
@@ -793,16 +780,14 @@ class RegressionModelSpec:
     def k(self):
         return len(self.true_tau)
 
-    def regression_values(self, x, out=None):
-        """The regression function at every entry of x, into the array
-        `out` when given: segment j's polynomial on (tau[j-1], tau[j]].
-        Each polynomial is evaluated everywhere and kept where it
-        applies."""
+    def regression_values(self, x):
+        """The regression function at every entry of x: segment j's
+        polynomial on (tau[j-1], tau[j]].  Each polynomial is evaluated
+        everywhere and kept where it applies."""
         x = np.asarray(x, dtype=float)
-        out = _polyval(x, self.segments[0], np.empty(x.shape) if out is None else out)
-        piece = np.empty(x.shape)
+        out = npoly.polyval(x, self.segments[0])
         for tau, seg in zip(self.true_tau, self.segments[1:]):
-            np.copyto(out, _polyval(x, seg, piece), where=x > tau)
+            np.copyto(out, npoly.polyval(x, seg), where=x > tau)
         return out
 
     def side_values(self, j):
@@ -811,17 +796,6 @@ class RegressionModelSpec:
         left = float(npoly.polyval(tau, self.segments[j - 1]))
         right = float(npoly.polyval(tau, self.segments[j]))
         return left, right
-
-
-def _polyval(x, coeffs, out):
-    """numpy.polynomial.polynomial.polyval(x, coeffs) into out, by its own
-    float steps: c[-1] + x*0, then c[i] + c0*x down to c[0]."""
-    np.multiply(x, 0, out=out)
-    out += coeffs[-1]
-    for c in coeffs[-2::-1]:
-        out *= x
-        out += c
-    return out
 
 
 @kernel

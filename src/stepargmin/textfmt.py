@@ -57,32 +57,43 @@ class Law:
             raise InvalidSpecError(f"{self.family} law parameters must be finite")
         object.__setattr__(self, "params", params)
 
-    def sample(self, rng, n, out=None):
-        """n draws, into the array `out` when given.  two_point(v1, v2, p)
-        is v1 where a uniform falls below p; gaussian, shifted_exp and
-        uniform scale a standard draw, then shift it."""
+    def sample(self, rng, n):
+        """n draws, n a size or a shape.  two_point(v1, v2, p) is v1 where a
+        uniform falls below p, and for p = 1/2 where a fair random bit is
+        1: each row of the last axis takes its bits from whole 64-bit
+        generator words, several times cheaper than a uniform per draw.
+        gaussian, shifted_exp and uniform scale a standard draw, then shift
+        it."""
         p = self.params
-        out = np.empty(n) if out is None else out
         if self.family == "point":
-            out.fill(p[0])
-        elif self.family == "two_point":
+            return np.full(n, p[0])
+        if self.family == "empirical":
+            return rng.choice(np.asarray(p), size=n, replace=True)
+        if self.family == "two_point":
             # a lookup, not a masked copy, which the random mask makes
             # mispredict.  The index is an intp array and the mode "clip",
             # since take would copy any other index type, and fill a
             # temporary of out's size in its default mode
-            first = np.less(rng.random(n, out=out), p[2], out=np.empty(out.shape, np.intp))
-            np.take(np.array([p[1], p[0]]), first, out=out, mode="clip")
-        elif self.family == "empirical":
-            out[...] = rng.choice(np.asarray(p), size=n, replace=True)
-        else:
-            draw, scale, shift = {
-                "gaussian": (rng.standard_normal, p[1], p[0]),
-                "shifted_exp": (rng.standard_exponential, p[1], p[0]),
-                "uniform": (rng.random, p[1] - p[0], p[0]),
-            }[self.family]
-            draw(n, out=out)
-            out *= scale
-            out += shift
+            if p[2] == 0.5:
+                shape = (n,) if np.isscalar(n) else tuple(n)
+                cols = shape[-1] if shape else 1
+                rows, per = math.prod(shape[:-1]), -(-cols // 64)
+                words = rng.bit_generator.random_raw(rows * per).astype("<u8", copy=False)
+                bits = np.unpackbits(words.view(np.uint8).reshape(rows, 8 * per), axis=1, count=cols)
+                first = bits.astype(np.intp).reshape(shape)
+                out = np.empty(shape)
+            else:
+                out = rng.random(n)
+                first = np.less(out, p[2], out=np.empty(out.shape, np.intp))
+            return np.take(np.array([p[1], p[0]]), first, out=out, mode="clip")
+        draw, scale, shift = {
+            "gaussian": (rng.standard_normal, p[1], p[0]),
+            "shifted_exp": (rng.standard_exponential, p[1], p[0]),
+            "uniform": (rng.random, p[1] - p[0], p[0]),
+        }[self.family]
+        out = draw(n)
+        out *= scale
+        out += shift
         return out
 
     def to_token(self):

@@ -45,6 +45,7 @@ from stepargmin.experiments import (
     membership_report,
     product_form_check,
     verify_limit_bounds,
+    verify_tables,
 )
 from stepargmin.stepfit import (
     Dataset,
@@ -252,7 +253,8 @@ def _c08_config():
 
 
 def test_c08_limit_bound_inequalities():
-    report = verify_limit_bounds(_c08_config())
+    config = _c08_config()
+    report = verify_limit_bounds(config, verify_tables(config))
     judged = [r for r in report.rows if r.passed is not None]
     assert judged and all(r.passed for r in judged)
     assert report.passed
@@ -307,7 +309,7 @@ def test_c10_product_form():
         open_sets=(OpenSetTuple("win-both", (open_1d(-4.0, 4.0), open_1d(-4.0, 4.0)), None),),
         master_seed=MASTER + 10,
     )
-    table = product_form_check(config)
+    table = product_form_check(config, verify_tables(config))
     worst = 0.0
     for row in table.rows:
         comb = math.sqrt(row.joint_se**2 + row.product_se**2)
@@ -336,7 +338,7 @@ def test_c11_worker_independent_reports():
     pairs = []
     for workers in (1, 2):
         member = membership_report(model, 1, 100, 80, MASTER + 12, workers=workers)
-        verify = verify_limit_bounds(config, workers=workers)
+        verify = verify_limit_bounds(config, verify_tables(config, workers))
         coverage = coverage_experiment(config, workers=workers)
         pairs.append(
             (

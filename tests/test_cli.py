@@ -90,6 +90,18 @@ class TestFit:
         assert (out / "manifest.txt").exists()
         assert (out / "DONE").exists()
         assert (out / "residuals.csv").read_text().splitlines()[0] == "x,y,fitted,residual"
+        manifest = (out / "manifest.txt").read_text().splitlines()
+        assert "master_seed = 0" in manifest and "workers = 1" in manifest
+
+    @pytest.mark.parametrize("flag", [["--seed", "3"], ["--workers", "2"]])
+    def test_seed_and_workers_are_usage_errors(self, workdir, capsys, flag):
+        # the fit is deterministic and runs in one process
+        out = workdir / "out_fit"
+        with pytest.raises(SystemExit) as exc:
+            run(["fit", "--data", str(workdir / "data.csv"), "--k", "1", "--out", str(out), *flag])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_empty_file(self, workdir, capsys):
         (workdir / "empty.csv").write_text("")
@@ -391,10 +403,11 @@ class TestVerifyFitsOnce:
         out = workdir / "k2_out"
         assert run(["verify", "--config", str(workdir / "k2.txt"), "--out", str(out)]) == 0
         config = experiments.parse_verification_config(K2_CONFIG_TEXT)
+        tables = experiments.verify_tables(config)
         expected = {
-            "inequalities.csv": experiments.verify_limit_bounds(config).to_csv(),
-            "tails.csv": experiments.tail_probability_table(config).to_csv(),
-            "product_form.csv": experiments.product_form_check(config).to_csv(),
+            "inequalities.csv": experiments.verify_limit_bounds(config, tables).to_csv(),
+            "tails.csv": experiments.tail_probability_table(config, tables).to_csv(),
+            "product_form.csv": experiments.product_form_check(config, tables).to_csv(),
         }
         assert read_reports(out, self.REPORTS) == {
             name: text.encode("utf-8") for name, text in expected.items()

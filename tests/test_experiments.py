@@ -155,18 +155,20 @@ class TestVerify:
             closed_sets=(ClosedSetTuple("all", (closed_1d(-INF, INF),), None),),
             open_sets=(OpenSetTuple("all", (open_1d(-INF, INF),), None),),
         )
-        report = verify_limit_bounds(cfg)
+        report = verify_limit_bounds(cfg, verify_tables(cfg))
         assert report.passed
         for row in report.rows:
             assert row.lhs == 1.0 and row.rhs == 1.0
 
     def test_bounds_hold_with_slack(self):
-        report = verify_limit_bounds(k1_config())
+        cfg = k1_config()
+        report = verify_limit_bounds(cfg, verify_tables(cfg))
         assert report.passed and report.slack_violations == 0
 
     def test_deterministic(self):
         cfg = k1_config()
-        assert verify_limit_bounds(cfg) == verify_limit_bounds(cfg)
+        one, two = (verify_limit_bounds(cfg, verify_tables(cfg)) for _ in range(2))
+        assert one == two
 
     def test_worker_count_invariance(self):
         # 1001 replications: blocks of 81 rows at n = 100, of 273 and 136
@@ -174,16 +176,20 @@ class TestVerify:
         k1, cover, k2 = k1_config(), k1_config(coverage_replications=1001), k2_config(
             replications_data=1001
         )
-        one = (verify_limit_bounds(k1), coverage_experiment(cover), verify_limit_bounds(k2))
+        one = (
+            verify_limit_bounds(k1, verify_tables(k1)),
+            coverage_experiment(cover),
+            verify_limit_bounds(k2, verify_tables(k2)),
+        )
         # 3 workers cut the blocks into other tasks than 2, on any pool size
         for workers in (2, 3):
-            assert verify_limit_bounds(k1, workers=workers) == one[0]
+            assert verify_limit_bounds(k1, verify_tables(k1, workers)) == one[0]
             assert coverage_experiment(cover, workers=workers) == one[1]
-            assert verify_limit_bounds(k2, workers=workers) == one[2]
+            assert verify_limit_bounds(k2, verify_tables(k2, workers)) == one[2]
 
     def test_bootstrap_mode_runs(self):
         cfg = k1_config(rhs_mode="empirical-bootstrap", bootstrap_n=400)
-        report = verify_limit_bounds(cfg)
+        report = verify_limit_bounds(cfg, verify_tables(cfg))
         assert any(r.kind == "closed" for r in report.rows)
 
     def test_bootstrap_requires_larger_n(self):
@@ -196,7 +202,7 @@ class TestVerify:
             closed_sets=(ClosedSetTuple("band", (closed_1d(-2.0, 2.0),), None),),
             open_sets=(OpenSetTuple("band", (open_1d(-2.0, 2.0),), None),),
         )
-        report = verify_limit_bounds(cfg)
+        report = verify_limit_bounds(cfg, verify_tables(cfg))
         by_kind = {(r.kind, r.n): r.rhs for r in report.rows}
         for n in cfg.n_grid:
             assert by_kind[("open", n)] <= by_kind[("closed", n)]
@@ -274,8 +280,9 @@ class TestVerifyOracle:
             cfg, cfg.bootstrap_n, experiments._TAG_BOOT, cfg.replications_limit
         )
         sigmas = alpha_limit_sigmas(cfg.model)
-        bootstrap = verify_limit_bounds(cfg)
-        derived = verify_limit_bounds(dataclasses.replace(cfg, rhs_mode="derived"))
+        bootstrap = verify_limit_bounds(cfg, verify_tables(cfg))
+        derived_cfg = dataclasses.replace(cfg, rhs_mode="derived")
+        derived = verify_limit_bounds(derived_cfg, verify_tables(derived_cfg))
         menu = cfg.closed_sets + cfg.open_sets
         assert [(r.n, r.kind, r.name) for r in bootstrap.rows] == [
             (n, st.kind, st.name) for n in cfg.n_grid for st in menu
@@ -306,7 +313,7 @@ class TestVerifyOracle:
 class TestTails:
     def test_monotone_and_unit_at_zero(self):
         cfg = k1_config(tail_grid=(0.0, 2.0, 8.0, 32.0), tail_threshold=0.2)
-        table = tail_probability_table(cfg)
+        table = tail_probability_table(cfg, verify_tables(cfg))
         for n in cfg.n_grid:
             probs = [p for nn, a, p in table.rows if nn == n]
             assert probs[0] == 1.0
@@ -365,10 +372,12 @@ class TestProductForm:
 
     def test_requires_k_at_least_two(self):
         with pytest.raises(ConfigError):
-            product_form_check(k1_config())
+            cfg = k1_config()
+            product_form_check(cfg, verify_tables(cfg))
 
     def test_joint_close_to_product(self):
-        table = product_form_check(self._cfg())
+        cfg = self._cfg()
+        table = product_form_check(cfg, verify_tables(cfg))
         assert table.n == 120
         row = table.rows[0]
         se = math.sqrt(row.joint_se**2 + row.product_se**2)
@@ -376,7 +385,8 @@ class TestProductForm:
 
     def test_deterministic(self):
         cfg = self._cfg()
-        assert product_form_check(cfg) == product_form_check(cfg)
+        one, two = (product_form_check(cfg, verify_tables(cfg)) for _ in range(2))
+        assert one == two
 
 
 def _replication(model, n, master, path, rep):

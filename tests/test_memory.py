@@ -34,6 +34,10 @@ MODELS = {
 }
 TWO_POINT = JumpLaw("two_point", (-3.0, 5.0, 0.5))
 TWO_POINT_SPEC = CompoundPoissonSpec(1.0, 1.0, TWO_POINT, TWO_POINT)
+# blocks of 1024 rows whose pages glibc's default trim threshold hands back
+# after every block: 2 800 to 7 000 warm faults under six argv layouts
+SHIFTED_EXP = JumpLaw("shifted_exp", (-0.5, 1.5))
+SHIFTED_EXP_SPEC = CompoundPoissonSpec(1.0, 1.0, SHIFTED_EXP, SHIFTED_EXP)
 
 # configs/verify_k2.cfg with a shorter menu
 VERIFY_K2 = """\
@@ -65,7 +69,7 @@ def warm_faults(run):
 def print_warm_faults(out, which, trim):
     """Prints the warm_faults of one kind of run as a JSON number: `verify`,
     a k=2 verify run written under the directory `out`, or `limit`, a
-    32-block two_point limit job.  A nonzero `trim` first sets glibc's trim
+    32-block shifted_exp limit job.  A nonzero `trim` first sets glibc's trim
     threshold to that many bytes, undoing stepargmin._alloc's setting."""
     if trim:
         ctypes.CDLL(None).mallopt(_alloc._M_TRIM_THRESHOLD, trim)
@@ -76,8 +80,8 @@ def print_warm_faults(out, which, trim):
         cli.run(["verify", "--config", str(config), "--out", f"{out}/v{i}"])
 
     def limit(i):
-        rows = cpoisson._block_rows(TWO_POINT_SPEC)
-        run_chunks([cpoisson._limit_job(TWO_POINT_SPEC, 7 + i, 32 * rows)], 1)
+        rows = cpoisson._block_rows(SHIFTED_EXP_SPEC)
+        run_chunks([cpoisson._limit_job(SHIFTED_EXP_SPEC, 7 + i, 32 * rows)], 1)
 
     print(json.dumps(warm_faults({"verify": verify, "limit": limit}[which])))
 
@@ -116,13 +120,14 @@ def test_warm_runs_fault_in_few_pages(tmp_path, which):
 
 
 @needs_mallopt
-def test_default_trim_threshold_faults_blocks_in_again(tmp_path):
-    # the verify run at glibc's default trim threshold, 128 KB: each fresh
-    # block faults its pages in again, more than 20 000 faults, so the
-    # bound above sees the setting.  The limit job's count at the default
-    # depends on what else sits at the top of the heap, from 2 to 2 000
-    # faults with the child's argv alone changed, so it has no such check
-    assert child_warm_faults(tmp_path, "verify", trim=128 << 10) > 1000
+@pytest.mark.parametrize("which", ["verify", "limit"])
+def test_default_trim_threshold_faults_blocks_in_again(tmp_path, which):
+    # the same runs at glibc's default trim threshold, 128 KB: each fresh
+    # block faults its pages in again, so the bound above sees the setting.
+    # The verify run faults more than 20 000 pages and the limit job 2 800
+    # to 7 000 under argv layouts that differ by up to 9 000 bytes; a
+    # two_point(-3, 5, 1/2) job read 2 to 2 000 with the argv alone changed
+    assert child_warm_faults(tmp_path, which, trim=128 << 10) > 1000
 
 
 def test_kernel_sets_and_restores_bufsize():

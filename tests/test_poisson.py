@@ -803,6 +803,16 @@ class TestIntervalRows:
 
 
 class TestStreamLayout:
+    @pytest.mark.parametrize("law", [NEGATIVE_SUPPORT, JumpLaw("gaussian", (1.0, 0.5))], ids=str)
+    def test_walk_draws_through_law_sample(self, law):
+        # a walk's first chunk is the running sum of one Law.sample draw of
+        # its shape, from an equal generator: fair-bit two_point laws too
+        spec = unit_spec(jump_right=law, jump_left=law)
+        chunks, _, _ = cpoisson._walk(np.random.default_rng(5), spec, "right", _block_rows(spec))
+        sums = chunks[0][2]
+        jumps = law.sample(np.random.default_rng(5), sums.shape)
+        assert np.array_equal(sums, np.cumsum(jumps, axis=1))
+
     def test_prefix_property(self):
         spec = unit_spec(jump_right=NEGATIVE_SUPPORT, jump_left=NEGATIVE_SUPPORT)
         long_run = sample_extreme_minimizers(spec, 2000, 31)

@@ -757,7 +757,8 @@ class TestSynthesize:
 
     def test_stream_layout_pinned(self):
         # sha256 of the x and y bytes of fixed draws: a change of the
-        # covariate-then-noise layout of one seed shows here
+        # covariate-then-noise layout of one seed shows here.  The
+        # two_point(-2, 2, 1/2) noise draws fair bits, 64 to a word
         models = (
             TestFitRows.TWO_JUMPS,
             pure_step_model(
@@ -771,7 +772,7 @@ class TestSynthesize:
                     d = synthesize(model, n, seed)
                     digest.update(d.x.tobytes() + d.y.tobytes())
         assert digest.hexdigest() == (
-            "3b87cc5758c20c16160c33d36c375c9adfcff484f33229952e5764997d902fe9"
+            "e2af43c51a7ffc449d394bb6d47764c14c280ec6364b080734bdae10ca6f9692"
         )
 
     def test_noiseless_exact_levels(self):
@@ -798,6 +799,28 @@ class TestSynthesize:
         left = d.x <= 0.5
         assert np.allclose(d.y[left], d.x[left])
         assert np.all(d.y[~left] == 2.0)
+
+    def test_polynomial_segments_pinned(self):
+        # sha256 of draws through degree-2 and degree-3 segments, one row
+        # and a block of rows: a change of the float steps that evaluate
+        # the regression function shows here
+        model = RegressionModelSpec(
+            segments=((0.5, -1.25, 2.0), (1.0, 0.75, -3.0, 1.5), (-0.25, 2.5)),
+            x_law=XLaw("gaussian", (0.5, 0.4)),
+            noise=NoiseLaw("gaussian", (0.0, 0.3)),
+            true_tau=(0.3, 0.7),
+            true_alpha=(0.0, 1.0, 0.5),
+        )
+        digest = hashlib.sha256()
+        for n in (2, 7, 100, 513):
+            for seed in (0, 1, 2**63 + 5, -3):
+                d = synthesize(model, n, seed)
+                digest.update(d.x.tobytes() + d.y.tobytes())
+        x, y = draw_rows(model, np.random.default_rng(4), (3, 50))
+        digest.update(x.tobytes() + y.tobytes())
+        assert digest.hexdigest() == (
+            "2b37325283652aeb94136d26638fff90cab5a0bdd11cda603f8fe49b87195f91"
+        )
 
     def test_model_validation(self):
         with pytest.raises(InvalidSpecError):

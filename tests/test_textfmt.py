@@ -33,20 +33,30 @@ def test_token_roundtrip(law):
     [
         ("gaussian", (0.0, 0.7), (JumpLaw, XLaw, NoiseLaw)),
         ("two_point", (-1.5, 3.0, 2.0 / 3.0), (JumpLaw, NoiseLaw)),
+        ("two_point", (-2.0, 2.0, 0.5), (JumpLaw, NoiseLaw)),
     ],
 )
 @pytest.mark.parametrize("shape", [5, (3, 4)])
 def test_one_draw_per_family(family, params, classes, shape):
     # jump, covariate and noise laws share Law.sample: equal generators give
-    # equal bits, into `out` or into a fresh array
+    # equal bits
     draws = []
     for cls in classes:
         law = cls(family, params)
         draws.append(law.sample(np.random.default_rng(11), shape).tobytes())
-        out = np.empty(shape)
-        assert law.sample(np.random.default_rng(11), shape, out=out) is out
-        draws.append(out.tobytes())
     assert len(set(draws)) == 1
+
+
+def test_fair_two_point_rows_take_whole_words():
+    # p = 1/2 draws fair bits, each row of the last axis from whole 64-bit
+    # words: a block of rows is its rows drawn in turn
+    law = NoiseLaw("two_point", (-2.0, 2.0, 0.5))
+    block = law.sample(np.random.default_rng(3), (3, 70))
+    rng = np.random.default_rng(3)
+    assert np.array_equal(block, [law.sample(rng, 70) for _ in range(3)])
+    assert abs(float(np.mean(law.sample(rng, 100_000)))) < 0.05
+    for shape in (0, (0, 5), (3, 0), (2, 0, 4)):
+        assert law.sample(rng, shape).shape == np.empty(shape).shape
 
 
 class TestLawToken:
