@@ -129,12 +129,13 @@ def optimal_levels(data, t):
     t_arr = np.asarray(tuple(float(v) for v in t))
     if t_arr.size > 1 and not np.all(np.diff(t_arr) > 0):
         raise ValueError("breakpoints must be strictly increasing")
-    seg = np.searchsorted(t_arr, data.x, side="left")
-    sizes = np.bincount(seg, minlength=t_arr.size + 1)
+    order = np.argsort(data.x, kind="stable")
+    ends = np.searchsorted(data.x[order], t_arr, side="right")
+    sizes = np.diff(ends, prepend=0, append=data.n)
     if not np.all(sizes):
         j = int(np.argmin(sizes))
         raise EmptySegmentError(f"segment {j + 1} contains no observations")
-    return tuple(_segment_means(seg[None], data.y[None], sizes[None])[0].tolist())
+    return tuple(_levels_and_scales(data.y[order][None], ends[None])[0][0].tolist())
 
 
 @dataclass(frozen=True)
@@ -252,49 +253,26 @@ def _suffix_layer(nxt, cmax, cum_n, cum_s, cum_q, first, last):
     return out
 
 
-def _segment_means(seg, y, sizes):
-    """Per row of the (B, n) arrays and segment j < sizes.shape[1]: the sum
-    of y where seg == j, over sizes[:, j].  The sum is np.add.reduce over
-    the whole row with the other entries zeroed, so a row's means are the
-    same bits in a block of any height."""
-    keep = np.empty(seg.shape, bool)
-    masked = np.empty(seg.shape)
-    sums = np.empty(sizes.shape)
-    for j in range(sizes.shape[1]):
-        np.equal(seg, j, out=keep)
-        masked.fill(0.0)
-        np.copyto(masked, y, where=keep)
-        sums[:, j] = np.add.reduce(masked, axis=1)
-    return sums / sizes
-
-
-def _levels_and_scales(x, y, ys, tau, ends):
-    """Per row of the (B, n) arrays x and y and per segment of the
-    breakpoints tau (B, k): its level, the masked mean of y over the
-    observations it holds in their original order, and its plug-in scale
-    sqrt(var / share).  var is a two-pass masked variance over the x-sorted
-    y `ys`, in which segment j + 1 starts at position ends[:, j].  Returns
+def _levels_and_scales(ys, ends):
+    """Per row of the (B, n) x-sorted y `ys`, in which segment j + 1 starts
+    at position ends[:, j]: each segment's level, the mean of its y, and
+    its plug-in scale sqrt(var / share), var the two-pass variance about
+    that level.  Every mean is one `np.add.reduceat` per segment over the
+    flattened block, which sums each segment pairwise as np.add.reduce
+    sums it alone, so a row's bits do not depend on the rows around it
+    and lie within a few rounding errors of np.mean and np.var.
+    Differences of cumsum prefix sums would add sequentially and drift by
+    tens of rounding errors over a long segment.  Returns
     (alpha, sigma_hat) as (B, k+1) arrays."""
-    n = x.shape[1]
+    rows, n = ys.shape
     sizes = np.diff(ends, axis=1, prepend=0, append=n)
-    # each observation's segment, in the original and in the sorted order
-    seg = np.zeros(x.shape, np.intp)
-    sorted_seg = np.zeros(x.shape, np.intp)
-    positions = np.arange(n)
-    for t, e in zip(tau.T, ends.T):
-        seg += x > t[:, None]
-        sorted_seg += positions >= e[:, None]
-    alpha = _segment_means(seg, y, sizes)
-    # the deviation of each sorted observation from its segment's mean
-    means = _segment_means(sorted_seg, ys, sizes)
-    dev = np.empty(x.shape)
-    keep = np.empty(x.shape, bool)
-    for j in range(sizes.shape[1]):
-        np.equal(sorted_seg, j, out=keep)
-        np.copyto(dev, means[:, j, None], where=keep)
-    np.subtract(ys, dev, out=dev)
+    # each segment's first position in the flattened block
+    counts = sizes.ravel()
+    starts = np.cumsum(counts) - counts
+    alpha = np.add.reduceat(ys.ravel(), starts).reshape(sizes.shape) / sizes
+    dev = ys - np.repeat(alpha.ravel(), counts).reshape(rows, n)
     dev *= dev
-    var = _segment_means(sorted_seg, dev, sizes)
+    var = np.add.reduceat(dev.ravel(), starts).reshape(sizes.shape) / sizes
     return alpha, np.sqrt(var / (sizes / n))
 
 
@@ -565,9 +543,10 @@ def fit_rows(x, y, k):
     are one block over single observations; a row whose x repeats a value
     is a block of its own over its runs of tied x, in stable order.  Every
     block goes through `_prefix_sums`, `_cuts` and `_levels_and_scales`,
-    and a row's bits do not depend on the rows fitted with it.  k < 0 and
-    a row with fewer than k + 1 distinct x raise before anything is sized
-    by k."""
+    which sums each segment of the x-sorted rows, so a row's bits do not
+    depend on the rows fitted with it nor, on distinct x, on the order of
+    its (x, y) pairs.  k < 0 and a row with fewer than k + 1 distinct x
+    raise before anything is sized by k."""
     k = int(k)
     if k < 0:
         raise ValueError("k must be nonnegative")
@@ -598,11 +577,10 @@ def fit_rows(x, y, k):
     if tied.size < rows:
         blocks.append((np.flatnonzero(runs == n) if tied.size else slice(None), None))
     for b, starts in blocks:
-        x_b, y_b, ys_b = x[b], y[b], ys[b]
-        vals, cum_n, cum_s, cum_q = _prefix_sums(xs[b], ys_b, starts)
+        vals, cum_n, cum_s, cum_q = _prefix_sums(xs[b], ys[b], starts)
         cuts = _cuts(cum_n, cum_s, cum_q, k)
         tau[b] = _at(vals, cuts)
-        alpha[b], sigma[b] = _levels_and_scales(x_b, y_b, ys_b, tau[b], cum_n[cuts + 1])
+        alpha[b], sigma[b] = _levels_and_scales(ys[b], cum_n[cuts + 1])
     return tau, alpha, sigma
 
 

@@ -93,22 +93,22 @@ TOP_UP = "187545aaf7c40ef03abe22b99e16d1c7327d2d5c6b39dff9fb93f01534888057"
 
 # k: (rows, n, digest of tau, alpha and sigma_hat)
 FITS = {
-    1: (16, 500, "eaf4e0eebcca9ceb8bb1255f5f802a2add42a317bec0edb4eb9e35816fb590cc"),
-    2: (40, 100, "f296b2f1e61f65d3153d825f4b7d9aca66b3ea02db21805e45f9e5431352b321"),
-    3: (12, 300, "a466836b9b896d5b30c53adb8784f64423a98621b64aaa5c9c0c72cf86d0b6b9"),
+    1: (16, 500, "e217898059db2e5f06611d7c449e3cd0fa0fb3a98037936838837b9b273df025"),
+    2: (40, 100, "0044f05ffec4c7c44bf8a766cb7620969d30227a4b1336cb9c846c4897c42c5e"),
+    3: (12, 300, "430c05cd7e595a8fb93b1ae92e596f1fb4995d3f4a6b6bb4cacb2ebe6411f740"),
 }
 
 # (x tied, k): digest of fit_step's to_text(), which holds tau, alpha, sse,
 # segment_counts and sigma_hat
 STEP_FITS = {
-    (False, 0): "d21128e2b71975ded55bcbe5174a706f510a245889cae50264c029b49bd0ce88",
-    (False, 1): "66f4bde463723542b738fa52646713b7c0faf70e8bad4f20a4544c2724fe24d3",
-    (False, 2): "4b4bbc9faa97a49c97fe0323532373b5db2c3214bde73dcf6afb92f3500225c3",
-    (False, 3): "bd77017fa5633f5e400186655dec652b57f33294a069963d2afdbe36a0bb1c8d",
-    (True, 0): "c947bf0765a9775191697539feb099489cfe71c6bec4a5b4519e375ef0aa3719",
-    (True, 1): "bcb496236eca7667262147671c4f21ca061658d3d9db920b635ddcd7d05ce9a3",
-    (True, 2): "6f09a2a61a7f2ce9b5a6101f7e4f92a495c6c1ceebbb4bf086b81f2ba03894a4",
-    (True, 3): "bc4510bb7af8e0c4044c8ccc1fe75a847453669799686d813221274fe3e3f663",
+    (False, 0): "712e5b49fb80058125edbd56535bce60edacca59804938f9ba94ee32256c3297",
+    (False, 1): "02440fc5552bb371a8972c24da4cf8074bce74b445bb833c77fd0148daa1f8c8",
+    (False, 2): "f6fc9f4893d3704a49dfc9318eb06533c9b825ae55fd7ce4465e42c83e0f27f9",
+    (False, 3): "2d88bad370d1045c1657da398d248a24723507a0dd4baae1aaf67715595f9e6c",
+    (True, 0): "f61584a9c01e54bc24c17dee8edcc5a0429804d1874d919c7601bb78be5f4645",
+    (True, 1): "ffd7756838cbcd646ab136693d65b017ba46150f74498d32d9155963879238fe",
+    (True, 2): "10c30a0789b70af0744a224fec79470487da0b9036aef5b6d4fec50ebe803554",
+    (True, 3): "f19bed8526faf6844c16e5ffbd3bc00a06c227fd569ae7bcdec1eb2c60f69a14",
 }
 
 # argmin_set(f).to_text() and (sargmin, largmin) of the compact functions

@@ -78,10 +78,12 @@ class TestOptimalLevels:
         d = Dataset([1, 2, 3, 4], [0, 0, 1, 1])
         assert optimal_levels(d, ()) == (0.5,)
 
-    def test_empty_segment(self):
+    # an empty first, middle and last segment
+    @pytest.mark.parametrize("t", [(0.5, 2.0), (2.0, 2.5), (2.0, 10.0)])
+    def test_empty_segment(self, t):
         d = Dataset([1, 2, 3, 4], [0, 0, 1, 1])
         with pytest.raises(EmptySegmentError):
-            optimal_levels(d, (10.0,))
+            optimal_levels(d, t)
 
     def test_beats_random_levels(self):
         rng = np.random.default_rng(5)
@@ -320,19 +322,20 @@ def _stacked(model, n, seeds):
     return np.array([d.x for d in data]), np.array([d.y for d in data])
 
 
-def _masked_mean(mask, values):
-    # the summation rule of levels and scales: the whole 1-D row, with the
-    # entries outside the segment zeroed, reduced by np.add.reduce
-    return np.add.reduce(np.where(mask, values, 0.0)) / np.count_nonzero(mask)
+def _segment_sum(part):
+    # the summation rule of levels and scales: one segment of the x-sorted
+    # row, reduced on its own by np.add.reduceat
+    return np.add.reduceat(part, [0])[0]
 
 
 def assert_rows_match_reference(x, y, k):
     """fit_rows on the block (x, y) gives, row by row, the bits of
     fit_step's tau, alpha and sigma_hat.  tau is also the unpruned
-    reference program's on the row's own `block_sums`; alpha the masked
-    mean of y per segment in the original order (and optimal_levels),
-    sigma_hat the two-pass masked variance over the x-sorted row; both lie
-    within a few rounding errors of np.mean and np.var per segment."""
+    reference program's on the row's own `block_sums`; alpha the mean of
+    each segment of the stable x-sorted y, summed on its own (and
+    optimal_levels), sigma_hat the two-pass variance about it summed the
+    same way; both lie within a few rounding errors of np.mean and np.var
+    per segment."""
     tau, alpha, sigma = fit_rows(x, y, k)
     assert tau.shape == (x.shape[0], k) and alpha.shape == sigma.shape == (x.shape[0], k + 1)
     eps = np.finfo(float).eps
@@ -344,19 +347,19 @@ def assert_rows_match_reference(x, y, k):
         assert _bits(tau[r]) == _bits(fit.tau)
         assert _bits(alpha[r]) == _bits(fit.alpha)
         assert _bits(sigma[r]) == _bits(fit.sigma_hat)
-        seg = np.searchsorted(fit.tau, d.x, side="left")
-        levels = [_masked_mean(seg == j, d.y) for j in range(k + 1)]
-        assert _bits(fit.alpha) == _bits(levels)
         assert _bits(fit.alpha) == _bits(optimal_levels(d, fit.tau))
+        seg = np.searchsorted(fit.tau, d.x, side="left")
         ys = d.y[np.argsort(d.x, kind="stable")]
         assert fit.segment_counts == tuple(np.bincount(seg, minlength=k + 1).tolist())
         edges = np.cumsum((0,) + fit.segment_counts)
-        pos = np.arange(d.n)
-        scales = []
+        levels, scales = [], []
         for lo, hi in zip(edges[:-1], edges[1:]):
-            inside = (pos >= lo) & (pos < hi)
-            dev = np.where(inside, ys - _masked_mean(inside, ys), 0.0)
-            scales.append(math.sqrt(_masked_mean(inside, dev * dev) / ((hi - lo) / d.n)))
+            part = ys[lo:hi]
+            level = _segment_sum(part) / (hi - lo)
+            levels.append(level)
+            var = _segment_sum((part - level) ** 2) / (hi - lo)
+            scales.append(math.sqrt(var / ((hi - lo) / d.n)))
+        assert _bits(fit.alpha) == _bits(levels)
         assert _bits(fit.sigma_hat) == _bits(scales)
         # another summation order moves a mean by a few rounding errors of
         # its terms' size, and a variance by a few of its own size
@@ -378,6 +381,18 @@ class TestFitRows:
     def test_synthesized_rows(self, n, rows, k):
         x, y = draw_rows(self.TWO_JUMPS, substream(1000 * n, rows), (rows, n))
         assert_rows_match_reference(x, y, k)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_permuted_observations(self, k):
+        # the levels and scales are sums over the x-sorted row, so the order
+        # of a row's (x, y) pairs changes no bit of the fit on distinct x
+        x, y = _stacked(self.TWO_JUMPS, 300, range(40))
+        rng = np.random.default_rng(k)
+        order = np.array([rng.permutation(300) for _ in range(40)])
+        fit = fit_rows(x, y, k)
+        permuted = fit_rows(np.take_along_axis(x, order, 1), np.take_along_axis(y, order, 1), k)
+        for a, b in zip(fit, permuted):
+            assert _bits(a) == _bits(b)
 
     # the k>=2 layers swept with a leading axis of 12 datasets: chunks of
     # one row of every dataset, then of 4 and 17 rows at first
