@@ -6,6 +6,11 @@ attains the global infimum.  For a piecewise-constant function the quadrant
 limits at t are exactly the values of the cells whose closure contains t, so
 the argmin set is the union of the closures of the cells carrying the minimal
 value.  All comparisons are exact; no tolerances enter set membership.
+
+Closed sets serve the capacity bound (hits F), open ones the containment
+bound (lies inside G).  Both kinds of box share one definition of their
+ends, and both kinds of union one core; the closed union adds its
+normalization.
 """
 
 from __future__ import annotations
@@ -32,8 +37,8 @@ class NonCompactError(ValueError):
 
 
 @dataclass(frozen=True, slots=True)
-class Box:
-    """Closed box: every finite endpoint is included."""
+class _Ends:
+    """Ends of a box, closed or open: float tuples of equal, nonzero length."""
 
     lo: tuple
     hi: tuple
@@ -49,6 +54,11 @@ class Box:
     @property
     def dim(self):
         return len(self.lo)
+
+
+@dataclass(frozen=True, slots=True)
+class Box(_Ends):
+    """Closed box: every finite endpoint is included."""
 
     @property
     def is_empty(self):
@@ -121,7 +131,31 @@ def _eliminate_subsets(boxes):
 
 
 @dataclass(frozen=True)
-class BoxUnion:
+class _Union:
+    """Finite union of boxes of one kind: empty boxes are dropped, the rest
+    must have the union's dimension."""
+
+    dim: int
+    boxes: tuple
+
+    def __post_init__(self):
+        boxes = tuple(b for b in self.boxes if not b.is_empty)
+        for b in boxes:
+            if b.dim != self.dim:
+                raise ValueError("box dimension mismatch")
+        object.__setattr__(self, "boxes", boxes)
+
+    @property
+    def is_empty(self):
+        return not self.boxes
+
+    def contains_point(self, point):
+        point = _point_tuple(point, self.dim)
+        return any(b.contains_point(point) for b in self.boxes)
+
+
+@dataclass(frozen=True)
+class BoxUnion(_Union):
     """Normalized finite union of closed boxes.
 
     In one dimension overlapping or touching intervals are merged into
@@ -129,32 +163,18 @@ class BoxUnion:
     are dropped.
     """
 
-    dim: int
-    boxes: tuple
-
     def __post_init__(self):
-        boxes = [b for b in self.boxes if not b.is_empty]
-        for b in boxes:
-            if b.dim != self.dim:
-                raise ValueError("box dimension mismatch")
+        super().__post_init__()
         if self.dim == 1:
-            boxes = _merge_intervals(boxes)
+            boxes = _merge_intervals(self.boxes)
         else:
-            boxes = _eliminate_subsets(boxes)
+            boxes = _eliminate_subsets(self.boxes)
         boxes = tuple(sorted(boxes, key=lambda b: (b.lo, b.hi)))
         object.__setattr__(self, "boxes", boxes)
 
     @property
-    def is_empty(self):
-        return not self.boxes
-
-    @property
     def bounded(self):
         return all(b.bounded for b in self.boxes)
-
-    def contains_point(self, point):
-        point = _point_tuple(point, self.dim)
-        return any(b.contains_point(point) for b in self.boxes)
 
     def to_text(self):
         def fmt(v):
@@ -200,23 +220,8 @@ def box_union_from_text(text, dim=None):
 
 
 @dataclass(frozen=True, slots=True)
-class OpenBox:
+class OpenBox(_Ends):
     """Box open in every coordinate."""
-
-    lo: tuple
-    hi: tuple
-
-    def __post_init__(self):
-        lo = tuple(float(v) for v in self.lo)
-        hi = tuple(float(v) for v in self.hi)
-        if len(lo) != len(hi) or not lo:
-            raise ValueError("lo and hi must be nonempty tuples of equal length")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-
-    @property
-    def dim(self):
-        return len(self.lo)
 
     @property
     def is_empty(self):
@@ -228,24 +233,8 @@ class OpenBox:
 
 
 @dataclass(frozen=True)
-class OpenBoxUnion:
-    dim: int
-    boxes: tuple
-
-    def __post_init__(self):
-        boxes = tuple(b for b in self.boxes if not b.is_empty)
-        for b in boxes:
-            if b.dim != self.dim:
-                raise ValueError("box dimension mismatch")
-        object.__setattr__(self, "boxes", boxes)
-
-    @property
-    def is_empty(self):
-        return not self.boxes
-
-    def contains_point(self, point):
-        point = _point_tuple(point, self.dim)
-        return any(b.contains_point(point) for b in self.boxes)
+class OpenBoxUnion(_Union):
+    """Finite union of open boxes, kept in the order given."""
 
 
 # --- 1-D interval rows ------------------------------------------------------
@@ -528,8 +517,6 @@ def contained_in_open(a, g):
     passes the box-difference recursion `_covered` over the boxes of g.
     Exact in every dimension, and never builds the closed complement.
     """
-    if a.is_empty:
-        return True
     if a.dim != g.dim:
         raise ValueError("dimension mismatch")
     return all(_covered(b.lo, b.hi, g.boxes, 0) for b in a.boxes)

@@ -428,11 +428,11 @@ class TestContainment:
                 )
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            contained_in_open(
-                BoxUnion(2, (Box((0.0, 0.0), (1.0, 1.0)),)),
-                OpenBoxUnion(1, (open_interval(0.0, 1.0),)),
-            )
+        g = OpenBoxUnion(1, (open_interval(0.0, 1.0),))
+        # an empty union has a dimension too, as hits already checks
+        for a in (BoxUnion(2, (Box((0.0, 0.0), (1.0, 1.0)),)), BoxUnion(2, ())):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                contained_in_open(a, g)
 
     def test_containment_2d_complement_route(self):
         a = BoxUnion(2, (Box((0.0, 0.0), (1.0, 1.0)),))
@@ -581,3 +581,24 @@ class TestSerialization:
         with pytest.raises(ValueError) as info:
             box_union_from_text(f"[0,1] {token}")
         assert repr(token) in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (lambda: Box((0.0,), (1.0, 2.0)), ValueError, "nonempty tuples of equal length"),
+        (lambda: Box((), ()), ValueError, "nonempty tuples of equal length"),
+        (lambda: OpenBox((0.0, 0.0), (1.0,)), ValueError, "nonempty tuples of equal length"),
+        (lambda: OpenBox((), ()), ValueError, "nonempty tuples of equal length"),
+        (lambda: BoxUnion(1, (Box((0.0, 0.0), (1.0, 1.0)),)), ValueError, "box dimension"),
+        (
+            lambda: OpenBoxUnion(2, (OpenBox((0.0,), (1.0,)),)),
+            ValueError,
+            "box dimension mismatch",
+        ),
+        (lambda: argmin_set([1.0, 0.0]), TypeError, "expects a GridFunction"),
+    ],
+)
+def test_input_checks(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

@@ -231,6 +231,19 @@ class TestCapacity:
         assert "value = 1.0" in out
         assert "replications = 100" in out
 
+    def test_out_writes_the_printed_estimate(self, workdir, capsys):
+        out = workdir / "cap"
+        code = run(
+            ["capacity", "--spec", str(workdir / "spec.txt"), "--set", "[-inf,0]",
+             "--reps", "100", "--seed", "5", "--out", str(out)]
+        )
+        assert code == 0
+        printed = capsys.readouterr().out
+        assert "replications = 100" in printed
+        assert (out / "capacity.txt").read_bytes() == printed.encode()
+        assert (out / "manifest.txt").exists() and (out / "DONE").exists()
+        assert "command = capacity" in (out / "manifest.txt").read_text().splitlines()
+
     def test_zero_reps_exit_2(self, workdir, capsys):
         code = run(
             ["capacity", "--spec", str(workdir / "spec.txt"), "--set", "[-inf,0]",

@@ -30,6 +30,7 @@ from stepargmin.rng import run_chunks, substream
 from stepargmin.stepfit import (
     Dataset,
     NoiseLaw,
+    RegressionModelSpec,
     XLaw,
     draw_rows,
     fit_rows,
@@ -621,6 +622,80 @@ class TestAlphaSigmas:
         )
         assert alpha_limit_sigmas(model) is None
 
+    def test_gaussian_x_and_two_point_noise(self):
+        # two_point(-1, 3, 3/4) has variance 3/4 + 9/4 = 3, and a jump at
+        # the covariate mean leaves mass 1/2 on each side
+        noise = NoiseLaw("two_point", (-1.0, 3.0, 0.75))
+        x_law = XLaw("gaussian", (0.5, 1.0))
+        model = pure_step_model((0.5,), (0.0, 1.0), x_law, noise)
+        assert alpha_limit_sigmas(model) == (math.sqrt(6.0), math.sqrt(6.0))
+        model = pure_step_model((0.5, 1.5), (0.0, 1.0, 0.0), x_law, noise)
+        above = 0.5 * math.erfc(1.0 / math.sqrt(2.0))
+        masses = (0.5, 0.5 - above, above)
+        want = tuple(math.sqrt(3.0 / m) for m in masses)
+        assert alpha_limit_sigmas(model) == pytest.approx(want, rel=1e-12)
+
+    def test_zero_scale_aux_box_is_a_point_mass(self):
+        model = pure_step_model((0.5,), (0.0, 1.0), UNIFORM01, NoiseLaw("gaussian", (0.0, 0.0)))
+        sigmas = alpha_limit_sigmas(model)
+        assert sigmas == (0.0, 0.0)
+        assert experiments._aux_box_prob(((-1.0, 1.0), (0.0, 2.0)), sigmas) == 1.0
+        assert experiments._aux_box_prob(((-1.0, 1.0), (0.5, 2.0)), sigmas) == 0.0
+        assert experiments._aux_box_prob(((-1.0, -0.5), (0.0, 0.0)), sigmas) == 0.0
+        # a zero scale beside a positive one keeps the positive one's factor
+        half = experiments._aux_box_prob(((0.0, INF),), (1.0,))
+        assert half == 0.5
+        assert experiments._aux_box_prob(((0.0, INF), (0.0, 0.0)), (1.0, 0.0)) == half
+
+
+class TestPlugInScales:
+    """verify on a model with polynomial segments, which has no closed-form
+    level scales: the aux box is judged with the mean plug-in scales of the
+    fits at the largest n."""
+
+    AUX = ((-0.7, 0.7), (-0.7, 0.7))
+
+    def test_aux_rhs_uses_plug_in_scales(self):
+        # x on [0, 1/2] and 2 - x on (1/2, 1]: segment means 1/4 and 5/4
+        model = RegressionModelSpec(
+            segments=((0.0, 1.0), (2.0, -1.0)),
+            x_law=UNIFORM01,
+            noise=NoiseLaw("gaussian", (0.0, 0.25)),
+            true_tau=(0.5,),
+            true_alpha=(0.25, 1.25),
+        )
+        assert alpha_limit_sigmas(model) is None
+        lower = closed_1d(-INF, 0.0)
+        cfg = k1_config(
+            model=model,
+            n_grid=(100, 1000),
+            closed_sets=(
+                ClosedSetTuple("lower", (lower,), None),
+                ClosedSetTuple("lower-aux", (lower,), self.AUX),
+            ),
+            open_sets=(OpenSetTuple("win-aux", (open_1d(-8.0, 8.0),), self.AUX),),
+        )
+        tables = verify_tables(cfg)
+        sig = tables[0][1000][2]
+        sigmas = tuple(float(v) for v in np.mean(sig, axis=0))
+        # per segment of mass L = 1/2 and slope b = +-1, y varies by
+        # sd^2 + b^2 L^2 / 12 about its mean; the plug-in's O(1/n) bias
+        # (the 1/size variance and the breakpoints misplaced by O(1/n)) is
+        # allowed for beside the Monte Carlo error
+        want = math.sqrt((0.25**2 + 0.5**2 / 12.0) / 0.5)
+        se = np.std(sig, axis=0) / math.sqrt(sig.shape[0])
+        for got, err in zip(sigmas, se):
+            assert abs(got - want) <= 4.0 * err + 1.0 / 1000
+        report = verify_limit_bounds(cfg, tables)
+        p_aux = experiments._aux_box_prob(self.AUX, sigmas)
+        assert 0.0 < p_aux < 1.0
+        rows = {(r.n, r.name): r for r in report.rows}
+        for n in cfg.n_grid:
+            plain, boxed = rows[(n, "lower")], rows[(n, "lower-aux")]
+            assert boxed.rhs == plain.rhs * p_aux and boxed.rhs_se == plain.rhs_se * p_aux
+            assert boxed.lhs < plain.lhs
+            assert 0.0 < rows[(n, "win-aux")].rhs < p_aux
+
 
 CONFIG_TEXT = """
 master_seed = 777
@@ -728,3 +803,63 @@ class TestConfigParsing:
     def test_n_grid_must_increase(self):
         with pytest.raises(ConfigError):
             k1_config(n_grid=(100, 100))
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (lambda: k1_config(k=2), ConfigError, "k must match the model"),
+        (lambda: k1_config(rho=0.0), ConfigError, r"rho must lie in \(0, 1\)"),
+        (lambda: k1_config(rho=1.0), ConfigError, r"rho must lie in \(0, 1\)"),
+        (lambda: k1_config(rhs_mode="bootstrap"), ConfigError, "rhs_mode must be"),
+        (
+            lambda: k1_config(
+                closed_sets=(ClosedSetTuple("two", (closed_1d(0.0, 1.0),) * 2, None),)
+            ),
+            ConfigError,
+            "closed tuple 'two' needs 1 sets",
+        ),
+        (
+            lambda: k1_config(open_sets=(OpenSetTuple("box", (open_1d(0.0, 1.0),), ((0, 1),)),)),
+            ConfigError,
+            "open tuple 'box' aux needs 2 intervals",
+        ),
+        (
+            lambda: rectangle_columns(
+                np.full((2, 1), 0.5), np.ones((2, 2)), 100, [(-2.0, 3.0)] * 2,
+                -np.ones((2, 2)), np.ones((2, 2)),
+            ),
+            BadBoundsError,
+            "bounds must match the parameter counts",
+        ),
+        (
+            lambda: rectangle_columns(
+                np.full((2, 1), 0.5), np.ones((2, 2)), 100, [(-2.0, 3.0)],
+                -np.ones((2, 3)), np.ones((2, 3)),
+            ),
+            BadBoundsError,
+            "bounds must match the parameter counts",
+        ),
+        (
+            lambda: parse_verification_config(CONFIG_TEXT + "set closed two = [0,1] | [0,1]\n"),
+            ConfigError,
+            "set 'two' needs 1 component sets, got 2",
+        ),
+        (
+            lambda: parse_verification_config(CONFIG_TEXT + "set open box = (0,1) @ [0,1]\n"),
+            ConfigError,
+            "aux box needs 2 intervals or 'full'",
+        ),
+    ],
+)
+def test_input_checks(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
+def test_full_aux_box_reads_as_none():
+    with_full = CONFIG_TEXT + "set closed unit = [0,1] @ full\nset open near = (-1,1) @  full \n"
+    without = CONFIG_TEXT + "set closed unit = [0,1]\nset open near = (-1,1)\n"
+    cfg = parse_verification_config(with_full)
+    assert cfg == parse_verification_config(without)
+    assert cfg.closed_sets[-1].aux is None and cfg.open_sets[-1].aux is None

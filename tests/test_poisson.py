@@ -962,3 +962,22 @@ class TestNormalQuantile:
 
         for z in (-5.0, -1.0, 0.0, 0.3, 2.5):
             assert abs(normal_cdf(z) - norm.cdf(z)) < 1e-14
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: JumpLaw("point", (1.0, 2.0)), "point takes 1 parameters"),
+        (lambda: JumpLaw("two_point", (1.0, 2.0)), "two_point takes 3 parameters"),
+        (lambda: JumpLaw("gaussian", (1.0,)), "gaussian takes 2 parameters"),
+        (lambda: JumpLaw("shifted_exp", (1.0, 2.0, 3.0)), "shifted_exp takes 2 parameters"),
+        (lambda: JumpLaw("gaussian", (1.0, -0.5)), "sd must be nonnegative"),
+        (lambda: JumpLaw("shifted_exp", (1.0, 0.0)), "scale must be positive"),
+        (lambda: JumpLaw("shifted_exp", (1.0, -2.0)), "scale must be positive"),
+        (lambda: unit_spec(window_initial=0.0), "window_initial must be positive"),
+        (lambda: unit_spec(window_initial=-1.0), "window_initial must be positive"),
+    ],
+)
+def test_input_checks(call, match):
+    with pytest.raises(InvalidSpecError, match=match):
+        call()

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -909,3 +910,75 @@ class TestDatasetCsv:
     def test_bad_float_names_line(self):
         with pytest.raises(DatasetFormatError, match="line 2"):
             dataset_from_csv("x,y\nfoo,2\n1,2\n")
+
+
+def _two_jump_spec(**overrides):
+    kwargs = dict(
+        segments=((0.0,), (1.0,), (0.0,)),
+        x_law=UNIFORM01,
+        noise=NOISELESS,
+        true_tau=(0.3, 0.7),
+        true_alpha=(0.0, 1.0, 0.0),
+    )
+    kwargs.update(overrides)
+    return RegressionModelSpec(**kwargs)
+
+
+_D4 = Dataset([1.0, 2.0, 3.0, 4.0], [0.0, 0.0, 1.0, 1.0])
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (lambda: Dataset([1.0, 2.0, 3.0], [0.0, 1.0]), ValueError, "one-dimensional"),
+        (lambda: Dataset([[1.0, 2.0]], [[0.0, 1.0]]), ValueError, "one-dimensional"),
+        (lambda: Dataset([1.0], [0.0]), ValueError, "at least two observations"),
+        (lambda: Dataset([1.0, math.nan], [0.0, 1.0]), ValueError, "must be finite"),
+        (lambda: Dataset([1.0, 2.0], [0.0, math.inf]), ValueError, "must be finite"),
+        (lambda: Dataset([2.0, 2.0], [0.0, 1.0]), ValueError, "must not be constant"),
+        (lambda: StepModel((0.5,), (0.0,)), ValueError, "one more level"),
+        (lambda: StepModel((0.6, 0.5), (0.0, 1.0, 2.0)), ValueError, "strictly increasing"),
+        (lambda: optimal_levels(_D4, (3.0, 2.0)), ValueError, "strictly increasing"),
+        (lambda: fit_rows(_D4.x[None], _D4.y[None], -1), ValueError, "k must be nonnegative"),
+        (lambda: rescaled_process(_D4, (), (0.0,), 1.0), ValueError, "at least one reference"),
+        (lambda: rescaled_process(_D4, (2.5,), (0.0,), 1.0), ValueError, "one more level"),
+        (lambda: rescaled_process(_D4, (2.5,), (0.0, 1.0), 0.0), ValueError, "scale must be"),
+        (lambda: rescaled_process(_D4, (2.5,), (0.0, 1.0), -1.0), ValueError, "scale must be"),
+        (lambda: XLaw("uniform", (1.0, 0.0)), InvalidSpecError, "needs lo < hi"),
+        (lambda: XLaw("gaussian", (0.0, 0.0)), InvalidSpecError, "needs a positive sd"),
+        (lambda: XLaw("beta", (1.0, 1.0)), InvalidSpecError, "unknown covariate family"),
+        (lambda: NoiseLaw("gaussian", (1.0, 1.0)), InvalidSpecError, r"gaussian\(0, sd>=0\)"),
+        (lambda: NoiseLaw("two_point", (-1.0, 1.0, 1.0)), InvalidSpecError, "probability in"),
+        (lambda: NoiseLaw("two_point", (-1.0, 3.0, 0.5)), InvalidSpecError, "must be centered"),
+        (lambda: NoiseLaw("laplace", (0.0, 1.0)), InvalidSpecError, "unknown noise family"),
+        (
+            lambda: _two_jump_spec(true_tau=(), segments=((0.0,),), true_alpha=(0.0,)),
+            InvalidSpecError,
+            "at least one jump location",
+        ),
+        (lambda: _two_jump_spec(segments=((0.0,), (1.0,))), InvalidSpecError, r"k\+1 segments"),
+        (lambda: _two_jump_spec(true_alpha=(0.0, 1.0)), InvalidSpecError, r"k\+1 segments"),
+        (lambda: _two_jump_spec(true_tau=(0.7, 0.3)), InvalidSpecError, "strictly increasing"),
+        (lambda: synthesize(_two_jump_spec(), 1, 0), ValueError, "need n >= 2"),
+        # the spec itself refuses a jump where x has no density, so only a
+        # model that skips its checks reaches this one
+        (
+            lambda: derive_limit_spec(
+                types.SimpleNamespace(k=1, true_tau=(2.0,), x_law=UNIFORM01), 1
+            ),
+            InvalidSpecError,
+            "density must be positive at the jump",
+        ),
+        (lambda: dataset_from_csv("x,y\n1,2\n"), DatasetFormatError, "two data rows"),
+        # the blank line is skipped, so one data row remains
+        (lambda: dataset_from_csv("x,y\n1,2\n\n"), DatasetFormatError, "two data rows"),
+    ],
+)
+def test_input_checks(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
+def test_csv_skips_blank_lines():
+    d = dataset_from_csv("x,y\n1,2\n\n  \n3,4\n")
+    assert d.x.tolist() == [1.0, 3.0] and d.y.tolist() == [2.0, 4.0]

@@ -244,3 +244,23 @@ def test_step_function_never_equals_grid_function():
 
 def test_quadrant_enumeration_count():
     assert len(all_quadrants(3)) == 8
+
+
+_F1 = grid_1d([0.0], [1.0, 0.0])
+_F2 = GridFunction(([0.0], [0.0]), [[1.0, 0.0], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (lambda: GridFunction(([[0.0, 1.0]],), [1.0, 0.0, 1.0]), ValueError, "one-dimensional"),
+        (lambda: grid_1d([0.0, np.inf], [1.0, 0.0, 1.0]), ValueError, "must be finite"),
+        (lambda: grid_1d([np.nan], [1.0, 0.0]), ValueError, "must be finite"),
+        (lambda: _F2.quadrant_limit((0.0, 0.0), (LT,)), ValueError, "has 1 relations, expected 2"),
+        (lambda: _F1.quadrant_limit(0.0, (LT, GE)), ValueError, "has 2 relations, expected 1"),
+        (lambda: add_scale(_F1, _F2, 1.0, 1.0), ValueError, "share the dimension"),
+    ],
+)
+def test_input_checks(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
