@@ -213,6 +213,8 @@ def box_union_from_text(text, dim=None):
         pairs = [_parse_interval(tok) for tok in line.split()]
         boxes.append(Box(tuple(p[0] for p in pairs), tuple(p[1] for p in pairs)))
     if boxes:
+        if dim not in (None, boxes[0].dim):
+            raise ValueError("dimension mismatch")
         dim = boxes[0].dim
     elif dim is None:
         raise ValueError("dimension required for an empty union")

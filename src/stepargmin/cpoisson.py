@@ -573,6 +573,8 @@ def choose_interval_bounds(xi_min, xi_max, gamma):
     sit on the strict-inequality boundary.
     """
     m = len(xi_min)
+    if len(xi_max) != m:
+        raise ValueError(f"{m} minimizer samples but {len(xi_max)} maximizer samples")
     if m == 0:
         raise EmptySamplesError("no minimizer samples")
     if not 0.0 < gamma < 1.0:

@@ -199,11 +199,6 @@ def _prefix_sums(xs, ys, starts=None):
 # temporary
 _CHUNK_CELLS = 8192
 
-# `fit_rows` sorts in strips of rows of at most this many cells: one
-# argsort of the whole block read x0.97 (5 pairs) and x0.99 (7 more, 5 of
-# them worse) in `verify_k2` work per second
-_SORT_CELLS = 2048
-
 # unit roundoff of float64
 _UNIT = 2.0**-53
 
@@ -496,10 +491,7 @@ def _band(nxt, cmax, cum_n, cum_s, cum_q, budget):
     # -prefmin(c) < -budget[s]
     minima = np.empty(shape)
     low = np.negative(np.minimum.accumulate(nxt[:, 1 : cmax + 2], axis=1, out=minima), out=minima)
-    neg = -budget
-    first = np.searchsorted(low[0], neg[0])
-    for lo, t in zip(low[1:], neg[1:]):
-        np.minimum(first, np.searchsorted(lo, t), out=first)
+    first = np.min([np.searchsorted(lo, t) for lo, t in zip(low, -budget)], axis=0)
     first = np.maximum(first, np.arange(cmax + 1))
     first = np.minimum.accumulate(first[::-1])[::-1]
     # sufmin(c) is column cmax - c of the minima from the right
@@ -552,12 +544,9 @@ def fit_rows(x, y, k):
         raise ValueError("k must be nonnegative")
     rows, n = x.shape
     # the flat index of each row's j-th smallest x
-    tmp = np.empty((rows, n), np.intp)
-    strip = max(1, _SORT_CELLS // n)
-    for r in range(0, rows, strip):
-        offsets = np.arange(r, min(r + strip, rows))[:, None] * n
-        np.add(np.argsort(x[r : r + strip], axis=1), offsets, out=tmp[r : r + strip])
-    xs, ys = np.take(x, tmp), np.take(y, tmp)
+    flat = np.argsort(x, axis=1)
+    flat += np.arange(0, rows * n, n)[:, None]
+    xs, ys = np.take(x, flat), np.take(y, flat)
     new = xs[:, 1:] != xs[:, :-1]
     runs = 1 + np.count_nonzero(new, axis=1)
     few = np.flatnonzero(runs < k + 1)

@@ -177,8 +177,14 @@ def step_function_from_text(text):
 
 
 def grid_function_from_text(text):
-    lines = [ln for ln in text.splitlines()]
+    lines = text.splitlines()
+    if not lines:
+        raise ValueError("grid function record has no dimension line")
     dim = int(lines[0].strip())
+    if len(lines) < 1 + dim:
+        raise ValueError(f"grid function record has {len(lines) - 1} of its {dim} axis lines")
+    if len(lines) < 2 + dim:
+        raise ValueError("grid function record has no cells line")
     axes = [_parse_floats(lines[1 + i]) for i in range(dim)]
     flat = _parse_floats(lines[1 + dim])
     shape = tuple(len(a) + 1 for a in axes)

@@ -576,6 +576,12 @@ class TestSerialization:
         with pytest.raises(ValueError):
             box_union_from_text("")
 
+    @pytest.mark.parametrize("text, dim", [("[0,1] [2,3]", 1), ("[0,1]", 2), ("[1,0]", 3)])
+    def test_dim_must_match_boxes(self, text, dim):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            box_union_from_text(text, dim=dim)
+        assert box_union_from_text(text, dim=len(text.split())) == box_union_from_text(text)
+
     @pytest.mark.parametrize("token", ["[1,2,3]", "[1;2]", "(1,2)", "[1,x]", "[]"])
     def test_malformed_token_named(self, token):
         with pytest.raises(ValueError) as info:

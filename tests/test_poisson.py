@@ -912,6 +912,11 @@ class TestIntervalBounds:
         with pytest.raises(OutOfDomainError):
             choose_interval_bounds(np.zeros(1), np.zeros(1), 1.5)
 
+    @pytest.mark.parametrize("m_min, m_max", [(10, 100), (100, 10)])
+    def test_unequal_sample_sizes(self, m_min, m_max):
+        with pytest.raises(ValueError, match=f"{m_min} minimizer samples but {m_max} maximizer"):
+            choose_interval_bounds(np.arange(float(m_min)), np.arange(float(m_max)), 0.9)
+
     def test_atom_handling(self):
         lo = hi = np.full(10, 1.5)
         a, b = choose_interval_bounds(lo, hi, 0.5)

@@ -234,6 +234,18 @@ class TestSerialization:
         f = StepFunction1D([0.1234567890123456], [1 / 3, 2 / 3])
         assert from_text(f.to_text()) == f
 
+    @pytest.mark.parametrize(
+        "text, missing",
+        [
+            ("", "no dimension line"),
+            ("4\n1\n2\n", "2 of its 4 axis lines"),
+            ("2\n0\n1\n", "no cells line"),
+        ],
+    )
+    def test_truncated_grid_record_named(self, text, missing):
+        with pytest.raises(ValueError, match=missing):
+            from_text(text)
+
 
 def test_step_function_never_equals_grid_function():
     f = StepFunction1D([0.0, 1.0], [1.0, 0.0, 1.0])
